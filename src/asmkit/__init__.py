@@ -38,10 +38,10 @@ from .kernel import (
     Term,
     Vocabulary,
     apply_renaming,
-    automorphisms,
     coincides_over,
     evaluate_set,
     evaluate_term,
+    evaluate_terms,
     identity_renaming,
     interpret,
     is_subterm_closed,

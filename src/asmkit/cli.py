@@ -66,8 +66,15 @@ def _default_universe(flag: int | None, derived: int) -> int:
         return flag
     env = os.environ.get(ENV_UNIVERSE)
     if env:
-        return int(env)
+        return _integer(env, ENV_UNIVERSE)
     return derived
+
+
+def _integer(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise AsmError(f"{name} must be an integer, not {text!r}") from None
 
 
 def _render_witness_value(value: object) -> list[str]:
@@ -115,7 +122,7 @@ def _parse_suite_config(text: str) -> GeneratorConfig:
         key, _, raw = part.partition("=")
         if not raw:
             raise AsmError(f"bad suite option {part!r}; expected key=value")
-        values[key.strip()] = int(raw)
+        values[key.strip()] = _integer(raw, f"suite option {key.strip()!r}")
     mapping = {
         "seed": "seed",
         "instances": "instances",
@@ -130,7 +137,10 @@ def _parse_suite_config(text: str) -> GeneratorConfig:
         if key not in mapping:
             raise AsmError(f"unknown suite option {key!r}")
         kwargs[mapping[key]] = value
-    return GeneratorConfig(**kwargs)
+    try:
+        return GeneratorConfig(**kwargs)
+    except ValueError as exc:
+        raise AsmError(f"bad suite options: {exc}") from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

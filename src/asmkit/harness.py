@@ -8,7 +8,10 @@ copy followed by the replacement (overlapping value sets), and confirm the
 transported update's membership claim.  Pairs whose similarity function
 moves a logical element cannot be expressed as renamings here, because the
 three logical ids are global; those chains are confirmed by direct
-membership transport and counted separately.
+membership transport and counted separately.  Both checks and the replay
+share one ``ClosureIndex``: the closure is enumerated once per check, a
+sampled pair's states are built only when the replay reaches it, and nothing
+is cached across checks.
 
 The module also hosts the seeded generators used by the property suites.
 """
@@ -41,7 +44,7 @@ from .kernel import (
     sorted_terms,
     subterm_closure,
 )
-from .postulates import Copy, _pattern, _value_vectors, check_new_be, check_old_be, closure
+from .postulates import ClosureIndex, Copy, check_new_be, check_old_be
 from .report import CheckReport
 from .similarity import (
     SimilarityFunction,
@@ -56,7 +59,6 @@ from .transition import (
     Par,
     Rule,
     Update,
-    canonical_delta,
     lift_update,
     lift_update_set,
     rule_terms,
@@ -193,16 +195,9 @@ def _logically_compatible(sigma: SimilarityFunction) -> bool:
     )
 
 
-@dataclass
-class _Entry:
-    copy: Copy
-    vector: tuple[int, ...]
-    delta: frozenset[Update]
-
-
 def _transport_chain(
-    x: _Entry,
-    y: _Entry,
+    x: Copy,
+    y: Copy,
     terms: frozenset[Term],
     update: Update,
     sigma: SimilarityFunction,
@@ -216,7 +211,7 @@ def _transport_chain(
     y_values = set(y.vector)
     if x_values.isdisjoint(y_values):
         try:
-            _, xi = construct_case1_state(x.copy.state, y.copy.state, terms)
+            _, xi = construct_case1_state(x.state, y.state, terms)
             replaced_delta = lift_update_set(xi, x.delta)
             if replaced_delta != y.delta:
                 raise AsmError(
@@ -230,10 +225,10 @@ def _transport_chain(
             return moved in y.delta, "case1", moved
         except CaseHypothesisError:
             pass  # replacement collides inside the carrier; sanitize via a disjoint copy
-    detached, eta = construct_disjoint_copy(x.copy.state, y.copy.state, terms, universe_size)
+    detached, eta = construct_disjoint_copy(x.state, y.state, terms, universe_size)
     detached_delta = lift_update_set(eta, x.delta)
     moved = lift_update(eta, update)
-    _, xi = construct_case1_state(detached, y.copy.state, terms)
+    _, xi = construct_case1_state(detached, y.state, terms)
     final_delta = lift_update_set(xi, detached_delta)
     if final_delta != y.delta:
         raise AsmError(
@@ -247,14 +242,14 @@ def _transport_chain(
     return final in y.delta, "case2", final
 
 
-def _sample_pairs(members: list[_Entry], limit: int) -> list[tuple[_Entry, _Entry]]:
-    pairs: list[tuple[_Entry, _Entry]] = []
+def _sample_pairs(members: list[Copy], limit: int) -> list[tuple[Copy, Copy]]:
+    pairs: list[tuple[Copy, Copy]] = []
     seen: set[tuple] = set()
 
-    def push(a: _Entry, b: _Entry) -> None:
+    def push(a: Copy, b: Copy) -> None:
         if a is b or len(pairs) >= limit:
             return
-        key = (a.copy.state.key(), b.copy.state.key())
+        key = (a.key, b.key)
         if key in seen:
             return
         seen.add(key)
@@ -263,11 +258,10 @@ def _sample_pairs(members: list[_Entry], limit: int) -> list[tuple[_Entry, _Entr
     head = members[0]
     for other in members[1:]:
         push(head, other)
-    representatives: dict[int, _Entry] = {}
+    representatives: dict[int, Copy] = {}  # in key order, as the members are
     for m in members:
-        representatives.setdefault(m.copy.canonical_index, m)
-    reps = sorted(representatives.values(), key=lambda e: e.copy.state.key())
-    for a, b in itertools.combinations(reps, 2):
+        representatives.setdefault(m.canonical_index, m)
+    for a, b in itertools.combinations(representatives.values(), 2):
         push(a, b)
     if len(members) > 2:
         push(members[0], members[-1])
@@ -285,50 +279,32 @@ def verify_equivalence(
     """Both bounded-exploration verdicts must agree; on a double pass the
     transport argument is additionally replayed on sampled similar pairs."""
     label = "equivalence"
-    terms = frozenset(terms)
-    old = check_old_be(algorithm, terms, universe_size)
-    new = check_new_be(algorithm, terms, universe_size)
+    index = ClosureIndex(algorithm, terms, universe_size, closed=True)
+    old = check_old_be(algorithm, terms, universe_size, index=index)
+    new = check_new_be(algorithm, terms, universe_size, index=index)
     notes = [f"old-be={old.verdict}", f"new-be={new.verdict}"]
     if old.passed != new.passed:
         return CheckReport(
             False,
             label,
             "bounded-exploration verdicts disagree",
-            witness={"old": old, "new": new, "terms": terms},
+            witness={"old": old, "new": new, "terms": index.terms},
             notes=tuple(notes),
         )
     if old.passed and new.passed:
-        replay = _replay_proof(
-            algorithm, terms, universe_size, replay_pair_limit, replay_update_limit
-        )
+        replay = _replay_proof(index, replay_pair_limit, replay_update_limit)
         if isinstance(replay, CheckReport):
             return replay
         notes.extend(replay)
     return CheckReport(True, label, notes=tuple(notes))
 
 
-def _replay_proof(
-    algorithm: Algorithm,
-    terms: frozenset[Term],
-    universe_size: int,
-    pair_limit: int,
-    update_limit: int,
-) -> list[str] | CheckReport:
-    order = sorted_terms(terms)
-    vectors = _value_vectors(algorithm, order)
-    deltas = [canonical_delta(algorithm, i) for i in range(len(algorithm.canonical_states))]
-    groups: dict[tuple[int, ...], list[_Entry]] = {}
-    for copy in closure(algorithm, universe_size):
-        vector = tuple(copy.renaming[v] for v in vectors[copy.canonical_index])
-        sig, _ = _pattern(vector)
-        delta = lift_update_set(copy.renaming, deltas[copy.canonical_index])
-        groups.setdefault(sig, []).append(_Entry(copy, vector, delta))
-
+def _replay_proof(index: ClosureIndex, pair_limit: int, update_limit: int) -> list[str] | CheckReport:
+    terms = index.terms
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
-    for sig in sorted(groups):
-        members = sorted(groups[sig], key=lambda e: e.copy.state.key())
+    for members in index.similarity_classes:
         for left, right in _sample_pairs(members, pair_limit):
-            sigma = similarity_function(left.copy.state, right.copy.state, terms)
+            sigma = similarity_function(left.state, right.state, terms)
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
                 if not sigma.is_identity:
@@ -336,14 +312,14 @@ def _replay_proof(
                         False,
                         "equivalence",
                         "similarity of a coinciding pair is not the identity",
-                        witness={"left": left.copy.state, "right": right.copy.state},
+                        witness={"left": left.state, "right": right.state},
                     )
                 if left.delta != right.delta:
                     return CheckReport(
                         False,
                         "equivalence",
                         "coinciding pair with different update sets survived the checker",
-                        witness={"left": left.copy.state, "right": right.copy.state},
+                        witness={"left": left.state, "right": right.state},
                     )
             accessible = set(left.vector)
             carried = [
@@ -353,7 +329,7 @@ def _replay_proof(
             ]
             for u in carried[:update_limit]:
                 ok, route, final = _transport_chain(
-                    left, right, terms, u, sigma, universe_size
+                    left, right, terms, u, sigma, index.universe_size
                 )
                 if not ok:
                     return CheckReport(
@@ -361,8 +337,8 @@ def _replay_proof(
                         "equivalence",
                         "replayed transport contradicts the passing verdicts",
                         witness={
-                            "left": left.copy.state,
-                            "right": right.copy.state,
+                            "left": left.state,
+                            "right": right.state,
                             "update": u,
                             "transported": final,
                             "route": route,

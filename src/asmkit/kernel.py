@@ -230,13 +230,7 @@ class State:
         self.base = carrier
         self._tables = normalized
         self._nonlogical = tuple(sorted(carrier - frozenset(LOGICAL_IDS)))
-        self._key = (
-            tuple(sorted(carrier)),
-            tuple(
-                (name, tuple(sorted(normalized[name].items())))
-                for name in sorted(normalized)
-            ),
-        )
+        self._key = _state_key(carrier, normalized)
         self._hash = hash(self._key)
 
     @property
@@ -271,6 +265,13 @@ class State:
             for name, t in sorted(self._tables.items())
         )
         return f"State(base={sorted(self.base)}, {tables or 'all default'})"
+
+
+def _state_key(carrier: Iterable[int], tables: Mapping[str, Mapping[tuple, int]]) -> tuple:
+    return (
+        tuple(sorted(carrier)),
+        tuple((name, tuple(sorted(tables[name].items()))) for name in sorted(tables)),
+    )
 
 
 def _boolean(x: int) -> bool:
@@ -310,19 +311,35 @@ def interpret(state: State, symbol: Symbol, args: tuple[int, ...]) -> int:
     raise VocabularyMismatchError(f"unknown logical symbol {name!r}")
 
 
+def evaluate_terms(state: State, terms: Iterable[Term]) -> list[int]:
+    """Bottom-up evaluation of ground terms in a state, in the given order;
+    each distinct subterm node is checked and evaluated once."""
+    vocabulary = state.vocabulary
+    values: dict[int, int] = {}
+
+    def value(term: Term) -> int:
+        node = id(term)
+        v = values.get(node)
+        if v is None:
+            if term.root not in vocabulary:
+                raise VocabularyMismatchError(
+                    f"term symbol {term.root} is not in the state's vocabulary"
+                )
+            args = tuple([value(child) for child in term.children])
+            v = values[node] = interpret(state, term.root, args)
+        return v
+
+    return [value(t) for t in terms]
+
+
 def evaluate_term(state: State, term: Term) -> int:
     """Bottom-up evaluation of a ground term in a state."""
-    if term.root not in state.vocabulary:
-        raise VocabularyMismatchError(
-            f"term symbol {term.root} is not in the state's vocabulary"
-        )
-    args = tuple(evaluate_term(state, child) for child in term.children)
-    return interpret(state, term.root, args)
+    return evaluate_terms(state, (term,))[0]
 
 
 def evaluate_set(state: State, terms: Iterable[Term]) -> frozenset[int]:
     """The image of a term set under evaluation."""
-    return frozenset(evaluate_term(state, t) for t in terms)
+    return frozenset(evaluate_terms(state, terms))
 
 
 def _require_same_vocabulary(x: State, y: State) -> None:
@@ -333,7 +350,8 @@ def _require_same_vocabulary(x: State, y: State) -> None:
 def coincides_over(x: State, y: State, terms: Iterable[Term]) -> bool:
     """True iff every term of the set has the same value in both states."""
     _require_same_vocabulary(x, y)
-    return all(evaluate_term(x, t) == evaluate_term(y, t) for t in terms)
+    terms = list(terms)
+    return evaluate_terms(x, terms) == evaluate_terms(y, terms)
 
 
 class Renaming:
@@ -356,14 +374,6 @@ class Renaming:
         if len(set(m.values())) != len(m):
             raise InvalidRenamingError("renaming is not injective")
         self._map = m
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self._map.values())
 
     def __getitem__(self, element: int) -> int:
         try:
@@ -404,20 +414,27 @@ def identity_renaming(elements: Iterable[int]) -> Renaming:
 
 def apply_renaming(state: State, renaming: Renaming) -> State:
     """The isomorphic copy of ``state`` along ``renaming``."""
-    missing = [e for e in state.base if e not in renaming.domain]
+    base, tables = _renamed(state, renaming)
+    return State(state.vocabulary, base, tables)
+
+
+def renamed_key(state: State, renaming: Renaming) -> tuple:
+    """``apply_renaming(state, renaming).key()`` without building the state."""
+    # A renaming fixes undef, so renamed tables stay normalized.
+    return _state_key(*_renamed(state, renaming))
+
+
+def _renamed(state: State, renaming: Renaming) -> tuple[list[int], dict]:
+    m = renaming._map
+    missing = [e for e in state.base if e not in m]
     if missing:
-        raise InvalidRenamingError(
-            f"renaming does not cover carrier elements {sorted(missing)}"
-        )
-    base = [renaming[e] for e in state.base]
+        raise InvalidRenamingError(f"renaming does not cover carrier elements {sorted(missing)}")
+    base = [m[e] for e in state.base]
     tables = {
-        name: {
-            tuple(renaming[a] for a in args): renaming[v]
-            for args, v in table.items()
-        }
+        name: {tuple([m[a] for a in args]): m[v] for args, v in table.items()}
         for name, table in state.interpretations.items()
     }
-    return State(state.vocabulary, base, tables)
+    return base, tables
 
 
 def isomorphisms_between(x: State, y: State) -> Iterator[Renaming]:
@@ -443,7 +460,3 @@ def isomorphisms_between(x: State, y: State) -> Iterator[Renaming]:
                 break
         if ok:
             yield Renaming(m)
-
-
-def automorphisms(state: State) -> Iterator[Renaming]:
-    return isomorphisms_between(state, state)

@@ -6,6 +6,10 @@ universe headroom of twice the largest nonlogical carrier plus the three
 logical ids, so that fresh-element constructions are expressible; smaller
 universes make the check inconclusive rather than wrong.
 
+A bounded-exploration check enumerates the closure once per call, into a
+``ClosureIndex``; a copy's ``State`` is built only when a report or the proof
+replay needs it, and nothing is cached across calls.
+
 The coincidence and similarity quantifications over state pairs are computed
 by grouping states on their witness-value vectors (respectively, on the
 equality pattern of those vectors): a pairwise property that only depends on
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import AsmError, HeadroomError, PreconditionError, VocabularyMismatchError
@@ -27,8 +32,9 @@ from .kernel import (
     Term,
     Vocabulary,
     apply_renaming,
-    evaluate_term,
+    evaluate_terms,
     is_subterm_closed,
+    renamed_key,
     sorted_terms,
 )
 from .report import CheckReport
@@ -46,11 +52,19 @@ from .transition import (
 
 @dataclass
 class Copy:
-    """One state of the universe closure, remembered with its provenance."""
+    """One state of the universe closure, remembered with its provenance and
+    built on first use; ``ClosureIndex`` fills in ``vector`` and ``delta``."""
 
     canonical_index: int
+    canonical: State
     renaming: Renaming
-    state: State
+    key: tuple
+    vector: tuple[int, ...] = ()
+    delta: frozenset[Update] = frozenset()
+
+    @cached_property
+    def state(self) -> State:
+        return apply_renaming(self.canonical, self.renaming)
 
 
 def required_headroom(algorithm: Algorithm) -> int:
@@ -85,6 +99,11 @@ def _require_ground_terms(vocabulary: Vocabulary, terms: Iterable[Term]) -> None
                 raise VocabularyMismatchError(f"witness term {t} uses unknown symbol {sub.root}")
 
 
+def _require_subterm_closed(terms: frozenset[Term]) -> None:
+    if not is_subterm_closed(terms):
+        raise PreconditionError("the witness for the new postulate must be subterm-closed")
+
+
 def renamings_into(base: frozenset[int], universe_size: int) -> Iterable[Renaming]:
     """All renamings of a carrier into the universe, in lexicographic order."""
     sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
@@ -100,12 +119,10 @@ def closure(algorithm: Algorithm, universe_size: int) -> list[Copy]:
     copies: list[Copy] = []
     for index, canonical in enumerate(algorithm.canonical_states):
         for renaming in renamings_into(canonical.base, universe_size):
-            state = apply_renaming(canonical, renaming)
-            key = state.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            copies.append(Copy(index, renaming, state))
+            key = renamed_key(canonical, renaming)
+            if key not in seen:
+                seen.add(key)
+                copies.append(Copy(index, canonical, renaming, key))
     return copies
 
 
@@ -184,79 +201,6 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     )
 
 
-def _value_vectors(
-    algorithm: Algorithm, order: Sequence[Term]
-) -> list[tuple[int, ...]]:
-    return [
-        tuple(evaluate_term(state, t) for t in order)
-        for state in algorithm.canonical_states
-    ]
-
-
-def _canonical_deltas(algorithm: Algorithm) -> list[frozenset[Update]]:
-    return [canonical_delta(algorithm, i) for i in range(len(algorithm.canonical_states))]
-
-
-def check_old_be(
-    algorithm: Algorithm, terms: Iterable[Term], universe_size: int
-) -> CheckReport:
-    """Coincidence over the witness must force equal update sets.
-
-    Assumes the abstract-state postulate: update sets on renamed copies are
-    the transported canonical ones.
-    """
-    label = "old-be"
-    terms = frozenset(terms)
-    _require_ground_terms(algorithm.vocabulary, terms)
-    _require_headroom(algorithm, universe_size)
-    order = sorted_terms(terms)
-    vectors = _value_vectors(algorithm, order)
-    deltas = _canonical_deltas(algorithm)
-    delta_encodings = [frozenset(u.encoded() for u in d) for d in deltas]
-
-    groups: dict[tuple[int, ...], list[Copy]] = {}
-    copies = closure(algorithm, universe_size)
-    for copy in copies:
-        r = copy.renaming
-        vector = tuple(r[v] for v in vectors[copy.canonical_index])
-        groups.setdefault(vector, []).append(copy)
-
-    def lifted_encoding(copy: Copy) -> frozenset[tuple[str, tuple[int, ...], int]]:
-        r = copy.renaming
-        return frozenset(
-            (name, tuple(r[a] for a in args), r[value])
-            for name, args, value in delta_encodings[copy.canonical_index]
-        )
-
-    for vector in sorted(groups):
-        members = sorted(groups[vector], key=lambda c: c.state.key())
-        baseline = lifted_encoding(members[0])
-        for other in members[1:]:
-            if lifted_encoding(other) != baseline:
-                left, right = members[0], other
-                return CheckReport(
-                    False,
-                    label,
-                    "states coincide over the witness but have different update sets",
-                    witness={
-                        "terms": terms,
-                        "left": left.state,
-                        "right": right.state,
-                        "left_delta": lift_update_set(
-                            left.renaming, deltas[left.canonical_index]
-                        ),
-                        "right_delta": lift_update_set(
-                            right.renaming, deltas[right.canonical_index]
-                        ),
-                    },
-                )
-    return CheckReport(
-        True,
-        label,
-        notes=(f"states={len(copies)}", f"coincidence-classes={len(groups)}"),
-    )
-
-
 def _pattern(vector: Sequence[int]) -> tuple[tuple[int, ...], dict[int, int]]:
     """First-occurrence encoding of a value vector and the value->index map."""
     first: dict[int, int] = {}
@@ -278,35 +222,77 @@ def _accessible_trace(
     return frozenset(trace)
 
 
-def check_new_be(
-    algorithm: Algorithm, terms: Iterable[Term], universe_size: int
-) -> CheckReport:
-    """Accessibility of all update sets plus similarity transport of membership.
-
-    Requirement one is checked on canonical states only; accessibility of an
-    update set is invariant under renaming.  Requirement two groups the
-    closure by the equality pattern of witness values: two states are similar
-    exactly when their patterns agree, and membership transport holds for a
-    pair exactly when their accessible update sets have the same pattern
-    encoding.
+class ClosureIndex:
+    """The closure of an algorithm for one witness and universe; every copy
+    carries the witness values and update set of its canonical state, renamed.
+    Construction checks, in order, that the witness is ground, that the
+    universe has headroom and, if ``closed``, that the witness is subterm-closed.
     """
-    label = "new-be"
-    terms = frozenset(terms)
-    _require_ground_terms(algorithm.vocabulary, terms)
-    if not is_subterm_closed(terms):
-        raise PreconditionError("the witness for the new postulate must be subterm-closed")
-    _require_headroom(algorithm, universe_size)
-    order = sorted_terms(terms)
-    vectors = _value_vectors(algorithm, order)
-    deltas = _canonical_deltas(algorithm)
 
-    requirement_i_passed = True
+    def __init__(
+        self, algorithm: Algorithm, terms: Iterable[Term], universe_size: int, *, closed: bool = False
+    ) -> None:
+        self.algorithm = algorithm
+        self.terms = frozenset(terms)
+        self.universe_size = universe_size
+        _require_ground_terms(algorithm.vocabulary, self.terms)
+        _require_headroom(algorithm, universe_size)
+        if closed:
+            _require_subterm_closed(self.terms)
+        order = sorted_terms(self.terms)
+        self.vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
+        self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
+        self.copies = closure(algorithm, universe_size)
+        for copy in self.copies:
+            r = copy.renaming
+            copy.vector = tuple(r[v] for v in self.vectors[copy.canonical_index])
+            copy.delta = lift_update_set(r, self.deltas[copy.canonical_index])
+
+    @cached_property
+    def similarity_classes(self) -> list[list[Copy]]:
+        """Copies grouped by the equality pattern of their witness values (the
+        canonical state's pattern), in pattern order, members in key order."""
+        sigs = [_pattern(v)[0] for v in self.vectors]
+        groups: dict[tuple[int, ...], list[Copy]] = {}
+        for copy in self.copies:
+            groups.setdefault(sigs[copy.canonical_index], []).append(copy)
+        return [sorted(groups[sig], key=lambda c: c.key) for sig in sorted(groups)]
+
+
+def _old_be(index: ClosureIndex) -> CheckReport:
+    groups: dict[tuple[int, ...], list[Copy]] = {}
+    for copy in index.copies:
+        groups.setdefault(copy.vector, []).append(copy)
+    for vector in sorted(groups):
+        left, *others = sorted(groups[vector], key=lambda c: c.key)
+        for right in others:
+            if right.delta != left.delta:
+                return CheckReport(
+                    False,
+                    "old-be",
+                    "states coincide over the witness but have different update sets",
+                    witness={
+                        "terms": index.terms,
+                        "left": left.state,
+                        "right": right.state,
+                        "left_delta": left.delta,
+                        "right_delta": right.delta,
+                    },
+                )
+    return CheckReport(
+        True,
+        "old-be",
+        notes=(f"states={len(index.copies)}", f"coincidence-classes={len(groups)}"),
+    )
+
+
+def _new_be(index: ClosureIndex) -> CheckReport:
+    terms = index.terms
     witness_i: dict | None = None
-    for index, state in enumerate(algorithm.canonical_states):
-        accessible = frozenset(vectors[index])
-        for u in sorted(deltas[index], key=lambda u: u.encoded()):
+    for i, state in enumerate(index.algorithm.canonical_states):
+        accessible = frozenset(index.vectors[i])
+        for u in sorted(index.deltas[i], key=lambda u: u.encoded()):
             if u.value not in accessible or any(a not in accessible for a in u.args):
-                requirement_i_passed = False
                 witness_i = {
                     "requirement": "i",
                     "state": state,
@@ -318,64 +304,85 @@ def check_new_be(
         if witness_i:
             break
 
-    requirement_ii_passed = True
+    traces = [_accessible_trace(d, _pattern(v)[1]) for v, d in zip(index.vectors, index.deltas)]
     witness_ii: dict | None = None
-    groups: dict[tuple[int, ...], list[tuple[Copy, tuple[int, ...], frozenset]]] = {}
-    for copy in closure(algorithm, universe_size):
-        r = copy.renaming
-        vector = tuple(r[v] for v in vectors[copy.canonical_index])
-        sig, first = _pattern(vector)
-        delta = lift_update_set(r, deltas[copy.canonical_index])
-        trace = _accessible_trace(delta, first)
-        groups.setdefault(sig, []).append((copy, vector, trace))
-    for sig in sorted(groups):
-        members = sorted(groups[sig], key=lambda item: item[0].state.key())
-        base_copy, base_vector, base_trace = members[0]
-        for copy, vector, trace in members[1:]:
+    for members in index.similarity_classes:
+        base = members[0]
+        base_trace = traces[base.canonical_index]
+        for copy in members[1:]:
+            trace = traces[copy.canonical_index]
             if trace == base_trace:
                 continue
-            requirement_ii_passed = False
-            diff = sorted(trace.symmetric_difference(base_trace))
-            name, arg_idx, value_idx = diff[0]
-            symbol = algorithm.vocabulary.symbol(name)
-            u_left = Update(
-                symbol, tuple(base_vector[i] for i in arg_idx), base_vector[value_idx]
-            )
-            u_right = Update(
-                symbol, tuple(vector[i] for i in arg_idx), vector[value_idx]
-            )
-            left_delta = lift_update_set(
-                base_copy.renaming, deltas[base_copy.canonical_index]
-            )
-            right_delta = lift_update_set(copy.renaming, deltas[copy.canonical_index])
+            name, arg_idx, value_idx = min(trace.symmetric_difference(base_trace))
+            symbol = index.algorithm.vocabulary.symbol(name)
+            u_left = Update(symbol, tuple(base.vector[i] for i in arg_idx), base.vector[value_idx])
+            u_right = Update(symbol, tuple(copy.vector[i] for i in arg_idx), copy.vector[value_idx])
             witness_ii = {
                 "requirement": "ii",
-                "left": base_copy.state,
+                "left": base.state,
                 "right": copy.state,
                 "update": u_left,
                 "lifted_update": u_right,
-                "in_left": u_left in left_delta,
-                "in_right": u_right in right_delta,
+                "in_left": u_left in base.delta,
+                "in_right": u_right in copy.delta,
                 "terms": terms,
             }
             break
         if witness_ii:
             break
 
+    requirement_i_passed = witness_i is None
+    requirement_ii_passed = witness_ii is None
     notes = (
         f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
         f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
-        f"similarity-classes={len(groups)}",
+        f"similarity-classes={len(index.similarity_classes)}",
     )
     if requirement_i_passed and requirement_ii_passed:
-        return CheckReport(True, label, notes=notes)
+        return CheckReport(True, "new-be", notes=notes)
     witness = witness_i if witness_i is not None else witness_ii
     witness["requirement_i_passed"] = requirement_i_passed
     witness["requirement_ii_passed"] = requirement_ii_passed
     failed = "i" if witness_i is not None else "ii"
     return CheckReport(
-        False, label, f"requirement ({failed}) violated", witness=witness, notes=notes
+        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
     )
+
+
+def check_old_be(
+    algorithm: Algorithm, terms: Iterable[Term], universe_size: int, *, index: ClosureIndex | None = None
+) -> CheckReport:
+    """Coincidence over the witness must force equal update sets.
+
+    Assumes the abstract-state postulate: update sets on renamed copies are
+    the transported canonical ones.  ``index`` may share the closure index
+    of the same arguments with other checks.
+    """
+    if index is None:
+        index = ClosureIndex(algorithm, terms, universe_size)
+    return _old_be(index)
+
+
+def check_new_be(
+    algorithm: Algorithm, terms: Iterable[Term], universe_size: int, *, index: ClosureIndex | None = None
+) -> CheckReport:
+    """Accessibility of all update sets plus similarity transport of membership.
+
+    Requirement one is checked on canonical states only; accessibility of an
+    update set is invariant under renaming.  Requirement two groups the
+    closure by the equality pattern of witness values: two states are similar
+    exactly when their patterns agree, and membership transport holds for a
+    pair exactly when their accessible update sets have the same pattern
+    encoding; like the pattern, that encoding is the canonical state's.  The
+    witness must be subterm-closed.  ``index`` may share the closure index
+    of the same arguments, built with ``closed``, with other checks.
+    """
+    if index is None:
+        terms = frozenset(terms)
+        _require_ground_terms(algorithm.vocabulary, terms)
+        _require_subterm_closed(terms)
+        index = ClosureIndex(algorithm, terms, universe_size)
+    return _new_be(index)
 
 
 def witness_monotonicity(

@@ -20,7 +20,7 @@ from .kernel import (
     State,
     Term,
     evaluate_set,
-    evaluate_term,
+    evaluate_terms,
     interpret,
     is_subterm_closed,
     sorted_terms,
@@ -77,8 +77,8 @@ class SimilarityFunction:
 def t_similar(x: State, y: State, terms: Iterable[Term]) -> bool:
     """True iff the two states realize the same equality pattern on the terms."""
     order = sorted_terms(terms)
-    xs = [evaluate_term(x, t) for t in order]
-    ys = [evaluate_term(y, t) for t in order]
+    xs = evaluate_terms(x, order)
+    ys = evaluate_terms(y, order)
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
             if (xs[i] == xs[j]) != (ys[i] == ys[j]):
@@ -91,9 +91,7 @@ def similarity_function(x: State, y: State, terms: Iterable[Term]) -> Similarity
     order = sorted_terms(terms)
     mapping: dict[int, int] = {}
     seen: dict[int, Term] = {}
-    for t in order:
-        vx = evaluate_term(x, t)
-        vy = evaluate_term(y, t)
+    for t, vx, vy in zip(order, evaluate_terms(x, order), evaluate_terms(y, order)):
         if vx in mapping:
             if mapping[vx] != vy:
                 raise NotSimilarError(
@@ -123,7 +121,7 @@ def check_lemma_identity(x: State, y: State, terms: Iterable[Term]) -> CheckRepo
     for t in sorted_terms(terms):
         if t.root.arity == 0:
             continue
-        args = tuple(evaluate_term(x, c) for c in t.children)
+        args = tuple(evaluate_terms(x, t.children))
         lhs = sigma.apply(interpret(x, t.root, args))
         rhs = interpret(y, t.root, tuple(sigma.apply(a) for a in args))
         if lhs != rhs:

@@ -109,11 +109,6 @@ class SpecDocument:
         )
         return Algorithm(self.vocabulary, self.states, initial, successors=successors)
 
-    def labels_for(self, name: str) -> dict[int, str]:
-        labels = dict(LOGICAL_LABELS)
-        labels.update(self.element_labels.get(name, {}))
-        return labels
-
 
 class _Parser:
     def __init__(self, text: str) -> None:

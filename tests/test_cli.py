@@ -104,6 +104,22 @@ class TestCheckCommand:
         monkeypatch.setenv("ASMKIT_UNIVERSE", "7")
         assert main(["check", "old-be", "--witness", "T0", SPEC]) == 1
 
+    def test_universe_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ASMKIT_UNIVERSE", "abc")
+        assert main(["check", "old-be", SPEC, "--witness", "T1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: ASMKIT_UNIVERSE must be an integer, not 'abc'"]
+
+    def test_suite_option_not_an_integer(self, capsys):
+        assert main(["check", "equivalence", "--suite", "seed=x"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: suite option 'seed' must be an integer, not 'x'"]
+
+    def test_suite_option_out_of_range(self, capsys):
+        assert main(["check", "equivalence", "--suite", "instances=0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bad suite options: instances must be positive"]
+
 
 class TestScenarioCommand:
     def test_remark(self, capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from asmkit import postulates
 from asmkit import (
     Algorithm,
     Assign,
@@ -18,6 +19,7 @@ from asmkit import (
     UNDEF_TERM,
     Update,
     Vocabulary,
+    VocabularyMismatchError,
     accessible_elements,
     apply_renaming,
     check_abstract_state,
@@ -26,13 +28,17 @@ from asmkit import (
     check_sequential_time,
     closure,
     coincides_over,
+    evaluate_terms,
     generate_algorithm_suite,
     is_accessible_update,
     lift_accessible_update,
+    renamings_into,
     similarity_function,
+    sorted_terms,
     subterm_closure,
     t_similar,
     update_set,
+    verify_equivalence,
     witness_monotonicity,
 )
 from conftest import mk
@@ -306,3 +312,88 @@ class TestWitnessMonotonicity:
         f = Term(flip.vocabulary.symbol("f"))
         with pytest.raises(PreconditionError):
             witness_monotonicity(flip, {f}, frozenset(), 7)
+
+
+def _materialized_closure(algorithm, universe_size):
+    """(canonical index, renaming, key) per closure state, from built states."""
+    seen, out = set(), []
+    for index, canonical in enumerate(algorithm.canonical_states):
+        for renaming in renamings_into(canonical.base, universe_size):
+            key = apply_renaming(canonical, renaming).key()
+            if key not in seen:
+                seen.add(key)
+                out.append((index, renaming, key))
+    return out
+
+
+class TestClosureIndex:
+    def test_keys_and_lazy_states_match_built_states(self, default_suite, default_config):
+        universe = default_config.universe_size
+        for instance in default_suite:
+            algorithm = instance.algorithm
+            copies = closure(algorithm, universe)
+            expected = _materialized_closure(algorithm, universe)
+            assert [(c.canonical_index, c.renaming, c.key) for c in copies] == expected
+            for copy in copies:
+                assert copy.state.key() == copy.key
+
+    def test_vectors_and_deltas_match_primitives(self):
+        cfg, suite = TestBruteForceCrossValidation()._tiny_suite()
+        for instance in suite:
+            algorithm = instance.algorithm
+            for terms in instance.witnesses:
+                index = postulates.ClosureIndex(algorithm, terms, cfg.universe_size)
+                order = sorted_terms(terms)
+                for copy in index.copies:
+                    assert copy.vector == tuple(evaluate_terms(copy.state, order))
+                    assert copy.delta == update_set(algorithm, copy.state)
+
+    def test_verify_equivalence_enumerates_closure_once(self, default_suite, default_config,
+                                                        monkeypatch):
+        calls = []
+
+        def spy(algorithm, universe_size):
+            calls.append(universe_size)
+            return closure(algorithm, universe_size)
+
+        monkeypatch.setattr(postulates, "closure", spy)
+        replayed = 0
+        for instance in default_suite[:10]:
+            for terms in instance.witnesses:
+                calls.clear()
+                report = verify_equivalence(
+                    instance.algorithm, terms, default_config.universe_size
+                )
+                assert calls == [default_config.universe_size]
+                if "old-be=pass" in report.notes and "new-be=pass" in report.notes:
+                    chains = next(n for n in report.notes if n.startswith("replayed-chains="))
+                    replayed += int(chains.split("=")[1])
+        assert replayed > 0
+
+    @pytest.mark.parametrize(
+        "terms, universe, expected",
+        [
+            # unknown symbol, not subterm-closed, universe too small
+            ("foreign", 3, (VocabularyMismatchError,) * 3),
+            # not subterm-closed, universe too small
+            ("unclosed", 3, (HeadroomError, PreconditionError, HeadroomError)),
+            # not subterm-closed, universe large enough
+            ("unclosed", 7, (None, PreconditionError, PreconditionError)),
+            # universe below the headroom but holding the carrier
+            ("closed", 6, (HeadroomError,) * 3),
+        ],
+    )
+    def test_error_precedence(self, flip, monkeypatch, terms, universe, expected):
+        f = Term(flip.vocabulary.symbol("f"))
+        eq = flip.vocabulary.symbol("eq")
+        witnesses = {
+            "foreign": {mk(eq, f, f), Term(Symbol("zz", 0))},
+            "unclosed": {mk(eq, f, f)},
+            "closed": LOGICAL_TERMS | {f},
+        }
+        monkeypatch.setattr(postulates, "closure", None)  # an index built first raises TypeError
+        for checker, error in zip((check_old_be, check_new_be, verify_equivalence), expected):
+            if error is None:
+                continue
+            with pytest.raises(error):
+                checker(flip, witnesses[terms], universe)
