@@ -70,7 +70,6 @@ from .transition import (
 )
 from .similarity import (
     SimilarityFunction,
-    accessible_elements,
     check_lemma_identity,
     check_partial_isomorphism,
     is_accessible_update,

@@ -12,8 +12,8 @@ vocabulary, the same carrier and the same tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     DomainError,
@@ -133,12 +133,14 @@ class Vocabulary:
         return f"Vocabulary({names})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """A ground term; the toolkit has no variables."""
 
     root: Symbol
     children: tuple["Term", ...] = ()
+    # Rendered once per term: witness sets are sorted by this text.
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.children) != self.root.arity:
@@ -146,6 +148,10 @@ class Term:
                 f"symbol {self.root.name}/{self.root.arity} applied to "
                 f"{len(self.children)} arguments"
             )
+        text = self.root.name
+        if self.children:
+            text = f"{text}({', '.join([c._text for c in self.children])})"
+        object.__setattr__(self, "_text", text)
 
     def subterms(self) -> Iterator["Term"]:
         yield self
@@ -157,9 +163,7 @@ class Term:
         return 1 + max((c.depth for c in self.children), default=0) if self.children else 0
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.root.name
-        return f"{self.root.name}({', '.join(str(c) for c in self.children)})"
+        return self._text
 
 
 TRUE_TERM = Term(TRUE_SYMBOL)
@@ -311,9 +315,10 @@ def interpret(state: State, symbol: Symbol, args: tuple[int, ...]) -> int:
     raise VocabularyMismatchError(f"unknown logical symbol {name!r}")
 
 
-def evaluate_terms(state: State, terms: Iterable[Term]) -> list[int]:
-    """Bottom-up evaluation of ground terms in a state, in the given order;
-    each distinct subterm node is checked and evaluated once."""
+def term_evaluator(state: State) -> Callable[[Term], int]:
+    """Bottom-up evaluation of ground terms in a state; each distinct subterm
+    node is checked and evaluated once per evaluator.  The memo is keyed by
+    node identity, so every term given to it must outlive the evaluator."""
     vocabulary = state.vocabulary
     values: dict[int, int] = {}
 
@@ -329,6 +334,13 @@ def evaluate_terms(state: State, terms: Iterable[Term]) -> list[int]:
             v = values[node] = interpret(state, term.root, args)
         return v
 
+    return value
+
+
+def evaluate_terms(state: State, terms: Iterable[Term]) -> list[int]:
+    """The values of ground terms in a state, in the given order."""
+    value = term_evaluator(state)
+    terms = tuple(terms)  # keeps generated terms alive for the identity memo
     return [value(t) for t in terms]
 
 

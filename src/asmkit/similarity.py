@@ -167,14 +167,9 @@ def check_partial_isomorphism(x: State, y: State, terms: Iterable[Term]) -> Chec
     return CheckReport(True, "partial-isomorphism")
 
 
-def accessible_elements(state: State, terms: Iterable[Term]) -> frozenset[int]:
-    """Elements named by some witness term in the state."""
-    return evaluate_set(state, terms)
-
-
 def is_accessible_update(state: State, terms: Iterable[Term], update: Update) -> bool:
     """True iff the value and every argument of the update are accessible."""
-    accessible = accessible_elements(state, terms)
+    accessible = evaluate_set(state, terms)
     return update.value in accessible and all(a in accessible for a in update.args)
 
 

@@ -30,8 +30,8 @@ from .kernel import (
     Term,
     Vocabulary,
     apply_renaming,
-    evaluate_term,
     isomorphisms_between,
+    term_evaluator,
 )
 
 
@@ -132,11 +132,12 @@ def apply_rule(state: State, rule: Rule) -> frozenset[Update]:
     surviving updates on one location with different values clash.
     """
     collected: dict[tuple[str, tuple[int, ...]], Update] = {}
+    evaluate = term_evaluator(state)
 
     def walk(r: Rule) -> None:
         if isinstance(r, Assign):
-            args = tuple(evaluate_term(state, t) for t in r.args)
-            value = evaluate_term(state, r.value)
+            args = tuple([evaluate(t) for t in r.args])
+            value = evaluate(r.value)
             if state.value(r.symbol.name, args) == value:
                 return
             loc = (r.symbol.name, args)
@@ -151,7 +152,7 @@ def apply_rule(state: State, rule: Rule) -> frozenset[Update]:
             for sub in r.rules:
                 walk(sub)
         else:
-            guard = evaluate_term(state, r.guard)
+            guard = evaluate(r.guard)
             if guard == TRUE:
                 walk(r.then_rule)
             elif guard == FALSE:

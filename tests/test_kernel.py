@@ -20,6 +20,7 @@ from asmkit import (
     coincides_over,
     evaluate_set,
     evaluate_term,
+    evaluate_terms,
     identity_renaming,
     is_subterm_closed,
     isomorphisms_between,
@@ -120,6 +121,23 @@ class TestEvaluation:
         assert {labels[v] for v in evaluate_set(x, witness)} == {"1", "2"}
         assert {labels[v] for v in evaluate_set(y, witness)} == {"1", "3"}
         assert evaluate_set(x, ()) == frozenset()
+
+    def test_generated_terms_are_not_confused(self, simple_vocab):
+        # Terms made on the fly and dropped at once must not share a memo entry.
+        state = State(simple_vocab, {0, 1, 2, 3, 4}, {"a": {(): 3}, "b": {(): 4}})
+        names = ["a", "b", "b", "a"] * 3
+        values = evaluate_terms(state, (Term(simple_vocab.symbol(n)) for n in names))
+        assert values == [3 if n == "a" else 4 for n in names]
+
+    def test_rendering_leaves_equality_and_hash_alone(self, simple_vocab):
+        def build():
+            a = Term(simple_vocab.symbol("a"))
+            return mk(simple_vocab.symbol("g"), mk(simple_vocab.symbol("f"), a), a)
+
+        rendered, fresh = build(), build()
+        assert str(rendered) == "g(f(a), a)"
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh)
 
 
 class TestCoincidence:

@@ -5,7 +5,9 @@ import pytest
 from asmkit import postulates
 from asmkit import (
     Algorithm,
+    AsmError,
     Assign,
+    CheckReport,
     Cond,
     FALSE_TERM,
     GeneratorConfig,
@@ -20,14 +22,17 @@ from asmkit import (
     Update,
     Vocabulary,
     VocabularyMismatchError,
-    accessible_elements,
     apply_renaming,
+    apply_rule,
+    apply_updates,
+    canonical_step,
     check_abstract_state,
     check_new_be,
     check_old_be,
     check_sequential_time,
     closure,
     coincides_over,
+    evaluate_set,
     evaluate_terms,
     generate_algorithm_suite,
     is_accessible_update,
@@ -35,12 +40,14 @@ from asmkit import (
     renamings_into,
     similarity_function,
     sorted_terms,
+    step,
     subterm_closure,
     t_similar,
     update_set,
     verify_equivalence,
     witness_monotonicity,
 )
+from asmkit.kernel import renamed_key
 from conftest import mk
 
 
@@ -67,7 +74,7 @@ def brute_new_be(algorithm, terms, universe_size) -> bool:
             continue
         sigma = similarity_function(x, y, terms)
         dx, dy = update_set(algorithm, x), update_set(algorithm, y)
-        reachable = sorted(accessible_elements(x, terms))
+        reachable = sorted(evaluate_set(x, terms))
         for sym in algorithm.vocabulary.nonlogical:
             for args in itertools.product(reachable, repeat=sym.arity):
                 for value in reachable:
@@ -113,34 +120,167 @@ class TestSequentialTime:
         assert "undefined" in report.detail
 
 
+def _base_set_change(flip):
+    low = flip.canonical_states[0]
+    shrunk = State(flip.vocabulary, {0, 1, 2, 3}, {"f": {(): 3}})
+    grown = State(flip.vocabulary, {0, 1, 2, 3, 4}, {"f": {(): 3}})
+    return Algorithm(flip.vocabulary, (low, shrunk), (True, True), successors=(shrunk, grown))
+
+
+def _incoherent(flip):
+    """Two isomorphic canonical states whose successors do not correspond."""
+    low, high = flip.canonical_states
+    return Algorithm(flip.vocabulary, (low, high), (True, True), successors=(high, high))
+
+
+def _moved_by_automorphism(flip):
+    """One canonical state whose automorphism 3<->4 moves its successor."""
+    empty = State(flip.vocabulary, {3, 4})
+    successor = State(flip.vocabulary, {3, 4}, {"f": {(): 3}})
+    return Algorithm(flip.vocabulary, (empty,), (True,), successors=(successor,))
+
+
+def reference_abstract_state(algorithm, universe_size):
+    """Naturality checked the direct way: every renaming builds the copy, the
+    transported successor and the stepped copy as states."""
+    label = "abstract-state"
+    postulates.universe_fits(algorithm, universe_size)
+    successors = []
+    for index, state in enumerate(algorithm.canonical_states):
+        successor = canonical_step(algorithm, index)
+        if successor.base != state.base:
+            return CheckReport(
+                False,
+                label,
+                f"successor of canonical state {index} changes the base set",
+                witness={"state": state, "successor": successor},
+            )
+        successors.append(successor)
+    for index, state in enumerate(algorithm.canonical_states):
+        for renaming in renamings_into(state.base, universe_size):
+            copy = apply_renaming(state, renaming)
+            expected = apply_renaming(successors[index], renaming)
+            if algorithm.rule_based:
+                actual = apply_updates(copy, apply_rule(copy, algorithm.program))
+            else:
+                actual = step(algorithm, copy)
+            if actual != expected or actual.base != copy.base:
+                return CheckReport(
+                    False,
+                    label,
+                    f"step does not commute with a renaming of canonical state {index}",
+                    witness={
+                        "state": state,
+                        "renaming": renaming,
+                        "expected": expected,
+                        "actual": actual,
+                    },
+                )
+    return CheckReport(
+        True,
+        label,
+        notes=("closure under isomorphism holds by construction (copies are generated)",),
+    )
+
+
+def _outcome(checker, algorithm, universe_size):
+    try:
+        report = checker(algorithm, universe_size)
+    except AsmError as exc:
+        return type(exc), str(exc)
+    return report.passed, report.label, report.detail, repr(report.witness), report.notes
+
+
 class TestAbstractState:
     def test_flip_passes_small_universe(self, flip):
         assert check_abstract_state(flip, 6).passed
 
     def test_base_set_change_fails(self, flip):
-        low = flip.canonical_states[0]
-        shrunk = State(flip.vocabulary, {0, 1, 2, 3}, {"f": {(): 3}})
-        grown = State(flip.vocabulary, {0, 1, 2, 3, 4}, {"f": {(): 3}})
-        broken = Algorithm(
-            flip.vocabulary, (low, shrunk), (True, True), successors=(shrunk, grown)
-        )
-        report = check_abstract_state(broken, 7)
+        report = check_abstract_state(_base_set_change(flip), 7)
         assert not report.passed
-        assert report.witness["state"] == low
+        low = flip.canonical_states[0]
+        assert report.witness == {
+            "state": low,
+            "successor": State(flip.vocabulary, {0, 1, 2, 3}, {"f": {(): 3}}),
+        }
 
     def test_incoherent_isomorphic_canonicals_fail(self, flip):
-        low, high = flip.canonical_states
-        # two isomorphic canonical states whose successors do not correspond
-        incoherent = Algorithm(
-            flip.vocabulary, (low, high), (True, True), successors=(high, high)
-        )
-        report = check_abstract_state(incoherent, 7)
+        report = check_abstract_state(_incoherent(flip), 7)
         assert not report.passed
-        assert "renaming" in report.witness
+        low, high = flip.canonical_states
+        assert report.detail == "step does not commute with a renaming of canonical state 1"
+        assert report.witness == {
+            "state": high,
+            "renaming": Renaming({3: 3, 4: 4}),
+            "expected": high,
+            "actual": low,
+        }
+
+    def test_automorphism_moving_the_successor_fails(self, flip):
+        report = check_abstract_state(_moved_by_automorphism(flip), 5)
+        assert not report.passed
+        assert report.detail == "step does not commute with a renaming of canonical state 0"
+        witness = report.witness
+        assert witness["state"] == State(flip.vocabulary, {3, 4})
+        assert repr(witness["renaming"]) == "Renaming(3->4, 4->3)"
+        assert witness["expected"] == State(flip.vocabulary, {3, 4}, {"f": {(): 4}})
+        assert witness["actual"] == State(flip.vocabulary, {3, 4}, {"f": {(): 3}})
 
     def test_universe_too_small(self, flip):
         with pytest.raises(HeadroomError):
             check_abstract_state(flip, 4)
+
+    def test_matches_reference_on_default_suite(self, default_suite, default_config):
+        universe = default_config.universe_size
+        for instance in default_suite:
+            expected = _outcome(reference_abstract_state, instance.algorithm, universe)
+            assert _outcome(check_abstract_state, instance.algorithm, universe) == expected
+
+    @pytest.mark.parametrize(
+        "fixture, universe",
+        [
+            (_base_set_change, 7),
+            (_incoherent, 7),
+            (_incoherent, 9),
+            (_moved_by_automorphism, 5),
+            (_moved_by_automorphism, 8),
+            (lambda flip: flip, 4),
+        ],
+    )
+    def test_matches_reference_on_failing_fixtures(self, flip, fixture, universe):
+        algorithm = fixture(flip)
+        expected = _outcome(reference_abstract_state, algorithm, universe)
+        assert expected[0] is not True
+        assert _outcome(check_abstract_state, algorithm, universe) == expected
+
+    def test_steps_each_distinct_copy_once(self, default_suite, default_config, monkeypatch):
+        universe = default_config.universe_size
+        calls = []
+
+        def spy(original):
+            def stepped(first, second):
+                calls.append((first if isinstance(first, State) else second).key())
+                return original(first, second)
+
+            return stepped
+
+        monkeypatch.setattr(postulates, "apply_rule", spy(apply_rule))
+        monkeypatch.setattr(postulates, "step", spy(step))
+        backends, stepped, renamings = set(), 0, 0
+        for instance in default_suite[:20]:
+            algorithm = instance.algorithm
+            backends.add(algorithm.rule_based)
+            calls.clear()
+            assert check_abstract_state(algorithm, universe).passed
+            expected = []
+            for state in algorithm.canonical_states:
+                keys = [renamed_key(state, r) for r in renamings_into(state.base, universe)]
+                renamings += len(keys)
+                expected += dict.fromkeys(keys)
+            assert calls == expected
+            stepped += len(calls)
+        assert backends == {True, False}
+        assert stepped < renamings / 2
 
 
 class TestOldBE:

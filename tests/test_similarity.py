@@ -15,11 +15,11 @@ from asmkit import (
     UNDEF_TERM,
     Update,
     Vocabulary,
-    accessible_elements,
     apply_renaming,
     check_lemma_identity,
     check_partial_isomorphism,
     coincides_over,
+    evaluate_set,
     is_accessible_update,
     lift_accessible_update,
     lift_update_set,
@@ -165,12 +165,12 @@ class TestAccessibility:
         low = flip.canonical_states[0]
         f = Term(flip.vocabulary.symbol("f"))
         witness = {TRUE_TERM, FALSE_TERM, UNDEF_TERM, f}
-        assert accessible_elements(low, witness) == {0, 1, 2, 3}
-        assert accessible_elements(low, ()) == frozenset()
+        assert evaluate_set(low, witness) == {0, 1, 2, 3}
+        assert evaluate_set(low, ()) == frozenset()
 
     def test_remark_accessible_elements(self, remark):
         x, _, witness, _ = remark
-        assert accessible_elements(x, witness) == {3, 4}
+        assert evaluate_set(x, witness) == {3, 4}
 
     def test_flip_update_not_accessible(self, flip):
         f = flip.vocabulary.symbol("f")
