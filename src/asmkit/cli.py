@@ -24,7 +24,7 @@ from .postulates import (
 )
 from .report import CheckReport, ScenarioReport
 from .scenarios import run_scenario_example, run_scenario_remark
-from .specfmt import parse_spec, render_state_block, unparse_spec
+from .specfmt import SpecDocument, parse_spec, render_state_block, unparse_spec
 from .transition import Update
 
 ENV_UNIVERSE = "ASMKIT_UNIVERSE"
@@ -75,6 +75,14 @@ def _integer(text: str, name: str) -> int:
         return int(text)
     except ValueError:
         raise AsmError(f"{name} must be an integer, not {text!r}") from None
+
+
+def _read_spec(path: str) -> SpecDocument:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AsmError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_spec(text)
 
 
 def _render_witness_value(value: object) -> list[str]:
@@ -153,7 +161,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
     if not args.spec:
         raise AsmError("a specification document is required unless --suite is given")
-    doc = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
+    doc = _read_spec(args.spec)
     algorithm = doc.algorithm()
     universe = _default_universe(args.universe, required_headroom(algorithm))
     if args.postulate == "sequential-time":
@@ -187,7 +195,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    doc = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
+    doc = _read_spec(args.spec)
     sys.stdout.write(unparse_spec(doc))
     return 0
 

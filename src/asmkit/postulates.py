@@ -6,9 +6,10 @@ universe headroom of twice the largest nonlogical carrier plus the three
 logical ids, so that fresh-element constructions are expressible; smaller
 universes make the check inconclusive rather than wrong.
 
-A bounded-exploration check enumerates the closure once per call, into a
-``ClosureIndex``; a copy's ``State`` is built only when a report or the proof
-replay needs it, and nothing is cached across calls.
+A bounded-exploration check works on a ``ClosureIndex``: the witness values
+and update set of every canonical state, with the closure enumerated at most
+once per call and only on first use; a copy's ``State`` is built only when a
+report or the proof replay needs it, and nothing is cached across calls.
 
 The coincidence and similarity quantifications over state pairs are computed
 by grouping states on their witness-value vectors (respectively, on the
@@ -16,6 +17,16 @@ equality pattern of those vectors): a pairwise property that only depends on
 the group data holds for all pairs exactly when the data is constant on each
 group.  Witnesses are materialized from the first offending group in a fixed
 lexicographic order.
+
+The old check walks the closure.  The new check is decided on the canonical
+states, because both of its requirements survive renaming; it walks the
+closure only to name a requirement-(ii) witness.  The reduction rests on
+three facts.  A copy belongs to the first canonical state it renames, so a
+canonical state owns copies exactly when it is not isomorphic to an earlier
+one (an owner).  Isomorphic states share their pattern, so the similarity
+classes of the closure are the distinct canonical patterns.  At headroom
+every owner has at least one copy, so a class holds two copies with different
+accessible traces exactly when two of its owners have different traces.
 """
 from __future__ import annotations
 
@@ -251,6 +262,8 @@ class ClosureIndex:
     carries the witness values and update set of its canonical state, renamed.
     Construction checks, in order, that the witness is ground, that the
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
+    The canonical states' witness values, update sets, patterns and accessible
+    traces are computed at construction; the copies are enumerated on first use.
     """
 
     def __init__(
@@ -266,20 +279,29 @@ class ClosureIndex:
         order = sorted_terms(self.terms)
         self.vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
         self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
-        self.copies = closure(algorithm, universe_size)
-        for copy in self.copies:
+        self.patterns: list[tuple[int, ...]] = []
+        self.traces: list[frozenset[tuple[str, tuple[int, ...], int]]] = []
+        for vector, delta in zip(self.vectors, self.deltas):
+            pattern, first = _pattern(vector)
+            self.patterns.append(pattern)
+            self.traces.append(_accessible_trace(delta, first))
+
+    @cached_property
+    def copies(self) -> list[Copy]:
+        copies = closure(self.algorithm, self.universe_size)
+        for copy in copies:
             r = copy.renaming
             copy.vector = tuple(r[v] for v in self.vectors[copy.canonical_index])
             copy.delta = lift_update_set(r, self.deltas[copy.canonical_index])
+        return copies
 
     @cached_property
     def similarity_classes(self) -> list[list[Copy]]:
         """Copies grouped by the equality pattern of their witness values (the
         canonical state's pattern), in pattern order, members in key order."""
-        sigs = [_pattern(v)[0] for v in self.vectors]
         groups: dict[tuple[int, ...], list[Copy]] = {}
         for copy in self.copies:
-            groups.setdefault(sigs[copy.canonical_index], []).append(copy)
+            groups.setdefault(self.patterns[copy.canonical_index], []).append(copy)
         return [sorted(groups[sig], key=lambda c: c.key) for sig in sorted(groups)]
 
 
@@ -328,20 +350,58 @@ def _new_be(index: ClosureIndex) -> CheckReport:
         if witness_i:
             break
 
-    traces = [_accessible_trace(d, _pattern(v)[1]) for v, d in zip(index.vectors, index.deltas)]
-    witness_ii: dict | None = None
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, pattern in enumerate(index.patterns):
+        classes.setdefault(pattern, []).append(i)
+    requirement_ii_passed = all(_owners_agree(index, members) for members in classes.values())
+
+    requirement_i_passed = witness_i is None
+    notes = (
+        f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
+        f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
+        f"similarity-classes={len(classes)}",
+    )
+    if requirement_i_passed and requirement_ii_passed:
+        return CheckReport(True, "new-be", notes=notes)
+    # Requirement (ii)'s witness is named only when it is the one reported.
+    witness = witness_i if witness_i is not None else _requirement_ii_witness(index)
+    witness["requirement_i_passed"] = requirement_i_passed
+    witness["requirement_ii_passed"] = requirement_ii_passed
+    failed = "i" if witness_i is not None else "ii"
+    return CheckReport(
+        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
+    )
+
+
+def _owners_agree(index: ClosureIndex, members: list[int]) -> bool:
+    """Whether the canonical states of one pattern class that own copies (those
+    not isomorphic to an earlier state) share their accessible trace."""
+    traces = index.traces
+    if all(traces[i] == traces[members[0]] for i in members):
+        return True
+    states = index.algorithm.canonical_states
+    owners: list[int] = []
+    for i in members:
+        if all(next(isomorphisms_between(states[j], states[i]), None) is None for j in owners):
+            owners.append(i)
+    return all(traces[i] == traces[owners[0]] for i in owners)
+
+
+def _requirement_ii_witness(index: ClosureIndex) -> dict:
+    """The first copy of a similarity class whose accessible trace differs from
+    the class's first copy, with the update that tells them apart."""
     for members in index.similarity_classes:
         base = members[0]
-        base_trace = traces[base.canonical_index]
+        base_trace = index.traces[base.canonical_index]
         for copy in members[1:]:
-            trace = traces[copy.canonical_index]
+            trace = index.traces[copy.canonical_index]
             if trace == base_trace:
                 continue
             name, arg_idx, value_idx = min(trace.symmetric_difference(base_trace))
             symbol = index.algorithm.vocabulary.symbol(name)
             u_left = Update(symbol, tuple(base.vector[i] for i in arg_idx), base.vector[value_idx])
             u_right = Update(symbol, tuple(copy.vector[i] for i in arg_idx), copy.vector[value_idx])
-            witness_ii = {
+            return {
                 "requirement": "ii",
                 "left": base.state,
                 "right": copy.state,
@@ -349,28 +409,9 @@ def _new_be(index: ClosureIndex) -> CheckReport:
                 "lifted_update": u_right,
                 "in_left": u_left in base.delta,
                 "in_right": u_right in copy.delta,
-                "terms": terms,
+                "terms": index.terms,
             }
-            break
-        if witness_ii:
-            break
-
-    requirement_i_passed = witness_i is None
-    requirement_ii_passed = witness_ii is None
-    notes = (
-        f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
-        f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
-        f"similarity-classes={len(index.similarity_classes)}",
-    )
-    if requirement_i_passed and requirement_ii_passed:
-        return CheckReport(True, "new-be", notes=notes)
-    witness = witness_i if witness_i is not None else witness_ii
-    witness["requirement_i_passed"] = requirement_i_passed
-    witness["requirement_ii_passed"] = requirement_ii_passed
-    failed = "i" if witness_i is not None else "ii"
-    return CheckReport(
-        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
-    )
+    raise AssertionError("requirement (ii) failed on the canonical states but not on the closure")
 
 
 def check_old_be(
@@ -392,14 +433,18 @@ def check_new_be(
 ) -> CheckReport:
     """Accessibility of all update sets plus similarity transport of membership.
 
-    Requirement one is checked on canonical states only; accessibility of an
-    update set is invariant under renaming.  Requirement two groups the
-    closure by the equality pattern of witness values: two states are similar
-    exactly when their patterns agree, and membership transport holds for a
-    pair exactly when their accessible update sets have the same pattern
-    encoding; like the pattern, that encoding is the canonical state's.  The
-    witness must be subterm-closed.  ``index`` may share the closure index
-    of the same arguments, built with ``closed``, with other checks.
+    Both requirements are decided on the canonical states.  Requirement one:
+    accessibility of an update set is invariant under renaming.  Requirement
+    two: two states are similar exactly when the equality patterns of their
+    witness values agree, and membership transport holds for a pair exactly
+    when their accessible update sets have the same pattern encoding (trace);
+    a copy's pattern and trace are its canonical state's.  So it fails exactly
+    when two owners (canonical states not isomorphic to an earlier one, which
+    at headroom have at least one copy each) share a pattern but not a trace.
+    The closure is walked only to name the witness of a requirement-two
+    failure that is reported.  The witness must be subterm-closed.  ``index``
+    may share the closure index of the same arguments, built with ``closed``,
+    with other checks.
     """
     if index is None:
         terms = frozenset(terms)

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from asmkit.cli import main
 from conftest import PAPER_EXAMPLE_SPEC
 
@@ -119,6 +121,20 @@ class TestCheckCommand:
         assert main(["check", "equivalence", "--suite", "instances=0"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: bad suite options: instances must be positive"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "old-be", "--witness", "T1"], ["check", "new-be", "--witness", "T1"], ["fmt"]],
+    )
+    def test_non_utf8_document(self, tmp_path, capsys, argv):
+        doc = tmp_path / "bad.spec"
+        doc.write_bytes(b"\xff\xfe")
+        assert main([*argv, str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {doc} is not UTF-8 text: invalid start byte at byte 0"
+        ]
 
 
 class TestScenarioCommand:

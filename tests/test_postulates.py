@@ -25,6 +25,7 @@ from asmkit import (
     apply_renaming,
     apply_rule,
     apply_updates,
+    canonical_delta,
     canonical_step,
     check_abstract_state,
     check_new_be,
@@ -37,6 +38,8 @@ from asmkit import (
     generate_algorithm_suite,
     is_accessible_update,
     lift_accessible_update,
+    lift_update_set,
+    parse_spec,
     renamings_into,
     similarity_function,
     sorted_terms,
@@ -48,7 +51,7 @@ from asmkit import (
     witness_monotonicity,
 )
 from asmkit.kernel import renamed_key
-from conftest import mk
+from conftest import PAPER_EXAMPLE_SPEC, mk
 
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
@@ -314,6 +317,113 @@ class TestOldBE:
             check_old_be(flip, frozenset(), 6)
 
 
+def _first_occurrence(vector):
+    first = {}
+    return tuple(first.setdefault(v, i) for i, v in enumerate(vector)), first
+
+
+def reference_new_be(algorithm, terms, universe_size):
+    """New BE decided by walking the closure: each copy's similarity pattern and
+    accessible trace come from its own renamed witness values and update set,
+    and each class is compared with its first copy in key order."""
+    terms = frozenset(terms)
+    order = sorted_terms(terms)
+    vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
+    deltas = [canonical_delta(algorithm, i) for i in range(len(vectors))]
+    witness_i = None
+    for i, state in enumerate(algorithm.canonical_states):
+        accessible = frozenset(vectors[i])
+        for u in sorted(deltas[i], key=lambda u: u.encoded()):
+            if u.value not in accessible or any(a not in accessible for a in u.args):
+                witness_i = {
+                    "requirement": "i",
+                    "state": state,
+                    "update": u,
+                    "accessible": accessible,
+                    "terms": terms,
+                }
+                break
+        if witness_i:
+            break
+
+    classes = {}
+    for copy in closure(algorithm, universe_size):
+        r = copy.renaming
+        vector = tuple(r[v] for v in vectors[copy.canonical_index])
+        delta = lift_update_set(r, deltas[copy.canonical_index])
+        pattern, first = _first_occurrence(vector)
+        trace = frozenset(
+            (u.symbol.name, tuple(first[a] for a in u.args), first[u.value])
+            for u in delta
+            if u.value in first and all(a in first for a in u.args)
+        )
+        classes.setdefault(pattern, []).append((copy.key, copy, vector, delta, trace))
+    witness_ii = None
+    for pattern in sorted(classes):
+        (_, base, base_vector, base_delta, base_trace), *others = sorted(
+            classes[pattern], key=lambda entry: entry[0]
+        )
+        for _, copy, vector, delta, trace in others:
+            if trace == base_trace:
+                continue
+            name, arg_idx, value_idx = min(trace.symmetric_difference(base_trace))
+            symbol = algorithm.vocabulary.symbol(name)
+            u_left = Update(symbol, tuple(base_vector[i] for i in arg_idx), base_vector[value_idx])
+            u_right = Update(symbol, tuple(vector[i] for i in arg_idx), vector[value_idx])
+            witness_ii = {
+                "requirement": "ii",
+                "left": base.state,
+                "right": copy.state,
+                "update": u_left,
+                "lifted_update": u_right,
+                "in_left": u_left in base_delta,
+                "in_right": u_right in delta,
+                "terms": terms,
+            }
+            break
+        if witness_ii:
+            break
+
+    passed_i, passed_ii = witness_i is None, witness_ii is None
+    notes = (
+        f"requirement-i={'pass' if passed_i else 'fail'}",
+        f"requirement-ii={'pass' if passed_ii else 'fail'}",
+        f"similarity-classes={len(classes)}",
+    )
+    if passed_i and passed_ii:
+        return CheckReport(True, "new-be", notes=notes)
+    witness = witness_i if witness_i is not None else witness_ii
+    witness["requirement_i_passed"] = passed_i
+    witness["requirement_ii_passed"] = passed_ii
+    failed = "i" if witness_i is not None else "ii"
+    return CheckReport(
+        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
+    )
+
+
+def _report(report):
+    return report.passed, report.label, report.detail, repr(report.witness), report.notes
+
+
+def _paper_checks():
+    doc = parse_spec(PAPER_EXAMPLE_SPEC.read_text(encoding="utf-8"))
+    return doc.algorithm(), [doc.witnesses["T0"], doc.witnesses["T1"]]
+
+
+def _shadowed(swap):
+    """Two isomorphic canonical states with different accessible traces: the
+    second is the first renamed 3<->4 but steps to itself.  Its copies are the
+    first one's, so it owns none and its trace is never seen on the closure."""
+    vocabulary = Vocabulary((Symbol("c", 0), Symbol("d", 0), Symbol("f", 0)))
+    x1 = State(vocabulary, {3, 4}, {"c": {(): 3}, "d": {(): 4}, "f": {(): 3}})
+    x1_next = State(vocabulary, {3, 4}, {"c": {(): 3}, "d": {(): 4}, "f": {(): 4}})
+    x2 = apply_renaming(x1, Renaming({3: 4, 4: 3}))
+    states, successors = ((x2, x1), (x2, x1_next)) if swap else ((x1, x2), (x1_next, x2))
+    algorithm = Algorithm(vocabulary, states, (True, True), successors=successors)
+    terms = LOGICAL_TERMS | {Term(vocabulary.symbol(n)) for n in "cdf"}
+    return algorithm, terms
+
+
 class TestNewBE:
     def test_flip_fails_requirement_i(self, flip):
         f = flip.vocabulary.symbol("f")
@@ -354,6 +464,76 @@ class TestNewBE:
         rescued = bare | LOGICAL_TERMS
         assert check_old_be(algorithm, rescued, 5).passed
         assert check_new_be(algorithm, rescued, 5).passed
+
+    def test_matches_closure_walk_on_default_suite(self, default_suite, default_config):
+        universe = default_config.universe_size
+        outcomes = {}
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                expected = _report(reference_new_be(instance.algorithm, terms, universe))
+                assert _report(check_new_be(instance.algorithm, terms, universe)) == expected
+                requirements = expected[4][:2]
+                outcomes[requirements] = outcomes.get(requirements, 0) + 1
+        assert outcomes == {
+            ("requirement-i=pass", "requirement-ii=pass"): 266,
+            ("requirement-i=fail", "requirement-ii=pass"): 64,
+            ("requirement-i=pass", "requirement-ii=fail"): 21,
+            ("requirement-i=fail", "requirement-ii=fail"): 19,
+        }
+
+    @pytest.mark.parametrize("universe", [7, 11])
+    def test_matches_closure_walk_on_paper_spec(self, universe):
+        algorithm, witnesses = _paper_checks()
+        for terms in witnesses:
+            expected = _report(reference_new_be(algorithm, terms, universe))
+            assert _report(check_new_be(algorithm, terms, universe)) == expected
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("universe", [7, 9])
+    def test_isomorphic_state_without_copies_is_ignored(self, swap, universe):
+        algorithm, terms = _shadowed(swap)
+        first, second = (1, 0) if swap else (0, 1)
+        moved = lift_update_set(Renaming({3: 4, 4: 3}), canonical_delta(algorithm, first))
+        assert canonical_delta(algorithm, second) != moved
+        assert not check_abstract_state(algorithm, universe).passed
+        report = check_new_be(algorithm, terms, universe)
+        assert report.passed
+        assert report.notes == (
+            "requirement-i=pass",
+            "requirement-ii=pass",
+            "similarity-classes=1",
+        )
+        assert brute_new_be(algorithm, terms, universe) is True
+        assert _report(reference_new_be(algorithm, terms, universe)) == _report(report)
+
+    def test_closure_enumerated_only_for_a_requirement_ii_witness(
+        self, default_suite, default_config, monkeypatch
+    ):
+        calls = []
+
+        def spy(algorithm, universe_size):
+            calls.append(universe_size)
+            return closure(algorithm, universe_size)
+
+        monkeypatch.setattr(postulates, "closure", spy)
+        algorithm, witnesses = _paper_checks()
+        for universe in (7, 20, 45):
+            for terms in witnesses:
+                check_new_be(algorithm, terms, universe)
+        assert calls == []
+        universe = default_config.universe_size
+        named = 0
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                calls.clear()
+                report = check_new_be(instance.algorithm, terms, universe)
+                if report.notes[:2] == ("requirement-i=pass", "requirement-ii=fail"):
+                    assert calls == [universe]
+                    assert report.witness["requirement"] == "ii"
+                    named += 1
+                else:
+                    assert calls == []
+        assert named == 21
 
 
 class TestBruteForceCrossValidation:
