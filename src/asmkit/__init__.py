@@ -73,7 +73,6 @@ from .similarity import (
     check_lemma_identity,
     check_partial_isomorphism,
     is_accessible_update,
-    lift_accessible_update,
     similarity_function,
     t_similar,
 )

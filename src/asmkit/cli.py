@@ -25,7 +25,6 @@ from .postulates import (
 from .report import CheckReport, ScenarioReport
 from .scenarios import run_scenario_example, run_scenario_remark
 from .specfmt import SpecDocument, parse_spec, render_state_block, unparse_spec
-from .transition import Update
 
 ENV_UNIVERSE = "ASMKIT_UNIVERSE"
 
@@ -88,10 +87,6 @@ def _read_spec(path: str) -> SpecDocument:
 def _render_witness_value(value: object) -> list[str]:
     if isinstance(value, State):
         return render_state_block("witness", value).splitlines()
-    if isinstance(value, frozenset) and value and all(
-        isinstance(u, Update) for u in value
-    ):
-        return ["{" + ", ".join(sorted(str(u) for u in value)) + "}"]
     if isinstance(value, frozenset):
         return ["{" + ", ".join(sorted(map(str, value))) + "}"]
     return [str(value)]
@@ -212,10 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"check": _cmd_check, "scenario": _cmd_scenario, "fmt": _cmd_fmt}
     try:
         return handlers[args.command](args)
-    except AsmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AsmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

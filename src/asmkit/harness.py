@@ -46,12 +46,7 @@ from .kernel import (
 )
 from .postulates import ClosureIndex, Copy, check_new_be, check_old_be
 from .report import CheckReport
-from .similarity import (
-    SimilarityFunction,
-    lift_accessible_update,
-    similarity_function,
-    t_similar,
-)
+from .similarity import SimilarityFunction, similarity_function, t_similar
 from .transition import (
     Algorithm,
     Assign,
@@ -63,6 +58,12 @@ from .transition import (
     lift_update_set,
     rule_terms,
 )
+
+
+# The replay samples at most this many pairs per similarity class and carries
+# at most this many accessible updates of each pair.
+REPLAY_PAIR_LIMIT = 24
+REPLAY_UPDATE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,7 @@ def construct_case1_state(
             f"witness value sets share nonlogical elements {nonlogical_shared}"
         )
     mapping = {e: e for e in x.base}
-    for v, w in sigma.items():
-        mapping[v] = w
+    mapping.update(sigma.items())
     try:
         xi = Renaming(mapping)
     except InvalidRenamingError as exc:
@@ -204,7 +204,7 @@ def _transport_chain(
     universe_size: int,
 ) -> tuple[bool, str, Update]:
     """Carry one accessible update of ``x`` over to ``y`` along the proof route."""
-    expected = lift_accessible_update(sigma, update)
+    expected = lift_update(sigma, update)
     if not _logically_compatible(sigma):
         return expected in y.delta, "direct", expected
     x_values = set(x.vector)
@@ -268,14 +268,7 @@ def _sample_pairs(members: list[Copy], limit: int) -> list[tuple[Copy, Copy]]:
     return pairs
 
 
-def verify_equivalence(
-    algorithm: Algorithm,
-    terms: frozenset[Term],
-    universe_size: int,
-    *,
-    replay_pair_limit: int = 24,
-    replay_update_limit: int = 8,
-) -> CheckReport:
+def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_size: int) -> CheckReport:
     """Both bounded-exploration verdicts must agree; on a double pass the
     transport argument is additionally replayed on sampled similar pairs."""
     label = "equivalence"
@@ -292,18 +285,18 @@ def verify_equivalence(
             notes=tuple(notes),
         )
     if old.passed and new.passed:
-        replay = _replay_proof(index, replay_pair_limit, replay_update_limit)
+        replay = _replay_proof(index)
         if isinstance(replay, CheckReport):
             return replay
         notes.extend(replay)
     return CheckReport(True, label, notes=tuple(notes))
 
 
-def _replay_proof(index: ClosureIndex, pair_limit: int, update_limit: int) -> list[str] | CheckReport:
+def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
     terms = index.terms
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes:
-        for left, right in _sample_pairs(members, pair_limit):
+        for left, right in _sample_pairs(members, REPLAY_PAIR_LIMIT):
             sigma = similarity_function(left.state, right.state, terms)
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
@@ -323,11 +316,9 @@ def _replay_proof(index: ClosureIndex, pair_limit: int, update_limit: int) -> li
                     )
             accessible = set(left.vector)
             carried = [
-                u
-                for u in sorted(left.delta, key=lambda u: u.encoded())
-                if u.value in accessible and all(a in accessible for a in u.args)
+                u for u in sorted(left.delta, key=lambda u: u.encoded()) if u.within(accessible)
             ]
-            for u in carried[:update_limit]:
+            for u in carried[:REPLAY_UPDATE_LIMIT]:
                 ok, route, final = _transport_chain(
                     left, right, terms, u, sigma, index.universe_size
                 )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
+    AsmError,
     DomainError,
     InvalidRenamingError,
     ValidationError,
@@ -366,10 +367,53 @@ def coincides_over(x: State, y: State, terms: Iterable[Term]) -> bool:
     return evaluate_terms(x, terms) == evaluate_terms(y, terms)
 
 
-class Renaming:
-    """An injective finite element map fixing the three logical elements."""
+class InjectiveMap:
+    """A finite injective element map, the one core of renamings and
+    similarity functions.  A subclass validates the map it is given, stores
+    it in ``_map`` and names the error for an element outside the domain
+    (``_outside``); maps of different subclasses are never equal."""
 
     __slots__ = ("_map",)
+
+    def _outside(self, element: int) -> AsmError:
+        raise NotImplementedError
+
+    def __getitem__(self, element: int) -> int:
+        try:
+            return self._map[element]
+        except KeyError:
+            raise self._outside(element) from None
+
+    @property
+    def domain(self) -> frozenset[int]:
+        return frozenset(self._map)
+
+    @property
+    def image(self) -> frozenset[int]:
+        return frozenset(self._map.values())
+
+    def items(self) -> list[tuple[int, int]]:
+        return sorted(self._map.items())
+
+    def inverse(self) -> InjectiveMap:
+        """The inverse map, of the same class."""
+        return type(self)({v: k for k, v in self._map.items()})
+
+    @property
+    def is_identity(self) -> bool:
+        return all(k == v for k, v in self._map.items())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._map == other._map
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.items()))
+
+
+class Renaming(InjectiveMap):
+    """An injective finite element map fixing the three logical elements."""
+
+    __slots__ = ()
 
     def __init__(self, mapping: Mapping[int, int]) -> None:
         m = dict(mapping)
@@ -387,36 +431,11 @@ class Renaming:
             raise InvalidRenamingError("renaming is not injective")
         self._map = m
 
-    def __getitem__(self, element: int) -> int:
-        try:
-            return self._map[element]
-        except KeyError:
-            raise DomainError(f"element {element} outside renaming domain") from None
-
-    def get(self, element: int, default: int | None = None) -> int | None:
-        return self._map.get(element, default)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._map.items()))
-
-    def inverse(self) -> "Renaming":
-        return Renaming({v: k for k, v in self._map.items()})
-
-    @property
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self._map.items())
-
-    def moved_pairs(self) -> list[tuple[int, int]]:
-        return [(k, v) for k, v in sorted(self._map.items()) if k != v]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Renaming) and self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._map.items())))
+    def _outside(self, element: int) -> AsmError:
+        return DomainError(f"element {element} outside renaming domain")
 
     def __repr__(self) -> str:
-        moved = ", ".join(f"{k}->{v}" for k, v in self.moved_pairs())
+        moved = ", ".join(f"{k}->{v}" for k, v in self.items() if k != v)
         return f"Renaming({moved or 'identity'})"
 
 

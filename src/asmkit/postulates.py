@@ -31,9 +31,10 @@ accessible traces exactly when two of its owners have different traces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import AsmError, HeadroomError, PreconditionError, VocabularyMismatchError
 from .kernel import (
@@ -50,6 +51,7 @@ from .kernel import (
     sorted_terms,
 )
 from .report import CheckReport
+from .similarity import equality_pattern
 from .transition import (
     Algorithm,
     Update,
@@ -79,6 +81,12 @@ class Copy:
         return apply_renaming(self.canonical, self.renaming)
 
 
+# Most renamings of the canonical states into the universe that the closure or
+# the abstract-state check will try; they count them first, and refuse a
+# universe above it that would exhaust memory or time rather than answer.
+MAX_RENAMINGS = 250_000
+
+
 def required_headroom(algorithm: Algorithm) -> int:
     """Smallest universe size under which the BE checks are conclusive."""
     return 2 * algorithm.max_nonlogical_carrier() + 3
@@ -92,6 +100,18 @@ def universe_fits(algorithm: Algorithm, universe_size: int) -> None:
             raise HeadroomError(
                 f"universe of size {universe_size} does not contain carrier element {worst}"
             )
+
+
+def _require_work_budget(algorithm: Algorithm, universe_size: int) -> None:
+    count = sum(
+        math.perm(universe_size - 3, len(state.nonlogical_elements()))
+        for state in algorithm.canonical_states
+    )
+    if count > MAX_RENAMINGS:
+        raise PreconditionError(
+            f"universe of size {universe_size} needs {count} renamings of the canonical "
+            f"states, over the work limit of {MAX_RENAMINGS}"
+        )
 
 
 def _require_headroom(algorithm: Algorithm, universe_size: int) -> None:
@@ -125,8 +145,10 @@ def renamings_into(base: frozenset[int], universe_size: int) -> Iterable[Renamin
 
 
 def closure(algorithm: Algorithm, universe_size: int) -> list[Copy]:
-    """The deduplicated closure of the canonical states under renamings."""
+    """The deduplicated closure of the canonical states under renamings;
+    ``PreconditionError`` above ``MAX_RENAMINGS`` renamings."""
     universe_fits(algorithm, universe_size)
+    _require_work_budget(algorithm, universe_size)
     seen: set[tuple] = set()
     copies: list[Copy] = []
     for index, canonical in enumerate(algorithm.canonical_states):
@@ -183,10 +205,12 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     with the key of the renamed canonical successor.  States are built for
     stepping and for a failure witness only.  Closure of the family under
     isomorphism holds by construction, because copies are generated on demand
-    rather than stored; the report says so.
+    rather than stored; the report says so.  A universe needing more than
+    ``MAX_RENAMINGS`` renamings is refused before any is tried.
     """
     label = "abstract-state"
     universe_fits(algorithm, universe_size)
+    _require_work_budget(algorithm, universe_size)
     successors: list[State] = []
     for index, state in enumerate(algorithm.canonical_states):
         successor = canonical_step(algorithm, index)
@@ -236,25 +260,15 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     )
 
 
-def _pattern(vector: Sequence[int]) -> tuple[tuple[int, ...], dict[int, int]]:
-    """First-occurrence encoding of a value vector and the value->index map."""
-    first: dict[int, int] = {}
-    sig = []
-    for i, v in enumerate(vector):
-        first.setdefault(v, i)
-        sig.append(first[v])
-    return tuple(sig), first
-
-
 def _accessible_trace(
     delta: frozenset[Update], first: dict[int, int]
 ) -> frozenset[tuple[str, tuple[int, ...], int]]:
     """Accessible members of an update set, encoded by witness-term index class."""
-    trace = set()
-    for u in delta:
-        if u.value in first and all(a in first for a in u.args):
-            trace.add((u.symbol.name, tuple(first[a] for a in u.args), first[u.value]))
-    return frozenset(trace)
+    return frozenset(
+        (u.symbol.name, tuple(first[a] for a in u.args), first[u.value])
+        for u in delta
+        if u.within(first)
+    )
 
 
 class ClosureIndex:
@@ -282,7 +296,7 @@ class ClosureIndex:
         self.patterns: list[tuple[int, ...]] = []
         self.traces: list[frozenset[tuple[str, tuple[int, ...], int]]] = []
         for vector, delta in zip(self.vectors, self.deltas):
-            pattern, first = _pattern(vector)
+            pattern, first = equality_pattern(vector)
             self.patterns.append(pattern)
             self.traces.append(_accessible_trace(delta, first))
 
@@ -303,74 +317,6 @@ class ClosureIndex:
         for copy in self.copies:
             groups.setdefault(self.patterns[copy.canonical_index], []).append(copy)
         return [sorted(groups[sig], key=lambda c: c.key) for sig in sorted(groups)]
-
-
-def _old_be(index: ClosureIndex) -> CheckReport:
-    groups: dict[tuple[int, ...], list[Copy]] = {}
-    for copy in index.copies:
-        groups.setdefault(copy.vector, []).append(copy)
-    for vector in sorted(groups):
-        left, *others = sorted(groups[vector], key=lambda c: c.key)
-        for right in others:
-            if right.delta != left.delta:
-                return CheckReport(
-                    False,
-                    "old-be",
-                    "states coincide over the witness but have different update sets",
-                    witness={
-                        "terms": index.terms,
-                        "left": left.state,
-                        "right": right.state,
-                        "left_delta": left.delta,
-                        "right_delta": right.delta,
-                    },
-                )
-    return CheckReport(
-        True,
-        "old-be",
-        notes=(f"states={len(index.copies)}", f"coincidence-classes={len(groups)}"),
-    )
-
-
-def _new_be(index: ClosureIndex) -> CheckReport:
-    terms = index.terms
-    witness_i: dict | None = None
-    for i, state in enumerate(index.algorithm.canonical_states):
-        accessible = frozenset(index.vectors[i])
-        for u in sorted(index.deltas[i], key=lambda u: u.encoded()):
-            if u.value not in accessible or any(a not in accessible for a in u.args):
-                witness_i = {
-                    "requirement": "i",
-                    "state": state,
-                    "update": u,
-                    "accessible": accessible,
-                    "terms": terms,
-                }
-                break
-        if witness_i:
-            break
-
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, pattern in enumerate(index.patterns):
-        classes.setdefault(pattern, []).append(i)
-    requirement_ii_passed = all(_owners_agree(index, members) for members in classes.values())
-
-    requirement_i_passed = witness_i is None
-    notes = (
-        f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
-        f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
-        f"similarity-classes={len(classes)}",
-    )
-    if requirement_i_passed and requirement_ii_passed:
-        return CheckReport(True, "new-be", notes=notes)
-    # Requirement (ii)'s witness is named only when it is the one reported.
-    witness = witness_i if witness_i is not None else _requirement_ii_witness(index)
-    witness["requirement_i_passed"] = requirement_i_passed
-    witness["requirement_ii_passed"] = requirement_ii_passed
-    failed = "i" if witness_i is not None else "ii"
-    return CheckReport(
-        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
-    )
 
 
 def _owners_agree(index: ClosureIndex, members: list[int]) -> bool:
@@ -425,7 +371,30 @@ def check_old_be(
     """
     if index is None:
         index = ClosureIndex(algorithm, terms, universe_size)
-    return _old_be(index)
+    groups: dict[tuple[int, ...], list[Copy]] = {}
+    for copy in index.copies:
+        groups.setdefault(copy.vector, []).append(copy)
+    for vector in sorted(groups):
+        left, *others = sorted(groups[vector], key=lambda c: c.key)
+        for right in others:
+            if right.delta != left.delta:
+                return CheckReport(
+                    False,
+                    "old-be",
+                    "states coincide over the witness but have different update sets",
+                    witness={
+                        "terms": index.terms,
+                        "left": left.state,
+                        "right": right.state,
+                        "left_delta": left.delta,
+                        "right_delta": right.delta,
+                    },
+                )
+    return CheckReport(
+        True,
+        "old-be",
+        notes=(f"states={len(index.copies)}", f"coincidence-classes={len(groups)}"),
+    )
 
 
 def check_new_be(
@@ -451,7 +420,44 @@ def check_new_be(
         _require_ground_terms(algorithm.vocabulary, terms)
         _require_subterm_closed(terms)
         index = ClosureIndex(algorithm, terms, universe_size)
-    return _new_be(index)
+    terms = index.terms
+    witness_i: dict | None = None
+    for i, state in enumerate(index.algorithm.canonical_states):
+        accessible = frozenset(index.vectors[i])
+        for u in sorted(index.deltas[i], key=lambda u: u.encoded()):
+            if not u.within(accessible):
+                witness_i = {
+                    "requirement": "i",
+                    "state": state,
+                    "update": u,
+                    "accessible": accessible,
+                    "terms": terms,
+                }
+                break
+        if witness_i:
+            break
+
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, pattern in enumerate(index.patterns):
+        classes.setdefault(pattern, []).append(i)
+    requirement_ii_passed = all(_owners_agree(index, members) for members in classes.values())
+
+    requirement_i_passed = witness_i is None
+    notes = (
+        f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
+        f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
+        f"similarity-classes={len(classes)}",
+    )
+    if requirement_i_passed and requirement_ii_passed:
+        return CheckReport(True, "new-be", notes=notes)
+    # Requirement (ii)'s witness is named only when it is the one reported.
+    witness = witness_i if witness_i is not None else _requirement_ii_witness(index)
+    witness["requirement_i_passed"] = requirement_i_passed
+    witness["requirement_ii_passed"] = requirement_ii_passed
+    failed = "i" if witness_i is not None else "ii"
+    return CheckReport(
+        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
+    )
 
 
 def witness_monotonicity(

@@ -5,18 +5,24 @@ same equality pattern; the similarity function is then the bijection between
 the two value sets sending each term's value in one state to its value in
 the other.  An element is accessible when some witness term names it; an
 update is accessible when all its components are.
+
+One core serves each notion: ``equality_pattern`` encodes every equality
+pattern, ``SimilarityFunction`` is a ``kernel.InjectiveMap`` like ``Renaming``,
+and ``Update.within`` is the one accessibility test.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    AsmError,
     InaccessibleUpdateError,
     NotSimilarError,
     PreconditionError,
 )
 from .kernel import (
+    InjectiveMap,
     State,
     Term,
     evaluate_set,
@@ -29,10 +35,10 @@ from .report import CheckReport
 from .transition import Update
 
 
-class SimilarityFunction:
+class SimilarityFunction(InjectiveMap):
     """Finite bijection between the value sets of two similar states."""
 
-    __slots__ = ("_map",)
+    __slots__ = ()
 
     def __init__(self, mapping: Mapping[int, int]) -> None:
         m = dict(mapping)
@@ -40,67 +46,53 @@ class SimilarityFunction:
             raise NotSimilarError("similarity mapping is not injective")
         self._map = m
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self._map.values())
+    def _outside(self, element: int) -> AsmError:
+        return InaccessibleUpdateError(
+            f"element {element} is outside the similarity function's domain"
+        )
 
     def apply(self, element: int) -> int:
-        try:
-            return self._map[element]
-        except KeyError:
-            raise InaccessibleUpdateError(
-                f"element {element} is outside the similarity function's domain"
-            ) from None
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self._map.items())
-
-    def inverse(self) -> "SimilarityFunction":
-        return SimilarityFunction({v: k for k, v in self._map.items()})
-
-    @property
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self._map.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SimilarityFunction) and self._map == other._map
+        return self[element]
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}->{v}" for k, v in self.items())
         return f"SimilarityFunction({pairs})"
 
 
+def equality_pattern(vector: Sequence[int]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """First-occurrence encoding of a value vector, and the value->index map.
+
+    Entry i is the first index holding the value at i, so two vectors realize
+    the same equality pattern exactly when their encodings are equal.
+    """
+    first: dict[int, int] = {}
+    sig = []
+    for i, v in enumerate(vector):
+        first.setdefault(v, i)
+        sig.append(first[v])
+    return tuple(sig), first
+
+
 def t_similar(x: State, y: State, terms: Iterable[Term]) -> bool:
     """True iff the two states realize the same equality pattern on the terms."""
     order = sorted_terms(terms)
-    xs = evaluate_terms(x, order)
-    ys = evaluate_terms(y, order)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if (xs[i] == xs[j]) != (ys[i] == ys[j]):
-                return False
-    return True
+    return (
+        equality_pattern(evaluate_terms(x, order))[0]
+        == equality_pattern(evaluate_terms(y, order))[0]
+    )
 
 
 def similarity_function(x: State, y: State, terms: Iterable[Term]) -> SimilarityFunction:
     """The bijection sending each term's value in ``x`` to its value in ``y``."""
     order = sorted_terms(terms)
-    mapping: dict[int, int] = {}
-    seen: dict[int, Term] = {}
-    for t, vx, vy in zip(order, evaluate_terms(x, order), evaluate_terms(y, order)):
-        if vx in mapping:
-            if mapping[vx] != vy:
-                raise NotSimilarError(
-                    f"states are not similar over the witness: terms {seen[vx]} and {t} "
-                    f"share a value on one side only"
-                )
-        else:
-            mapping[vx] = vy
-            seen[vx] = t
+    xs, ys = evaluate_terms(x, order), evaluate_terms(y, order)
+    for i, first in enumerate(equality_pattern(xs)[0]):
+        if ys[i] != ys[first]:
+            raise NotSimilarError(
+                f"states are not similar over the witness: terms {order[first]} and "
+                f"{order[i]} share a value on one side only"
+            )
+    mapping = dict(zip(xs, ys))
     if len(set(mapping.values())) != len(mapping):
         raise NotSimilarError(
             "states are not similar over the witness: value pattern collapses on one side"
@@ -169,14 +161,4 @@ def check_partial_isomorphism(x: State, y: State, terms: Iterable[Term]) -> Chec
 
 def is_accessible_update(state: State, terms: Iterable[Term], update: Update) -> bool:
     """True iff the value and every argument of the update are accessible."""
-    accessible = evaluate_set(state, terms)
-    return update.value in accessible and all(a in accessible for a in update.args)
-
-
-def lift_accessible_update(sigma: SimilarityFunction, update: Update) -> Update:
-    """Component-wise application of the similarity function to an update."""
-    return Update(
-        update.symbol,
-        tuple(sigma.apply(a) for a in update.args),
-        sigma.apply(update.value),
-    )
+    return update.within(evaluate_set(state, terms))

@@ -10,7 +10,7 @@ the transformation on a renamed copy is the transported one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Container, Iterable, Union
 
 from .errors import (
     ClashError,
@@ -24,6 +24,7 @@ from .kernel import (
     KIND_NONLOGICAL,
     TRUE,
     UNDEF,
+    InjectiveMap,
     Renaming,
     State,
     Symbol,
@@ -54,12 +55,13 @@ class Update:
     def encoded(self) -> tuple[str, tuple[int, ...], int]:
         return (self.symbol.name, self.args, self.value)
 
+    def within(self, values: Container[int]) -> bool:
+        """Whether all components lie in ``values``: accessibility, over witness values."""
+        return self.value in values and all(a in values for a in self.args)
+
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         return f"({self.symbol.name}, ({inner}), {self.value})"
-
-
-UpdateSet = frozenset  # alias: update sets are frozensets of Update
 
 
 @dataclass(frozen=True)
@@ -301,12 +303,13 @@ def table_diff(before: State, after: State) -> frozenset[Update]:
     return frozenset(updates)
 
 
-def lift_update(renaming: Renaming, update: Update) -> Update:
-    """Element-wise application of a renaming to one update."""
+def lift_update(mapping: InjectiveMap, update: Update) -> Update:
+    """Element-wise application of a renaming or a similarity function to one
+    update; an element outside its domain raises that map's error."""
     return Update(
         update.symbol,
-        tuple(renaming[a] for a in update.args),
-        renaming[update.value],
+        tuple(mapping[a] for a in update.args),
+        mapping[update.value],
     )
 
 

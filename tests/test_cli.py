@@ -61,6 +61,14 @@ class TestCheckCommand:
         assert code == 2
         assert "inconclusive" in capsys.readouterr().err
 
+    def test_universe_over_work_budget(self, capsys):
+        code = main(["check", "old-be", "--witness", "T1", SPEC, "--universe", "100000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "over the work limit of 250000" in captured.err
+
     def test_missing_witness_flag(self, capsys):
         assert main(["check", "old-be", SPEC]) == 2
         assert "--witness" in capsys.readouterr().err

@@ -37,7 +37,7 @@ from asmkit import (
     evaluate_terms,
     generate_algorithm_suite,
     is_accessible_update,
-    lift_accessible_update,
+    lift_update,
     lift_update_set,
     parse_spec,
     renamings_into,
@@ -82,7 +82,7 @@ def brute_new_be(algorithm, terms, universe_size) -> bool:
             for args in itertools.product(reachable, repeat=sym.arity):
                 for value in reachable:
                     u = Update(sym, args, value)
-                    if (u in dx) != (lift_accessible_update(sigma, u) in dy):
+                    if (u in dx) != (lift_update(sigma, u) in dy):
                         return False
     return True
 
@@ -198,6 +198,10 @@ class TestAbstractState:
     def test_flip_passes_small_universe(self, flip):
         assert check_abstract_state(flip, 6).passed
 
+    def test_work_budget_refuses_huge_universe(self, flip):
+        with pytest.raises(PreconditionError, match="over the work limit of 250000"):
+            check_abstract_state(flip, 100000)
+
     def test_base_set_change_fails(self, flip):
         report = check_abstract_state(_base_set_change(flip), 7)
         assert not report.passed
@@ -287,6 +291,23 @@ class TestAbstractState:
 
 
 class TestOldBE:
+    def test_work_budget_refuses_huge_universe(self, flip):
+        witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
+        with pytest.raises(PreconditionError, match="over the work limit of 250000"):
+            check_old_be(flip, witness_terms, 100000)
+
+    def test_work_budget_counts_renamings_before_enumerating(self, flip, monkeypatch):
+        # Two canonical states with two nonlogical elements: 2 * P(u - 3, 2) renamings.
+        monkeypatch.setattr(postulates, "MAX_RENAMINGS", 2 * 8 * 7)
+        witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
+        assert not check_old_be(flip, witness_terms, 11).passed
+        assert check_abstract_state(flip, 11).passed
+        monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
+        with pytest.raises(PreconditionError, match="needs 144 renamings"):
+            check_old_be(flip, witness_terms, 12)
+        with pytest.raises(PreconditionError, match="needs 144 renamings"):
+            check_abstract_state(flip, 12)
+
     def test_flip_fails_with_fresh_element_pair(self, flip):
         witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
         report = check_old_be(flip, witness_terms, 7)
@@ -600,8 +621,8 @@ class TestVerdictInvariance:
         backward = similarity_function(y, x, witness)
         f = x.vocabulary.symbol("f")
         for u in (Update(f, (3,), 4), Update(f, (4,), 3)):
-            assert lift_accessible_update(
-                backward, lift_accessible_update(forward, u)
+            assert lift_update(
+                backward, lift_update(forward, u)
             ) == u
 
 

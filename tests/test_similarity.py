@@ -8,6 +8,7 @@ from asmkit import (
     InaccessibleUpdateError,
     NotSimilarError,
     Renaming,
+    SimilarityFunction,
     State,
     Symbol,
     TRUE_TERM,
@@ -20,14 +21,49 @@ from asmkit import (
     check_partial_isomorphism,
     coincides_over,
     evaluate_set,
+    evaluate_terms,
     is_accessible_update,
-    lift_accessible_update,
+    lift_update,
     lift_update_set,
     similarity_function,
+    sorted_terms,
     subterm_closure,
     t_similar,
 )
 from conftest import mk, random_state, random_term
+
+
+def pairwise_t_similar(x, y, terms):
+    """Similarity by its pairwise definition: every two terms are equal in
+    both states or in neither."""
+    order = sorted_terms(terms)
+    xs = evaluate_terms(x, order)
+    ys = evaluate_terms(y, order)
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if (xs[i] == xs[j]) != (ys[i] == ys[j]):
+                return False
+    return True
+
+
+def first_match_similarity(x, y, terms):
+    """The similarity function's pairs, or its NotSimilarError message, from a
+    term-by-term scan that reports the first term whose value clashes."""
+    order = sorted_terms(terms)
+    mapping, seen = {}, {}
+    for t, vx, vy in zip(order, evaluate_terms(x, order), evaluate_terms(y, order)):
+        if vx in mapping:
+            if mapping[vx] != vy:
+                return (
+                    f"states are not similar over the witness: terms {seen[vx]} and {t} "
+                    f"share a value on one side only"
+                )
+        else:
+            mapping[vx] = vy
+            seen[vx] = t
+    if len(set(mapping.values())) != len(mapping):
+        return "states are not similar over the witness: value pattern collapses on one side"
+    return sorted(mapping.items())
 
 
 class TestTSimilar:
@@ -60,6 +96,27 @@ class TestTSimilar:
         with pytest.raises(NotSimilarError):
             similarity_function(split, collapsed, witness)
 
+    def test_matches_pairwise_definition_on_pools(self, simple_vocab):
+        kinds = set()
+        for seed in (21, 23, 25, 27):
+            rng = random.Random(seed)
+            terms = subterm_closure(random_term(rng, simple_vocab, 2) for _ in range(4))
+            pool = [random_state(rng, simple_vocab, 2) for _ in range(8)]
+            for x, y in itertools.product(pool, repeat=2):
+                similar = t_similar(x, y, terms)
+                assert similar == pairwise_t_similar(x, y, terms)
+                try:
+                    outcome = similarity_function(x, y, terms).items()
+                except NotSimilarError as exc:
+                    outcome = str(exc)
+                assert outcome == first_match_similarity(x, y, terms)
+                assert similar == isinstance(outcome, list)
+                if similar:
+                    kinds.add("similar")
+                else:
+                    kinds.add("collapses" if "collapses" in outcome else "clashes")
+        assert kinds == {"similar", "clashes", "collapses"}
+
     def test_equivalence_relation_on_pools(self, simple_vocab):
         rng = random.Random(23)
         terms = subterm_closure(random_term(rng, simple_vocab, 2) for _ in range(3))
@@ -87,6 +144,15 @@ class TestSimilarityFunction:
         forward = similarity_function(x, y, witness)
         backward = similarity_function(y, x, witness)
         assert forward.inverse() == backward
+
+    def test_never_equals_a_renaming_with_the_same_map(self):
+        renaming = Renaming({3: 3, 4: 5})
+        sigma = SimilarityFunction(dict(renaming.items()))
+        assert sigma.items() == renaming.items()
+        assert sigma != renaming and renaming != sigma
+        assert type(sigma.inverse()) is SimilarityFunction
+        assert type(renaming.inverse()) is Renaming
+        assert sigma.inverse() == SimilarityFunction({0: 0, 1: 1, 2: 2, 3: 3, 5: 4})
 
     def test_apply_outside_domain(self, remark):
         x, y, witness, _ = remark
@@ -210,17 +276,17 @@ class TestLiftAccessibleUpdate:
         sigma = similarity_function(x, x, witness)
         f = x.vocabulary.symbol("f")
         u = Update(f, (3,), 4)
-        assert lift_accessible_update(sigma, u) == u
+        assert lift_update(sigma, u) == u
 
     def test_pointwise(self, remark):
         x, y, witness, _ = remark
         sigma = similarity_function(x, y, witness)
         f = x.vocabulary.symbol("f")
-        assert lift_accessible_update(sigma, Update(f, (3,), 4)) == Update(f, (3,), 5)
+        assert lift_update(sigma, Update(f, (3,), 4)) == Update(f, (3,), 5)
 
     def test_component_outside_domain(self, remark):
         x, y, witness, _ = remark
         sigma = similarity_function(x, y, witness)
         f = x.vocabulary.symbol("f")
         with pytest.raises(InaccessibleUpdateError):
-            lift_accessible_update(sigma, Update(f, (5,), 3))
+            lift_update(sigma, Update(f, (5,), 3))

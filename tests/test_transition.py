@@ -9,8 +9,10 @@ from asmkit import (
     Cond,
     DomainError,
     GuardError,
+    InaccessibleUpdateError,
     Par,
     Renaming,
+    SimilarityFunction,
     State,
     Symbol,
     Term,
@@ -20,6 +22,7 @@ from asmkit import (
     apply_renaming,
     apply_rule,
     apply_updates,
+    lift_update,
     lift_update_set,
     locate,
     renamings_into,
@@ -172,6 +175,16 @@ class TestLifting:
         g = rule_vocab.symbol("g")
         with pytest.raises(DomainError):
             lift_update_set(Renaming({3: 6}), {Update(g, (3,), 4)})
+
+    def test_error_outside_domain_is_the_maps_own(self, rule_vocab):
+        u = Update(rule_vocab.symbol("g"), (3,), 4)
+        with pytest.raises(DomainError, match="^element 4 outside renaming domain$"):
+            lift_update(Renaming({3: 6}), u)
+        with pytest.raises(
+            InaccessibleUpdateError,
+            match="^element 4 is outside the similarity function's domain$",
+        ):
+            lift_update(SimilarityFunction({3: 6}), u)
 
 
 class TestNaturality:
