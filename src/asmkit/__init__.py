@@ -74,6 +74,7 @@ from .similarity import (
     check_partial_isomorphism,
     is_accessible_update,
     similarity_function,
+    similarity_of_vectors,
     t_similar,
 )
 from .report import CheckReport, ScenarioReport

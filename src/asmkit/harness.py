@@ -3,15 +3,24 @@
 Besides running both checkers and comparing verdicts, the verifier replays
 the transport argument behind the agreement on a bounded, deterministic
 sample of similar state pairs: route each accessible update through the
-value-replacement construction (disjoint value sets) or through a disjoint
-copy followed by the replacement (overlapping value sets), and confirm the
-transported update's membership claim.  Pairs whose similarity function
-moves a logical element cannot be expressed as renamings here, because the
-three logical ids are global; those chains are confirmed by direct
-membership transport and counted separately.  Both checks and the replay
-share one ``ClosureIndex``: the closure is enumerated once per check, a
-sampled pair's states are built only when the replay reaches it, and nothing
-is cached across checks.
+value-replacement construction (disjoint value sets, case 1) or through a
+disjoint copy followed by the replacement (overlapping value sets, case 2),
+and confirm the transported update's membership claim.  Pairs whose
+similarity function moves a logical element cannot be expressed as renamings
+here, because the three logical ids are global; those chains are confirmed
+by direct membership transport and counted separately.  Any other pair
+shares each logical witness value, so case 1 is reached only by pairs with
+no logical witness value; the generated witnesses all hold the logical
+constant terms, and none of their pairs takes case 1.
+
+Both checks and the replay share one ``ClosureIndex``: the closure is
+enumerated once per check and nothing is cached across checks.  The replay
+reads the witness values of the index's copies from their vectors, builds
+each pair's similarity function from them, and builds a pair's states only
+when the pair carries an accessible update.  The route and its constructions
+do not depend on the update, so they run once per pair; the states the
+constructions make are evaluated, so the replay's internal assertions test
+the constructions themselves.
 
 The module also hosts the seeded generators used by the property suites.
 """
@@ -21,7 +30,13 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import AsmError, CaseHypothesisError, HeadroomError, InvalidRenamingError
+from .errors import (
+    AsmError,
+    CaseHypothesisError,
+    HeadroomError,
+    InvalidRenamingError,
+    VocabularyMismatchError,
+)
 from .kernel import (
     FALSE_TERM,
     LOGICAL_IDS,
@@ -37,8 +52,7 @@ from .kernel import (
     Term,
     Vocabulary,
     apply_renaming,
-    coincides_over,
-    evaluate_set,
+    evaluate_terms,
     identity_renaming,
     isomorphisms_between,
     sorted_terms,
@@ -46,7 +60,7 @@ from .kernel import (
 )
 from .postulates import ClosureIndex, Copy, check_new_be, check_old_be
 from .report import CheckReport
-from .similarity import SimilarityFunction, similarity_function, t_similar
+from .similarity import SimilarityFunction, similarity_of_vectors, t_similar
 from .transition import (
     Algorithm,
     Assign,
@@ -123,8 +137,24 @@ def construct_case1_state(
     elements the similarity function fixes.  The returned renaming coincides
     with the similarity function on the witness values and is the identity on
     the rest of the carrier; the copy coincides with ``y`` over the witness.
+    The witness is evaluated on both states and the construction itself is
+    ``_replaced_copy``, which the proof replay calls on the values its
+    ``ClosureIndex`` already holds.
     """
-    sigma = similarity_function(x, y, terms)
+    order = sorted_terms(terms)
+    xs, ys = tuple(evaluate_terms(x, order)), tuple(evaluate_terms(y, order))
+    replaced, xi = _replaced_copy(x, similarity_of_vectors(xs, ys, order), order, ys)
+    if x.vocabulary != y.vocabulary:
+        raise VocabularyMismatchError("states have different vocabularies")
+    return replaced, xi
+
+
+def _replaced_copy(
+    x: State, sigma: SimilarityFunction, order: list[Term], y_vector: tuple[int, ...]
+) -> tuple[State, Renaming]:
+    """``construct_case1_state`` given the similarity function and the target's
+    values of the terms in ``order``; the replaced copy is evaluated, to
+    confirm that it has those values."""
     shared = sigma.domain & sigma.image
     nonlogical_shared = sorted(v for v in shared if v not in LOGICAL_IDS)
     if nonlogical_shared:
@@ -138,7 +168,7 @@ def construct_case1_state(
     except InvalidRenamingError as exc:
         raise CaseHypothesisError(f"value replacement is not a renaming: {exc}") from exc
     replaced = apply_renaming(x, xi)
-    if not coincides_over(replaced, y, terms):
+    if tuple(evaluate_terms(replaced, order)) != y_vector:
         raise AsmError("internal: value-replacement copy fails to coincide")
     return replaced, xi
 
@@ -152,11 +182,25 @@ def construct_disjoint_copy(
     the identity is returned.  Otherwise the whole carrier moves to the least
     ids unused by either state; if the universe has no room for that, only
     the elements appearing among ``y``'s witness values move, which always
-    fits inside the documented headroom of twice the carrier bound.
+    fits inside the documented headroom of twice the carrier bound.  The
+    witness is evaluated on ``y`` and the construction itself is
+    ``_detached_copy``, which the proof replay calls on the values its
+    ``ClosureIndex`` already holds.
     """
+    order = sorted_terms(terms)
+    copy, eta, _ = _detached_copy(x, y, order, tuple(evaluate_terms(y, order)), universe_size)
+    return copy, eta
+
+
+def _detached_copy(
+    x: State, y: State, order: list[Term], y_vector: tuple[int, ...], universe_size: int
+) -> tuple[State, Renaming, tuple[int, ...]]:
+    """``construct_disjoint_copy`` given ``y``'s values of the terms in
+    ``order``; the copy is evaluated, to confirm that it shares none of them,
+    and its values are returned with it."""
     x_carrier = set(x.nonlogical_elements())
     y_carrier = set(y.nonlogical_elements())
-    y_values = {v for v in evaluate_set(y, terms) if v not in LOGICAL_IDS}
+    y_values = {v for v in y_vector if v not in LOGICAL_IDS}
     if x_carrier.isdisjoint(y_carrier) or x_carrier.isdisjoint(y_values):
         eta = identity_renaming(x.base)
         copy = x
@@ -180,10 +224,10 @@ def construct_disjoint_copy(
             mapping.update(zip(moved, allowed))
             eta = Renaming(mapping)
         copy = apply_renaming(x, eta)
-    overlap = evaluate_set(copy, terms) & evaluate_set(y, terms)
-    if any(v not in LOGICAL_IDS for v in overlap):
+    copy_vector = tuple(evaluate_terms(copy, order))
+    if y_values.intersection(copy_vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
-    return copy, eta
+    return copy, eta, copy_vector
 
 
 def _logically_compatible(sigma: SimilarityFunction) -> bool:
@@ -195,51 +239,62 @@ def _logically_compatible(sigma: SimilarityFunction) -> bool:
     )
 
 
-def _transport_chain(
-    x: Copy,
-    y: Copy,
-    terms: frozenset[Term],
-    update: Update,
-    sigma: SimilarityFunction,
-    universe_size: int,
-) -> tuple[bool, str, Update]:
-    """Carry one accessible update of ``x`` over to ``y`` along the proof route."""
-    expected = lift_update(sigma, update)
+def _pair_route(
+    x: Copy, y: Copy, sigma: SimilarityFunction, order: list[Term], universe_size: int
+) -> tuple[str, tuple[Renaming, ...]]:
+    """The proof's route from ``x`` to ``y`` and the renamings along it.
+
+    The route does not depend on the carried update, so each pair's
+    construction runs once: none when ``sigma`` moves a logical element
+    ("direct"), the value replacement when the witness-value sets are
+    disjoint ("case1"), and otherwise a disjoint copy followed by the
+    replacement ("case2").  The constructed copy must have ``y``'s update set.
+    """
     if not _logically_compatible(sigma):
-        return expected in y.delta, "direct", expected
-    x_values = set(x.vector)
-    y_values = set(y.vector)
-    if x_values.isdisjoint(y_values):
+        return "direct", ()
+    if set(x.vector).isdisjoint(y.vector):
         try:
-            _, xi = construct_case1_state(x.state, y.state, terms)
-            replaced_delta = lift_update_set(xi, x.delta)
-            if replaced_delta != y.delta:
+            _, xi = _replaced_copy(x.state, sigma, order, y.vector)
+        except CaseHypothesisError:
+            pass  # replacement collides inside the carrier; sanitize via a disjoint copy
+        else:
+            if lift_update_set(xi, x.delta) != y.delta:
                 raise AsmError(
                     "replayed chain broken: replacement copy and target disagree on updates"
                 )
-            moved = lift_update(xi, update)
-            if moved != expected:
-                raise AsmError(
-                    "replayed chain broken: replacement transport differs from similarity lift"
-                )
-            return moved in y.delta, "case1", moved
-        except CaseHypothesisError:
-            pass  # replacement collides inside the carrier; sanitize via a disjoint copy
-    detached, eta = construct_disjoint_copy(x.state, y.state, terms, universe_size)
+            return "case1", (xi,)
+    detached, eta, detached_vector = _detached_copy(
+        x.state, y.state, order, y.vector, universe_size
+    )
     detached_delta = lift_update_set(eta, x.delta)
-    moved = lift_update(eta, update)
-    _, xi = construct_case1_state(detached, y.state, terms)
-    final_delta = lift_update_set(xi, detached_delta)
-    if final_delta != y.delta:
+    _, xi = _replaced_copy(
+        detached, similarity_of_vectors(detached_vector, y.vector, order), order, y.vector
+    )
+    if lift_update_set(xi, detached_delta) != y.delta:
         raise AsmError(
             "replayed chain broken: composed copy and target disagree on updates"
         )
-    final = lift_update(xi, moved)
-    if final != expected:
-        raise AsmError(
-            "replayed chain broken: composed transport differs from similarity lift"
-        )
-    return final in y.delta, "case2", final
+    return "case2", (eta, xi)
+
+
+_TRANSPORT_BROKEN = {
+    "case1": "replayed chain broken: replacement transport differs from similarity lift",
+    "case2": "replayed chain broken: composed transport differs from similarity lift",
+}
+
+
+def _transport(
+    route: str, steps: tuple[Renaming, ...], sigma: SimilarityFunction, update: Update
+) -> Update:
+    """Carry one accessible update along the pair's route; it must land where
+    the similarity function sends it."""
+    expected = lift_update(sigma, update)
+    moved = update
+    for renaming in steps:
+        moved = lift_update(renaming, moved)
+    if steps and moved != expected:
+        raise AsmError(_TRANSPORT_BROKEN[route])
+    return expected
 
 
 def _sample_pairs(members: list[Copy], limit: int) -> list[tuple[Copy, Copy]]:
@@ -294,10 +349,11 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
 
 def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
     terms = index.terms
+    order = sorted_terms(terms)
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes:
         for left, right in _sample_pairs(members, REPLAY_PAIR_LIMIT):
-            sigma = similarity_function(left.state, right.state, terms)
+            sigma = similarity_of_vectors(left.vector, right.vector, order)
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
                 if not sigma.is_identity:
@@ -317,12 +373,13 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
             accessible = set(left.vector)
             carried = [
                 u for u in sorted(left.delta, key=lambda u: u.encoded()) if u.within(accessible)
-            ]
-            for u in carried[:REPLAY_UPDATE_LIMIT]:
-                ok, route, final = _transport_chain(
-                    left, right, terms, u, sigma, index.universe_size
-                )
-                if not ok:
+            ][:REPLAY_UPDATE_LIMIT]
+            if not carried:
+                continue
+            route, steps = _pair_route(left, right, sigma, order, index.universe_size)
+            for u in carried:
+                final = _transport(route, steps, sigma, u)
+                if final not in right.delta:
                     return CheckReport(
                         False,
                         "equivalence",
@@ -363,7 +420,9 @@ def _random_vocabulary(rng: random.Random, cfg: GeneratorConfig) -> Vocabulary:
 
 
 def _carrier_size(rng: random.Random, cfg: GeneratorConfig) -> int:
+    # Weighted towards small carriers; every size up to the bound can be drawn.
     pool = [c for c in (1, 1, 2, 2, 2, 2, 3, 3, 3, 4) if c <= cfg.max_carrier_size]
+    pool.extend(range(5, cfg.max_carrier_size + 1))
     return rng.choice(pool)
 
 

@@ -8,7 +8,9 @@ update is accessible when all its components are.
 
 One core serves each notion: ``equality_pattern`` encodes every equality
 pattern, ``SimilarityFunction`` is a ``kernel.InjectiveMap`` like ``Renaming``,
-and ``Update.within`` is the one accessibility test.
+``similarity_of_vectors`` builds it from values already evaluated (as
+``similarity_function`` does after evaluating), and ``Update.within`` is the
+one accessibility test.
 """
 from __future__ import annotations
 
@@ -85,7 +87,15 @@ def t_similar(x: State, y: State, terms: Iterable[Term]) -> bool:
 def similarity_function(x: State, y: State, terms: Iterable[Term]) -> SimilarityFunction:
     """The bijection sending each term's value in ``x`` to its value in ``y``."""
     order = sorted_terms(terms)
-    xs, ys = evaluate_terms(x, order), evaluate_terms(y, order)
+    return similarity_of_vectors(evaluate_terms(x, order), evaluate_terms(y, order), order)
+
+
+def similarity_of_vectors(
+    xs: Sequence[int], ys: Sequence[int], order: Sequence[Term]
+) -> SimilarityFunction:
+    """The similarity function of two states given their values of the terms
+    in ``order``; ``NotSimilarError`` unless the value vectors realize the
+    same equality pattern."""
     for i, first in enumerate(equality_pattern(xs)[0]):
         if ys[i] != ys[first]:
             raise NotSimilarError(

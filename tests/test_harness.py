@@ -4,6 +4,7 @@ import pytest
 
 from asmkit import (
     Algorithm,
+    AsmError,
     CaseHypothesisError,
     FALSE_TERM,
     GeneratorConfig,
@@ -16,6 +17,7 @@ from asmkit import (
     UNDEF_TERM,
     Update,
     Vocabulary,
+    VocabularyMismatchError,
     apply_renaming,
     coincides_over,
     construct_case1_state,
@@ -28,10 +30,14 @@ from asmkit import (
     is_subterm_closed,
     lift_update,
     similarity_function,
+    similarity_of_vectors,
+    sorted_terms,
     subterm_closure,
     t_similar,
     verify_equivalence,
 )
+from asmkit import harness
+from asmkit.postulates import ClosureIndex
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
 
@@ -75,6 +81,13 @@ class TestCase1Construction:
         assert t_similar(x, y, terms)
         with pytest.raises(CaseHypothesisError):
             construct_case1_state(x, y, terms)
+
+    def test_states_of_different_vocabularies_rejected(self):
+        vocabulary = _constants_vocab(1)
+        x = _naming_state(vocabulary, {"c0": 3})
+        y = _naming_state(_constants_vocab(2), {"c0": 4})
+        with pytest.raises(VocabularyMismatchError, match="^states have different vocabularies$"):
+            construct_case1_state(x, y, frozenset({Term(vocabulary.symbol("c0"))}))
 
     def test_collision_with_untouched_carrier_rejected(self):
         # y's witness value sits inside x's carrier without being a witness
@@ -148,20 +161,121 @@ class TestVerifyEquivalence:
     def test_moving_dynamics_replays_transport(self):
         # successor moves a named constant to a named target, so update sets
         # are nonempty and accessible: the replay must carry them across
-        vocabulary = _constants_vocab(2)
-        x = State(
-            vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 3}, "c1": {(): 4}}
-        )
-        successor = State(
-            vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 4}, "c1": {(): 4}}
-        )
-        moving = Algorithm(vocabulary, (x,), (True,), successors=(successor,))
+        moving, vocabulary = _moving_algorithm()
         terms = LOGICAL_TERMS | {Term(s) for s in vocabulary.nonlogical}
         report = verify_equivalence(moving, terms, 7)
         assert report.passed
         stats = {n.split("=")[0]: int(n.split("=")[1]) for n in report.notes if "=" in n and n.split("=")[1].isdigit()}
         assert stats.get("replayed-chains", 0) > 0
         assert stats.get("case2", 0) > 0
+
+    def test_witness_without_logical_values_takes_case1(self):
+        # a logical constant term has the same value in every state, so only
+        # a witness without one can give a pair disjoint value sets
+        moving, vocabulary = _moving_algorithm()
+        terms = frozenset(Term(s) for s in vocabulary.nonlogical)
+        report = verify_equivalence(moving, terms, 7)
+        assert report.notes == (
+            "old-be=pass",
+            "new-be=pass",
+            "replayed-chains=11",
+            "case1=2",
+            "case2=9",
+            "direct=0",
+            "coincident-pairs=0",
+        )
+
+    def test_replay_similarity_matches_evaluated_similarity(self, default_config, default_suite):
+        pairs = 0
+        for instance in default_suite[:10]:
+            for terms in instance.witnesses:
+                index = ClosureIndex(
+                    instance.algorithm, terms, default_config.universe_size, closed=True
+                )
+                order = sorted_terms(terms)
+                for members in index.similarity_classes:
+                    for left, right in harness._sample_pairs(members, harness.REPLAY_PAIR_LIMIT):
+                        assert similarity_of_vectors(
+                            left.vector, right.vector, order
+                        ) == similarity_function(left.state, right.state, terms)
+                        pairs += 1
+        assert pairs > 0
+
+
+def _moving_algorithm() -> tuple[Algorithm, Vocabulary]:
+    vocabulary = _constants_vocab(2)
+    x = State(vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 3}, "c1": {(): 4}})
+    successor = State(vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 4}, "c1": {(): 4}})
+    return Algorithm(vocabulary, (x,), (True,), successors=(successor,)), vocabulary
+
+
+def _swapping_renaming(state: State, renaming: Renaming) -> State:
+    """The renamed copy with its two least nonlogical elements swapped: still
+    an isomorphic copy, but not the one asked for."""
+    copy = apply_renaming(state, renaming)
+    a, b = sorted(copy.nonlogical_elements())[:2]
+    swap = {e: e for e in copy.base}
+    swap[a], swap[b] = b, a
+    return apply_renaming(copy, Renaming(swap))
+
+
+def _unlifted_by_renamings(mapping, update):
+    return update if isinstance(mapping, Renaming) else lift_update(mapping, update)
+
+
+class TestReplayAssertions:
+    """Each assertion of the replayed proof fires when the replay's view of a
+    primitive is corrupted."""
+
+    def _replay(self, monkeypatch, *, logical: bool, case1_only: bool = False):
+        if case1_only:
+            sample = harness._sample_pairs
+            monkeypatch.setattr(
+                harness,
+                "_sample_pairs",
+                lambda members, limit: [
+                    (a, b) for a, b in sample(members, limit) if set(a.vector).isdisjoint(b.vector)
+                ],
+            )
+        moving, vocabulary = _moving_algorithm()
+        terms = frozenset(Term(s) for s in vocabulary.nonlogical)
+        return verify_equivalence(moving, terms | LOGICAL_TERMS if logical else terms, 7)
+
+    @pytest.mark.parametrize(
+        "case1_only, message",
+        [
+            (False, "replayed chain broken: composed copy and target disagree on updates"),
+            (True, "replayed chain broken: replacement copy and target disagree on updates"),
+        ],
+    )
+    def test_update_sets_must_agree(self, monkeypatch, case1_only, message):
+        monkeypatch.setattr(harness, "lift_update_set", lambda renaming, updates: frozenset())
+        with pytest.raises(AsmError, match=f"^{message}$"):
+            self._replay(monkeypatch, logical=not case1_only, case1_only=case1_only)
+
+    @pytest.mark.parametrize(
+        "case1_only, message",
+        [
+            (False, "replayed chain broken: composed transport differs from similarity lift"),
+            (True, "replayed chain broken: replacement transport differs from similarity lift"),
+        ],
+    )
+    def test_transport_must_match_similarity_lift(self, monkeypatch, case1_only, message):
+        monkeypatch.setattr(harness, "lift_update", _unlifted_by_renamings)
+        with pytest.raises(AsmError, match=f"^{message}$"):
+            self._replay(monkeypatch, logical=not case1_only, case1_only=case1_only)
+
+    def test_replaced_copy_must_coincide(self, monkeypatch):
+        monkeypatch.setattr(harness, "apply_renaming", _swapping_renaming)
+        with pytest.raises(AsmError, match="^internal: value-replacement copy fails to coincide$"):
+            self._replay(monkeypatch, logical=True)
+
+    def test_detached_copy_must_not_share_values(self, monkeypatch):
+        monkeypatch.setattr(harness, "apply_renaming", lambda state, renaming: state)
+        with pytest.raises(
+            AsmError, match="^internal: disjoint copy still shares nonlogical witness values$"
+        ):
+            self._replay(monkeypatch, logical=True)
 
 
 class TestGenerators:
@@ -223,6 +337,10 @@ class TestGenerators:
                 )
             )
             assert full in instance.witnesses
+
+    def test_carrier_bound_above_four_is_drawn(self):
+        suite = generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=5))
+        assert max(i.algorithm.max_nonlogical_carrier() for i in suite) == 5
 
     def test_ground_terms_closed_and_capped(self, simple_vocab):
         terms = ground_terms_up_to(simple_vocab, 2, cap=40)

@@ -26,6 +26,7 @@ from asmkit import (
     lift_update,
     lift_update_set,
     similarity_function,
+    similarity_of_vectors,
     sorted_terms,
     subterm_closure,
     t_similar,
@@ -153,6 +154,15 @@ class TestSimilarityFunction:
         assert type(sigma.inverse()) is SimilarityFunction
         assert type(renaming.inverse()) is Renaming
         assert sigma.inverse() == SimilarityFunction({0: 0, 1: 1, 2: 2, 3: 3, 5: 4})
+
+    def test_from_vectors_needs_one_pattern(self, remark):
+        _, _, witness, _ = remark
+        order = sorted_terms(witness)[:2]
+        assert similarity_of_vectors((3, 4), (5, 6), order).items() == [(3, 5), (4, 6)]
+        with pytest.raises(NotSimilarError, match="share a value on one side only"):
+            similarity_of_vectors((3, 3), (5, 6), order)
+        with pytest.raises(NotSimilarError, match="collapses on one side"):
+            similarity_of_vectors((3, 4), (5, 5), order)
 
     def test_apply_outside_domain(self, remark):
         x, y, witness, _ = remark
