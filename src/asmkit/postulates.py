@@ -18,15 +18,24 @@ the group data holds for all pairs exactly when the data is constant on each
 group.  Witnesses are materialized from the first offending group in a fixed
 lexicographic order.
 
-The old check walks the closure.  The new check is decided on the canonical
-states, because both of its requirements survive renaming; it walks the
-closure only to name a requirement-(ii) witness.  The reduction rests on
-three facts.  A copy belongs to the first canonical state it renames, so a
-canonical state owns copies exactly when it is not isomorphic to an earlier
-one (an owner).  Isomorphic states share their pattern, so the similarity
-classes of the closure are the distinct canonical patterns.  At headroom
-every owner has at least one copy, so a class holds two copies with different
-accessible traces exactly when two of its owners have different traces.
+Both checks are decided on the canonical states, by a symmetry reduction
+that does not appeal to the equivalence of the two postulates.  A copy
+belongs to the first canonical state it renames, so a canonical state owns
+copies exactly when it is not isomorphic to an earlier one (an owner).
+
+The new check's requirements both survive renaming; it walks the closure
+only to name a requirement-(ii) witness.  Isomorphic states share their
+pattern, so the similarity classes of the closure are the distinct canonical
+patterns.  At headroom every owner has at least one copy, so a class holds
+two copies with different accessible traces exactly when two of its owners
+have different traces.
+
+The old check is decided by placements: the partial injections by which
+two renamed owners overlap decide whether the copies coincide and whether
+their update sets agree, and failure depends only on the shape of the
+witness values.  ``check_old_be`` gives the argument.  The closure is
+enumerated only for the first failing coincidence class, to name the
+witness, or when an owner's automorphism moves its update set.
 """
 from __future__ import annotations
 
@@ -67,7 +76,8 @@ from .transition import (
 @dataclass
 class Copy:
     """One state of the universe closure, remembered with its provenance and
-    built on first use; ``ClosureIndex`` fills in ``vector`` and ``delta``."""
+    built on first use; ``ClosureIndex`` or the old check's witness naming
+    fills in ``vector`` and ``delta``."""
 
     canonical_index: int
     canonical: State
@@ -301,6 +311,21 @@ class ClosureIndex:
             self.traces.append(_accessible_trace(delta, first))
 
     @cached_property
+    def owners(self) -> tuple[int, ...]:
+        """Indices of the canonical states not isomorphic to an earlier one,
+        the states that own copies.  Isomorphic states share their pattern,
+        so a state is compared only with the earlier owners of its pattern."""
+        states = self.algorithm.canonical_states
+        owners_of: dict[tuple[int, ...], list[int]] = {}
+        owners: list[int] = []
+        for i, state in enumerate(states):
+            earlier = owners_of.setdefault(self.patterns[i], [])
+            if all(next(isomorphisms_between(states[j], state), None) is None for j in earlier):
+                earlier.append(i)
+                owners.append(i)
+        return tuple(owners)
+
+    @cached_property
     def copies(self) -> list[Copy]:
         copies = closure(self.algorithm, self.universe_size)
         for copy in copies:
@@ -325,11 +350,8 @@ def _owners_agree(index: ClosureIndex, members: list[int]) -> bool:
     traces = index.traces
     if all(traces[i] == traces[members[0]] for i in members):
         return True
-    states = index.algorithm.canonical_states
-    owners: list[int] = []
-    for i in members:
-        if all(next(isomorphisms_between(states[j], states[i]), None) is None for j in owners):
-            owners.append(i)
+    owned = set(index.owners)
+    owners = [i for i in members if i in owned]
     return all(traces[i] == traces[owners[0]] for i in owners)
 
 
@@ -360,6 +382,72 @@ def _requirement_ii_witness(index: ClosureIndex) -> dict:
     raise AssertionError("requirement (ii) failed on the canonical states but not on the closure")
 
 
+def _old_be_failure(index: ClosureIndex, left: Copy, right: Copy) -> CheckReport:
+    return CheckReport(
+        False,
+        "old-be",
+        "states coincide over the witness but have different update sets",
+        witness={
+            "terms": index.terms,
+            "left": left.state,
+            "right": right.state,
+            "left_delta": left.delta,
+            "right_delta": right.delta,
+        },
+    )
+
+
+def _old_be_walk(index: ClosureIndex) -> CheckReport:
+    """Old BE decided on the closure: copies grouped by witness values, each
+    group compared with its first copy in key order."""
+    groups: dict[tuple[int, ...], list[Copy]] = {}
+    for copy in index.copies:
+        groups.setdefault(copy.vector, []).append(copy)
+    for vector in sorted(groups):
+        left, *others = sorted(groups[vector], key=lambda c: c.key)
+        for right in others:
+            if right.delta != left.delta:
+                return _old_be_failure(index, left, right)
+    return CheckReport(
+        True,
+        "old-be",
+        notes=(f"states={len(index.copies)}", f"coincidence-classes={len(groups)}"),
+    )
+
+
+def _least_renaming(vector: tuple[int, ...]) -> Renaming:
+    """The renaming of a vector's values onto the least vector of its shape:
+    logical values stay, the others are numbered from 3 in order of first
+    occurrence."""
+    least = {e: e for e in LOGICAL_IDS}
+    for v in vector:
+        least.setdefault(v, len(least))
+    return Renaming(least)
+
+
+def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> list[Copy]:
+    """The copies whose witness values are ``vector``, in key order and
+    without their update sets: the renamings of the owners of its shape that
+    are fixed on the witness values.  They are enumerated in lexicographic
+    order, which restricted to the free elements is ``renamings_into``'s, and
+    deduplicated on first occurrence as in ``closure``."""
+    _require_work_budget(index.algorithm, index.universe_size)
+    targets = [e for e in range(3, index.universe_size) if e not in vector]
+    seen: set[tuple] = set()
+    copies: list[Copy] = []
+    for i in owners:
+        canonical = index.algorithm.canonical_states[i]
+        fixed = {v: w for v, w in zip(index.vectors[i], vector) if v not in LOGICAL_IDS}
+        free = [e for e in canonical.nonlogical_elements() if e not in fixed]
+        for perm in itertools.permutations(targets, len(free)):
+            renaming = Renaming({**fixed, **dict(zip(free, perm))})
+            key = renamed_key(canonical, renaming)
+            if key not in seen:
+                seen.add(key)
+                copies.append(Copy(i, canonical, renaming, key, vector))
+    return sorted(copies, key=lambda c: c.key)
+
+
 def check_old_be(
     algorithm: Algorithm, terms: Iterable[Term], universe_size: int, *, index: ClosureIndex | None = None
 ) -> CheckReport:
@@ -368,32 +456,72 @@ def check_old_be(
     Assumes the abstract-state postulate: update sets on renamed copies are
     the transported canonical ones.  ``index`` may share the closure index
     of the same arguments with other checks.
+
+    Decided on the owners, by placements.  Take copies X = r(ci) and
+    Y = r'(cj).  Whether they coincide, and whether their update sets are
+    equal, depends only on p = r'^-1 r, and at headroom (u - 3 at least
+    twice the carrier) every partial injection p is realised.  Coinciding
+    forces p on the witness values, vi[t] to vj[t], which is a partial
+    injection exactly when the two vectors have the same shape.  If an update
+    set mentions a nonlogical element outside its witness values, the
+    placement that leaves it out makes the update sets differ; otherwise p
+    maps the one set onto the other exactly when both, renamed so that their
+    witness values become the shape's least vector, are equal.  Failure thus
+    depends only on the shape, and, the closure being closed under
+    permutations of {3 .. u-1}, every vector of a failing shape is a failing
+    coincidence class.  The first one in the walk's order is the least vector
+    of the failing shapes; only it is enumerated, behind the work budget, to
+    name the same copies the walk would.
+
+    A passing check counts in closed form: ``states`` is the sum over owners
+    of P(u - 3, ni) / |Aut(ci)|, and ``coincidence-classes`` the sum over the
+    owners' distinct shapes of P(u - 3, k), k the shape's nonlogical values.
+
+    A copy's update set is its first renaming's.  When an automorphism of an
+    owner moves its update set (the abstract-state postulate fails), which
+    renaming comes first decides the copy's update set, and the closure is
+    walked instead.
     """
     if index is None:
         index = ClosureIndex(algorithm, terms, universe_size)
-    groups: dict[tuple[int, ...], list[Copy]] = {}
-    for copy in index.copies:
-        groups.setdefault(copy.vector, []).append(copy)
-    for vector in sorted(groups):
-        left, *others = sorted(groups[vector], key=lambda c: c.key)
-        for right in others:
-            if right.delta != left.delta:
-                return CheckReport(
-                    False,
-                    "old-be",
-                    "states coincide over the witness but have different update sets",
-                    witness={
-                        "terms": index.terms,
-                        "left": left.state,
-                        "right": right.state,
-                        "left_delta": left.delta,
-                        "right_delta": right.delta,
-                    },
-                )
+    states = index.algorithm.canonical_states
+    automorphisms = {i: list(isomorphisms_between(states[i], states[i])) for i in index.owners}
+    for i, autos in automorphisms.items():
+        if any(lift_update_set(a, index.deltas[i]) != index.deltas[i] for a in autos):
+            return _old_be_walk(index)
+
+    # least vector -> (owner, its update set renamed onto the least vector,
+    # or None when the set leaves the witness values)
+    shapes: dict[tuple[int, ...], list[tuple[int, frozenset[Update] | None]]] = {}
+    for i in index.owners:
+        vector, delta = index.vectors[i], index.deltas[i]
+        least = _least_renaming(vector)
+        inside = all(u.within(least.domain) for u in delta)
+        shapes.setdefault(tuple(least[v] for v in vector), []).append(
+            (i, lift_update_set(least, delta) if inside else None)
+        )
+    failing = []
+    for vector, members in shapes.items():
+        deltas = {d for _, d in members}
+        if None in deltas or len(deltas) > 1:
+            failing.append(vector)
+    if failing:
+        vector = min(failing)
+        group = _coincidence_class(index, vector, [i for i, _ in shapes[vector]])
+        for copy in group:  # update sets are lifted only up to the first that differs
+            copy.delta = lift_update_set(copy.renaming, index.deltas[copy.canonical_index])
+            if copy.delta != group[0].delta:
+                return _old_be_failure(index, group[0], copy)
+        raise AssertionError("old BE failed on a shape but not on its least coincidence class")
+
+    free = index.universe_size - 3
+    copies = sum(
+        math.perm(free, len(states[i].nonlogical_elements())) // len(autos)
+        for i, autos in automorphisms.items()
+    )
+    classes = sum(math.perm(free, len(set(vector).difference(LOGICAL_IDS))) for vector in shapes)
     return CheckReport(
-        True,
-        "old-be",
-        notes=(f"states={len(index.copies)}", f"coincidence-classes={len(groups)}"),
+        True, "old-be", notes=(f"states={copies}", f"coincidence-classes={classes}")
     )
 
 

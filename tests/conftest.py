@@ -19,6 +19,7 @@ from asmkit import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PAPER_EXAMPLE_SPEC = REPO_ROOT / "specs" / "paper-example.spec"
+RING6_SPEC = REPO_ROOT / "specs" / "ring6.spec"
 
 
 @pytest.fixture(scope="session")

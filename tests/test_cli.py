@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from asmkit.cli import main
-from conftest import PAPER_EXAMPLE_SPEC
+from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC
 
 SPEC = str(PAPER_EXAMPLE_SPEC)
 
@@ -36,6 +36,13 @@ class TestCheckCommand:
         assert out.startswith("FAIL old-be")
         assert "left_delta" in out and "right_delta" in out
         assert "elements e3 e4" in out and "elements e3 e5" in out
+
+    def test_old_be_passes_carrier6_ring_at_huge_universe(self, capsys):
+        code = main(["check", "old-be", str(RING6_SPEC), "--witness", "W", "--universe", "100000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("PASS old-be")
+        assert "note: coincidence-classes=9999300012" in out
 
     def test_sequential_time_passes(self, capsys):
         assert main(["check", "sequential-time", SPEC]) == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -37,6 +38,7 @@ from asmkit import (
     evaluate_terms,
     generate_algorithm_suite,
     is_accessible_update,
+    isomorphisms_between,
     lift_update,
     lift_update_set,
     parse_spec,
@@ -51,7 +53,7 @@ from asmkit import (
     witness_monotonicity,
 )
 from asmkit.kernel import renamed_key
-from conftest import PAPER_EXAMPLE_SPEC, mk
+from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk
 
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
@@ -290,6 +292,67 @@ class TestAbstractState:
         assert stepped < renamings / 2
 
 
+def reference_old_be(algorithm, terms, universe_size):
+    """Old BE decided by walking the closure: copies grouped by their renamed
+    witness values, each group compared with its first copy in key order."""
+    terms = frozenset(terms)
+    order = sorted_terms(terms)
+    vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
+    deltas = [canonical_delta(algorithm, i) for i in range(len(vectors))]
+    groups = {}
+    for copy in closure(algorithm, universe_size):
+        r = copy.renaming
+        vector = tuple(r[v] for v in vectors[copy.canonical_index])
+        delta = lift_update_set(r, deltas[copy.canonical_index])
+        groups.setdefault(vector, []).append((copy.key, copy, delta))
+    for vector in sorted(groups):
+        (_, left, left_delta), *others = sorted(groups[vector], key=lambda entry: entry[0])
+        for _, right, right_delta in others:
+            if right_delta != left_delta:
+                return CheckReport(
+                    False,
+                    "old-be",
+                    "states coincide over the witness but have different update sets",
+                    witness={
+                        "terms": terms,
+                        "left": left.state,
+                        "right": right.state,
+                        "left_delta": left_delta,
+                        "right_delta": right_delta,
+                    },
+                )
+    states = sum(len(group) for group in groups.values())
+    return CheckReport(
+        True, "old-be", notes=(f"states={states}", f"coincidence-classes={len(groups)}")
+    )
+
+
+def _restless():
+    """One canonical state whose automorphism 3<->4 moves its update set: it
+    steps by writing g(3) = 4, so a copy's update set depends on which of its
+    two renamings comes first."""
+    vocabulary = Vocabulary((Symbol("g", 1),))
+    state = State(vocabulary, {3, 4})
+    successor = State(vocabulary, {3, 4}, {"g": {(3,): 4}})
+    return Algorithm(vocabulary, (state,), (True,), successors=(successor,))
+
+
+def _ring6():
+    doc = parse_spec(RING6_SPEC.read_text(encoding="utf-8"))
+    return doc.algorithm(), doc.witnesses["W"]
+
+
+def _closure_spy(monkeypatch):
+    calls = []
+
+    def spy(algorithm, universe_size):
+        calls.append(universe_size)
+        return closure(algorithm, universe_size)
+
+    monkeypatch.setattr(postulates, "closure", spy)
+    return calls
+
+
 class TestOldBE:
     def test_work_budget_refuses_huge_universe(self, flip):
         witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
@@ -336,6 +399,75 @@ class TestOldBE:
     def test_headroom_error(self, flip):
         with pytest.raises(HeadroomError):
             check_old_be(flip, frozenset(), 6)
+
+    @pytest.mark.parametrize("universe", [11, 12])
+    def test_matches_closure_walk_on_default_suite(self, default_suite, universe):
+        verdicts = {True: 0, False: 0}
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                expected = _report(reference_old_be(instance.algorithm, terms, universe))
+                assert _report(check_old_be(instance.algorithm, terms, universe)) == expected
+                verdicts[expected[0]] += 1
+        assert verdicts == {True: 266, False: 104}
+
+    def test_matches_closure_walk_on_carrier5_suite(self):
+        # Instance 2 is the suite's first carrier-5 algorithm; the walk costs
+        # about 0.3 s per carrier-5 check, so the suite stops after it.
+        suite = generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=3))
+        assert suite[2].algorithm.max_nonlogical_carrier() == 5
+        verdicts = []
+        for instance in suite:
+            algorithm = instance.algorithm
+            universe = postulates.required_headroom(algorithm)
+            for terms in instance.witnesses:
+                expected = _report(reference_old_be(algorithm, terms, universe))
+                assert _report(check_old_be(algorithm, terms, universe)) == expected
+                verdicts.append(expected[0])
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("universe", [7, 11, 45])
+    def test_matches_closure_walk_on_paper_spec(self, universe):
+        algorithm, witnesses = _paper_checks()
+        for terms in witnesses:
+            expected = _report(reference_old_be(algorithm, terms, universe))
+            assert _report(check_old_be(algorithm, terms, universe)) == expected
+
+    @pytest.mark.parametrize("universe", [7, 9])
+    def test_automorphism_moving_the_update_set_walks_the_closure(self, monkeypatch, universe):
+        algorithm = _restless()
+        assert not check_abstract_state(algorithm, universe).passed
+        calls = _closure_spy(monkeypatch)
+        report = check_old_be(algorithm, LOGICAL_TERMS, universe)
+        assert calls == [universe]
+        assert not report.passed
+        assert _report(reference_old_be(algorithm, LOGICAL_TERMS, universe)) == _report(report)
+
+    def test_closure_not_enumerated(self, default_suite, default_config, monkeypatch):
+        calls = _closure_spy(monkeypatch)
+        passed = 0
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                passed += check_old_be(instance.algorithm, terms, default_config.universe_size).passed
+        assert calls == []
+        assert passed == 266
+
+    @pytest.mark.parametrize(
+        "universe, states, classes",
+        [(15, 665280, 132), (100000, math.perm(99997, 6), math.perm(99997, 2))],
+    )
+    def test_carrier6_ring_passes_both_checks(self, universe, states, classes):
+        algorithm, terms = _ring6()
+        old = check_old_be(algorithm, terms, universe)
+        assert old.passed
+        assert old.notes == (f"states={states}", f"coincidence-classes={classes}")
+        new = check_new_be(algorithm, terms, universe)
+        assert new.passed
+        assert new.notes == ("requirement-i=pass", "requirement-ii=pass", "similarity-classes=1")
+
+    def test_carrier6_ring_replay_still_needs_the_closure(self):
+        algorithm, terms = _ring6()
+        with pytest.raises(PreconditionError, match="needs 665280 renamings"):
+            verify_equivalence(algorithm, terms, 15)
 
 
 def _first_occurrence(vector):
@@ -530,13 +662,7 @@ class TestNewBE:
     def test_closure_enumerated_only_for_a_requirement_ii_witness(
         self, default_suite, default_config, monkeypatch
     ):
-        calls = []
-
-        def spy(algorithm, universe_size):
-            calls.append(universe_size)
-            return closure(algorithm, universe_size)
-
-        monkeypatch.setattr(postulates, "closure", spy)
+        calls = _closure_spy(monkeypatch)
         algorithm, witnesses = _paper_checks()
         for universe in (7, 20, 45):
             for terms in witnesses:
@@ -691,25 +817,41 @@ class TestClosureIndex:
 
     def test_verify_equivalence_enumerates_closure_once(self, default_suite, default_config,
                                                         monkeypatch):
-        calls = []
-
-        def spy(algorithm, universe_size):
-            calls.append(universe_size)
-            return closure(algorithm, universe_size)
-
-        monkeypatch.setattr(postulates, "closure", spy)
-        replayed = 0
+        # At most once: only for the replay, or for new-BE's requirement-(ii) witness.
+        calls = _closure_spy(monkeypatch)
+        replayed = named = 0
         for instance in default_suite[:10]:
             for terms in instance.witnesses:
+                new = check_new_be(instance.algorithm, terms, default_config.universe_size)
                 calls.clear()
                 report = verify_equivalence(
                     instance.algorithm, terms, default_config.universe_size
                 )
-                assert calls == [default_config.universe_size]
                 if "old-be=pass" in report.notes and "new-be=pass" in report.notes:
+                    assert calls == [default_config.universe_size]
                     chains = next(n for n in report.notes if n.startswith("replayed-chains="))
                     replayed += int(chains.split("=")[1])
+                elif not new.passed and new.witness["requirement"] == "ii":
+                    # new-BE walks the closure to name its requirement-(ii) witness
+                    assert calls == [default_config.universe_size]
+                    named += 1
+                else:
+                    assert calls == []
         assert replayed > 0
+        assert named > 0
+
+    def test_owners_match_pairwise_isomorphism(self, default_suite, default_config):
+        cases = [(i.algorithm, terms) for i in default_suite for terms in i.witnesses[:1]]
+        cases += [_shadowed(False), _shadowed(True)]
+        for algorithm, terms in cases:
+            states = algorithm.canonical_states
+            expected = tuple(
+                i
+                for i, state in enumerate(states)
+                if all(next(isomorphisms_between(states[j], state), None) is None for j in range(i))
+            )
+            index = postulates.ClosureIndex(algorithm, terms, default_config.universe_size)
+            assert index.owners == expected
 
     @pytest.mark.parametrize(
         "terms, universe, expected",
