@@ -14,7 +14,8 @@ no logical witness value; the generated witnesses all hold the logical
 constant terms, and none of their pairs takes case 1.
 
 Both checks and the replay share one ``ClosureIndex``: the closure is
-enumerated once per check and nothing is cached across checks.  The replay
+enumerated at most once per check, by the replay, or by new-BE when it names
+a requirement-(ii) witness, and nothing is cached across checks.  The replay
 reads the witness values of the index's copies from their vectors, builds
 each pair's similarity function from them, and builds a pair's states only
 when the pair carries an accessible update.  The route and its constructions

@@ -7,9 +7,9 @@ logical ids, so that fresh-element constructions are expressible; smaller
 universes make the check inconclusive rather than wrong.
 
 A bounded-exploration check works on a ``ClosureIndex``: the witness values
-and update set of every canonical state, with the closure enumerated at most
-once per call and only on first use; a copy's ``State`` is built only when a
-report or the proof replay needs it, and nothing is cached across calls.
+and update set of every canonical state.  The closure is enumerated only when
+its copies are read; a copy derives its ``State``, witness values and update
+set on first read, and nothing is cached across calls.
 
 The coincidence and similarity quantifications over state pairs are computed
 by grouping states on their witness-value vectors (respectively, on the
@@ -35,13 +35,13 @@ two renamed owners overlap decide whether the copies coincide and whether
 their update sets agree, and failure depends only on the shape of the
 witness values.  ``check_old_be`` gives the argument.  The closure is
 enumerated only for the first failing coincidence class, to name the
-witness, or when an owner's automorphism moves its update set.
+witness.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -75,20 +75,27 @@ from .transition import (
 
 @dataclass
 class Copy:
-    """One state of the universe closure, remembered with its provenance and
-    built on first use; ``ClosureIndex`` or the old check's witness naming
-    fills in ``vector`` and ``delta``."""
+    """One state of the universe closure, remembered with its provenance.  Its
+    state, and its witness values and update set (its canonical state's in
+    ``index``, renamed), are derived on first read; no one fills them in."""
 
     canonical_index: int
     canonical: State
     renaming: Renaming
     key: tuple
-    vector: tuple[int, ...] = ()
-    delta: frozenset[Update] = frozenset()
+    index: ClosureIndex | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def state(self) -> State:
         return apply_renaming(self.canonical, self.renaming)
+
+    @cached_property
+    def vector(self) -> tuple[int, ...]:
+        return tuple(self.renaming[v] for v in self.index.vectors[self.canonical_index])
+
+    @cached_property
+    def delta(self) -> frozenset[Update]:
+        return lift_update_set(self.renaming, self.index.deltas[self.canonical_index])
 
 
 # Most renamings of the canonical states into the universe that the closure or
@@ -146,28 +153,46 @@ def _require_subterm_closed(terms: frozenset[Term]) -> None:
         raise PreconditionError("the witness for the new postulate must be subterm-closed")
 
 
-def renamings_into(base: frozenset[int], universe_size: int) -> Iterable[Renaming]:
-    """All renamings of a carrier into the universe, in lexicographic order."""
-    sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
-    targets = range(3, universe_size)
+def renamings_into(
+    base: frozenset[int], universe_size: int, fixed: dict[int, int] | None = None
+) -> Iterable[Renaming]:
+    """All renamings of a carrier into the universe that extend ``fixed``, in
+    lexicographic order."""
+    fixed = fixed or {}
+    sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS and e not in fixed))
+    taken = set(fixed.values())
+    targets = [e for e in range(3, universe_size) if e not in taken]
     for perm in itertools.permutations(targets, len(sources)):
-        yield Renaming(dict(zip(sources, perm)))
+        yield Renaming({**fixed, **dict(zip(sources, perm))})
 
 
-def closure(algorithm: Algorithm, universe_size: int) -> list[Copy]:
-    """The deduplicated closure of the canonical states under renamings;
-    ``PreconditionError`` above ``MAX_RENAMINGS`` renamings."""
-    universe_fits(algorithm, universe_size)
-    _require_work_budget(algorithm, universe_size)
+def _distinct_copies(
+    algorithm: Algorithm, universe_size: int, fixed: dict[int, dict[int, int]], index: ClosureIndex | None
+) -> list[Copy]:
+    """The distinct copies made by the renamings of each canonical state in
+    ``fixed`` that extend the values fixed for it, each with the first such
+    renaming in order."""
     seen: set[tuple] = set()
     copies: list[Copy] = []
-    for index, canonical in enumerate(algorithm.canonical_states):
-        for renaming in renamings_into(canonical.base, universe_size):
+    for i, values in fixed.items():
+        canonical = algorithm.canonical_states[i]
+        for renaming in renamings_into(canonical.base, universe_size, values):
             key = renamed_key(canonical, renaming)
             if key not in seen:
                 seen.add(key)
-                copies.append(Copy(index, canonical, renaming, key))
+                copies.append(Copy(i, canonical, renaming, key, index))
     return copies
+
+
+def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
+    """The deduplicated closure of the canonical states under renamings, the
+    copies deriving their witness values and update sets from ``index``;
+    ``PreconditionError`` above ``MAX_RENAMINGS`` renamings."""
+    universe_fits(algorithm, universe_size)
+    _require_work_budget(algorithm, universe_size)
+    return _distinct_copies(
+        algorithm, universe_size, {i: {} for i in range(len(algorithm.canonical_states))}, index
+    )
 
 
 def check_sequential_time(algorithm: Algorithm) -> CheckReport:
@@ -283,11 +308,13 @@ def _accessible_trace(
 
 class ClosureIndex:
     """The closure of an algorithm for one witness and universe; every copy
-    carries the witness values and update set of its canonical state, renamed.
+    derives the witness values and update set of its canonical state, renamed.
     Construction checks, in order, that the witness is ground, that the
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
     The canonical states' witness values, update sets, patterns and accessible
-    traces are computed at construction; the copies are enumerated on first use.
+    traces are computed at construction.  The copies are enumerated on each
+    read of ``copies`` or ``similarity_classes`` and not kept: a copy refers
+    to its index, and the index holding its copies would make a cycle.
     """
 
     def __init__(
@@ -325,16 +352,11 @@ class ClosureIndex:
                 owners.append(i)
         return tuple(owners)
 
-    @cached_property
+    @property
     def copies(self) -> list[Copy]:
-        copies = closure(self.algorithm, self.universe_size)
-        for copy in copies:
-            r = copy.renaming
-            copy.vector = tuple(r[v] for v in self.vectors[copy.canonical_index])
-            copy.delta = lift_update_set(r, self.deltas[copy.canonical_index])
-        return copies
+        return closure(self.algorithm, self.universe_size, index=self)
 
-    @cached_property
+    @property
     def similarity_classes(self) -> list[list[Copy]]:
         """Copies grouped by the equality pattern of their witness values (the
         canonical state's pattern), in pattern order, members in key order."""
@@ -382,39 +404,6 @@ def _requirement_ii_witness(index: ClosureIndex) -> dict:
     raise AssertionError("requirement (ii) failed on the canonical states but not on the closure")
 
 
-def _old_be_failure(index: ClosureIndex, left: Copy, right: Copy) -> CheckReport:
-    return CheckReport(
-        False,
-        "old-be",
-        "states coincide over the witness but have different update sets",
-        witness={
-            "terms": index.terms,
-            "left": left.state,
-            "right": right.state,
-            "left_delta": left.delta,
-            "right_delta": right.delta,
-        },
-    )
-
-
-def _old_be_walk(index: ClosureIndex) -> CheckReport:
-    """Old BE decided on the closure: copies grouped by witness values, each
-    group compared with its first copy in key order."""
-    groups: dict[tuple[int, ...], list[Copy]] = {}
-    for copy in index.copies:
-        groups.setdefault(copy.vector, []).append(copy)
-    for vector in sorted(groups):
-        left, *others = sorted(groups[vector], key=lambda c: c.key)
-        for right in others:
-            if right.delta != left.delta:
-                return _old_be_failure(index, left, right)
-    return CheckReport(
-        True,
-        "old-be",
-        notes=(f"states={len(index.copies)}", f"coincidence-classes={len(groups)}"),
-    )
-
-
 def _least_renaming(vector: tuple[int, ...]) -> Renaming:
     """The renaming of a vector's values onto the least vector of its shape:
     logical values stay, the others are numbered from 3 in order of first
@@ -426,25 +415,15 @@ def _least_renaming(vector: tuple[int, ...]) -> Renaming:
 
 
 def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> list[Copy]:
-    """The copies whose witness values are ``vector``, in key order and
-    without their update sets: the renamings of the owners of its shape that
-    are fixed on the witness values.  They are enumerated in lexicographic
-    order, which restricted to the free elements is ``renamings_into``'s, and
-    deduplicated on first occurrence as in ``closure``."""
+    """The copies whose witness values are ``vector``, in key order: the
+    renamings of the owners of its shape that send their witness values to
+    ``vector``.  Restricted to those values, ``renamings_into`` keeps the
+    closure's order, so each copy keeps the renaming ``closure`` gives it."""
     _require_work_budget(index.algorithm, index.universe_size)
-    targets = [e for e in range(3, index.universe_size) if e not in vector]
-    seen: set[tuple] = set()
-    copies: list[Copy] = []
-    for i in owners:
-        canonical = index.algorithm.canonical_states[i]
-        fixed = {v: w for v, w in zip(index.vectors[i], vector) if v not in LOGICAL_IDS}
-        free = [e for e in canonical.nonlogical_elements() if e not in fixed]
-        for perm in itertools.permutations(targets, len(free)):
-            renaming = Renaming({**fixed, **dict(zip(free, perm))})
-            key = renamed_key(canonical, renaming)
-            if key not in seen:
-                seen.add(key)
-                copies.append(Copy(i, canonical, renaming, key, vector))
+    fixed = {
+        i: {v: w for v, w in zip(index.vectors[i], vector) if v not in LOGICAL_IDS} for i in owners
+    }
+    copies = _distinct_copies(index.algorithm, index.universe_size, fixed, index)
     return sorted(copies, key=lambda c: c.key)
 
 
@@ -477,19 +456,23 @@ def check_old_be(
     of P(u - 3, ni) / |Aut(ci)|, and ``coincidence-classes`` the sum over the
     owners' distinct shapes of P(u - 3, k), k the shape's nonlogical values.
 
-    A copy's update set is its first renaming's.  When an automorphism of an
-    owner moves its update set (the abstract-state postulate fails), which
-    renaming comes first decides the copy's update set, and the closure is
-    walked instead.
+    A copy's update set is its first renaming's, so an automorphism of an
+    owner that moves its update set (the abstract-state postulate fails)
+    needs no second path.  An automorphism a of an owner c fixes every
+    witness value, since val_t(a(c)) = a(val_t(c)) and a(c) = c; so if a
+    moves c's update set, that set mentions a nonlogical element outside the
+    witness values, and c's shape fails.  The walk fails on every vector of
+    that shape too: a permutation that fixes a copy's witness values and
+    sends its other elements outside its carrier (headroom leaves room)
+    yields a coinciding copy that lacks an element the first update set
+    mentions.  The renamings that produce one copy differ by an automorphism,
+    so they agree on the witness values; ``_coincidence_class`` enumerates
+    all of them in the walk's order and keeps the first, whose update set is
+    the one the walk reports.  So the least failing vector and the reported
+    pair are the walk's.
     """
     if index is None:
         index = ClosureIndex(algorithm, terms, universe_size)
-    states = index.algorithm.canonical_states
-    automorphisms = {i: list(isomorphisms_between(states[i], states[i])) for i in index.owners}
-    for i, autos in automorphisms.items():
-        if any(lift_update_set(a, index.deltas[i]) != index.deltas[i] for a in autos):
-            return _old_be_walk(index)
-
     # least vector -> (owner, its update set renamed onto the least vector,
     # or None when the set leaves the witness values)
     shapes: dict[tuple[int, ...], list[tuple[int, frozenset[Update] | None]]] = {}
@@ -508,16 +491,29 @@ def check_old_be(
     if failing:
         vector = min(failing)
         group = _coincidence_class(index, vector, [i for i, _ in shapes[vector]])
-        for copy in group:  # update sets are lifted only up to the first that differs
-            copy.delta = lift_update_set(copy.renaming, index.deltas[copy.canonical_index])
-            if copy.delta != group[0].delta:
-                return _old_be_failure(index, group[0], copy)
+        left = group[0]
+        for right in group:  # update sets are lifted only up to the first that differs
+            if right.delta != left.delta:
+                return CheckReport(
+                    False,
+                    "old-be",
+                    "states coincide over the witness but have different update sets",
+                    witness={
+                        "terms": index.terms,
+                        "left": left.state,
+                        "right": right.state,
+                        "left_delta": left.delta,
+                        "right_delta": right.delta,
+                    },
+                )
         raise AssertionError("old BE failed on a shape but not on its least coincidence class")
 
+    states = index.algorithm.canonical_states
     free = index.universe_size - 3
     copies = sum(
-        math.perm(free, len(states[i].nonlogical_elements())) // len(autos)
-        for i, autos in automorphisms.items()
+        math.perm(free, len(states[i].nonlogical_elements()))
+        // sum(1 for _ in isomorphisms_between(states[i], states[i]))
+        for i in index.owners
     )
     classes = sum(math.perm(free, len(set(vector).difference(LOGICAL_IDS))) for vector in shapes)
     return CheckReport(

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import random
+import weakref
 
 import pytest
 
@@ -53,7 +56,7 @@ from asmkit import (
     witness_monotonicity,
 )
 from asmkit.kernel import renamed_key
-from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk
+from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
@@ -342,12 +345,37 @@ def _ring6():
     return doc.algorithm(), doc.witnesses["W"]
 
 
+def _restless_suite(count, seed=0):
+    """Random explicit algorithms, carrier at most 3, whose successors ignore
+    isomorphism, each with a random witness under which an automorphism of an
+    owner moves that owner's update set."""
+    rng = random.Random(seed)
+    vocabulary = Vocabulary((Symbol("c", 0), Symbol("g", 1)))
+    cases = []
+    while len(cases) < count:
+        carriers = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        states = [random_state(rng, vocabulary, n) for n in carriers]
+        successors = [random_state(rng, vocabulary, n) for n in carriers]
+        algorithm = Algorithm(vocabulary, states, [True] * len(states), successors=successors)
+        terms = subterm_closure(random_term(rng, vocabulary, 2) for _ in range(2))
+        if rng.random() < 0.5:
+            terms |= LOGICAL_TERMS
+        index = postulates.ClosureIndex(algorithm, terms, postulates.required_headroom(algorithm))
+        if any(
+            lift_update_set(a, index.deltas[i]) != index.deltas[i]
+            for i in index.owners
+            for a in isomorphisms_between(states[i], states[i])
+        ):
+            cases.append((algorithm, terms))
+    return cases
+
+
 def _closure_spy(monkeypatch):
     calls = []
 
-    def spy(algorithm, universe_size):
+    def spy(algorithm, universe_size, **kwargs):
         calls.append(universe_size)
-        return closure(algorithm, universe_size)
+        return closure(algorithm, universe_size, **kwargs)
 
     monkeypatch.setattr(postulates, "closure", spy)
     return calls
@@ -433,14 +461,22 @@ class TestOldBE:
             assert _report(check_old_be(algorithm, terms, universe)) == expected
 
     @pytest.mark.parametrize("universe", [7, 9])
-    def test_automorphism_moving_the_update_set_walks_the_closure(self, monkeypatch, universe):
+    def test_automorphism_moving_the_update_set_needs_no_closure(self, monkeypatch, universe):
         algorithm = _restless()
         assert not check_abstract_state(algorithm, universe).passed
         calls = _closure_spy(monkeypatch)
         report = check_old_be(algorithm, LOGICAL_TERMS, universe)
-        assert calls == [universe]
+        assert calls == []
         assert not report.passed
         assert _report(reference_old_be(algorithm, LOGICAL_TERMS, universe)) == _report(report)
+
+    def test_matches_closure_walk_when_an_automorphism_moves_the_update_set(self):
+        for algorithm, terms in _restless_suite(30):
+            headroom = postulates.required_headroom(algorithm)
+            for universe in (headroom, headroom + 1):
+                expected = _report(reference_old_be(algorithm, terms, universe))
+                assert _report(check_old_be(algorithm, terms, universe)) == expected
+                assert not expected[0]
 
     def test_closure_not_enumerated(self, default_suite, default_config, monkeypatch):
         calls = _closure_spy(monkeypatch)
@@ -794,6 +830,39 @@ def _materialized_closure(algorithm, universe_size):
 
 
 class TestClosureIndex:
+    def test_restricted_renamings_keep_the_closure_order(self):
+        # The old check names its witness from the renamings that extend the
+        # witness values; they must come in the order the closure tries them.
+        rng = random.Random(0)
+        universe = 11
+        for carrier in range(5):
+            base = frozenset({0, 1, 2, *rng.sample(range(3, universe), carrier)})
+            full = list(renamings_into(base, universe))
+            assert len(full) == math.perm(universe - 3, carrier)
+            for size in range(carrier + 1):
+                for _ in range(3):
+                    sources = rng.sample(sorted(base - {0, 1, 2}), size)
+                    fixed = dict(zip(sources, rng.sample(range(3, universe), size)))
+                    expected = [r for r in full if all(r[v] == w for v, w in fixed.items())]
+                    assert list(renamings_into(base, universe, fixed)) == expected
+
+    def test_copies_do_not_keep_their_index_alive(self, flip):
+        # Copies refer to their index, so an index that kept its copies would
+        # leave every check's closure to the cyclic collector.
+        terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
+        gc.disable()
+        try:
+            index = postulates.ClosureIndex(flip, terms, 9)
+            copies = index.copies
+            classes = index.similarity_classes
+            for copy in copies + [c for members in classes for c in members]:
+                assert (copy.vector, copy.delta, copy.state) is not None
+            refs = [weakref.ref(copies[0]), weakref.ref(classes[0][0]), weakref.ref(index)]
+            del index, copies, classes, copy
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
     def test_keys_and_lazy_states_match_built_states(self, default_suite, default_config):
         universe = default_config.universe_size
         for instance in default_suite:
