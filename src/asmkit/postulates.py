@@ -36,6 +36,15 @@ their update sets agree, and failure depends only on the shape of the
 witness values.  ``check_old_be`` gives the argument.  The closure is
 enumerated only for the first failing coincidence class, to name the
 witness.
+
+The abstract-state check on an explicit-successor algorithm is decided on
+the canonical states too: a renamed copy steps through the first isomorphism
+``locate`` finds, and every isomorphism between two canonical states is that
+first one for some renaming, so the step is natural exactly when every
+isomorphism from the first canonical state isomorphic to ci carries its
+successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
+stepped only to name a failing renaming, and on the rule-based backend,
+whose naturality is what the check tests there.
 """
 from __future__ import annotations
 
@@ -224,28 +233,127 @@ def check_sequential_time(algorithm: Algorithm) -> CheckReport:
     )
 
 
+def _first_isomorphic(states: tuple[State, ...]) -> list[int]:
+    """For each state, the index of the first state isomorphic to it, itself
+    when no earlier one is.  That first state maps to itself (an owner), so a
+    state is compared with the owners before it only."""
+    first: list[int] = []
+    owners: list[int] = []
+    for i, state in enumerate(states):
+        j = next(
+            (j for j in owners if next(isomorphisms_between(states[j], state), None) is not None), i
+        )
+        if j == i:
+            owners.append(i)
+        first.append(j)
+    return first
+
+
+def _first_unnatural_state(algorithm: Algorithm) -> int | None:
+    """The first canonical state ci of an explicit-successor algorithm with an
+    isomorphism from cj, the first canonical state isomorphic to it, that does
+    not carry succj onto succi; ``check_abstract_state`` says why this is the
+    first state some renaming fails on."""
+    states, successors = algorithm.canonical_states, algorithm.successors
+    for i, j in enumerate(_first_isomorphic(states)):
+        expected = successors[i].key()
+        for tau in isomorphisms_between(states[j], states[i]):
+            if renamed_key(successors[j], tau) != expected:
+                return i
+    return None
+
+
 def _step_copy(algorithm: Algorithm, copy: State) -> State:
     if algorithm.rule_based:
         return apply_updates(copy, apply_rule(copy, algorithm.program))
     return step(algorithm, copy)
 
 
+def _first_failing_renaming(
+    algorithm: Algorithm, index: int, successor: State, universe_size: int
+) -> CheckReport | None:
+    """The report on the first renaming of canonical state ``index`` whose copy
+    does not step to the renamed ``successor``, or None.
+
+    Renamings that differ by an automorphism give the same copy, so each
+    distinct copy is stepped once (copy keys are remembered only for a state
+    with an automorphism besides the identity); every renaming is still
+    checked, by comparing the key of the copy's successor with the key of the
+    renamed canonical successor.  States are built for stepping and for a
+    failure witness only.
+    """
+    state = algorithm.canonical_states[index]
+    # Only a state with an automorphism besides the identity (which comes
+    # first) has renamings that give the same copy.
+    symmetric = len(list(itertools.islice(isomorphisms_between(state, state), 2))) > 1
+    # copy key -> (successor key, successor keeps the copy's base)
+    stepped: dict[tuple, tuple[tuple, bool]] = {}
+    for renaming in renamings_into(state.base, universe_size):
+        key = renamed_key(state, renaming) if symmetric else None
+        outcome = stepped.get(key)
+        if outcome is None:
+            copy = apply_renaming(state, renaming)
+            actual = _step_copy(algorithm, copy)
+            outcome = (actual.key(), actual.base == copy.base)
+            if symmetric:
+                stepped[key] = outcome
+        actual_key, same_base = outcome
+        if actual_key != renamed_key(successor, renaming) or not same_base:
+            copy = apply_renaming(state, renaming)
+            return CheckReport(
+                False,
+                "abstract-state",
+                f"step does not commute with a renaming of canonical state {index}",
+                witness={
+                    "state": state,
+                    "renaming": renaming,
+                    "expected": apply_renaming(successor, renaming),
+                    "actual": _step_copy(algorithm, copy),
+                },
+            )
+    return None
+
+
 def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckReport:
     """Base-set preservation plus naturality of the step under every renaming.
 
-    Renamings of one canonical state that differ by an automorphism give the
-    same copy, so each distinct copy is stepped once (copy keys are remembered
-    only for a state with an automorphism besides the identity); every
-    renaming is still checked, by comparing the key of the copy's successor
-    with the key of the renamed canonical successor.  States are built for
-    stepping and for a failure witness only.  Closure of the family under
-    isomorphism holds by construction, because copies are generated on demand
-    rather than stored; the report says so.  A universe needing more than
-    ``MAX_RENAMINGS`` renamings is refused before any is tried.
+    The rule-based backend steps every distinct copy: the naturality of rule
+    semantics is what this check tests there, so it is not assumed.
+
+    The explicit-successor backend is decided on the canonical states.  Let
+    cj be the first canonical state isomorphic to ci, and succ the successor
+    tables.  The step is natural exactly when every isomorphism t: cj -> ci
+    carries succj onto succi.  Proof: a copy r(ci) is isomorphic to exactly
+    the canonical states isomorphic to ci, so ``locate`` finds cj first, and
+    with it rho, the first isomorphism cj -> r(ci) that
+    ``isomorphisms_between`` tries; the copy steps to rho(succj).  Bases are
+    kept by then (the base-set loop has run, and renamings are bijections),
+    so renaming r passes exactly when rho(succj) = r(succi), that is, when
+    t = r^-1 rho carries succj onto succi; t is an isomorphism cj -> ci.
+    Every such t arises: ``isomorphisms_between`` tries the permutations of
+    the target's sorted nonlogical elements in lexicographic order, so the
+    first one it tries sends cj's sorted nonlogical elements onto them in
+    increasing order.  Take r sending t(e_k), for cj's k-th least nonlogical
+    element e_k, to 3 + k; it is a renaming into the universe, because the n
+    nonlogical elements of ci are distinct ids from 3 up that
+    ``universe_fits`` puts below u, so u - 3 >= n.  Then r t is increasing,
+    so it is that first permutation, and it is an isomorphism cj -> r(ci):
+    rho = r t and r^-1 rho = t.  So all renamings pass exactly when every t
+    does.
+
+    Only when a state fails are its renamings enumerated, in order, by the
+    same loop the rule-based backend runs, to name the first failing renaming
+    and its witness; every earlier state passes every renaming, by the proof.
+    The work budget applies before renamings are enumerated (for the
+    rule-based backend, before anything is stepped), so a passing
+    explicit-successor algorithm answers at any universe.  Closure of the
+    family under isomorphism holds by construction, because copies are
+    generated on demand rather than stored; the report says so.
     """
     label = "abstract-state"
     universe_fits(algorithm, universe_size)
-    _require_work_budget(algorithm, universe_size)
+    if algorithm.rule_based:  # every copy will be stepped: refuse before any step
+        _require_work_budget(algorithm, universe_size)
     successors: list[State] = []
     for index, state in enumerate(algorithm.canonical_states):
         successor = canonical_step(algorithm, index)
@@ -257,37 +365,19 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
                 witness={"state": state, "successor": successor},
             )
         successors.append(successor)
-    for index, state in enumerate(algorithm.canonical_states):
-        # Only a state with an automorphism besides the identity (which comes
-        # first) has renamings that give the same copy.
-        symmetric = len(list(itertools.islice(isomorphisms_between(state, state), 2))) > 1
-        # copy key -> (successor key, successor keeps the copy's base)
-        stepped: dict[tuple, tuple[tuple, bool]] = {}
-        for renaming in renamings_into(state.base, universe_size):
-            key = renamed_key(state, renaming) if symmetric else None
-            outcome = stepped.get(key)
-            if outcome is None:
-                copy = apply_renaming(state, renaming)
-                actual = _step_copy(algorithm, copy)
-                outcome = (actual.key(), actual.base == copy.base)
-                if symmetric:
-                    stepped[key] = outcome
-            actual_key, same_base = outcome
-            if actual_key != renamed_key(successors[index], renaming) or not same_base:
-                copy = apply_renaming(state, renaming)
-                expected = apply_renaming(successors[index], renaming)
-                actual = _step_copy(algorithm, copy)
-                return CheckReport(
-                    False,
-                    label,
-                    f"step does not commute with a renaming of canonical state {index}",
-                    witness={
-                        "state": state,
-                        "renaming": renaming,
-                        "expected": expected,
-                        "actual": actual,
-                    },
-                )
+    if algorithm.rule_based:
+        for index, successor in enumerate(successors):
+            report = _first_failing_renaming(algorithm, index, successor, universe_size)
+            if report is not None:
+                return report
+    else:
+        index = _first_unnatural_state(algorithm)
+        if index is not None:
+            _require_work_budget(algorithm, universe_size)
+            report = _first_failing_renaming(algorithm, index, successors[index], universe_size)
+            if report is None:
+                raise AssertionError("an isomorphism moved a successor but no renaming failed")
+            return report
     return CheckReport(
         True,
         label,
@@ -340,17 +430,9 @@ class ClosureIndex:
     @cached_property
     def owners(self) -> tuple[int, ...]:
         """Indices of the canonical states not isomorphic to an earlier one,
-        the states that own copies.  Isomorphic states share their pattern,
-        so a state is compared only with the earlier owners of its pattern."""
-        states = self.algorithm.canonical_states
-        owners_of: dict[tuple[int, ...], list[int]] = {}
-        owners: list[int] = []
-        for i, state in enumerate(states):
-            earlier = owners_of.setdefault(self.patterns[i], [])
-            if all(next(isomorphisms_between(states[j], state), None) is None for j in earlier):
-                earlier.append(i)
-                owners.append(i)
-        return tuple(owners)
+        the states that own copies."""
+        first = _first_isomorphic(self.algorithm.canonical_states)
+        return tuple(i for i, j in enumerate(first) if i == j)
 
     @property
     def copies(self) -> list[Copy]:

@@ -51,6 +51,12 @@ class TestCheckCommand:
     def test_abstract_state_passes(self, capsys):
         assert main(["check", "abstract-state", SPEC, "--universe", "6"]) == 0
 
+    def test_abstract_state_passes_at_huge_universe(self, capsys):
+        assert main(["check", "abstract-state", SPEC, "--universe", "6"]) == 0
+        small = capsys.readouterr()
+        assert main(["check", "abstract-state", SPEC, "--universe", "100000"]) == 0
+        assert capsys.readouterr() == small
+
     def test_new_be_fails_requirement_i(self, capsys):
         code = main(["check", "new-be", "--witness", "T1", SPEC, "--universe", "7"])
         out = capsys.readouterr().out

@@ -44,6 +44,7 @@ from asmkit import (
     isomorphisms_between,
     lift_update,
     lift_update_set,
+    locate,
     parse_spec,
     renamings_into,
     similarity_function,
@@ -148,6 +149,35 @@ def _moved_by_automorphism(flip):
     return Algorithm(flip.vocabulary, (empty,), (True,), successors=(successor,))
 
 
+def _still(flip):
+    """Flip's two canonical states under the rule f := f: rule-based, so its
+    copies are stepped, with flip's renaming count."""
+    f = flip.vocabulary.symbol("f")
+    return Algorithm(flip.vocabulary, flip.canonical_states, flip.initial, program=Assign(f, (), Term(f)))
+
+
+def _incoherent_suite(count, seed, max_carrier):
+    """Random explicit algorithms, one carrier size each, whose successors
+    ignore isomorphism: some canonical states are renamed copies of earlier
+    ones, and each successor is the state itself or a random state."""
+    rng = random.Random(seed)
+    vocabulary = Vocabulary((Symbol("c", 0), Symbol("g", 1)))
+    algorithms = []
+    for _ in range(count):
+        n = rng.randint(0, max_carrier)
+        elements = range(3, 3 + n)
+        states = []
+        for _ in range(rng.randint(1, 3)):
+            if states and rng.random() < 0.4:
+                shuffle = Renaming(dict(zip(elements, rng.sample(elements, n))))
+                states.append(apply_renaming(rng.choice(states), shuffle))
+            else:
+                states.append(random_state(rng, vocabulary, n))
+        successors = [s if rng.random() < 0.5 else random_state(rng, vocabulary, n) for s in states]
+        algorithms.append(Algorithm(vocabulary, states, [True] * len(states), successors=successors))
+    return algorithms
+
+
 def reference_abstract_state(algorithm, universe_size):
     """Naturality checked the direct way: every renaming builds the copy, the
     transported successor and the stepped copy as states."""
@@ -205,7 +235,30 @@ class TestAbstractState:
 
     def test_work_budget_refuses_huge_universe(self, flip):
         with pytest.raises(PreconditionError, match="over the work limit of 250000"):
-            check_abstract_state(flip, 100000)
+            check_abstract_state(_still(flip), 100000)
+
+    def test_rule_based_carrier6_ring_over_the_work_budget(self, monkeypatch):
+        algorithm, _ = _ring6()
+        monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
+        with pytest.raises(PreconditionError, match="needs 665280 renamings"):
+            check_abstract_state(algorithm, 15)
+
+    @pytest.mark.parametrize("paper", [False, True])
+    def test_explicit_algorithm_passes_at_huge_universe(self, flip, monkeypatch, paper):
+        algorithm = _paper_checks()[0] if paper else flip
+        monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
+        huge = _outcome(check_abstract_state, algorithm, 100000)
+        assert huge[0] is True
+        assert huge == _outcome(check_abstract_state, algorithm, 7)
+
+    def test_explicit_failure_over_the_work_budget(self, flip):
+        # A base-set change needs no renaming; naming a failing renaming does.
+        changed = _base_set_change(flip)
+        assert _outcome(check_abstract_state, changed, 100000) == _outcome(
+            check_abstract_state, changed, 7
+        )
+        with pytest.raises(PreconditionError, match="over the work limit of 250000"):
+            check_abstract_state(_incoherent(flip), 100000)
 
     def test_base_set_change_fails(self, flip):
         report = check_abstract_state(_base_set_change(flip), 7)
@@ -284,6 +337,9 @@ class TestAbstractState:
             backends.add(algorithm.rule_based)
             calls.clear()
             assert check_abstract_state(algorithm, universe).passed
+            if not algorithm.rule_based:  # decided on the canonical states
+                assert calls == []
+                continue
             expected = []
             for state in algorithm.canonical_states:
                 keys = [renamed_key(state, r) for r in renamings_into(state.base, universe)]
@@ -293,6 +349,54 @@ class TestAbstractState:
             stepped += len(calls)
         assert backends == {True, False}
         assert stepped < renamings / 2
+
+    def test_locate_reaches_every_isomorphism(self):
+        # The lemma behind the explicit backend: at the tightest universe, the
+        # maps r^-1 rho over all renamings r, rho being the isomorphism
+        # ``locate`` finds for the copy r(ci), are all isomorphisms cj -> ci.
+        checked = 0
+        for algorithm in _incoherent_suite(60, seed=3, max_carrier=4):
+            states = algorithm.canonical_states
+            universe = algorithm.max_nonlogical_carrier() + 3
+            for i, state in enumerate(states):
+                j = next(
+                    j for j in range(i + 1)
+                    if next(isomorphisms_between(states[j], state), None) is not None
+                )
+                reached = set()
+                for r in renamings_into(state.base, universe):
+                    index, rho = locate(algorithm, apply_renaming(state, r))
+                    assert index == j
+                    back = r.inverse()
+                    reached.add(Renaming({e: back[rho[e]] for e in rho.domain}))
+                assert reached == set(isomorphisms_between(states[j], state))
+                checked += j != i or len(reached) > 1
+        assert checked > 10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_on_random_incoherent_algorithms(self, seed):
+        verdicts = set()
+        for algorithm in _incoherent_suite(50, seed, max_carrier=3):
+            tight = algorithm.max_nonlogical_carrier() + 3
+            for universe in (tight, postulates.required_headroom(algorithm)):
+                expected = _outcome(reference_abstract_state, algorithm, universe)
+                assert _outcome(check_abstract_state, algorithm, universe) == expected
+                verdicts.add(expected[0])
+        assert verdicts == {True, False}
+
+    def test_matches_reference_on_carrier5_suite(self):
+        # Instance 2 is a rule-based carrier-5 algorithm, whose path this
+        # reduction leaves alone; at its headroom both walks take seconds.
+        suite = generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=3))
+        assert suite[2].algorithm.max_nonlogical_carrier() == 5
+        for instance in suite:
+            algorithm = instance.algorithm
+            universes = [algorithm.max_nonlogical_carrier() + 3]
+            if not algorithm.rule_based:
+                universes.append(postulates.required_headroom(algorithm))
+            for universe in universes:
+                expected = _outcome(reference_abstract_state, algorithm, universe)
+                assert _outcome(check_abstract_state, algorithm, universe) == expected
 
 
 def reference_old_be(algorithm, terms, universe_size):
@@ -392,12 +496,12 @@ class TestOldBE:
         monkeypatch.setattr(postulates, "MAX_RENAMINGS", 2 * 8 * 7)
         witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
         assert not check_old_be(flip, witness_terms, 11).passed
-        assert check_abstract_state(flip, 11).passed
+        assert check_abstract_state(_still(flip), 11).passed
         monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
             check_old_be(flip, witness_terms, 12)
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
-            check_abstract_state(flip, 12)
+            check_abstract_state(_still(flip), 12)
 
     def test_flip_fails_with_fresh_element_pair(self, flip):
         witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
