@@ -13,12 +13,13 @@ shares each logical witness value, so case 1 is reached only by pairs with
 no logical witness value; the generated witnesses all hold the logical
 constant terms, and none of their pairs takes case 1.
 
-Both checks and the replay share one ``ClosureIndex``: the closure is
-enumerated at most once per check, by the replay, or by new-BE when it names
-a requirement-(ii) witness, and nothing is cached across checks.  The replay
-reads the witness values of the index's copies from their vectors, builds
-each pair's similarity function from them, and builds a pair's states only
-when the pair carries an accessible update.  The route and its constructions
+Both checks and the replay share one ``ClosureIndex``, and nothing is
+cached across checks.  None of them enumerates the closure: the replay reads
+the first ``REPLAY_PAIR_LIMIT + 1`` copies of each similarity class, which
+the index streams lazily in key order, so its cost hardly grows with the
+universe.  It reads the witness values of those copies from their vectors,
+builds each pair's similarity function from them, and builds a pair's states
+only when the pair carries an accessible update.  The route and its constructions
 do not depend on the update, so they run once per pair; the states the
 constructions make are evaluated, so the replay's internal assertions test
 the constructions themselves.
@@ -206,17 +207,15 @@ def _detached_copy(
         eta = identity_renaming(x.base)
         copy = x
     else:
-        unused = [e for e in range(3, universe_size) if e not in x.base | y.base]
-        if len(unused) >= len(x_carrier):
+        taken = x.base | y.base
+        unused = list(itertools.islice((e for e in range(3, universe_size) if e not in taken), len(x_carrier)))
+        if len(unused) == len(x_carrier):
             eta = Renaming(dict(zip(sorted(x_carrier), unused)))
         else:
             moved = sorted(x_carrier & y_values)
             keep = x_carrier.difference(moved)
-            allowed = [
-                e
-                for e in range(3, universe_size)
-                if e not in y_values and e not in keep and e not in moved
-            ]
+            excluded = y_values | keep | set(moved)
+            allowed = list(itertools.islice((e for e in range(3, universe_size) if e not in excluded), len(moved)))
             if len(allowed) < len(moved):
                 raise HeadroomError(
                     f"universe of size {universe_size} has no room for a disjoint copy"
@@ -299,6 +298,15 @@ def _transport(
 
 
 def _sample_pairs(members: list[Copy], limit: int) -> list[tuple[Copy, Copy]]:
+    """Up to ``limit`` distinct pairs of a similarity class's members, in key
+    order: the first member with each other one, then the first member of
+    each canonical state with each other's, then the first with the last.
+
+    The first ``limit + 1`` members of a class give the pairs the whole class
+    gives, so the replay reads no more: with at least ``limit + 1`` members,
+    the first member's pairs with the next ``limit`` fill the sample before
+    any other pair is pushed, and a smaller class is read whole.
+    """
     pairs: list[tuple[Copy, Copy]] = []
     seen: set[tuple] = set()
 
@@ -352,8 +360,8 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
     terms = index.terms
     order = sorted_terms(terms)
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
-    for members in index.similarity_classes:
-        for left, right in _sample_pairs(members, REPLAY_PAIR_LIMIT):
+    for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
+        for left, right in _sample_pairs(list(members), REPLAY_PAIR_LIMIT):
             sigma = similarity_of_vectors(left.vector, right.vector, order)
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1

@@ -7,9 +7,11 @@ logical ids, so that fresh-element constructions are expressible; smaller
 universes make the check inconclusive rather than wrong.
 
 A bounded-exploration check works on a ``ClosureIndex``: the witness values
-and update set of every canonical state.  The closure is enumerated only when
-its copies are read; a copy derives its ``State``, witness values and update
-set on first read, and nothing is cached across calls.
+and update set of every canonical state.  No check enumerates the closure:
+the similarity and coincidence classes stream their copies lazily in key
+order, one carrier at a time, so a reader pays only for the copies it reads.
+A copy derives its ``State``, witness values and update set on first read,
+and nothing is cached across calls.
 
 The coincidence and similarity quantifications over state pairs are computed
 by grouping states on their witness-value vectors (respectively, on the
@@ -23,7 +25,7 @@ that does not appeal to the equivalence of the two postulates.  A copy
 belongs to the first canonical state it renames, so a canonical state owns
 copies exactly when it is not isomorphic to an earlier one (an owner).
 
-The new check's requirements both survive renaming; it walks the closure
+The new check's requirements both survive renaming; it reads class streams
 only to name a requirement-(ii) witness.  Isomorphic states share their
 pattern, so the similarity classes of the closure are the distinct canonical
 patterns.  At headroom every owner has at least one copy, so a class holds
@@ -33,9 +35,9 @@ have different traces.
 The old check is decided by placements: the partial injections by which
 two renamed owners overlap decide whether the copies coincide and whether
 their update sets agree, and failure depends only on the shape of the
-witness values.  ``check_old_be`` gives the argument.  The closure is
-enumerated only for the first failing coincidence class, to name the
-witness.
+witness values.  ``check_old_be`` gives the argument.  Only the first
+failing coincidence class is streamed, up to the first copy whose update set
+differs, to name the witness.
 
 The abstract-state check on an explicit-successor algorithm is decided on
 the canonical states too: a renamed copy steps through the first isomorphism
@@ -48,11 +50,12 @@ whose naturality is what the check tests there.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import AsmError, HeadroomError, PreconditionError, VocabularyMismatchError
 from .kernel import (
@@ -128,11 +131,13 @@ def universe_fits(algorithm: Algorithm, universe_size: int) -> None:
             )
 
 
-def _require_work_budget(algorithm: Algorithm, universe_size: int) -> None:
-    count = sum(
-        math.perm(universe_size - 3, len(state.nonlogical_elements()))
-        for state in algorithm.canonical_states
-    )
+def _require_work_budget(algorithm: Algorithm, universe_size: int, count: int | None = None) -> None:
+    """Refuse ``count`` renamings, by default all of the canonical states', above the limit."""
+    if count is None:
+        count = sum(
+            math.perm(universe_size - 3, len(state.nonlogical_elements()))
+            for state in algorithm.canonical_states
+        )
     if count > MAX_RENAMINGS:
         raise PreconditionError(
             f"universe of size {universe_size} needs {count} renamings of the canonical "
@@ -175,17 +180,18 @@ def renamings_into(
         yield Renaming({**fixed, **dict(zip(sources, perm))})
 
 
-def _distinct_copies(
-    algorithm: Algorithm, universe_size: int, fixed: dict[int, dict[int, int]], index: ClosureIndex | None
-) -> list[Copy]:
-    """The distinct copies made by the renamings of each canonical state in
-    ``fixed`` that extend the values fixed for it, each with the first such
-    renaming in order."""
+def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
+    """The deduplicated closure of the canonical states under renamings, each
+    copy with the first renaming that makes it and deriving its witness values
+    and update set from ``index``; ``PreconditionError`` above
+    ``MAX_RENAMINGS`` renamings.  No check walks it: it is the oracle the
+    class streams are tested against."""
+    universe_fits(algorithm, universe_size)
+    _require_work_budget(algorithm, universe_size)
     seen: set[tuple] = set()
     copies: list[Copy] = []
-    for i, values in fixed.items():
-        canonical = algorithm.canonical_states[i]
-        for renaming in renamings_into(canonical.base, universe_size, values):
+    for i, canonical in enumerate(algorithm.canonical_states):
+        for renaming in renamings_into(canonical.base, universe_size):
             key = renamed_key(canonical, renaming)
             if key not in seen:
                 seen.add(key)
@@ -193,15 +199,53 @@ def _distinct_copies(
     return copies
 
 
-def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
-    """The deduplicated closure of the canonical states under renamings, the
-    copies deriving their witness values and update sets from ``index``;
-    ``PreconditionError`` above ``MAX_RENAMINGS`` renamings."""
-    universe_fits(algorithm, universe_size)
-    _require_work_budget(algorithm, universe_size)
-    return _distinct_copies(
-        algorithm, universe_size, {i: {} for i in range(len(algorithm.canonical_states))}, index
-    )
+def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) -> Iterator[Copy]:
+    """The distinct copies of the owners in ``fixed`` whose renamings extend
+    the values fixed for each, lazily and in key order, each with the first
+    such renaming in ``renamings_into``'s order.
+
+    Per owner, the renamings are tried one carrier at a time: the free
+    sources (nonlogical elements not fixed) go onto each subset C of the free
+    targets, in ``itertools.combinations`` order, by every permutation of
+    sorted(C).  A copy's key starts with its sorted carrier, the logical ids,
+    the fixed values and C, so the copies of one C are one contiguous block
+    of the key order; the block is sorted on its own.  The blocks come in
+    key order: two subsets A, B of one size compare, as sorted tuples, by
+    whether min(A ^ B) lies in A; adding the same disjoint values to both
+    leaves A ^ B unchanged, so sorted carriers compare as the subsets do, and
+    combinations come in the subsets' order.  Each owner's stream thus
+    strictly increases.  Distinct owners are not isomorphic, so their keys
+    are disjoint, and ``heapq.merge`` yields the union in key order.
+
+    Each key keeps the first renaming found for it, which is the first
+    ``renamings_into`` gives: renamings that make one copy have one image,
+    and ``renamings_into`` tries the permutations of the sorted free targets
+    in lexicographic order, which, restricted to one image C, is the order of
+    the permutations of sorted(C).  Without fixed values, that is the
+    renaming, and the canonical index, that ``closure`` gives the copy: no
+    canonical state before a copy's owner is isomorphic to it, so none makes
+    the copy.
+
+    Laziness: every block holds at least one copy, so each pull of an
+    owner's stream builds at most one block, of at most n! renamings for n
+    free sources; ``heapq.merge`` pulls each stream once to start and once
+    after each copy of it that it yields.
+    """
+
+    def owner_stream(i: int, values: dict[int, int]) -> Iterator[Copy]:
+        canonical = index.algorithm.canonical_states[i]
+        sources = tuple(sorted(e for e in canonical.base if e not in LOGICAL_IDS and e not in values))
+        taken = set(values.values())
+        targets = [e for e in range(3, index.universe_size) if e not in taken]
+        for image in itertools.combinations(targets, len(sources)):
+            block: dict[tuple, Renaming] = {}
+            for perm in itertools.permutations(image):
+                renaming = Renaming({**values, **dict(zip(sources, perm))})
+                block.setdefault(renamed_key(canonical, renaming), renaming)
+            for key in sorted(block):
+                yield Copy(i, canonical, block[key], key, index)
+
+    return heapq.merge(*(owner_stream(i, v) for i, v in fixed.items()), key=lambda c: c.key)
 
 
 def check_sequential_time(algorithm: Algorithm) -> CheckReport:
@@ -402,9 +446,9 @@ class ClosureIndex:
     Construction checks, in order, that the witness is ground, that the
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
     The canonical states' witness values, update sets, patterns and accessible
-    traces are computed at construction.  The copies are enumerated on each
-    read of ``copies`` or ``similarity_classes`` and not kept: a copy refers
-    to its index, and the index holding its copies would make a cycle.
+    traces are computed at construction.  Copies are streamed on each read of
+    ``similarity_classes`` and not kept: a copy refers to its index, and the
+    index holding its copies would make a cycle.
     """
 
     def __init__(
@@ -434,18 +478,29 @@ class ClosureIndex:
         first = _first_isomorphic(self.algorithm.canonical_states)
         return tuple(i for i, j in enumerate(first) if i == j)
 
-    @property
-    def copies(self) -> list[Copy]:
-        return closure(self.algorithm, self.universe_size, index=self)
+    def similarity_classes(self, limit: int | None = None) -> Iterator[Iterator[Copy]]:
+        """The closure's copies grouped by the equality pattern of their
+        witness values (their owner's), one lazy stream per pattern in pattern
+        order, in key order, each cut after ``limit`` copies when given.
 
-    @property
-    def similarity_classes(self) -> list[list[Copy]]:
-        """Copies grouped by the equality pattern of their witness values (the
-        canonical state's pattern), in pattern order, members in key order."""
-        groups: dict[tuple[int, ...], list[Copy]] = {}
-        for copy in self.copies:
-            groups.setdefault(self.patterns[copy.canonical_index], []).append(copy)
-        return [sorted(groups[sig], key=lambda c: c.key) for sig in sorted(groups)]
+        The work budget comes first.  Uncut, a stream may be read whole, so it
+        is budgeted as ``closure`` is.  Cut, an owner with n nonlogical
+        elements tries at most min(P(u - 3, n), (limit + 1) n!) renamings: its
+        stream is pulled once to start and once after each of its at most
+        ``limit`` copies yielded, and a pull builds at most one block of n!
+        renamings (``_copies_in_key_order``).
+        """
+        states = self.algorithm.canonical_states
+        count = None if limit is None else sum(
+            min(math.perm(self.universe_size - 3, n), (limit + 1) * math.factorial(n))
+            for n in (len(states[i].nonlogical_elements()) for i in self.owners)
+        )
+        _require_work_budget(self.algorithm, self.universe_size, count)
+        owners: dict[tuple[int, ...], list[int]] = {}
+        for i in self.owners:
+            owners.setdefault(self.patterns[i], []).append(i)
+        for pattern in sorted(owners):
+            yield itertools.islice(_copies_in_key_order(self, {i: {} for i in owners[pattern]}), limit)
 
 
 def _owners_agree(index: ClosureIndex, members: list[int]) -> bool:
@@ -461,11 +516,12 @@ def _owners_agree(index: ClosureIndex, members: list[int]) -> bool:
 
 def _requirement_ii_witness(index: ClosureIndex) -> dict:
     """The first copy of a similarity class whose accessible trace differs from
-    the class's first copy, with the update that tells them apart."""
-    for members in index.similarity_classes:
-        base = members[0]
+    the class's first copy, with the update that tells them apart; a class is
+    read only up to the copy named."""
+    for members in index.similarity_classes():
+        base = next(members)
         base_trace = index.traces[base.canonical_index]
-        for copy in members[1:]:
+        for copy in members:
             trace = index.traces[copy.canonical_index]
             if trace == base_trace:
                 continue
@@ -496,17 +552,17 @@ def _least_renaming(vector: tuple[int, ...]) -> Renaming:
     return Renaming(least)
 
 
-def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> list[Copy]:
-    """The copies whose witness values are ``vector``, in key order: the
-    renamings of the owners of its shape that send their witness values to
-    ``vector``.  Restricted to those values, ``renamings_into`` keeps the
-    closure's order, so each copy keeps the renaming ``closure`` gives it."""
+def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> Iterator[Copy]:
+    """The copies whose witness values are ``vector``, streamed in key order:
+    the renamings of the owners of its shape that send their witness values
+    to ``vector``, each copy with the renaming ``closure`` gives it (see
+    ``_copies_in_key_order``).  A failing class may be read whole, so it is
+    budgeted for the whole closure."""
     _require_work_budget(index.algorithm, index.universe_size)
     fixed = {
         i: {v: w for v, w in zip(index.vectors[i], vector) if v not in LOGICAL_IDS} for i in owners
     }
-    copies = _distinct_copies(index.algorithm, index.universe_size, fixed, index)
-    return sorted(copies, key=lambda c: c.key)
+    return _copies_in_key_order(index, fixed)
 
 
 def check_old_be(
@@ -531,8 +587,9 @@ def check_old_be(
     depends only on the shape, and, the closure being closed under
     permutations of {3 .. u-1}, every vector of a failing shape is a failing
     coincidence class.  The first one in the walk's order is the least vector
-    of the failing shapes; only it is enumerated, behind the work budget, to
-    name the same copies the walk would.
+    of the failing shapes; only it is streamed in key order, behind the work
+    budget, and read up to the first copy whose update set differs, to name
+    the same copies the walk would.
 
     A passing check counts in closed form: ``states`` is the sum over owners
     of P(u - 3, ni) / |Aut(ci)|, and ``coincidence-classes`` the sum over the
@@ -548,10 +605,10 @@ def check_old_be(
     sends its other elements outside its carrier (headroom leaves room)
     yields a coinciding copy that lacks an element the first update set
     mentions.  The renamings that produce one copy differ by an automorphism,
-    so they agree on the witness values; ``_coincidence_class`` enumerates
-    all of them in the walk's order and keeps the first, whose update set is
-    the one the walk reports.  So the least failing vector and the reported
-    pair are the walk's.
+    so they agree on the witness values; ``_coincidence_class`` tries them
+    in the walk's order and keeps the first, whose update set is the one the
+    walk reports.  So the least failing vector and the reported pair are the
+    walk's.
     """
     if index is None:
         index = ClosureIndex(algorithm, terms, universe_size)
@@ -573,8 +630,8 @@ def check_old_be(
     if failing:
         vector = min(failing)
         group = _coincidence_class(index, vector, [i for i, _ in shapes[vector]])
-        left = group[0]
-        for right in group:  # update sets are lifted only up to the first that differs
+        left = next(group)
+        for right in group:  # read, and update sets lifted, only up to the first that differs
             if right.delta != left.delta:
                 return CheckReport(
                     False,
@@ -616,7 +673,7 @@ def check_new_be(
     a copy's pattern and trace are its canonical state's.  So it fails exactly
     when two owners (canonical states not isomorphic to an earlier one, which
     at headroom have at least one copy each) share a pattern but not a trace.
-    The closure is walked only to name the witness of a requirement-two
+    The class streams are read only to name the witness of a requirement-two
     failure that is reported.  The witness must be subterm-closed.  ``index``
     may share the closure index of the same arguments, built with ``closed``,
     with other checks.

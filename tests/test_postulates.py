@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -16,6 +17,7 @@ from asmkit import (
     FALSE_TERM,
     GeneratorConfig,
     HeadroomError,
+    LOGICAL_IDS,
     PreconditionError,
     Renaming,
     State,
@@ -56,6 +58,7 @@ from asmkit import (
     verify_equivalence,
     witness_monotonicity,
 )
+from asmkit.harness import REPLAY_PAIR_LIMIT
 from asmkit.kernel import renamed_key
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 
@@ -63,8 +66,15 @@ from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_te
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
 
 
+@functools.lru_cache(maxsize=4)
+def _closure(algorithm, universe_size):
+    """``closure`` for the oracles below, which run once per witness of an
+    instance: the last few closures are kept (algorithms hash by identity)."""
+    return closure(algorithm, universe_size)
+
+
 def brute_old_be(algorithm, terms, universe_size) -> bool:
-    states = [c.state for c in closure(algorithm, universe_size)]
+    states = [c.state for c in _closure(algorithm, universe_size)]
     for x, y in itertools.product(states, repeat=2):
         if coincides_over(x, y, terms):
             if update_set(algorithm, x) != update_set(algorithm, y):
@@ -73,7 +83,7 @@ def brute_old_be(algorithm, terms, universe_size) -> bool:
 
 
 def brute_new_be(algorithm, terms, universe_size) -> bool:
-    states = [c.state for c in closure(algorithm, universe_size)]
+    states = [c.state for c in _closure(algorithm, universe_size)]
     for state in states:
         for u in update_set(algorithm, state):
             if not is_accessible_update(state, terms, u):
@@ -407,7 +417,7 @@ def reference_old_be(algorithm, terms, universe_size):
     vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
     deltas = [canonical_delta(algorithm, i) for i in range(len(vectors))]
     groups = {}
-    for copy in closure(algorithm, universe_size):
+    for copy in _closure(algorithm, universe_size):
         r = copy.renaming
         vector = tuple(r[v] for v in vectors[copy.canonical_index])
         delta = lift_update_set(r, deltas[copy.canonical_index])
@@ -497,7 +507,9 @@ class TestOldBE:
         witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
         assert not check_old_be(flip, witness_terms, 11).passed
         assert check_abstract_state(_still(flip), 11).passed
-        monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
+        # nothing may be enumerated or streamed
+        monkeypatch.setattr(postulates, "renamings_into", None)
+        monkeypatch.setattr(postulates, "_copies_in_key_order", None)
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
             check_old_be(flip, witness_terms, 12)
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
@@ -604,10 +616,37 @@ class TestOldBE:
         assert new.passed
         assert new.notes == ("requirement-i=pass", "requirement-ii=pass", "similarity-classes=1")
 
-    def test_carrier6_ring_replay_still_needs_the_closure(self):
+    @pytest.mark.parametrize("universe", [15, 100000])
+    def test_carrier6_ring_replay_answers(self, universe):
+        # The replay reads at most 25 copies of the one similarity class, so
+        # it is budgeted for 26 carrier blocks of 6! renamings, not P(u - 3, 6).
         algorithm, terms = _ring6()
-        with pytest.raises(PreconditionError, match="needs 665280 renamings"):
+        report = verify_equivalence(algorithm, terms, universe)
+        assert report.passed
+        assert report.notes == (
+            "old-be=pass",
+            "new-be=pass",
+            "replayed-chains=24",
+            "case1=0",
+            "case2=24",
+            "direct=0",
+            "coincident-pairs=23",
+        )
+
+    def test_carrier6_ring_replay_is_budgeted_for_the_renamings_it_can_try(self, monkeypatch):
+        # One owner with six nonlogical elements: min(P(12, 6), 26 * 6!) = 18720.
+        algorithm, terms = _ring6()
+        monkeypatch.setattr(postulates, "MAX_RENAMINGS", 18720)
+        assert verify_equivalence(algorithm, terms, 15).passed
+        monkeypatch.setattr(postulates, "MAX_RENAMINGS", 18719)
+        monkeypatch.setattr(postulates, "_copies_in_key_order", None)  # nothing may be streamed
+        with pytest.raises(PreconditionError, match="needs 18720 renamings"):
             verify_equivalence(algorithm, terms, 15)
+
+    def test_old_be_witness_naming_keeps_the_whole_closure_budget(self):
+        algorithm, witnesses = _paper_checks()
+        with pytest.raises(PreconditionError, match="over the work limit of 250000"):
+            check_old_be(algorithm, witnesses[1], 100000)
 
 
 def _first_occurrence(vector):
@@ -640,7 +679,7 @@ def reference_new_be(algorithm, terms, universe_size):
             break
 
     classes = {}
-    for copy in closure(algorithm, universe_size):
+    for copy in _closure(algorithm, universe_size):
         r = copy.renaming
         vector = tuple(r[v] for v in vectors[copy.canonical_index])
         delta = lift_update_set(r, deltas[copy.canonical_index])
@@ -814,12 +853,10 @@ class TestNewBE:
             for terms in instance.witnesses:
                 calls.clear()
                 report = check_new_be(instance.algorithm, terms, universe)
+                assert calls == []
                 if report.notes[:2] == ("requirement-i=pass", "requirement-ii=fail"):
-                    assert calls == [universe]
                     assert report.witness["requirement"] == "ii"
                     named += 1
-                else:
-                    assert calls == []
         assert named == 21
 
 
@@ -933,6 +970,45 @@ def _materialized_closure(algorithm, universe_size):
     return out
 
 
+def _stream_cases(default_suite):
+    """Every default-suite instance at u=11 and u=12, and the first three
+    carrier-5 suite instances at headroom, each with its first two witnesses:
+    the logical constant terms and every ground term up to the suite's depth."""
+    for universe in (11, 12):
+        for instance in default_suite:
+            yield instance.algorithm, instance.witnesses[:2], universe
+    for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=3)):
+        algorithm = instance.algorithm
+        yield algorithm, instance.witnesses[:2], postulates.required_headroom(algorithm)
+
+
+def _triples(copies):
+    return [(c.canonical_index, c.renaming, c.key) for c in copies]
+
+
+def _shape(vector):
+    least = postulates._least_renaming(vector)
+    return tuple(least[v] for v in vector)
+
+
+def _path4():
+    """One carrier-4 state with no automorphism besides the identity."""
+    vocabulary = Vocabulary((Symbol("s", 1),))
+    state = State(vocabulary, {3, 4, 5, 6}, {"s": {(3,): 4, (4,): 5, (5,): 6}})
+    return Algorithm(vocabulary, (state,), (True,), successors=(state,))
+
+
+def _renamed_key_spy(monkeypatch):
+    calls = []
+
+    def spy(state, renaming):
+        calls.append(renaming)
+        return renamed_key(state, renaming)
+
+    monkeypatch.setattr(postulates, "renamed_key", spy)
+    return calls
+
+
 class TestClosureIndex:
     def test_restricted_renamings_keep_the_closure_order(self):
         # The old check names its witness from the renamings that extend the
@@ -957,8 +1033,8 @@ class TestClosureIndex:
         gc.disable()
         try:
             index = postulates.ClosureIndex(flip, terms, 9)
-            copies = index.copies
-            classes = index.similarity_classes
+            copies = closure(flip, 9, index=index)
+            classes = [list(members) for members in index.similarity_classes()]
             for copy in copies + [c for members in classes for c in members]:
                 assert (copy.vector, copy.delta, copy.state) is not None
             refs = [weakref.ref(copies[0]), weakref.ref(classes[0][0]), weakref.ref(index)]
@@ -977,6 +1053,67 @@ class TestClosureIndex:
             for copy in copies:
                 assert copy.state.key() == copy.key
 
+    def test_class_streams_match_the_sorted_closure(self, default_suite):
+        # As (canonical_index, renaming, key).  Under the logical constant
+        # terms every owner has one pattern, so the one similarity stream
+        # merges them all and must be the sorted closure.  Under every ground
+        # term, the coincidence streams of the least and greatest vectors that
+        # fix a nonlogical value must be the sorted closure restricted to them.
+        fixed = 0
+        for algorithm, (floor, full), universe in _stream_cases(default_suite):
+            copies = sorted(closure(algorithm, universe), key=lambda c: c.key)
+            index = postulates.ClosureIndex(algorithm, floor, universe)
+            assert [_triples(members) for members in index.similarity_classes()] == [_triples(copies)]
+            assert [_triples(members) for members in index.similarity_classes(25)] == [
+                _triples(copies[:25])
+            ]
+            index = postulates.ClosureIndex(algorithm, full, universe)
+            vectors = {}
+            for copy in copies:
+                vector = tuple(copy.renaming[v] for v in index.vectors[copy.canonical_index])
+                vectors.setdefault(vector, []).append(copy)
+            fixing = [vector for vector in vectors if set(vector).difference(LOGICAL_IDS)]
+            for vector in (min(fixing), max(fixing)) if fixing else ():
+                owners = [i for i in index.owners if _shape(index.vectors[i]) == _shape(vector)]
+                stream = postulates._coincidence_class(index, vector, owners)
+                assert _triples(stream) == _triples(vectors[vector])
+                fixed += 1
+        assert fixed == 270
+
+    def test_a_cut_stream_builds_few_keys(self, monkeypatch):
+        # Two carrier blocks of 4! renamings give 25 copies, of P(17, 4) = 57120.
+        index = postulates.ClosureIndex(_path4(), LOGICAL_TERMS, 20)
+        calls = _renamed_key_spy(monkeypatch)
+        (members,) = index.similarity_classes(25)
+        assert len(list(members)) == 25
+        assert len(calls) == 2 * 24
+
+    def test_replay_tries_at_most_its_budgeted_renamings(
+        self, default_suite, default_config, monkeypatch
+    ):
+        # An owner with n nonlogical elements tries at most
+        # min(P(u - 3, n), (REPLAY_PAIR_LIMIT + 2) n!) renamings.
+        universe = default_config.universe_size
+        calls = _renamed_key_spy(monkeypatch)
+        replayed = 0
+        for instance in default_suite:
+            algorithm = instance.algorithm
+            for terms in instance.witnesses:
+                calls.clear()
+                report = verify_equivalence(algorithm, terms, universe)
+                if "new-be=pass" not in report.notes or "old-be=pass" not in report.notes:
+                    continue
+                sizes = [
+                    len(algorithm.canonical_states[i].nonlogical_elements())
+                    for i in postulates.ClosureIndex(algorithm, terms, universe).owners
+                ]
+                assert len(calls) <= sum(
+                    min(math.perm(universe - 3, n), (REPLAY_PAIR_LIMIT + 2) * math.factorial(n))
+                    for n in sizes
+                )
+                replayed += 1
+        assert replayed == 266
+
     def test_vectors_and_deltas_match_primitives(self):
         cfg, suite = TestBruteForceCrossValidation()._tiny_suite()
         for instance in suite:
@@ -984,13 +1121,13 @@ class TestClosureIndex:
             for terms in instance.witnesses:
                 index = postulates.ClosureIndex(algorithm, terms, cfg.universe_size)
                 order = sorted_terms(terms)
-                for copy in index.copies:
+                for copy in closure(algorithm, cfg.universe_size, index=index):
                     assert copy.vector == tuple(evaluate_terms(copy.state, order))
                     assert copy.delta == update_set(algorithm, copy.state)
 
     def test_verify_equivalence_enumerates_closure_once(self, default_suite, default_config,
                                                         monkeypatch):
-        # At most once: only for the replay, or for new-BE's requirement-(ii) witness.
+        # Never: the replay and new-BE's requirement-(ii) witness read class streams.
         calls = _closure_spy(monkeypatch)
         replayed = named = 0
         for instance in default_suite[:10]:
@@ -1000,16 +1137,12 @@ class TestClosureIndex:
                 report = verify_equivalence(
                     instance.algorithm, terms, default_config.universe_size
                 )
+                assert calls == []
                 if "old-be=pass" in report.notes and "new-be=pass" in report.notes:
-                    assert calls == [default_config.universe_size]
                     chains = next(n for n in report.notes if n.startswith("replayed-chains="))
                     replayed += int(chains.split("=")[1])
                 elif not new.passed and new.witness["requirement"] == "ii":
-                    # new-BE walks the closure to name its requirement-(ii) witness
-                    assert calls == [default_config.universe_size]
                     named += 1
-                else:
-                    assert calls == []
         assert replayed > 0
         assert named > 0
 
@@ -1047,7 +1180,8 @@ class TestClosureIndex:
             "unclosed": {mk(eq, f, f)},
             "closed": LOGICAL_TERMS | {f},
         }
-        monkeypatch.setattr(postulates, "closure", None)  # an index built first raises TypeError
+        # a check that got as far as streaming copies would raise TypeError
+        monkeypatch.setattr(postulates, "_copies_in_key_order", None)
         for checker, error in zip((check_old_be, check_new_be, verify_equivalence), expected):
             if error is None:
                 continue
