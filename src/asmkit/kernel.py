@@ -121,7 +121,8 @@ class Vocabulary:
         return self._by_name.get(name)
 
     def __contains__(self, sym: Symbol) -> bool:
-        return self._by_name.get(sym.name) == sym
+        known = self._by_name.get(sym.name)
+        return known is sym or known == sym
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocabulary) and self._symbols == other._symbols
@@ -235,7 +236,7 @@ class State:
         self.base = carrier
         self._tables = normalized
         self._nonlogical = tuple(sorted(carrier - frozenset(LOGICAL_IDS)))
-        self._key = _state_key(carrier, normalized)
+        self._key = state_key(carrier, normalized)
         self._hash = hash(self._key)
 
     @property
@@ -272,7 +273,8 @@ class State:
         return f"State(base={sorted(self.base)}, {tables or 'all default'})"
 
 
-def _state_key(carrier: Iterable[int], tables: Mapping[str, Mapping[tuple, int]]) -> tuple:
+def state_key(carrier: Iterable[int], tables: Mapping[str, Mapping[tuple, int]]) -> tuple:
+    """The key of the state with this carrier and these normalized tables."""
     return (
         tuple(sorted(carrier)),
         tuple((name, tuple(sorted(tables[name].items()))) for name in sorted(tables)),
@@ -292,7 +294,10 @@ def interpret(state: State, symbol: Symbol, args: tuple[int, ...]) -> int:
     """
     if symbol.kind == KIND_NONLOGICAL:
         return state.value(symbol.name, args)
-    name = symbol.name
+    return _logical_value(symbol.name, args)
+
+
+def _logical_value(name: str, args: tuple[int, ...]) -> int:
     if name == "true":
         return TRUE
     if name == "false":
@@ -317,22 +322,35 @@ def interpret(state: State, symbol: Symbol, args: tuple[int, ...]) -> int:
 
 
 def term_evaluator(state: State) -> Callable[[Term], int]:
-    """Bottom-up evaluation of ground terms in a state; each distinct subterm
-    node is checked and evaluated once per evaluator.  The memo is keyed by
-    node identity, so every term given to it must outlive the evaluator."""
-    vocabulary = state.vocabulary
+    """Bottom-up evaluation of ground terms in a state (see ``table_evaluator``)."""
+    return table_evaluator(state.vocabulary, state.interpretations)
+
+
+def table_evaluator(
+    vocabulary: Vocabulary, tables: Mapping[str, Mapping[tuple[int, ...], int]]
+) -> Callable[[Term], int]:
+    """Bottom-up evaluation of ground terms over normalized tables, the
+    nonlogical interpretations of a state; each distinct subterm node is
+    checked and evaluated once per evaluator.  The memo is keyed by node
+    identity, so every term given to it must outlive the evaluator."""
     values: dict[int, int] = {}
 
     def value(term: Term) -> int:
         node = id(term)
         v = values.get(node)
         if v is None:
-            if term.root not in vocabulary:
+            root = term.root
+            if root not in vocabulary:
                 raise VocabularyMismatchError(
-                    f"term symbol {term.root} is not in the state's vocabulary"
+                    f"term symbol {root} is not in the state's vocabulary"
                 )
             args = tuple([value(child) for child in term.children])
-            v = values[node] = interpret(state, term.root, args)
+            if root.kind == KIND_NONLOGICAL:
+                table = tables.get(root.name)
+                v = UNDEF if table is None else table.get(args, UNDEF)
+            else:
+                v = _logical_value(root.name, args)
+            values[node] = v
         return v
 
     return value
@@ -451,8 +469,19 @@ def apply_renaming(state: State, renaming: Renaming) -> State:
 
 def renamed_key(state: State, renaming: Renaming) -> tuple:
     """``apply_renaming(state, renaming).key()`` without building the state."""
-    # A renaming fixes undef, so renamed tables stay normalized.
-    return _state_key(*_renamed(state, renaming))
+    return state_key(*_renamed(state, renaming))
+
+
+def rename_tables(
+    tables: Mapping[str, Mapping[tuple[int, ...], int]], mapping: Mapping[int, int]
+) -> dict[str, dict[tuple[int, ...], int]]:
+    """Every argument and value of the tables sent through ``mapping``, a
+    renaming's element map covering them.  A renaming fixes undef and is
+    injective, so normalized tables stay normalized."""
+    return {
+        name: {tuple([mapping[a] for a in args]): mapping[v] for args, v in table.items()}
+        for name, table in tables.items()
+    }
 
 
 def _renamed(state: State, renaming: Renaming) -> tuple[list[int], dict]:
@@ -460,12 +489,7 @@ def _renamed(state: State, renaming: Renaming) -> tuple[list[int], dict]:
     missing = [e for e in state.base if e not in m]
     if missing:
         raise InvalidRenamingError(f"renaming does not cover carrier elements {sorted(missing)}")
-    base = [m[e] for e in state.base]
-    tables = {
-        name: {tuple([m[a] for a in args]): m[v] for args, v in table.items()}
-        for name, table in state.interpretations.items()
-    }
-    return base, tables
+    return [m[e] for e in state.base], rename_tables(state.interpretations, m)
 
 
 def isomorphisms_between(x: State, y: State) -> Iterator[Renaming]:

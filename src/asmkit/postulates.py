@@ -46,7 +46,9 @@ first one for some renaming, so the step is natural exactly when every
 isomorphism from the first canonical state isomorphic to ci carries its
 successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
 stepped only to name a failing renaming, and on the rule-based backend,
-whose naturality is what the check tests there.
+whose naturality is what the check tests there.  That backend evaluates the
+rule on raw renamed tables, with renamings as raw element maps, and compares
+update sets; ``State``s and a ``Renaming`` are built only for the witness.
 """
 from __future__ import annotations
 
@@ -68,8 +70,10 @@ from .kernel import (
     evaluate_terms,
     is_subterm_closed,
     isomorphisms_between,
+    rename_tables,
     renamed_key,
     sorted_terms,
+    state_key,
 )
 from .report import CheckReport
 from .similarity import equality_pattern
@@ -81,7 +85,9 @@ from .transition import (
     canonical_delta,
     canonical_step,
     lift_update_set,
+    rule_updates,
     step,
+    table_diff,
 )
 
 
@@ -167,17 +173,27 @@ def _require_subterm_closed(terms: frozenset[Term]) -> None:
         raise PreconditionError("the witness for the new postulate must be subterm-closed")
 
 
-def renamings_into(
+_LOGICAL_FIXED = {e: e for e in LOGICAL_IDS}
+
+
+def _renaming_maps(
     base: frozenset[int], universe_size: int, fixed: dict[int, int] | None = None
-) -> Iterable[Renaming]:
-    """All renamings of a carrier into the universe that extend ``fixed``, in
-    lexicographic order."""
+) -> Iterator[dict[int, int]]:
+    """The element maps of ``renamings_into``, in its order, unvalidated."""
     fixed = fixed or {}
     sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS and e not in fixed))
     taken = set(fixed.values())
     targets = [e for e in range(3, universe_size) if e not in taken]
     for perm in itertools.permutations(targets, len(sources)):
-        yield Renaming({**fixed, **dict(zip(sources, perm))})
+        yield {**_LOGICAL_FIXED, **fixed, **dict(zip(sources, perm))}
+
+
+def renamings_into(
+    base: frozenset[int], universe_size: int, fixed: dict[int, int] | None = None
+) -> Iterator[Renaming]:
+    """All renamings of a carrier into the universe that extend ``fixed``, in
+    lexicographic order."""
+    return map(Renaming, _renaming_maps(base, universe_size, fixed))
 
 
 def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
@@ -234,16 +250,18 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
 
     def owner_stream(i: int, values: dict[int, int]) -> Iterator[Copy]:
         canonical = index.algorithm.canonical_states[i]
-        sources = tuple(sorted(e for e in canonical.base if e not in LOGICAL_IDS and e not in values))
+        base, tables = canonical.base, canonical.interpretations
+        sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS and e not in values))
         taken = set(values.values())
         targets = [e for e in range(3, index.universe_size) if e not in taken]
+        fixed = {**_LOGICAL_FIXED, **values}
         for image in itertools.combinations(targets, len(sources)):
-            block: dict[tuple, Renaming] = {}
+            block: dict[tuple, dict[int, int]] = {}  # key -> first element map
             for perm in itertools.permutations(image):
-                renaming = Renaming({**values, **dict(zip(sources, perm))})
-                block.setdefault(renamed_key(canonical, renaming), renaming)
+                m = {**fixed, **dict(zip(sources, perm))}
+                block.setdefault(state_key([m[e] for e in base], rename_tables(tables, m)), m)
             for key in sorted(block):
-                yield Copy(i, canonical, block[key], key, index)
+                yield Copy(i, canonical, Renaming(block[key]), key, index)
 
     return heapq.merge(*(owner_stream(i, v) for i, v in fixed.items()), key=lambda c: c.key)
 
@@ -307,62 +325,97 @@ def _first_unnatural_state(algorithm: Algorithm) -> int | None:
     return None
 
 
-def _step_copy(algorithm: Algorithm, copy: State) -> State:
-    if algorithm.rule_based:
-        return apply_updates(copy, apply_rule(copy, algorithm.program))
-    return step(algorithm, copy)
-
-
 def _first_failing_renaming(
     algorithm: Algorithm, index: int, successor: State, universe_size: int
 ) -> CheckReport | None:
-    """The report on the first renaming of canonical state ``index`` whose copy
-    does not step to the renamed ``successor``, or None.
-
-    Renamings that differ by an automorphism give the same copy, so each
-    distinct copy is stepped once (copy keys are remembered only for a state
-    with an automorphism besides the identity); every renaming is still
-    checked, by comparing the key of the copy's successor with the key of the
-    renamed canonical successor.  States are built for stepping and for a
-    failure witness only.
+    """The report on the first renaming of canonical state ``index``, in
+    ``renamings_into``'s order, whose copy does not step to the renamed
+    ``successor``, or None.  Renamings come as raw element maps.  A
+    ``Renaming`` and ``State``s are built for the witness, and on the
+    explicit-successor backend, which gets here only for a failing state.
     """
     state = algorithm.canonical_states[index]
-    # Only a state with an automorphism besides the identity (which comes
-    # first) has renamings that give the same copy.
+    maps = _renaming_maps(state.base, universe_size)
+    if algorithm.rule_based:
+        failing = _first_unnatural_rule_map(algorithm, state, successor, maps)
+    else:
+        failing = next((m for m in maps if not _steps_along(algorithm, state, successor, Renaming(m))), None)
+    if failing is None:
+        return None
+    renaming = Renaming(failing)
+    copy = apply_renaming(state, renaming)
+    if algorithm.rule_based:
+        actual = apply_updates(copy, apply_rule(copy, algorithm.program))
+    else:
+        actual = step(algorithm, copy)
+    return CheckReport(
+        False,
+        "abstract-state",
+        f"step does not commute with a renaming of canonical state {index}",
+        witness={
+            "state": state,
+            "renaming": renaming,
+            "expected": apply_renaming(successor, renaming),
+            "actual": actual,
+        },
+    )
+
+
+def _steps_along(algorithm: Algorithm, state: State, successor: State, renaming: Renaming) -> bool:
+    """Whether the renamed copy of ``state`` steps, keeping its base, to the renamed ``successor``."""
+    copy = apply_renaming(state, renaming)
+    actual = step(algorithm, copy)
+    return actual.key() == renamed_key(successor, renaming) and actual.base == copy.base
+
+
+def _first_unnatural_rule_map(
+    algorithm: Algorithm, state: State, successor: State, maps: Iterable[dict[int, int]]
+) -> dict[int, int] | None:
+    """The first map m whose copy, the canonical tables renamed by m, has a
+    rule update set other than m(D), D the diff of ``state`` and
+    ``successor``: the first failing renaming, by the lemma in
+    ``check_abstract_state``.  Renamings that differ by an automorphism give
+    the same copy, so a state with an automorphism besides the identity
+    remembers each copy's update set by its key, taken from the same tables.
+    """
+    vocabulary, program = algorithm.vocabulary, algorithm.program
+    tables, base = state.interpretations, state.base
+    delta = [(u.symbol.name, u.args, u.value) for u in table_diff(state, successor)]
+    # The identity comes first among the automorphisms.
     symmetric = len(list(itertools.islice(isomorphisms_between(state, state), 2))) > 1
-    # copy key -> (successor key, successor keeps the copy's base)
-    stepped: dict[tuple, tuple[tuple, bool]] = {}
-    for renaming in renamings_into(state.base, universe_size):
-        key = renamed_key(state, renaming) if symmetric else None
-        outcome = stepped.get(key)
-        if outcome is None:
-            copy = apply_renaming(state, renaming)
-            actual = _step_copy(algorithm, copy)
-            outcome = (actual.key(), actual.base == copy.base)
-            if symmetric:
-                stepped[key] = outcome
-        actual_key, same_base = outcome
-        if actual_key != renamed_key(successor, renaming) or not same_base:
-            copy = apply_renaming(state, renaming)
-            return CheckReport(
-                False,
-                "abstract-state",
-                f"step does not commute with a renaming of canonical state {index}",
-                witness={
-                    "state": state,
-                    "renaming": renaming,
-                    "expected": apply_renaming(successor, renaming),
-                    "actual": _step_copy(algorithm, copy),
-                },
-            )
+    evaluated: dict[tuple, dict] = {}  # copy key -> its update set
+    for m in maps:
+        copy_tables = rename_tables(tables, m)
+        if symmetric:
+            key = state_key([m[e] for e in base], copy_tables)
+            updates = evaluated.get(key)
+            if updates is None:
+                updates = evaluated[key] = rule_updates(vocabulary, copy_tables, program)
+        else:
+            updates = rule_updates(vocabulary, copy_tables, program)
+        if updates != {(name, tuple([m[a] for a in args])): m[v] for name, args, v in delta}:
+            return m
     return None
 
 
 def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckReport:
     """Base-set preservation plus naturality of the step under every renaming.
 
-    The rule-based backend steps every distinct copy: the naturality of rule
-    semantics is what this check tests there, so it is not assumed.
+    The rule-based backend evaluates the rule on every distinct copy, and
+    checks every renaming: the naturality of rule semantics is what this
+    check tests there, so it is not assumed.  It compares update sets instead
+    of successors.  Lemma: for a renaming r of canonical state c, with
+    successor succ and update set D = diff(c, succ), the copy r(c) steps to
+    r(succ) exactly when the rule's update set on r(c) equals r(D).  Proof:
+    ``apply_rule`` returns only nontrivial updates that do not clash, and the
+    copy steps to ``apply_updates`` of them, which keeps the base.  succ is c
+    with D written, so r(succ) is r(c) with r(D) written, since a renaming is
+    a bijection of elements fixing undef; and r(D) is nontrivial on r(c).
+    Two nontrivial, non-clashing update sets on one state give the same
+    successor exactly when they are equal: a location in one but not the
+    other, or holding two values, takes different values in the two
+    successors.  The lemma rests on table writes and renamings only, never
+    on the naturality of rule semantics.
 
     The explicit-successor backend is decided on the canonical states.  Let
     cj be the first canonical state isomorphic to ci, and succ the successor
@@ -385,18 +438,18 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     rho = r t and r^-1 rho = t.  So all renamings pass exactly when every t
     does.
 
-    Only when a state fails are its renamings enumerated, in order, by the
-    same loop the rule-based backend runs, to name the first failing renaming
-    and its witness; every earlier state passes every renaming, by the proof.
+    Only when a state fails are its renamings enumerated, in order, each
+    copy stepped as a ``State``, to name the first failing renaming and its
+    witness; every earlier state passes every renaming, by the proof.
     The work budget applies before renamings are enumerated (for the
-    rule-based backend, before anything is stepped), so a passing
+    rule-based backend, before any copy is evaluated), so a passing
     explicit-successor algorithm answers at any universe.  Closure of the
     family under isomorphism holds by construction, because copies are
     generated on demand rather than stored; the report says so.
     """
     label = "abstract-state"
     universe_fits(algorithm, universe_size)
-    if algorithm.rule_based:  # every copy will be stepped: refuse before any step
+    if algorithm.rule_based:  # every distinct copy will be evaluated: refuse first
         _require_work_budget(algorithm, universe_size)
     successors: list[State] = []
     for index, state in enumerate(algorithm.canonical_states):
@@ -501,17 +554,6 @@ class ClosureIndex:
             owners.setdefault(self.patterns[i], []).append(i)
         for pattern in sorted(owners):
             yield itertools.islice(_copies_in_key_order(self, {i: {} for i in owners[pattern]}), limit)
-
-
-def _owners_agree(index: ClosureIndex, members: list[int]) -> bool:
-    """Whether the canonical states of one pattern class that own copies (those
-    not isomorphic to an earlier state) share their accessible trace."""
-    traces = index.traces
-    if all(traces[i] == traces[members[0]] for i in members):
-        return True
-    owned = set(index.owners)
-    owners = [i for i in members if i in owned]
-    return all(traces[i] == traces[owners[0]] for i in owners)
 
 
 def _requirement_ii_witness(index: ClosureIndex) -> dict:
@@ -700,16 +742,17 @@ def check_new_be(
         if witness_i:
             break
 
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, pattern in enumerate(index.patterns):
-        classes.setdefault(pattern, []).append(i)
-    requirement_ii_passed = all(_owners_agree(index, members) for members in classes.values())
+    first_trace: dict[tuple[int, ...], frozenset] = {}  # pattern -> its first owner's trace
+    requirement_ii_passed = all(
+        first_trace.setdefault(index.patterns[i], index.traces[i]) == index.traces[i]
+        for i in index.owners
+    )
 
     requirement_i_passed = witness_i is None
     notes = (
         f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
         f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
-        f"similarity-classes={len(classes)}",
+        f"similarity-classes={len(set(index.patterns))}",
     )
     if requirement_i_passed and requirement_ii_passed:
         return CheckReport(True, "new-be", notes=notes)

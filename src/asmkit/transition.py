@@ -10,7 +10,7 @@ the transformation on a renamed copy is the transported one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Union
+from typing import Container, Iterable, Mapping, Union
 
 from .errors import (
     ClashError,
@@ -32,7 +32,7 @@ from .kernel import (
     Vocabulary,
     apply_renaming,
     isomorphisms_between,
-    term_evaluator,
+    table_evaluator,
 )
 
 
@@ -128,28 +128,42 @@ def rule_symbols(rule: Rule) -> frozenset[Symbol]:
 
 
 def apply_rule(state: State, rule: Rule) -> frozenset[Update]:
-    """The set of nontrivial updates the rule produces in ``state``.
+    """The set of nontrivial updates the rule produces in ``state`` (see
+    ``rule_updates``)."""
+    symbol = state.vocabulary.symbol
+    return frozenset(
+        Update(symbol(name), args, value)
+        for (name, args), value in rule_updates(state.vocabulary, state.interpretations, rule).items()
+    )
+
+
+def rule_updates(
+    vocabulary: Vocabulary, tables: Mapping[str, Mapping[tuple[int, ...], int]], rule: Rule
+) -> dict[tuple[str, tuple[int, ...]], int]:
+    """The nontrivial updates the rule produces over a state's normalized
+    tables, as {(name, args): value}.
 
     Assignments whose right-hand side already holds contribute nothing; two
     surviving updates on one location with different values clash.
     """
-    collected: dict[tuple[str, tuple[int, ...]], Update] = {}
-    evaluate = term_evaluator(state)
+    collected: dict[tuple[str, tuple[int, ...]], int] = {}
+    evaluate = table_evaluator(vocabulary, tables)
 
     def walk(r: Rule) -> None:
         if isinstance(r, Assign):
             args = tuple([evaluate(t) for t in r.args])
             value = evaluate(r.value)
-            if state.value(r.symbol.name, args) == value:
+            name = r.symbol.name
+            table = tables.get(name)
+            if (UNDEF if table is None else table.get(args, UNDEF)) == value:
                 return
-            loc = (r.symbol.name, args)
+            loc = (name, args)
             existing = collected.get(loc)
-            if existing is not None and existing.value != value:
+            if existing is not None and existing != value:
                 raise ClashError(
-                    f"clashing parallel updates at {r.symbol.name}{args}: "
-                    f"{existing.value} vs {value}"
+                    f"clashing parallel updates at {name}{args}: {existing} vs {value}"
                 )
-            collected[loc] = Update(r.symbol, args, value)
+            collected[loc] = value
         elif isinstance(r, Par):
             for sub in r.rules:
                 walk(sub)
@@ -163,7 +177,7 @@ def apply_rule(state: State, rule: Rule) -> frozenset[Update]:
                 raise GuardError(f"guard {r.guard} evaluated to non-Boolean element {guard}")
 
     walk(rule)
-    return frozenset(collected.values())
+    return collected
 
 
 class Algorithm:

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from asmkit import postulates
+from asmkit import postulates, transition
 from asmkit import (
     Algorithm,
     AsmError,
@@ -24,6 +24,7 @@ from asmkit import (
     Symbol,
     TRUE_TERM,
     Term,
+    UNDEF,
     UNDEF_TERM,
     Update,
     Vocabulary,
@@ -54,12 +55,14 @@ from asmkit import (
     step,
     subterm_closure,
     t_similar,
+    table_diff,
     update_set,
     verify_equivalence,
     witness_monotonicity,
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
-from asmkit.kernel import renamed_key
+from asmkit.kernel import rename_tables, renamed_key
+from asmkit.transition import rule_updates
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 
 
@@ -231,6 +234,23 @@ def reference_abstract_state(algorithm, universe_size):
     )
 
 
+def _unnatural_semantics(monkeypatch, change):
+    """Rule semantics, for the check's loop and the reference alike, that let
+    ``change`` edit the update set of a state whose tables do not mention
+    element 3, so that naturality fails on copies that move 3.  A change must
+    keep the updates nontrivial and inside the carrier, as rule semantics do,
+    so that the reference can apply them."""
+
+    def semantics(vocabulary, tables, rule):
+        updates = rule_updates(vocabulary, tables, rule)
+        if all(3 not in (*args, v) for table in tables.values() for args, v in table.items()):
+            change(tables, updates)
+        return updates
+
+    monkeypatch.setattr(transition, "rule_updates", semantics)
+    monkeypatch.setattr(postulates, "rule_updates", semantics)
+
+
 def _outcome(checker, algorithm, universe_size):
     try:
         report = checker(algorithm, universe_size)
@@ -249,14 +269,18 @@ class TestAbstractState:
 
     def test_rule_based_carrier6_ring_over_the_work_budget(self, monkeypatch):
         algorithm, _ = _ring6()
-        monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
+        # nothing may be enumerated
+        monkeypatch.setattr(postulates, "renamings_into", None)
+        monkeypatch.setattr(postulates, "_renaming_maps", None)
         with pytest.raises(PreconditionError, match="needs 665280 renamings"):
             check_abstract_state(algorithm, 15)
 
     @pytest.mark.parametrize("paper", [False, True])
     def test_explicit_algorithm_passes_at_huge_universe(self, flip, monkeypatch, paper):
         algorithm = _paper_checks()[0] if paper else flip
-        monkeypatch.setattr(postulates, "renamings_into", None)  # nothing may be enumerated
+        # nothing may be enumerated
+        monkeypatch.setattr(postulates, "renamings_into", None)
+        monkeypatch.setattr(postulates, "_renaming_maps", None)
         huge = _outcome(check_abstract_state, algorithm, 100000)
         assert huge[0] is True
         assert huge == _outcome(check_abstract_state, algorithm, 7)
@@ -332,16 +356,18 @@ class TestAbstractState:
         universe = default_config.universe_size
         calls = []
 
-        def spy(original):
-            def stepped(first, second):
-                calls.append((first if isinstance(first, State) else second).key())
-                return original(first, second)
+        def evaluated(vocabulary, tables, rule):
+            # the copy's tables, as they appear in its key
+            calls.append(tuple((name, tuple(sorted(tables[name].items()))) for name in sorted(tables)))
+            return rule_updates(vocabulary, tables, rule)
 
-            return stepped
+        def stepped(algorithm, state):
+            calls.append(state.key())
+            return step(algorithm, state)
 
-        monkeypatch.setattr(postulates, "apply_rule", spy(apply_rule))
-        monkeypatch.setattr(postulates, "step", spy(step))
-        backends, stepped, renamings = set(), 0, 0
+        monkeypatch.setattr(postulates, "rule_updates", evaluated)
+        monkeypatch.setattr(postulates, "step", stepped)
+        backends, evaluations, renamings = set(), 0, 0
         for instance in default_suite[:20]:
             algorithm = instance.algorithm
             backends.add(algorithm.rule_based)
@@ -354,11 +380,54 @@ class TestAbstractState:
             for state in algorithm.canonical_states:
                 keys = [renamed_key(state, r) for r in renamings_into(state.base, universe)]
                 renamings += len(keys)
-                expected += dict.fromkeys(keys)
+                expected += [tables for _, tables in dict.fromkeys(keys)]
             assert calls == expected
-            stepped += len(calls)
+            evaluations += len(calls)
         assert backends == {True, False}
-        assert stepped < renamings / 2
+        assert evaluations < renamings / 2
+
+    @pytest.mark.parametrize("change", ["add", "value"])
+    def test_unnatural_rule_semantics_fail_as_the_reference_does(self, monkeypatch, change):
+        # f = 3, g = 4 under g := f.  The first copy whose tables do not
+        # mention 3 renames 3 -> 4, 4 -> 5; there the semantics either add
+        # f := undef or turn g := 4 into g := undef.  The second keeps the
+        # update set's locations, so a comparison of locations alone passes it.
+        f, g = Symbol("f", 0), Symbol("g", 0)
+        vocabulary = Vocabulary((f, g))
+        state = State(vocabulary, {3, 4}, {"f": {(): 3}, "g": {(): 4}})
+        algorithm = Algorithm(vocabulary, (state,), (True,), program=Assign(g, (), Term(f)))
+        location = ("f", ()) if change == "add" else ("g", ())
+        _unnatural_semantics(monkeypatch, lambda tables, updates: updates.__setitem__(location, UNDEF))
+        expected = _outcome(reference_abstract_state, algorithm, 6)
+        assert _outcome(check_abstract_state, algorithm, 6) == expected
+        report = check_abstract_state(algorithm, 6)
+        assert not report.passed
+        witness = report.witness
+        assert witness["renaming"] == Renaming({3: 4, 4: 5})
+        copy = apply_renaming(state, witness["renaming"])
+        assert witness["expected"] == State(vocabulary, {4, 5}, {"f": {(): 4}, "g": {(): 4}})
+        moved = table_diff(copy, witness["actual"])
+        kept = table_diff(copy, witness["expected"])
+        locations = [sorted((u.symbol.name, u.args) for u in d) for d in (moved, kept)]
+        assert (locations[0] == locations[1]) == (change == "value")
+
+    def test_unnatural_rule_semantics_match_the_reference_on_default_suite(
+        self, default_suite, default_config, monkeypatch
+    ):
+        def undefine_least(tables, updates):
+            entries = sorted((name, args) for name, table in tables.items() for args in table)
+            if entries:
+                updates[entries[0]] = UNDEF
+
+        _unnatural_semantics(monkeypatch, undefine_least)
+        universe = default_config.universe_size
+        verdicts = []
+        for instance in default_suite:
+            if instance.algorithm.rule_based:
+                expected = _outcome(reference_abstract_state, instance.algorithm, universe)
+                assert _outcome(check_abstract_state, instance.algorithm, universe) == expected
+                verdicts.append(expected[0])
+        assert verdicts.count(False) > 20 and True in verdicts
 
     def test_locate_reaches_every_isomorphism(self):
         # The lemma behind the explicit backend: at the tightest universe, the
@@ -509,6 +578,7 @@ class TestOldBE:
         assert check_abstract_state(_still(flip), 11).passed
         # nothing may be enumerated or streamed
         monkeypatch.setattr(postulates, "renamings_into", None)
+        monkeypatch.setattr(postulates, "_renaming_maps", None)
         monkeypatch.setattr(postulates, "_copies_in_key_order", None)
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
             check_old_be(flip, witness_terms, 12)
@@ -998,14 +1068,15 @@ def _path4():
     return Algorithm(vocabulary, (state,), (True,), successors=(state,))
 
 
-def _renamed_key_spy(monkeypatch):
+def _renamed_tables_spy(monkeypatch):
+    """Records the element map of every copy key a class stream builds."""
     calls = []
 
-    def spy(state, renaming):
-        calls.append(renaming)
-        return renamed_key(state, renaming)
+    def spy(tables, mapping):
+        calls.append(mapping)
+        return rename_tables(tables, mapping)
 
-    monkeypatch.setattr(postulates, "renamed_key", spy)
+    monkeypatch.setattr(postulates, "rename_tables", spy)
     return calls
 
 
@@ -1083,7 +1154,7 @@ class TestClosureIndex:
     def test_a_cut_stream_builds_few_keys(self, monkeypatch):
         # Two carrier blocks of 4! renamings give 25 copies, of P(17, 4) = 57120.
         index = postulates.ClosureIndex(_path4(), LOGICAL_TERMS, 20)
-        calls = _renamed_key_spy(monkeypatch)
+        calls = _renamed_tables_spy(monkeypatch)
         (members,) = index.similarity_classes(25)
         assert len(list(members)) == 25
         assert len(calls) == 2 * 24
@@ -1094,7 +1165,7 @@ class TestClosureIndex:
         # An owner with n nonlogical elements tries at most
         # min(P(u - 3, n), (REPLAY_PAIR_LIMIT + 2) n!) renamings.
         universe = default_config.universe_size
-        calls = _renamed_key_spy(monkeypatch)
+        calls = _renamed_tables_spy(monkeypatch)
         replayed = 0
         for instance in default_suite:
             algorithm = instance.algorithm
