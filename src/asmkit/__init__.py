@@ -36,6 +36,7 @@ from .kernel import (
     State,
     Symbol,
     Term,
+    TermProgram,
     Vocabulary,
     apply_renaming,
     coincides_over,
@@ -52,6 +53,7 @@ from .kernel import (
 from .transition import (
     Algorithm,
     Assign,
+    CompiledRule,
     Cond,
     Par,
     Rule,

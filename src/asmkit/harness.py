@@ -21,8 +21,8 @@ universe.  It reads the witness values of those copies from their vectors,
 builds each pair's similarity function from them, and builds a pair's states
 only when the pair carries an accessible update.  The route and its constructions
 do not depend on the update, so they run once per pair; the states the
-constructions make are evaluated, so the replay's internal assertions test
-the constructions themselves.
+constructions make are evaluated by the index's compiled witness program, so
+the replay's internal assertions test the constructions themselves.
 
 The module also hosts the seeded generators used by the property suites.
 """
@@ -52,9 +52,9 @@ from .kernel import (
     State,
     Symbol,
     Term,
+    TermProgram,
     Vocabulary,
     apply_renaming,
-    evaluate_terms,
     identity_renaming,
     isomorphisms_between,
     sorted_terms,
@@ -143,20 +143,20 @@ def construct_case1_state(
     ``_replaced_copy``, which the proof replay calls on the values its
     ``ClosureIndex`` already holds.
     """
-    order = sorted_terms(terms)
-    xs, ys = tuple(evaluate_terms(x, order)), tuple(evaluate_terms(y, order))
-    replaced, xi = _replaced_copy(x, similarity_of_vectors(xs, ys, order), order, ys)
+    program = TermProgram(x.vocabulary, sorted_terms(terms))
+    xs, ys = program.evaluate(x), program.evaluate(y)
+    replaced, xi = _replaced_copy(x, similarity_of_vectors(xs, ys, program.terms), program, ys)
     if x.vocabulary != y.vocabulary:
         raise VocabularyMismatchError("states have different vocabularies")
     return replaced, xi
 
 
 def _replaced_copy(
-    x: State, sigma: SimilarityFunction, order: list[Term], y_vector: tuple[int, ...]
+    x: State, sigma: SimilarityFunction, program: TermProgram, y_vector: tuple[int, ...]
 ) -> tuple[State, Renaming]:
     """``construct_case1_state`` given the similarity function and the target's
-    values of the terms in ``order``; the replaced copy is evaluated, to
-    confirm that it has those values."""
+    values of the witness compiled in ``program``; the replaced copy is
+    evaluated by it, to confirm that it has those values."""
     shared = sigma.domain & sigma.image
     nonlogical_shared = sorted(v for v in shared if v not in LOGICAL_IDS)
     if nonlogical_shared:
@@ -170,7 +170,7 @@ def _replaced_copy(
     except InvalidRenamingError as exc:
         raise CaseHypothesisError(f"value replacement is not a renaming: {exc}") from exc
     replaced = apply_renaming(x, xi)
-    if tuple(evaluate_terms(replaced, order)) != y_vector:
+    if program.evaluate(replaced) != y_vector:
         raise AsmError("internal: value-replacement copy fails to coincide")
     return replaced, xi
 
@@ -189,17 +189,17 @@ def construct_disjoint_copy(
     ``_detached_copy``, which the proof replay calls on the values its
     ``ClosureIndex`` already holds.
     """
-    order = sorted_terms(terms)
-    copy, eta, _ = _detached_copy(x, y, order, tuple(evaluate_terms(y, order)), universe_size)
+    program = TermProgram(y.vocabulary, sorted_terms(terms))
+    copy, eta, _ = _detached_copy(x, y, program, program.evaluate(y), universe_size)
     return copy, eta
 
 
 def _detached_copy(
-    x: State, y: State, order: list[Term], y_vector: tuple[int, ...], universe_size: int
+    x: State, y: State, program: TermProgram, y_vector: tuple[int, ...], universe_size: int
 ) -> tuple[State, Renaming, tuple[int, ...]]:
-    """``construct_disjoint_copy`` given ``y``'s values of the terms in
-    ``order``; the copy is evaluated, to confirm that it shares none of them,
-    and its values are returned with it."""
+    """``construct_disjoint_copy`` given ``y``'s values of the witness
+    compiled in ``program``; the copy is evaluated by it, to confirm that it
+    shares none of them, and its values are returned with it."""
     x_carrier = set(x.nonlogical_elements())
     y_carrier = set(y.nonlogical_elements())
     y_values = {v for v in y_vector if v not in LOGICAL_IDS}
@@ -224,7 +224,7 @@ def _detached_copy(
             mapping.update(zip(moved, allowed))
             eta = Renaming(mapping)
         copy = apply_renaming(x, eta)
-    copy_vector = tuple(evaluate_terms(copy, order))
+    copy_vector = program.evaluate(copy)
     if y_values.intersection(copy_vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
     return copy, eta, copy_vector
@@ -240,7 +240,7 @@ def _logically_compatible(sigma: SimilarityFunction) -> bool:
 
 
 def _pair_route(
-    x: Copy, y: Copy, sigma: SimilarityFunction, order: list[Term], universe_size: int
+    x: Copy, y: Copy, sigma: SimilarityFunction, program: TermProgram, universe_size: int
 ) -> tuple[str, tuple[Renaming, ...]]:
     """The proof's route from ``x`` to ``y`` and the renamings along it.
 
@@ -254,7 +254,7 @@ def _pair_route(
         return "direct", ()
     if set(x.vector).isdisjoint(y.vector):
         try:
-            _, xi = _replaced_copy(x.state, sigma, order, y.vector)
+            _, xi = _replaced_copy(x.state, sigma, program, y.vector)
         except CaseHypothesisError:
             pass  # replacement collides inside the carrier; sanitize via a disjoint copy
         else:
@@ -264,11 +264,11 @@ def _pair_route(
                 )
             return "case1", (xi,)
     detached, eta, detached_vector = _detached_copy(
-        x.state, y.state, order, y.vector, universe_size
+        x.state, y.state, program, y.vector, universe_size
     )
     detached_delta = lift_update_set(eta, x.delta)
     _, xi = _replaced_copy(
-        detached, similarity_of_vectors(detached_vector, y.vector, order), order, y.vector
+        detached, similarity_of_vectors(detached_vector, y.vector, program.terms), program, y.vector
     )
     if lift_update_set(xi, detached_delta) != y.delta:
         raise AsmError(
@@ -357,12 +357,11 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
 
 
 def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
-    terms = index.terms
-    order = sorted_terms(terms)
+    terms, program = index.terms, index.program
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
         for left, right in _sample_pairs(list(members), REPLAY_PAIR_LIMIT):
-            sigma = similarity_of_vectors(left.vector, right.vector, order)
+            sigma = similarity_of_vectors(left.vector, right.vector, program.terms)
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
                 if not sigma.is_identity:
@@ -385,7 +384,7 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
             ][:REPLAY_UPDATE_LIMIT]
             if not carried:
                 continue
-            route, steps = _pair_route(left, right, sigma, order, index.universe_size)
+            route, steps = _pair_route(left, right, sigma, program, index.universe_size)
             for u in carried:
                 final = _transport(route, steps, sigma, u)
                 if final not in right.delta:

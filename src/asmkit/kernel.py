@@ -8,12 +8,16 @@ Nonlogical interpretations are sparse tables with default value undef, and
 tables never store an undef-valued entry.  That normalization makes state
 equality canonical: two states are equal exactly when they have the same
 vocabulary, the same carrier and the same tables.
+
+Ground terms are evaluated by one evaluator, ``TermProgram``: terms are
+compiled once, their symbols checked against the vocabulary then, and the
+program runs over a state's tables in one flat pass per state.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     AsmError,
@@ -321,50 +325,141 @@ def _logical_value(name: str, args: tuple[int, ...]) -> int:
     raise VocabularyMismatchError(f"unknown logical symbol {name!r}")
 
 
-def term_evaluator(state: State) -> Callable[[Term], int]:
-    """Bottom-up evaluation of ground terms in a state (see ``table_evaluator``)."""
-    return table_evaluator(state.vocabulary, state.interpretations)
+# Step kinds of a term program's composite slots.
+_LOOKUP1, _LOOKUP2, _LOOKUPN, _EQ, _CONNECTIVE = range(5)
+# Slots hold the folded constants first, then the nullary lookups, then the rest.
+_SLOT_GROUP = {int: 0, str: 1, type(None): 2}
+# The truth tables of not, and, or over Boolean (first, last) operands; not
+# reads its one operand twice, and any non-Boolean operand gives undef.
+_TRUTH_TABLES = {
+    name: {
+        (p, q): _logical_value(name, (p, q)[:arity]) for p in (TRUE, FALSE) for q in (TRUE, FALSE)
+    }
+    for name, arity in (("not", 1), ("and", 2), ("or", 2))
+}
 
 
-def table_evaluator(
-    vocabulary: Vocabulary, tables: Mapping[str, Mapping[tuple[int, ...], int]]
-) -> Callable[[Term], int]:
-    """Bottom-up evaluation of ground terms over normalized tables, the
-    nonlogical interpretations of a state; each distinct subterm node is
-    checked and evaluated once per evaluator.  The memo is keyed by node
-    identity, so every term given to it must outlive the evaluator."""
-    values: dict[int, int] = {}
+class TermProgram:
+    """Ground terms compiled over one vocabulary into a flat evaluation program.
 
-    def value(term: Term) -> int:
-        node = id(term)
-        v = values.get(node)
-        if v is None:
-            root = term.root
-            if root not in vocabulary:
-                raise VocabularyMismatchError(
-                    f"term symbol {root} is not in the state's vocabulary"
-                )
-            args = tuple([value(child) for child in term.children])
+    The program lists the distinct subterms of ``terms``, deduplicated by
+    equality, one slot each: first the subterms without a nonlogical symbol
+    (``not(undef)``, ``and(false, false)``), folded to their constant values,
+    then the nullary nonlogical lookups, then the composite subterms, children
+    before parents.  Every symbol is checked against the vocabulary here,
+    once: terms are visited in the given order, each node before its
+    children, and the first unknown symbol raises ``VocabularyMismatchError``
+    with ``unknown`` formatted by it.  ``outputs`` holds the slot of each of
+    ``terms``.
+
+    ``run`` evaluates every slot over a state's normalized tables in one pass,
+    with no recursion, memo or symbol check; the tables must be those of a
+    state over ``vocabulary``.  ``evaluate`` reads the values of ``terms`` off
+    a state; a state over another vocabulary is evaluated by a program
+    compiled, and checked, afresh for it.
+    """
+
+    __slots__ = ("vocabulary", "terms", "outputs", "_constants", "_leaves", "_steps")
+
+    def __init__(
+        self,
+        vocabulary: Vocabulary,
+        terms: Iterable[Term],
+        unknown: str = "term symbol {} is not in the state's vocabulary",
+    ) -> None:
+        self.vocabulary = vocabulary
+        self.terms = tuple(terms)
+        # Equal terms have one root and equal children, and symbol names are
+        # unique in a vocabulary, so a subterm is keyed by its root's name and
+        # its children's nodes.  A node is (root, children's nodes, value):
+        # the folded constant, the name of a nullary lookup, or None.
+        nodes: list[tuple[Symbol, tuple[int, ...], int | str | None]] = []
+        keys: dict[tuple[str, tuple[int, ...]], int] = {}
+        seen: dict[int, int] = {}  # id(term) -> node; self.terms keeps each term alive
+
+        def visit(term: Term) -> int:
+            node = seen.get(id(term))
+            if node is None:
+                root = term.root
+                if root not in vocabulary:
+                    raise VocabularyMismatchError(unknown.format(root))
+                kids = tuple([visit(child) for child in term.children])
+                node = keys.get((root.name, kids))
+                if node is None:
+                    if root.kind == KIND_NONLOGICAL:
+                        value = None if kids else root.name
+                    elif all(isinstance(nodes[k][2], int) for k in kids):
+                        value = _logical_value(root.name, tuple(nodes[k][2] for k in kids))
+                    else:
+                        value = None
+                    node = keys[(root.name, kids)] = len(nodes)
+                    nodes.append((root, kids, value))
+                seen[id(term)] = node
+            return node
+
+        top = [visit(term) for term in self.terms]
+        order = sorted(range(len(nodes)), key=lambda n: _SLOT_GROUP[type(nodes[n][2])])
+        slot = [0] * len(nodes)
+        for i, n in enumerate(order):
+            slot[n] = i
+        self._constants = [nodes[n][2] for n in order if type(nodes[n][2]) is int]
+        self._leaves = tuple(nodes[n][2] for n in order if type(nodes[n][2]) is str)
+        steps = []
+        for root, kids, _ in (nodes[n] for n in order if nodes[n][2] is None):
+            kids, name = tuple([slot[k] for k in kids]), root.name
             if root.kind == KIND_NONLOGICAL:
-                table = tables.get(root.name)
-                v = UNDEF if table is None else table.get(args, UNDEF)
+                if len(kids) <= 2:
+                    steps.append(((_LOOKUP1, _LOOKUP2)[len(kids) - 1], name, kids[0], kids[-1]))
+                else:
+                    steps.append((_LOOKUPN, name, kids, None))
+            elif name == "eq":
+                steps.append((_EQ, None, kids[0], kids[1]))
             else:
-                v = _logical_value(root.name, args)
-            values[node] = v
-        return v
+                steps.append((_CONNECTIVE, _TRUTH_TABLES[name], kids[0], kids[-1]))
+        self._steps = tuple(steps)
+        self.outputs = tuple([slot[n] for n in top])
 
-    return value
+    def run(self, tables: Mapping[str, Mapping[tuple[int, ...], int]]) -> list[int]:
+        """The value of every slot over normalized tables, in slot order."""
+        values = self._constants.copy()
+        append = values.append
+        get = tables.get
+        for name in self._leaves:
+            table = get(name)
+            append(UNDEF if table is None else table.get((), UNDEF))
+        for kind, name, a, b in self._steps:  # name: a symbol's, or a truth table
+            if kind == _LOOKUP1:
+                table = get(name)
+                append(UNDEF if table is None else table.get((values[a],), UNDEF))
+            elif kind == _EQ:
+                append(TRUE if values[a] == values[b] else FALSE)
+            elif kind == _LOOKUP2:
+                table = get(name)
+                append(UNDEF if table is None else table.get((values[a], values[b]), UNDEF))
+            elif kind == _CONNECTIVE:
+                append(name.get((values[a], values[b]), UNDEF))
+            else:
+                table = get(name)
+                append(UNDEF if table is None else table.get(tuple([values[k] for k in a]), UNDEF))
+        return values
+
+    def evaluate(self, state: State) -> tuple[int, ...]:
+        """The values of ``terms`` in ``state``, in order."""
+        vocabulary = state.vocabulary
+        if vocabulary is not self.vocabulary and vocabulary != self.vocabulary:
+            return TermProgram(vocabulary, self.terms).evaluate(state)
+        values = self.run(state.interpretations)
+        return tuple([values[i] for i in self.outputs])
 
 
 def evaluate_terms(state: State, terms: Iterable[Term]) -> list[int]:
-    """The values of ground terms in a state, in the given order."""
-    value = term_evaluator(state)
-    terms = tuple(terms)  # keeps generated terms alive for the identity memo
-    return [value(t) for t in terms]
+    """The values of ground terms in a state, in the given order, by a
+    ``TermProgram`` compiled for the state's vocabulary."""
+    return list(TermProgram(state.vocabulary, terms).evaluate(state))
 
 
 def evaluate_term(state: State, term: Term) -> int:
-    """Bottom-up evaluation of a ground term in a state."""
+    """The value of a ground term in a state."""
     return evaluate_terms(state, (term,))[0]
 
 
@@ -373,16 +468,12 @@ def evaluate_set(state: State, terms: Iterable[Term]) -> frozenset[int]:
     return frozenset(evaluate_terms(state, terms))
 
 
-def _require_same_vocabulary(x: State, y: State) -> None:
-    if x.vocabulary != y.vocabulary:
-        raise VocabularyMismatchError("states have different vocabularies")
-
-
 def coincides_over(x: State, y: State, terms: Iterable[Term]) -> bool:
     """True iff every term of the set has the same value in both states."""
-    _require_same_vocabulary(x, y)
-    terms = list(terms)
-    return evaluate_terms(x, terms) == evaluate_terms(y, terms)
+    if x.vocabulary != y.vocabulary:
+        raise VocabularyMismatchError("states have different vocabularies")
+    program = TermProgram(x.vocabulary, terms)
+    return program.evaluate(x) == program.evaluate(y)
 
 
 class InjectiveMap:

@@ -11,7 +11,9 @@ and update set of every canonical state.  No check enumerates the closure:
 the similarity and coincidence classes stream their copies lazily in key
 order, one carrier at a time, so a reader pays only for the copies it reads.
 A copy derives its ``State``, witness values and update set on first read,
-and nothing is cached across calls.
+and nothing is cached across calls.  The index compiles the sorted witness
+once into a ``TermProgram``, whose symbols were checked then; it evaluates
+the canonical states, and the proof replay runs it on the copies it builds.
 
 The coincidence and similarity quantifications over state pairs are computed
 by grouping states on their witness-value vectors (respectively, on the
@@ -46,9 +48,10 @@ first one for some renaming, so the step is natural exactly when every
 isomorphism from the first canonical state isomorphic to ci carries its
 successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
 stepped only to name a failing renaming, and on the rule-based backend,
-whose naturality is what the check tests there.  That backend evaluates the
-rule on raw renamed tables, with renamings as raw element maps, and compares
-update sets; ``State``s and a ``Renaming`` are built only for the witness.
+whose naturality is what the check tests there.  That backend runs the rule
+the ``Algorithm`` compiled when it was built on raw renamed tables, with
+renamings as raw element maps, and compares update sets; ``State``s and a
+``Renaming`` are built only for the witness.
 """
 from __future__ import annotations
 
@@ -65,9 +68,9 @@ from .kernel import (
     Renaming,
     State,
     Term,
+    TermProgram,
     Vocabulary,
     apply_renaming,
-    evaluate_terms,
     is_subterm_closed,
     isomorphisms_between,
     rename_tables,
@@ -345,7 +348,7 @@ def _first_failing_renaming(
     renaming = Renaming(failing)
     copy = apply_renaming(state, renaming)
     if algorithm.rule_based:
-        actual = apply_updates(copy, apply_rule(copy, algorithm.program))
+        actual = apply_updates(copy, apply_rule(copy, algorithm.compiled))
     else:
         actual = step(algorithm, copy)
     return CheckReport(
@@ -378,8 +381,7 @@ def _first_unnatural_rule_map(
     the same copy, so a state with an automorphism besides the identity
     remembers each copy's update set by its key, taken from the same tables.
     """
-    vocabulary, program = algorithm.vocabulary, algorithm.program
-    tables, base = state.interpretations, state.base
+    rule, tables, base = algorithm.compiled, state.interpretations, state.base
     delta = [(u.symbol.name, u.args, u.value) for u in table_diff(state, successor)]
     # The identity comes first among the automorphisms.
     symmetric = len(list(itertools.islice(isomorphisms_between(state, state), 2))) > 1
@@ -390,9 +392,9 @@ def _first_unnatural_rule_map(
             key = state_key([m[e] for e in base], copy_tables)
             updates = evaluated.get(key)
             if updates is None:
-                updates = evaluated[key] = rule_updates(vocabulary, copy_tables, program)
+                updates = evaluated[key] = rule_updates(rule, copy_tables)
         else:
-            updates = rule_updates(vocabulary, copy_tables, program)
+            updates = rule_updates(rule, copy_tables)
         if updates != {(name, tuple([m[a] for a in args])): m[v] for name, args, v in delta}:
             return m
     return None
@@ -403,7 +405,9 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
 
     The rule-based backend evaluates the rule on every distinct copy, and
     checks every renaming: the naturality of rule semantics is what this
-    check tests there, so it is not assumed.  It compares update sets instead
+    check tests there, so it is not assumed.  Each copy runs the
+    ``CompiledRule`` built with the ``Algorithm``, its symbols checked
+    then, over the copy's raw tables.  It compares update sets instead
     of successors.  Lemma: for a renaming r of canonical state c, with
     successor succ and update set D = diff(c, succ), the copy r(c) steps to
     r(succ) exactly when the rule's update set on r(c) equals r(D).  Proof:
@@ -514,8 +518,8 @@ class ClosureIndex:
         _require_headroom(algorithm, universe_size)
         if closed:
             _require_subterm_closed(self.terms)
-        order = sorted_terms(self.terms)
-        self.vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
+        self.program = TermProgram(algorithm.vocabulary, sorted_terms(self.terms))
+        self.vectors = [self.program.evaluate(s) for s in algorithm.canonical_states]
         self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
         self.patterns: list[tuple[int, ...]] = []
         self.traces: list[frozenset[tuple[str, tuple[int, ...], int]]] = []

@@ -6,11 +6,14 @@ natural by construction, and explicit per-state successor tables, which can
 encode dynamics that no ground-term program expresses.  The state family is
 the closure of the canonical states under renamings into a bounded universe;
 the transformation on a renamed copy is the transported one.
+
+An ``Algorithm`` compiles its rule once, into a ``CompiledRule``; that
+compile is where the rule's symbols are checked against the vocabulary.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Union
+from typing import Container, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ClashError,
@@ -29,10 +32,10 @@ from .kernel import (
     State,
     Symbol,
     Term,
+    TermProgram,
     Vocabulary,
     apply_renaming,
     isomorphisms_between,
-    table_evaluator,
 )
 
 
@@ -98,85 +101,137 @@ class Cond:
 Rule = Union[Assign, Par, Cond]
 
 
+def _walk_terms(rule: Rule) -> Iterator[Term]:
+    """The terms the rule evaluates, composed left-hand sides included, in the
+    order the rule tree is walked."""
+    if isinstance(rule, Assign):
+        yield Term(rule.symbol, rule.args)
+        yield from rule.args
+        yield rule.value
+    elif isinstance(rule, Par):
+        for sub in rule.rules:
+            yield from _walk_terms(sub)
+    else:
+        yield rule.guard
+        yield from _walk_terms(rule.then_rule)
+        yield from _walk_terms(rule.else_rule)
+
+
 def rule_terms(rule: Rule) -> frozenset[Term]:
     """Every ground term the rule evaluates, including composed left-hand sides."""
-    acc: set[Term] = set()
-
-    def walk(r: Rule) -> None:
-        if isinstance(r, Assign):
-            acc.add(Term(r.symbol, r.args))
-            acc.update(r.args)
-            acc.add(r.value)
-        elif isinstance(r, Par):
-            for sub in r.rules:
-                walk(sub)
-        else:
-            acc.add(r.guard)
-            walk(r.then_rule)
-            walk(r.else_rule)
-
-    walk(rule)
-    return frozenset(acc)
+    # Through a set, as it always was: the frozenset copy iterates in the same
+    # order, and so do the witnesses and reports built from it.
+    return frozenset(set(_walk_terms(rule)))
 
 
-def rule_symbols(rule: Rule) -> frozenset[Symbol]:
-    syms: set[Symbol] = set()
-    for t in rule_terms(rule):
-        for sub in t.subterms():
-            syms.add(sub.root)
-    return frozenset(syms)
+# Instruction kinds of a compiled rule.
+_ASSIGN, _COND, _JUMP = range(3)
 
 
-def apply_rule(state: State, rule: Rule) -> frozenset[Update]:
+class CompiledRule:
+    """A rule compiled over one vocabulary: ``program``, a ``TermProgram`` of
+    the terms it evaluates (``rule_terms``), and ``code``, its Par/Cond/Assign
+    tree as flat instructions over the program's slots, in the order the tree
+    is walked.  Compiling checks every symbol of the rule, assignment targets
+    included, against the vocabulary once; an unknown one raises
+    ``VocabularyMismatchError``.
+
+    An assignment is (_ASSIGN, name, argument slots, value slot, slot of the
+    composed left-hand side, whose value is the location's current one).  A
+    conditional is (_COND, guard slot, index of the else branch, guard term),
+    followed by the then branch, a (_JUMP, index past the else branch) and
+    the else branch.
+    """
+
+    __slots__ = ("vocabulary", "rule", "program", "code")
+
+    def __init__(self, vocabulary: Vocabulary, rule: Rule) -> None:
+        program = TermProgram(vocabulary, _walk_terms(rule), "rule uses unknown symbol {}")
+        slots = iter(program.outputs)  # walked in the order _walk_terms yields
+        code: list[tuple] = []
+
+        def emit(r: Rule) -> None:
+            if isinstance(r, Assign):
+                lhs = next(slots)
+                args = tuple([next(slots) for _ in r.args])
+                code.append((_ASSIGN, r.symbol.name, args, next(slots), lhs))
+            elif isinstance(r, Par):
+                for sub in r.rules:
+                    emit(sub)
+            else:
+                guard, at = next(slots), len(code)
+                code.append(())
+                emit(r.then_rule)
+                jump = len(code)
+                code.append(())
+                emit(r.else_rule)
+                code[at] = (_COND, guard, jump + 1, r.guard, None)
+                code[jump] = (_JUMP, len(code), None, None, None)
+
+        emit(rule)
+        self.vocabulary = vocabulary
+        self.rule = rule
+        self.program = program
+        self.code = tuple(code)
+
+
+def apply_rule(state: State, rule: Rule | CompiledRule) -> frozenset[Update]:
     """The set of nontrivial updates the rule produces in ``state`` (see
-    ``rule_updates``)."""
-    symbol = state.vocabulary.symbol
+    ``rule_updates``).  A ``Rule``, or a rule compiled for another
+    vocabulary, is compiled for the state's first, so every symbol of the
+    rule is checked, on every branch."""
+    vocabulary = state.vocabulary
+    if not isinstance(rule, CompiledRule):
+        rule = CompiledRule(vocabulary, rule)
+    elif rule.vocabulary is not vocabulary and rule.vocabulary != vocabulary:
+        rule = CompiledRule(vocabulary, rule.rule)
+    symbol = vocabulary.symbol
     return frozenset(
         Update(symbol(name), args, value)
-        for (name, args), value in rule_updates(state.vocabulary, state.interpretations, rule).items()
+        for (name, args), value in rule_updates(rule, state.interpretations).items()
     )
 
 
 def rule_updates(
-    vocabulary: Vocabulary, tables: Mapping[str, Mapping[tuple[int, ...], int]], rule: Rule
+    rule: CompiledRule, tables: Mapping[str, Mapping[tuple[int, ...], int]]
 ) -> dict[tuple[str, tuple[int, ...]], int]:
-    """The nontrivial updates the rule produces over a state's normalized
-    tables, as {(name, args): value}.
+    """The nontrivial updates a compiled rule produces over the normalized
+    tables of a state over its vocabulary, as {(name, args): value}.
 
     Assignments whose right-hand side already holds contribute nothing; two
-    surviving updates on one location with different values clash.
+    surviving updates on one location with different values clash
+    (``ClashError``), and a guard reached with a non-Boolean value raises
+    ``GuardError``.  Every term of the rule is evaluated first, in one run
+    of its program, untaken branches included: on a vocabulary the rule was
+    checked against, evaluation is total, so this changes no result, and
+    the instructions then run in the order the rule tree is walked.
     """
+    values = rule.program.run(tables)
     collected: dict[tuple[str, tuple[int, ...]], int] = {}
-    evaluate = table_evaluator(vocabulary, tables)
-
-    def walk(r: Rule) -> None:
-        if isinstance(r, Assign):
-            args = tuple([evaluate(t) for t in r.args])
-            value = evaluate(r.value)
-            name = r.symbol.name
-            table = tables.get(name)
-            if (UNDEF if table is None else table.get(args, UNDEF)) == value:
-                return
-            loc = (name, args)
+    code = rule.code
+    pc, end = 0, len(code)
+    while pc < end:
+        kind, a, b, c, d = code[pc]
+        pc += 1
+        if kind == _ASSIGN:  # a: name, b: argument slots, c: value slot, d: left-hand side slot
+            value = values[c]
+            if values[d] == value:
+                continue
+            loc = (a, tuple([values[i] for i in b]))
             existing = collected.get(loc)
             if existing is not None and existing != value:
                 raise ClashError(
-                    f"clashing parallel updates at {name}{args}: {existing} vs {value}"
+                    f"clashing parallel updates at {a}{loc[1]}: {existing} vs {value}"
                 )
             collected[loc] = value
-        elif isinstance(r, Par):
-            for sub in r.rules:
-                walk(sub)
+        elif kind == _COND:  # a: guard slot, b: else branch, c: guard term
+            guard = values[a]
+            if guard == FALSE:
+                pc = b
+            elif guard != TRUE:
+                raise GuardError(f"guard {c} evaluated to non-Boolean element {guard}")
         else:
-            guard = evaluate(r.guard)
-            if guard == TRUE:
-                walk(r.then_rule)
-            elif guard == FALSE:
-                walk(r.else_rule)
-            else:
-                raise GuardError(f"guard {r.guard} evaluated to non-Boolean element {guard}")
-
-    walk(rule)
+            pc = a
     return collected
 
 
@@ -188,7 +243,7 @@ class Algorithm:
     place where they are rejected.
     """
 
-    __slots__ = ("vocabulary", "canonical_states", "initial", "program", "successors")
+    __slots__ = ("vocabulary", "canonical_states", "initial", "program", "compiled", "successors")
 
     def __init__(
         self,
@@ -216,14 +271,11 @@ class Algorithm:
             for s in succ:
                 if s.vocabulary != vocabulary:
                     raise VocabularyMismatchError("successor over a different vocabulary")
-        else:
-            for sym in rule_symbols(program):  # type: ignore[arg-type]
-                if sym not in vocabulary:
-                    raise VocabularyMismatchError(f"rule uses unknown symbol {sym}")
         self.vocabulary = vocabulary
         self.canonical_states = states
         self.initial = flags
         self.program = program
+        self.compiled = None if program is None else CompiledRule(vocabulary, program)
         self.successors = succ
 
     @property
@@ -250,7 +302,7 @@ def canonical_step(algorithm: Algorithm, index: int) -> State:
     """Successor of the canonical state at ``index``."""
     source = algorithm.canonical_states[index]
     if algorithm.rule_based:
-        return apply_updates(source, apply_rule(source, algorithm.program))
+        return apply_updates(source, apply_rule(source, algorithm.compiled))
     return algorithm.successors[index]
 
 
@@ -258,7 +310,7 @@ def canonical_delta(algorithm: Algorithm, index: int) -> frozenset[Update]:
     """Update set of the canonical state at ``index``."""
     source = algorithm.canonical_states[index]
     if algorithm.rule_based:
-        return apply_rule(source, algorithm.program)
+        return apply_rule(source, algorithm.compiled)
     return table_diff(source, algorithm.successors[index])
 
 
@@ -266,7 +318,7 @@ def step(algorithm: Algorithm, state: State) -> State:
     """One step of the algorithm; the carrier never changes."""
     index, renaming = locate(algorithm, state)
     if algorithm.rule_based:
-        return apply_updates(state, apply_rule(state, algorithm.program))
+        return apply_updates(state, apply_rule(state, algorithm.compiled))
     return apply_renaming(algorithm.successors[index], renaming)
 
 

@@ -14,7 +14,9 @@ from asmkit import (
     State,
     Symbol,
     Term,
+    TermProgram,
     ValidationError,
+    Vocabulary,
     VocabularyMismatchError,
     apply_renaming,
     coincides_over,
@@ -26,7 +28,8 @@ from asmkit import (
     isomorphisms_between,
     subterm_closure,
 )
-from conftest import mk, random_state, random_term
+from asmkit.harness import _random_state, _random_term
+from conftest import mk, outcome, random_state, random_term, reference_evaluator
 
 
 class TestSubtermClosure:
@@ -165,6 +168,71 @@ class TestCoincidence:
         other = State(simple_vocab, {0, 1, 2, 3})
         with pytest.raises(VocabularyMismatchError):
             coincides_over(x, other, ())
+
+
+def _rebuilt(term: Term) -> Term:
+    """An equal term made of new nodes."""
+    return Term(term.root, tuple(_rebuilt(child) for child in term.children))
+
+
+def _program_terms(rng: random.Random, vocabulary: Vocabulary) -> list[Term]:
+    """Random terms of depth up to 3 with shared subterms, equal but distinct
+    nodes, and subterms holding no nonlogical symbol."""
+    terms = [_random_term(rng, vocabulary, rng.randint(0, 3)) for _ in range(6)]
+    terms += [_random_term(rng, Vocabulary(), 2) for _ in range(2)]  # logical symbols only
+    composites = [s for s in sorted(vocabulary.symbols) if s.arity >= 1]
+    for _ in range(4):
+        symbol = rng.choice(composites)
+        terms.append(Term(symbol, tuple(rng.choice(terms) for _ in range(symbol.arity))))
+    terms.append(_rebuilt(rng.choice(terms)))
+    return terms
+
+
+class TestTermProgram:
+    """The compiled evaluator against the recursive reference."""
+
+    @pytest.fixture(scope="class")
+    def vocabularies(self, default_suite):
+        return list(dict.fromkeys(i.algorithm.vocabulary for i in default_suite))
+
+    def test_matches_the_reference(self, vocabularies):
+        rng = random.Random(20)
+        for vocabulary in vocabularies:
+            for _ in range(6):
+                state = _random_state(rng, vocabulary, rng.randint(1, 4))
+                terms = _program_terms(rng, vocabulary)
+                value = reference_evaluator(vocabulary, state.interpretations)
+                expected = tuple(value(t) for t in terms)
+                assert TermProgram(vocabulary, terms).evaluate(state) == expected
+                assert evaluate_terms(state, terms) == list(expected)
+
+    def test_other_vocabularies_match_the_reference(self, vocabularies):
+        rng = random.Random(21)
+        errors = 0
+        for vocabulary in vocabularies:
+            other = rng.choice(vocabularies)
+            state = _random_state(rng, other, 3)
+            terms = _program_terms(rng, vocabulary)
+            value = reference_evaluator(other, state.interpretations)
+            expected = outcome(lambda: tuple(value(t) for t in terms))
+            # a program bound to one vocabulary is compiled afresh for the other
+            program = TermProgram(vocabulary, terms)
+            assert outcome(lambda: program.evaluate(state)) == expected
+            assert outcome(lambda: tuple(evaluate_terms(state, terms))) == expected
+            errors += isinstance(expected[0], type)
+        assert 0 < errors < len(vocabularies)
+
+    def test_folds_subterms_without_nonlogical_symbols(self, simple_vocab):
+        v = simple_vocab
+        a = Term(v.symbol("a"))
+        logical = mk(v.symbol("not"), mk(v.symbol("and"), FALSE_TERM, UNDEF_TERM))
+        program = TermProgram(v, [mk(v.symbol("eq"), logical, a), logical])
+        # false, undef, and(...), not(...) are constants; a and eq(...) are left to run
+        assert program._constants == [FALSE, UNDEF, UNDEF, UNDEF]
+        assert program._leaves == ("a",) and len(program._steps) == 1
+        state = State(v, {0, 1, 2, 3}, {"a": {(): 3}})
+        assert program.evaluate(state) == (FALSE, UNDEF)
+        assert program.evaluate(State(v, {0, 1, 2, 3})) == (TRUE, UNDEF)
 
 
 class TestRenaming:

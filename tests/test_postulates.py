@@ -241,8 +241,8 @@ def _unnatural_semantics(monkeypatch, change):
     keep the updates nontrivial and inside the carrier, as rule semantics do,
     so that the reference can apply them."""
 
-    def semantics(vocabulary, tables, rule):
-        updates = rule_updates(vocabulary, tables, rule)
+    def semantics(rule, tables):
+        updates = rule_updates(rule, tables)
         if all(3 not in (*args, v) for table in tables.values() for args, v in table.items()):
             change(tables, updates)
         return updates
@@ -356,10 +356,10 @@ class TestAbstractState:
         universe = default_config.universe_size
         calls = []
 
-        def evaluated(vocabulary, tables, rule):
+        def evaluated(rule, tables):
             # the copy's tables, as they appear in its key
             calls.append(tuple((name, tuple(sorted(tables[name].items()))) for name in sorted(tables)))
-            return rule_updates(vocabulary, tables, rule)
+            return rule_updates(rule, tables)
 
         def stepped(algorithm, state):
             calls.append(state.key())

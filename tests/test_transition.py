@@ -1,11 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from asmkit import (
+    FALSE,
+    TRUE,
+    UNDEF,
     Algorithm,
     Assign,
     ClashError,
+    CompiledRule,
     Cond,
     DomainError,
     GuardError,
@@ -19,6 +24,7 @@ from asmkit import (
     UnknownStateError,
     Update,
     Vocabulary,
+    VocabularyMismatchError,
     apply_renaming,
     apply_rule,
     apply_updates,
@@ -31,7 +37,9 @@ from asmkit import (
     table_diff,
     update_set,
 )
-from conftest import mk, random_state
+from asmkit.harness import _random_state, _random_term
+from asmkit.transition import rule_updates
+from conftest import mk, outcome, random_state, reference_evaluator
 
 
 @pytest.fixture
@@ -242,3 +250,108 @@ class TestApplyUpdates:
         cleared = apply_updates(state, [Update(f, (), 2)])
         assert cleared == State(rule_vocab, {0, 1, 2, 3})
         assert table_diff(state, cleared) == {Update(f, (), 2)}
+
+
+def reference_rule_updates(vocabulary, tables, rule):
+    """A recursive walk of the rule tree over the reference evaluator, the
+    reference the compiled rule is checked against: a term is evaluated only
+    when the walk reaches it."""
+    collected = {}
+    evaluate = reference_evaluator(vocabulary, tables)
+
+    def walk(r):
+        if isinstance(r, Assign):
+            args = tuple(evaluate(t) for t in r.args)
+            value = evaluate(r.value)
+            name = r.symbol.name
+            if tables.get(name, {}).get(args, UNDEF) == value:
+                return
+            existing = collected.get((name, args))
+            if existing is not None and existing != value:
+                raise ClashError(f"clashing parallel updates at {name}{args}: {existing} vs {value}")
+            collected[(name, args)] = value
+        elif isinstance(r, Par):
+            for sub in r.rules:
+                walk(sub)
+        else:
+            guard = evaluate(r.guard)
+            if guard not in (TRUE, FALSE):
+                raise GuardError(f"guard {r.guard} evaluated to non-Boolean element {guard}")
+            walk(r.then_rule if guard == TRUE else r.else_rule)
+
+    walk(rule)
+    return collected
+
+
+def _wild_rule(rng, vocabulary, depth=2):
+    """A random rule whose parallel members may share a target and whose
+    guards are any terms, so that it can clash or meet a non-Boolean guard."""
+    nonlogical = list(vocabulary.nonlogical)
+
+    def build(d):
+        roll = rng.random()
+        if d <= 0 or roll < 0.4:
+            symbol = rng.choice(nonlogical)
+            args = tuple(_random_term(rng, vocabulary, 2) for _ in range(symbol.arity))
+            return Assign(symbol, args, _random_term(rng, vocabulary, 2))
+        if roll < 0.7:
+            return Par(tuple(build(d - 1) for _ in range(rng.randint(1, 3))))
+        return Cond(_random_term(rng, vocabulary, 2), build(d - 1), build(d - 1))
+
+    return build(depth)
+
+
+class TestCompiledRule:
+    """Compiled rules against the recursive reference."""
+
+    def test_suite_rules_match_the_reference(self, default_suite):
+        checked = 0
+        for instance in default_suite:
+            algorithm = instance.algorithm
+            if not algorithm.rule_based:
+                continue
+            for state in algorithm.canonical_states:
+                # the canonical state first, then a spread of its renamed copies
+                for renaming in itertools.islice(renamings_into(state.base, 11), 0, None, 19):
+                    tables = apply_renaming(state, renaming).interpretations
+                    expected = reference_rule_updates(algorithm.vocabulary, tables, algorithm.program)
+                    assert rule_updates(algorithm.compiled, tables) == expected
+                    checked += 1
+        assert checked > 1000
+
+    def test_wild_rules_match_the_reference(self, default_suite):
+        vocabularies = list(dict.fromkeys(i.algorithm.vocabulary for i in default_suite))
+        rng = random.Random(31)
+        seen = set()
+        for vocabulary in vocabularies:
+            for _ in range(12):
+                rule = _wild_rule(rng, vocabulary)
+                compiled = CompiledRule(vocabulary, rule)
+                state = _random_state(rng, vocabulary, rng.randint(1, 4))
+                tables = state.interpretations
+                expected = outcome(lambda: reference_rule_updates(vocabulary, tables, rule))
+                assert outcome(lambda: rule_updates(compiled, tables)) == expected
+                seen.add(expected[0] if isinstance(expected, tuple) else dict)
+        assert seen == {dict, GuardError, ClashError}
+
+    def test_unknown_symbols_named_as_the_reference_does(self, default_suite):
+        foreign = Symbol("zz", 0)
+        rng = random.Random(32)
+        outcomes = set()
+        for vocabulary in dict.fromkeys(i.algorithm.vocabulary for i in default_suite):
+            wider = Vocabulary(vocabulary.nonlogical + (foreign,))
+            state = State(vocabulary, {3})
+            for _ in range(8):
+                rule = _wild_rule(rng, wider)
+                used = {sub.root for t in rule_terms(rule) for sub in t.subterms()}
+                expected = (
+                    (VocabularyMismatchError, f"rule uses unknown symbol {foreign}")
+                    if foreign in used
+                    else True
+                )
+                built = outcome(lambda: Algorithm(vocabulary, (state,), (True,), program=rule).rule_based)
+                assert built == expected
+                outcomes.add(built is True)
+                if foreign in used:  # on every branch, taken or not
+                    assert outcome(lambda: apply_rule(state, rule)) == expected
+        assert outcomes == {True, False}
