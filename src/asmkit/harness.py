@@ -18,11 +18,18 @@ cached across checks.  None of them enumerates the closure: the replay reads
 the first ``REPLAY_PAIR_LIMIT + 1`` copies of each similarity class, which
 the index streams lazily in key order, so its cost hardly grows with the
 universe.  It reads the witness values of those copies from their vectors,
-builds each pair's similarity function from them, and builds a pair's states
-only when the pair carries an accessible update.  The route and its constructions
-do not depend on the update, so they run once per pair; the states the
-constructions make are evaluated by the index's compiled witness program, so
-the replay's internal assertions test the constructions themselves.
+builds each pair's similarity function from them, and routes a pair only
+when it carries an accessible update.  The route and its constructions do
+not depend on the update, so they run once per pair.  A copy is the element
+map that renames its canonical state, and the replay builds no ``State`` or
+``Renaming``: each construction is a map composed with that one, checked as
+a renaming; the copy it makes is the canonical state's tables renamed by the
+composed map, evaluated by the index's compiled witness program, and its
+update set is the canonical one, encoded and lifted through the same map.
+``_pair_route`` proves these are the tables and update sets of the states
+the constructions stand for, so the replay's internal assertions test the
+constructions themselves.  ``construct_case1_state`` and
+``construct_disjoint_copy`` run the same constructions and build the states.
 
 The module also hosts the seeded generators used by the property suites.
 """
@@ -31,6 +38,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (
     AsmError,
@@ -55,8 +63,9 @@ from .kernel import (
     TermProgram,
     Vocabulary,
     apply_renaming,
-    identity_renaming,
     isomorphisms_between,
+    rename_tables,
+    renaming_map,
     sorted_terms,
     subterm_closure,
 )
@@ -67,11 +76,12 @@ from .transition import (
     Algorithm,
     Assign,
     Cond,
+    Encoded,
     Par,
     Rule,
     Update,
-    lift_update,
-    lift_update_set,
+    lift_encoded,
+    lift_encoded_set,
     rule_terms,
 )
 
@@ -139,40 +149,56 @@ def construct_case1_state(
     elements the similarity function fixes.  The returned renaming coincides
     with the similarity function on the witness values and is the identity on
     the rest of the carrier; the copy coincides with ``y`` over the witness.
-    The witness is evaluated on both states and the construction itself is
-    ``_replaced_copy``, which the proof replay calls on the values its
-    ``ClosureIndex`` already holds.
+    This wrapper evaluates the witness on both states, takes ``x`` as the
+    copy of itself by the identity map and runs ``_replaced_copy``, the
+    construction the proof replay runs on element maps; it builds the
+    ``State`` and ``Renaming`` from the map that construction checked.
     """
     program = TermProgram(x.vocabulary, sorted_terms(terms))
     xs, ys = program.evaluate(x), program.evaluate(y)
-    replaced, xi = _replaced_copy(x, similarity_of_vectors(xs, ys, program.terms), program, ys)
+    sigma = similarity_of_vectors(xs, ys, program.terms)
+    xi, _ = _replaced_copy(program, x, {e: e for e in x.base}, sigma, ys)
     if x.vocabulary != y.vocabulary:
         raise VocabularyMismatchError("states have different vocabularies")
-    return replaced, xi
+    renaming = Renaming(xi)
+    return apply_renaming(x, renaming), renaming
+
+
+def _compose(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
+    """The element map of ``outer`` after ``inner``, over ``inner``'s domain."""
+    return {e: outer[v] for e, v in inner.items()}
 
 
 def _replaced_copy(
-    x: State, sigma: SimilarityFunction, program: TermProgram, y_vector: tuple[int, ...]
-) -> tuple[State, Renaming]:
-    """``construct_case1_state`` given the similarity function and the target's
-    values of the witness compiled in ``program``; the replaced copy is
-    evaluated by it, to confirm that it has those values."""
+    program: TermProgram,
+    canonical: State,
+    x_map: dict[int, int],
+    sigma: SimilarityFunction,
+    y_vector: tuple[int, ...],
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The value replacement xi of the copy x = r(c), c = ``canonical`` and
+    r = ``x_map``, and xi r: xi is ``sigma`` on x's witness values and the
+    identity on the rest of x's carrier, checked by ``renaming_map``
+    (``CaseHypothesisError`` when it is no renaming).  The replaced copy
+    xi(x) = (xi r)(c) is evaluated by ``program`` on c's tables renamed by
+    xi r, to confirm that it has the values ``y_vector``."""
     shared = sigma.domain & sigma.image
     nonlogical_shared = sorted(v for v in shared if v not in LOGICAL_IDS)
     if nonlogical_shared:
         raise CaseHypothesisError(
             f"witness value sets share nonlogical elements {nonlogical_shared}"
         )
-    mapping = {e: e for e in x.base}
-    mapping.update(sigma.items())
+    xi = {e: e for e in x_map.values()}
+    xi.update(sigma.items())
     try:
-        xi = Renaming(mapping)
+        xi = renaming_map(xi)
     except InvalidRenamingError as exc:
         raise CaseHypothesisError(f"value replacement is not a renaming: {exc}") from exc
-    replaced = apply_renaming(x, xi)
-    if program.evaluate(replaced) != y_vector:
+    composed = _compose(xi, x_map)
+    tables = rename_tables(canonical.interpretations, composed)
+    if program.evaluate_tables(canonical.vocabulary, tables) != y_vector:
         raise AsmError("internal: value-replacement copy fails to coincide")
-    return replaced, xi
+    return xi, composed
 
 
 def construct_disjoint_copy(
@@ -184,33 +210,43 @@ def construct_disjoint_copy(
     the identity is returned.  Otherwise the whole carrier moves to the least
     ids unused by either state; if the universe has no room for that, only
     the elements appearing among ``y``'s witness values move, which always
-    fits inside the documented headroom of twice the carrier bound.  The
-    witness is evaluated on ``y`` and the construction itself is
-    ``_detached_copy``, which the proof replay calls on the values its
-    ``ClosureIndex`` already holds.
+    fits inside the documented headroom of twice the carrier bound.  This
+    wrapper evaluates the witness on ``y``, takes both states as copies of
+    themselves by identity maps and runs ``_detached_copy``, the
+    construction the proof replay runs on element maps; it builds the
+    ``State`` and ``Renaming`` from the map that construction checked.
     """
     program = TermProgram(y.vocabulary, sorted_terms(terms))
-    copy, eta, _ = _detached_copy(x, y, program, program.evaluate(y), universe_size)
-    return copy, eta
+    identity = {e: e for e in x.base}
+    eta, _, _ = _detached_copy(program, x, identity, y.base, program.evaluate(y), universe_size)
+    renaming = Renaming(eta)
+    return apply_renaming(x, renaming), renaming
 
 
 def _detached_copy(
-    x: State, y: State, program: TermProgram, y_vector: tuple[int, ...], universe_size: int
-) -> tuple[State, Renaming, tuple[int, ...]]:
-    """``construct_disjoint_copy`` given ``y``'s values of the witness
-    compiled in ``program``; the copy is evaluated by it, to confirm that it
-    shares none of them, and its values are returned with it."""
-    x_carrier = set(x.nonlogical_elements())
-    y_carrier = set(y.nonlogical_elements())
+    program: TermProgram,
+    canonical: State,
+    x_map: dict[int, int],
+    y_base: Iterable[int],
+    y_vector: tuple[int, ...],
+    universe_size: int,
+) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
+    """The map eta detaching the copy x = r(c), c = ``canonical`` and
+    r = ``x_map``, from a state y with carrier ``y_base`` and values
+    ``y_vector`` of the witness compiled in ``program``; eta r; and the
+    detached copy's witness values.  eta is checked by ``renaming_map``.  The
+    detached copy eta(x) = (eta r)(c) is evaluated by ``program`` on c's
+    tables renamed by eta r, to confirm that it shares no nonlogical value
+    with y."""
+    x_carrier = {v for v in x_map.values() if v not in LOGICAL_IDS}
     y_values = {v for v in y_vector if v not in LOGICAL_IDS}
-    if x_carrier.isdisjoint(y_carrier) or x_carrier.isdisjoint(y_values):
-        eta = identity_renaming(x.base)
-        copy = x
+    if x_carrier.isdisjoint(y_base) or x_carrier.isdisjoint(y_values):
+        eta = {v: v for v in x_map.values()}
     else:
-        taken = x.base | y.base
+        taken = set(x_map.values()).union(y_base)
         unused = list(itertools.islice((e for e in range(3, universe_size) if e not in taken), len(x_carrier)))
         if len(unused) == len(x_carrier):
-            eta = Renaming(dict(zip(sorted(x_carrier), unused)))
+            eta = dict(zip(sorted(x_carrier), unused))
         else:
             moved = sorted(x_carrier & y_values)
             keep = x_carrier.difference(moved)
@@ -220,14 +256,15 @@ def _detached_copy(
                 raise HeadroomError(
                     f"universe of size {universe_size} has no room for a disjoint copy"
                 )
-            mapping = {e: e for e in keep}
-            mapping.update(zip(moved, allowed))
-            eta = Renaming(mapping)
-        copy = apply_renaming(x, eta)
-    copy_vector = program.evaluate(copy)
-    if y_values.intersection(copy_vector):
+            eta = {e: e for e in keep}
+            eta.update(zip(moved, allowed))
+    eta = renaming_map(eta)
+    detached = _compose(eta, x_map)
+    tables = rename_tables(canonical.interpretations, detached)
+    detached_vector = program.evaluate_tables(canonical.vocabulary, tables)
+    if y_values.intersection(detached_vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
-    return copy, eta, copy_vector
+    return eta, detached, detached_vector
 
 
 def _logically_compatible(sigma: SimilarityFunction) -> bool:
@@ -240,37 +277,57 @@ def _logically_compatible(sigma: SimilarityFunction) -> bool:
 
 
 def _pair_route(
-    x: Copy, y: Copy, sigma: SimilarityFunction, program: TermProgram, universe_size: int
-) -> tuple[str, tuple[Renaming, ...]]:
-    """The proof's route from ``x`` to ``y`` and the renamings along it.
+    index: ClosureIndex, x: Copy, y: Copy, sigma: SimilarityFunction
+) -> tuple[str, tuple[dict[int, int], ...]]:
+    """The proof's route from ``x`` to ``y`` and the element maps along it.
 
     The route does not depend on the carried update, so each pair's
     construction runs once: none when ``sigma`` moves a logical element
-    ("direct"), the value replacement when the witness-value sets are
-    disjoint ("case1"), and otherwise a disjoint copy followed by the
-    replacement ("case2").  The constructed copy must have ``y``'s update set.
+    ("direct"), the value replacement xi when the witness-value sets are
+    disjoint ("case1"), and otherwise a disjoint copy eta followed by the
+    replacement xi ("case2").  The constructed copy must have ``y``'s update
+    set.
+
+    Nothing is built but element maps.  With x = r(c) for x's canonical
+    state c and r = ``x.mapping``, each constructed copy is a composed map of
+    c: eta r, then xi r or xi eta r.  It is evaluated on c's tables renamed
+    by that map, and its update set is c's encoded one lifted through it.
+    These are exactly what the ``State``s that ``apply_renaming`` built gave:
+    renaming r(c) by eta sends each argument and value of c's tables through
+    r, then eta, which is the same as through eta r, and eta covers r(c)'s
+    carrier, which holds every element the tables mention; a renaming fixes
+    undef and is injective, so renamed normalized tables are normalized, and
+    ``State`` keeps them as they are.  Likewise for xi, and for lifting an
+    update set, stage by stage or through the composition.  r passes
+    ``Renaming``'s checks (see ``Copy``), and eta and xi are checked by
+    ``renaming_map``, so the composed maps are renamings of c, as the
+    renamings the old route composed were.  Encoded updates over one
+    vocabulary are equal exactly when the updates are, so the comparisons
+    decide what comparing ``Update`` sets decided.  So every check still
+    tests the constructions themselves.
     """
     if not _logically_compatible(sigma):
         return "direct", ()
+    program = index.program
+    canonical = index.algorithm.canonical_states[x.canonical_index]
+    updates = index.encoded_deltas[x.canonical_index]
     if set(x.vector).isdisjoint(y.vector):
         try:
-            _, xi = _replaced_copy(x.state, sigma, program, y.vector)
+            xi, replaced = _replaced_copy(program, canonical, x.mapping, sigma, y.vector)
         except CaseHypothesisError:
             pass  # replacement collides inside the carrier; sanitize via a disjoint copy
         else:
-            if lift_update_set(xi, x.delta) != y.delta:
+            if lift_encoded_set(replaced, updates) != y.encoded_delta:
                 raise AsmError(
                     "replayed chain broken: replacement copy and target disagree on updates"
                 )
             return "case1", (xi,)
-    detached, eta, detached_vector = _detached_copy(
-        x.state, y.state, program, y.vector, universe_size
+    eta, detached, detached_vector = _detached_copy(
+        program, canonical, x.mapping, y.mapping.values(), y.vector, index.universe_size
     )
-    detached_delta = lift_update_set(eta, x.delta)
-    _, xi = _replaced_copy(
-        detached, similarity_of_vectors(detached_vector, y.vector, program.terms), program, y.vector
-    )
-    if lift_update_set(xi, detached_delta) != y.delta:
+    onto_y = similarity_of_vectors(detached_vector, y.vector, program.terms)
+    xi, replaced = _replaced_copy(program, canonical, detached, onto_y, y.vector)
+    if lift_encoded_set(replaced, updates) != y.encoded_delta:
         raise AsmError(
             "replayed chain broken: composed copy and target disagree on updates"
         )
@@ -284,14 +341,14 @@ _TRANSPORT_BROKEN = {
 
 
 def _transport(
-    route: str, steps: tuple[Renaming, ...], sigma: SimilarityFunction, update: Update
-) -> Update:
-    """Carry one accessible update along the pair's route; it must land where
-    the similarity function sends it."""
-    expected = lift_update(sigma, update)
+    route: str, steps: tuple[dict[int, int], ...], sigma: SimilarityFunction, update: Encoded
+) -> Encoded:
+    """Carry one accessible encoded update along the pair's route; it must
+    land where the similarity function sends it."""
+    expected = lift_encoded(sigma, update)
     moved = update
-    for renaming in steps:
-        moved = lift_update(renaming, moved)
+    for mapping in steps:
+        moved = lift_encoded(mapping, moved)
     if steps and moved != expected:
         raise AsmError(_TRANSPORT_BROKEN[route])
     return expected
@@ -358,6 +415,7 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
 
 def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
     terms, program = index.terms, index.program
+    vocabulary = index.algorithm.vocabulary
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
         for left, right in _sample_pairs(list(members), REPLAY_PAIR_LIMIT):
@@ -371,7 +429,7 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
                         "similarity of a coinciding pair is not the identity",
                         witness={"left": left.state, "right": right.state},
                     )
-                if left.delta != right.delta:
+                if left.encoded_delta != right.encoded_delta:
                     return CheckReport(
                         False,
                         "equivalence",
@@ -380,14 +438,14 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
                     )
             accessible = set(left.vector)
             carried = [
-                u for u in sorted(left.delta, key=lambda u: u.encoded()) if u.within(accessible)
+                u for u in sorted(left.encoded_delta) if u[2] in accessible and accessible.issuperset(u[1])
             ][:REPLAY_UPDATE_LIMIT]
             if not carried:
                 continue
-            route, steps = _pair_route(left, right, sigma, program, index.universe_size)
+            route, steps = _pair_route(index, left, right, sigma)
             for u in carried:
                 final = _transport(route, steps, sigma, u)
-                if final not in right.delta:
+                if final not in right.encoded_delta:
                     return CheckReport(
                         False,
                         "equivalence",
@@ -395,8 +453,8 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
                         witness={
                             "left": left.state,
                             "right": right.state,
-                            "update": u,
-                            "transported": final,
+                            "update": _decoded(vocabulary, u),
+                            "transported": _decoded(vocabulary, final),
                             "route": route,
                             "terms": terms,
                         },
@@ -405,6 +463,11 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
     stats = [f"replayed-chains={counts['case1'] + counts['case2'] + counts['direct']}"]
     stats.extend(f"{k}={v}" for k, v in counts.items())
     return stats
+
+
+def _decoded(vocabulary: Vocabulary, update: Encoded) -> Update:
+    name, args, value = update
+    return Update(vocabulary.symbol(name), args, value)
 
 
 # ---------------------------------------------------------------------------

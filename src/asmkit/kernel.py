@@ -186,8 +186,16 @@ def subterm_closure(terms: Iterable[Term]) -> frozenset[Term]:
 
 
 def is_subterm_closed(terms: Iterable[Term]) -> bool:
+    """Whether every subterm of a member is a member.
+
+    Only direct children are looked up.  That suffices, by induction on
+    depth: a subterm of t is t itself or a subterm of a child c of t; c is a
+    member, of smaller depth, so every subterm of c is a member.  Conversely
+    a child is a subterm, so a set closed under subterms is closed under
+    children.
+    """
     terms = frozenset(terms)
-    return all(s in terms for t in terms for s in t.subterms())
+    return all(c in terms for t in terms for c in t.children)
 
 
 def sorted_terms(terms: Iterable[Term]) -> list[Term]:
@@ -445,10 +453,16 @@ class TermProgram:
 
     def evaluate(self, state: State) -> tuple[int, ...]:
         """The values of ``terms`` in ``state``, in order."""
-        vocabulary = state.vocabulary
+        return self.evaluate_tables(state.vocabulary, state.interpretations)
+
+    def evaluate_tables(
+        self, vocabulary: Vocabulary, tables: Mapping[str, Mapping[tuple[int, ...], int]]
+    ) -> tuple[int, ...]:
+        """The values of ``terms``, in order, in the state over ``vocabulary``
+        with these normalized tables, without building it."""
         if vocabulary is not self.vocabulary and vocabulary != self.vocabulary:
-            return TermProgram(vocabulary, self.terms).evaluate(state)
-        values = self.run(state.interpretations)
+            return TermProgram(vocabulary, self.terms).evaluate_tables(vocabulary, tables)
+        values = self.run(tables)
         return tuple([values[i] for i in self.outputs])
 
 
@@ -525,20 +539,7 @@ class Renaming(InjectiveMap):
     __slots__ = ()
 
     def __init__(self, mapping: Mapping[int, int]) -> None:
-        m = dict(mapping)
-        for lid in LOGICAL_IDS:
-            if m.setdefault(lid, lid) != lid:
-                raise InvalidRenamingError(f"renaming moves logical element {lid}")
-        for src, dst in m.items():
-            if src < 0 or dst < 0:
-                raise InvalidRenamingError(f"bad renaming pair {src}->{dst}")
-            if dst in LOGICAL_IDS and src != dst:
-                raise InvalidRenamingError(
-                    f"renaming maps nonlogical {src} onto logical element {dst}"
-                )
-        if len(set(m.values())) != len(m):
-            raise InvalidRenamingError("renaming is not injective")
-        self._map = m
+        self._map = renaming_map(mapping)
 
     def _outside(self, element: int) -> AsmError:
         return DomainError(f"element {element} outside renaming domain")
@@ -546,6 +547,28 @@ class Renaming(InjectiveMap):
     def __repr__(self) -> str:
         moved = ", ".join(f"{k}->{v}" for k, v in self.items() if k != v)
         return f"Renaming({moved or 'identity'})"
+
+
+def renaming_map(mapping: Mapping[int, int]) -> dict[int, int]:
+    """The element map of ``Renaming(mapping)``: a copy of ``mapping`` with the
+    logical elements added as fixed points, checked to fix them, to hold no
+    negative id, to map no nonlogical element onto a logical one and to be
+    injective; the first fault raises ``InvalidRenamingError``.  Code that
+    keeps renamings as raw maps checks them here, as ``Renaming`` does."""
+    m = dict(mapping)
+    for lid in LOGICAL_IDS:
+        if m.setdefault(lid, lid) != lid:
+            raise InvalidRenamingError(f"renaming moves logical element {lid}")
+    for src, dst in m.items():
+        if src < 0 or dst < 0:
+            raise InvalidRenamingError(f"bad renaming pair {src}->{dst}")
+        if dst in LOGICAL_IDS and src != dst:
+            raise InvalidRenamingError(
+                f"renaming maps nonlogical {src} onto logical element {dst}"
+            )
+    if len(set(m.values())) != len(m):
+        raise InvalidRenamingError("renaming is not injective")
+    return m
 
 
 def identity_renaming(elements: Iterable[int]) -> Renaming:

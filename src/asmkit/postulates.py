@@ -10,10 +10,13 @@ A bounded-exploration check works on a ``ClosureIndex``: the witness values
 and update set of every canonical state.  No check enumerates the closure:
 the similarity and coincidence classes stream their copies lazily in key
 order, one carrier at a time, so a reader pays only for the copies it reads.
-A copy derives its ``State``, witness values and update set on first read,
-and nothing is cached across calls.  The index compiles the sorted witness
-once into a ``TermProgram``, whose symbols were checked then; it evaluates
-the canonical states, and the proof replay runs it on the copies it builds.
+A copy is the raw element map that renames its canonical state; it derives
+its witness values and encoded update set from the index on first read, and
+builds its ``Renaming``, ``State`` and ``Update`` set only when a witness or
+a test reads them.  Nothing is cached across calls.  The index compiles the
+sorted witness once into a ``TermProgram``, whose symbols were checked then;
+it evaluates the canonical states, and the proof replay runs it on the
+canonical tables renamed by each map it composes, without building a state.
 
 The coincidence and similarity quantifications over state pairs are computed
 by grouping states on their witness-value vectors (respectively, on the
@@ -82,11 +85,13 @@ from .report import CheckReport
 from .similarity import equality_pattern
 from .transition import (
     Algorithm,
+    Encoded,
     Update,
     apply_rule,
     apply_updates,
     canonical_delta,
     canonical_step,
+    lift_encoded_set,
     lift_update_set,
     rule_updates,
     step,
@@ -96,27 +101,46 @@ from .transition import (
 
 @dataclass
 class Copy:
-    """One state of the universe closure, remembered with its provenance.  Its
-    state, and its witness values and update set (its canonical state's in
-    ``index``, renamed), are derived on first read; no one fills them in."""
+    """One state of the universe closure, r(c) for the canonical state c at
+    ``canonical_index`` in ``index``'s algorithm, remembered by the raw
+    element map r (``mapping``, over c's carrier) that made it.  Its witness
+    values and encoded update set are c's in ``index``, renamed by r; its
+    ``Renaming``, ``State`` and ``Update`` set are views built only for
+    witnesses and tests.  All are derived on first read; no one fills them in.
+
+    Every map a copy is made with passes ``Renaming``'s checks, so the view
+    adds no failure: the closure's maps come from ``Renaming``s, and a class
+    stream's map sends the sorted free sources to a permutation of distinct
+    free targets, the fixed sources to distinct fixed targets outside those,
+    and the logical ids to themselves, all targets at least 3 but the
+    logical ones, as ``_renaming_maps`` does.
+    """
 
     canonical_index: int
-    canonical: State
-    renaming: Renaming
+    mapping: dict[int, int]
     key: tuple
-    index: ClosureIndex | None = field(default=None, repr=False, compare=False)
+    index: ClosureIndex = field(repr=False, compare=False)
+
+    @cached_property
+    def renaming(self) -> Renaming:
+        return Renaming(self.mapping)
 
     @cached_property
     def state(self) -> State:
-        return apply_renaming(self.canonical, self.renaming)
+        return apply_renaming(self.index.algorithm.canonical_states[self.canonical_index], self.renaming)
 
     @cached_property
     def vector(self) -> tuple[int, ...]:
-        return tuple(self.renaming[v] for v in self.index.vectors[self.canonical_index])
+        m = self.mapping
+        return tuple([m[v] for v in self.index.vectors[self.canonical_index]])
 
     @cached_property
     def delta(self) -> frozenset[Update]:
         return lift_update_set(self.renaming, self.index.deltas[self.canonical_index])
+
+    @cached_property
+    def encoded_delta(self) -> frozenset[Encoded]:
+        return lift_encoded_set(self.mapping, self.index.encoded_deltas[self.canonical_index])
 
 
 # Most renamings of the canonical states into the universe that the closure or
@@ -202,10 +226,13 @@ def renamings_into(
 def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
     """The deduplicated closure of the canonical states under renamings, each
     copy with the first renaming that makes it and deriving its witness values
-    and update set from ``index``; ``PreconditionError`` above
+    and update set from ``index``, by default an index over the empty witness
+    (so the universe needs headroom); ``PreconditionError`` above
     ``MAX_RENAMINGS`` renamings.  No check walks it: it is the oracle the
     class streams are tested against."""
     universe_fits(algorithm, universe_size)
+    if index is None:
+        index = ClosureIndex(algorithm, (), universe_size)
     _require_work_budget(algorithm, universe_size)
     seen: set[tuple] = set()
     copies: list[Copy] = []
@@ -214,7 +241,7 @@ def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | N
             key = renamed_key(canonical, renaming)
             if key not in seen:
                 seen.add(key)
-                copies.append(Copy(i, canonical, renaming, key, index))
+                copies.append(Copy(i, renaming._map, key, index))
     return copies
 
 
@@ -264,7 +291,7 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
                 m = {**fixed, **dict(zip(sources, perm))}
                 block.setdefault(state_key([m[e] for e in base], rename_tables(tables, m)), m)
             for key in sorted(block):
-                yield Copy(i, canonical, Renaming(block[key]), key, index)
+                yield Copy(i, block[key], key, index)
 
     return heapq.merge(*(owner_stream(i, v) for i, v in fixed.items()), key=lambda c: c.key)
 
@@ -527,6 +554,11 @@ class ClosureIndex:
             pattern, first = equality_pattern(vector)
             self.patterns.append(pattern)
             self.traces.append(_accessible_trace(delta, first))
+
+    @cached_property
+    def encoded_deltas(self) -> list[frozenset[Encoded]]:
+        """The canonical update sets, encoded."""
+        return [frozenset([u.encoded() for u in delta]) for delta in self.deltas]
 
     @cached_property
     def owners(self) -> tuple[int, ...]:

@@ -382,3 +382,21 @@ def lift_update(mapping: InjectiveMap, update: Update) -> Update:
 def lift_update_set(renaming: Renaming, updates: Iterable[Update]) -> frozenset[Update]:
     """Element-wise application of a renaming to an update set."""
     return frozenset(lift_update(renaming, u) for u in updates)
+
+
+# An update as ``Update.encoded`` gives it: (symbol name, args, value).  Symbol
+# names are unique in a vocabulary, so over one vocabulary encoded updates are
+# equal exactly when the updates are.
+Encoded = tuple[str, tuple[int, ...], int]
+
+
+def lift_encoded(mapping: Mapping[int, int] | InjectiveMap, update: Encoded) -> Encoded:
+    """``lift_update`` on an encoded update, through an element map or an
+    ``InjectiveMap``; an element outside it raises that map's error."""
+    name, args, value = update
+    return name, tuple([mapping[a] for a in args]), mapping[value]
+
+
+def lift_encoded_set(mapping: Mapping[int, int], updates: Iterable[Encoded]) -> frozenset[Encoded]:
+    """``lift_update_set`` on encoded updates, through a renaming's element map."""
+    return frozenset([(name, tuple([mapping[a] for a in args]), mapping[v]) for name, args, v in updates])

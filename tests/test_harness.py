@@ -37,9 +37,12 @@ from asmkit import (
     verify_equivalence,
 )
 from asmkit import harness
+from asmkit.kernel import LOGICAL_IDS, rename_tables
 from asmkit.postulates import ClosureIndex
+from asmkit.transition import lift_encoded
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
+_COMPOSE = harness._compose
 
 
 def _constants_vocab(count: int) -> Vocabulary:
@@ -209,18 +212,19 @@ def _moving_algorithm() -> tuple[Algorithm, Vocabulary]:
     return Algorithm(vocabulary, (x,), (True,), successors=(successor,)), vocabulary
 
 
-def _swapping_renaming(state: State, renaming: Renaming) -> State:
-    """The renamed copy with its two least nonlogical elements swapped: still
-    an isomorphic copy, but not the one asked for."""
-    copy = apply_renaming(state, renaming)
-    a, b = sorted(copy.nonlogical_elements())[:2]
-    swap = {e: e for e in copy.base}
-    swap[a], swap[b] = b, a
-    return apply_renaming(copy, Renaming(swap))
+def _swapping_compose(outer, inner):
+    """The composed map, then the copy's two least nonlogical elements
+    swapped: still an isomorphic copy, but not the one asked for."""
+    composed = _COMPOSE(outer, inner)
+    a, b = sorted(v for v in composed.values() if v not in LOGICAL_IDS)[:2]
+    swap = {a: b, b: a}
+    return {e: swap.get(v, v) for e, v in composed.items()}
 
 
-def _unlifted_by_renamings(mapping, update):
-    return update if isinstance(mapping, Renaming) else lift_update(mapping, update)
+def _unlifted_by_route_maps(mapping, update):
+    """Lifts through the similarity function only: the route's element maps
+    leave the update where it was."""
+    return update if isinstance(mapping, dict) else lift_encoded(mapping, update)
 
 
 class TestReplayAssertions:
@@ -249,7 +253,7 @@ class TestReplayAssertions:
         ],
     )
     def test_update_sets_must_agree(self, monkeypatch, case1_only, message):
-        monkeypatch.setattr(harness, "lift_update_set", lambda renaming, updates: frozenset())
+        monkeypatch.setattr(harness, "lift_encoded_set", lambda mapping, updates: frozenset())
         with pytest.raises(AsmError, match=f"^{message}$"):
             self._replay(monkeypatch, logical=not case1_only, case1_only=case1_only)
 
@@ -261,21 +265,103 @@ class TestReplayAssertions:
         ],
     )
     def test_transport_must_match_similarity_lift(self, monkeypatch, case1_only, message):
-        monkeypatch.setattr(harness, "lift_update", _unlifted_by_renamings)
+        monkeypatch.setattr(harness, "lift_encoded", _unlifted_by_route_maps)
         with pytest.raises(AsmError, match=f"^{message}$"):
             self._replay(monkeypatch, logical=not case1_only, case1_only=case1_only)
 
     def test_replaced_copy_must_coincide(self, monkeypatch):
-        monkeypatch.setattr(harness, "apply_renaming", _swapping_renaming)
+        monkeypatch.setattr(harness, "_compose", _swapping_compose)
         with pytest.raises(AsmError, match="^internal: value-replacement copy fails to coincide$"):
             self._replay(monkeypatch, logical=True)
 
     def test_detached_copy_must_not_share_values(self, monkeypatch):
-        monkeypatch.setattr(harness, "apply_renaming", lambda state, renaming: state)
+        # The detached map is never composed in: the copy is x itself.
+        monkeypatch.setattr(harness, "_compose", lambda outer, inner: inner)
         with pytest.raises(
             AsmError, match="^internal: disjoint copy still shares nonlogical witness values$"
         ):
             self._replay(monkeypatch, logical=True)
+
+
+def _state_route(x, y, terms, universe_size):
+    """The replay's route from ``x`` to ``y`` taken on states, through the
+    public constructions: its name, its renamings and the states it builds."""
+    sigma = similarity_function(x, y, terms)
+    if not harness._logically_compatible(sigma):
+        return "direct", [], []
+    if evaluate_set(x, terms).isdisjoint(evaluate_set(y, terms)):
+        try:
+            replaced, xi = construct_case1_state(x, y, terms)
+        except CaseHypothesisError:
+            pass
+        else:
+            return "case1", [xi], [replaced]
+    detached, eta = construct_disjoint_copy(x, y, terms, universe_size)
+    replaced, xi = construct_case1_state(detached, y, terms)
+    return "case2", [eta, xi], [detached, replaced]
+
+
+class TestMapLevelRoute:
+    """The replay routes pairs on element maps and renamed canonical tables;
+    on the copies' materialized states, the public constructions must take
+    the same route, with the same renamings, and build the same tables."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """Records, for every pair the replay routes, the pair, the route's
+        name and maps, and the tables it renames the canonical state to."""
+        pairs, renamed = [], []
+        route = harness._pair_route
+
+        def spy_route(index, x, y, sigma):
+            renamed.clear()
+            name, steps = route(index, x, y, sigma)
+            pairs.append((index, x, y, name, steps, list(renamed)))
+            return name, steps
+
+        def spy_rename(tables, mapping):
+            renamed.append(rename_tables(tables, mapping))
+            return renamed[-1]
+
+        monkeypatch.setattr(harness, "_pair_route", spy_route)
+        monkeypatch.setattr(harness, "rename_tables", spy_rename)
+        return pairs
+
+    def _compare(self, pairs):
+        routes = {}
+        for index, x, y, name, steps, tables in pairs:
+            expected = _state_route(x.state, y.state, index.terms, index.universe_size)
+            assert (name, [Renaming(m) for m in steps]) == expected[:2]
+            assert tables == [state.interpretations for state in expected[2]]
+            routes[name] = routes.get(name, 0) + 1
+        return routes
+
+    def test_default_suite_routes_match_the_state_constructions(
+        self, routed, default_suite, default_config
+    ):
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                verify_equivalence(instance.algorithm, terms, default_config.universe_size)
+        assert self._compare(routed) == {"case2": 4297}
+
+    def test_two_constant_routes_match_the_state_constructions(self, routed):
+        moving, vocabulary = _moving_algorithm()
+        verify_equivalence(moving, frozenset(Term(s) for s in vocabulary.nonlogical), 7)
+        routes = self._compare(routed)
+        assert routes["case1"] > 0 and routes["case2"] > 0
+
+    def test_replay_builds_no_state_or_renaming(self, monkeypatch, default_suite, default_config):
+        built = []
+        monkeypatch.setattr(harness, "apply_renaming", lambda *args: built.append(args))
+        monkeypatch.setattr(harness, "Renaming", lambda *args: built.append(args))
+        replayed = 0
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                report = verify_equivalence(instance.algorithm, terms, default_config.universe_size)
+                if report.passed and "old-be=pass" in report.notes:
+                    replayed += 1
+        assert replayed == 266
+        assert built == []
 
 
 class TestGenerators:

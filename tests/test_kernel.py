@@ -64,6 +64,27 @@ class TestSubtermClosure:
         assert not is_subterm_closed({fa})
         assert is_subterm_closed({fa, a})
 
+    def test_children_only_matches_every_subterm(self, default_suite, simple_vocab):
+        # The definition: every subterm of a member, at any depth, is a member.
+        def closed_by_definition(terms):
+            return all(s in terms for t in terms for s in t.subterms())
+
+        cases = [witness for instance in default_suite for witness in instance.witnesses]
+        # Holes: each suite witness less one member, and random unclosed sets
+        # of deep terms, some missing only a grandchild.
+        cases += [witness - {t} for witness in cases[:60] for t in witness]
+        rng = random.Random(11)
+        for _ in range(40):
+            terms = {random_term(rng, simple_vocab, 3) for _ in range(3)}
+            closed = set(subterm_closure(terms))
+            deep = [s for t in terms for c in t.children for s in c.children]
+            if deep:
+                closed.discard(rng.choice(deep))
+            cases += [frozenset(terms), frozenset(closed)]
+        verdicts = [closed_by_definition(frozenset(terms)) for terms in cases]
+        assert [is_subterm_closed(terms) for terms in cases] == verdicts
+        assert True in verdicts and False in verdicts
+
 
 class TestEvaluation:
     def test_remark_constant(self, remark):
