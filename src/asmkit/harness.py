@@ -419,7 +419,10 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
         for left, right in _sample_pairs(list(members), REPLAY_PAIR_LIMIT):
-            sigma = similarity_of_vectors(left.vector, right.vector, program.terms)
+            # left's pattern is its owner's: renamings are injective
+            sigma = similarity_of_vectors(
+                left.vector, right.vector, program.terms, index.patterns[left.canonical_index]
+            )
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
                 if not sigma.is_identity:

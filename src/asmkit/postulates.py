@@ -52,8 +52,10 @@ isomorphism from the first canonical state isomorphic to ci carries its
 successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
 stepped only to name a failing renaming, and on the rule-based backend,
 whose naturality is what the check tests there.  That backend runs the rule
-the ``Algorithm`` compiled when it was built on raw renamed tables, with
-renamings as raw element maps, and compares update sets; ``State``s and a
+the ``Algorithm`` compiled when it was built on raw renamed tables, once per
+distinct copy, with renamings as raw element maps, and compares update sets;
+a renaming that differs from an earlier one by an automorphism is settled
+by whether that automorphism moves the update set.  ``State``s and a
 ``Renaming`` are built only for the witness.
 """
 from __future__ import annotations
@@ -61,6 +63,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -272,10 +275,28 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
     canonical state before a copy's owner is isomorphic to it, so none makes
     the copy.
 
+    Only the first block keys every permutation.  Write s_1 < ... < s_n for
+    the free sources, and m_C,o for the map sending s_k to the o(k)-th least
+    member of C, for an order o of the positions 1..n, and fixing the rest as
+    the values say.  m_C,o and m_C,o' make one copy exactly when
+    m_C,o^-1 m_C,o' is an automorphism of the owner; that map fixes the
+    logical ids and the fixed sources and sends s_k to s_p(k) for
+    p = o^-1 o', so whether it is one depends on p and not on C.  The keys of
+    a block are thus constant exactly on the cosets o Stab, Stab the
+    position permutations p for which that map is an automorphism; Stab
+    does not depend on C.  ``itertools.permutations`` yields the orders in lexicographic order,
+    which for one C is the order of the maps' tuples, so the first order of
+    each key in the first block is the least of its coset, and the set of
+    these first orders is the same for every C.  A later block keys only
+    those: it meets each coset once, at the map that keying all n! orders
+    would have kept first, so its keys, their sorted order and each key's
+    first map are unchanged.
+
     Laziness: every block holds at least one copy, so each pull of an
-    owner's stream builds at most one block, of at most n! renamings for n
-    free sources; ``heapq.merge`` pulls each stream once to start and once
-    after each copy of it that it yields.
+    owner's stream builds at most one block; the first block keys n!
+    renamings for n free sources, and a later one n!/|Stab|.
+    ``heapq.merge`` pulls each stream once to start and once after each copy
+    of it that it yields.
     """
 
     def owner_stream(i: int, values: dict[int, int]) -> Iterator[Copy]:
@@ -285,11 +306,17 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
         taken = set(values.values())
         targets = [e for e in range(3, index.universe_size) if e not in taken]
         fixed = {**_LOGICAL_FIXED, **values}
+        firsts: Iterable[tuple[int, ...]] = itertools.permutations(range(len(sources)))
         for image in itertools.combinations(targets, len(sources)):
             block: dict[tuple, dict[int, int]] = {}  # key -> first element map
-            for perm in itertools.permutations(image):
-                m = {**fixed, **dict(zip(sources, perm))}
-                block.setdefault(state_key([m[e] for e in base], rename_tables(tables, m)), m)
+            learned = []  # the orders that made each key first
+            for order in firsts:
+                m = {**fixed, **dict(zip(sources, [image[p] for p in order]))}
+                key = state_key([m[e] for e in base], rename_tables(tables, m))
+                if key not in block:
+                    block[key] = m
+                    learned.append(order)
+            firsts = learned  # a later block keys only these
             for key in sorted(block):
                 yield Copy(i, block[key], key, index)
 
@@ -365,10 +392,10 @@ def _first_failing_renaming(
     explicit-successor backend, which gets here only for a failing state.
     """
     state = algorithm.canonical_states[index]
-    maps = _renaming_maps(state.base, universe_size)
     if algorithm.rule_based:
-        failing = _first_unnatural_rule_map(algorithm, state, successor, maps)
+        failing = _first_unnatural_rule_map(algorithm, state, successor, universe_size)
     else:
+        maps = _renaming_maps(state.base, universe_size)
         failing = next((m for m in maps if not _steps_along(algorithm, state, successor, Renaming(m))), None)
     if failing is None:
         return None
@@ -399,31 +426,42 @@ def _steps_along(algorithm: Algorithm, state: State, successor: State, renaming:
 
 
 def _first_unnatural_rule_map(
-    algorithm: Algorithm, state: State, successor: State, maps: Iterable[dict[int, int]]
+    algorithm: Algorithm, state: State, successor: State, universe_size: int
 ) -> dict[int, int] | None:
-    """The first map m whose copy, the canonical tables renamed by m, has a
-    rule update set other than m(D), D the diff of ``state`` and
-    ``successor``: the first failing renaming, by the lemma in
-    ``check_abstract_state``.  Renamings that differ by an automorphism give
-    the same copy, so a state with an automorphism besides the identity
-    remembers each copy's update set by its key, taken from the same tables.
+    """The first map m, in ``renamings_into``'s order, whose copy, the
+    canonical tables renamed by m, has a rule update set other than m(D), D
+    the diff of ``state`` and ``successor``: the first failing renaming, by
+    the lemmas in ``check_abstract_state``.
+
+    Maps are tuples over the state's sorted nonlogical elements.  Each
+    automorphism a but the identity is a permutation of positions that turns
+    m's tuple into m a's.  Only a coset-first map, one no m a precedes, has
+    its copy renamed, evaluated and compared with m(D); any other map is
+    settled by the first a found with m a before it: it fails exactly when
+    that a moves D.
     """
-    rule, tables, base = algorithm.compiled, state.interpretations, state.base
-    delta = [(u.symbol.name, u.args, u.value) for u in table_diff(state, successor)]
-    # The identity comes first among the automorphisms.
-    symmetric = len(list(itertools.islice(isomorphisms_between(state, state), 2))) > 1
-    evaluated: dict[tuple, dict] = {}  # copy key -> its update set
-    for m in maps:
-        copy_tables = rename_tables(tables, m)
-        if symmetric:
-            key = state_key([m[e] for e in base], copy_tables)
-            updates = evaluated.get(key)
-            if updates is None:
-                updates = evaluated[key] = rule_updates(rule, copy_tables)
-        else:
-            updates = rule_updates(rule, copy_tables)
-        if updates != {(name, tuple([m[a] for a in args])): m[v] for name, args, v in delta}:
-            return m
+    rule, tables = algorithm.compiled, state.interpretations
+    sources = state.nonlogical_elements()
+    delta = frozenset([u.encoded() for u in table_diff(state, successor)])
+    position = {e: k for k, e in enumerate(sources)}
+    # The identity comes first among the automorphisms; each other one comes
+    # as (m -> m a on tuples, whether a moves D).
+    twists = [
+        (operator.itemgetter(*[position[a[e]] for e in sources]), lift_encoded_set(a, delta) != delta)
+        for a in itertools.islice(isomorphisms_between(state, state), 1, None)
+    ]
+    for images in itertools.permutations(range(3, universe_size), len(sources)):
+        for twist, moves in twists:
+            if twist(images) < images:  # m a came first and passed
+                if moves:
+                    return {**_LOGICAL_FIXED, **dict(zip(sources, images))}
+                break
+        else:  # coset-first
+            m = {**_LOGICAL_FIXED, **dict(zip(sources, images))}
+            if rule_updates(rule, rename_tables(tables, m)) != {
+                (name, tuple([m[a] for a in args])): m[v] for name, args, v in delta
+            }:
+                return m
     return None
 
 
@@ -447,6 +485,28 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     other, or holding two values, takes different values in the two
     successors.  The lemma rests on table writes and renamings only, never
     on the naturality of rule semantics.
+
+    Each copy is evaluated once, through the coset of its renamings.  Order
+    the renamings of c as ``renamings_into`` does, lexicographically by their
+    tuples over c's sorted nonlogical elements, and let Aut(c) be c's
+    automorphism group.  Renamings m and m' give the same copy exactly when
+    m' = m a for some a in Aut(c): if m(c) = m'(c), then m^-1 m' carries c
+    onto c, and conversely m a(c) = m(c).  So each copy is the image of one
+    coset m Aut(c), first met at the coset's least member, its coset-first
+    map: exactly the map whose update set the loop used to remember under
+    the copy's key, so copies are evaluated in the same order as before.
+    Coset lemma: let m be a map that is not coset-first, a an automorphism
+    with m a before m, and every map before m pass; then m passes exactly
+    when a(D) = D.  Proof: m a makes m's copy, so the rule gives both the
+    same update set U, assuming only that the rule's update set is a
+    function of the copy's tables (not that it is natural).  m a passed, so
+    U = m(a(D)), and m passes when U = m(D), that is, m being injective,
+    when a(D) = D.  Any such a will do (one whose m a is least, m's
+    coset-first map, among them).  So ``_first_unnatural_rule_map`` finds
+    the first failing map in one pass that evaluates coset-first maps only
+    and fails any other map exactly when the first such a it meets moves D.
+    When no automorphism moves D, the maps that are not coset-first all pass
+    and are only skipped.
 
     The explicit-successor backend is decided on the canonical states.  Let
     cj be the first canonical state isomorphic to ci, and succ the successor

@@ -91,12 +91,18 @@ def similarity_function(x: State, y: State, terms: Iterable[Term]) -> Similarity
 
 
 def similarity_of_vectors(
-    xs: Sequence[int], ys: Sequence[int], order: Sequence[Term]
+    xs: Sequence[int],
+    ys: Sequence[int],
+    order: Sequence[Term],
+    pattern: Sequence[int] | None = None,
 ) -> SimilarityFunction:
     """The similarity function of two states given their values of the terms
     in ``order``; ``NotSimilarError`` unless the value vectors realize the
-    same equality pattern."""
-    for i, first in enumerate(equality_pattern(xs)[0]):
+    same equality pattern.  ``pattern``, when given, is ``xs``' equality
+    pattern, already known (an injective renaming keeps a pattern)."""
+    if pattern is None:
+        pattern = equality_pattern(xs)[0]
+    for i, first in enumerate(pattern):
         if ys[i] != ys[first]:
             raise NotSimilarError(
                 f"states are not similar over the witness: terms {order[first]} and "

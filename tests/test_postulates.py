@@ -6,6 +6,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asmkit import postulates, transition
 from asmkit import (
@@ -61,7 +62,7 @@ from asmkit import (
     witness_monotonicity,
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
-from asmkit.kernel import rename_tables, renamed_key
+from asmkit.kernel import rename_tables, renamed_key, state_key
 from asmkit.transition import rule_updates
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 
@@ -410,6 +411,38 @@ class TestAbstractState:
         kept = table_diff(copy, witness["expected"])
         locations = [sorted((u.symbol.name, u.args) for u in d) for d in (moved, kept)]
         assert (locations[0] == locations[1]) == (change == "value")
+
+    def test_first_failing_map_need_not_be_coset_first(self, monkeypatch):
+        # h swaps 3 and 4, so Aut = {id, swap}.  Under "f := least key of h"
+        # the canonical update set is f := 3, which the swap moves.  Map
+        # (4, 3) is (3, 4) after the swap, so it is not coset-first: the loop
+        # skips its evaluation and fails it because the swap moves D.  It is
+        # the first map that fails, since its copy is the canonical state.
+        f, h = Symbol("f", 0), Symbol("h", 1)
+        vocabulary = Vocabulary((f, h))
+        state = State(vocabulary, {3, 4}, {"h": {(3,): 4, (4,): 3}})
+        algorithm = Algorithm(vocabulary, (state,), (True,), program=Assign(f, (), Term(f)))
+        swap = Renaming({3: 4, 4: 3})
+        assert list(isomorphisms_between(state, state)) == [Renaming({3: 3, 4: 4}), swap]
+        evaluated = []
+
+        def least_key(rule, tables):
+            return {("f", ()): min(tables["h"])[0]}
+
+        def counted(rule, tables):
+            evaluated.append(tables)
+            return least_key(rule, tables)
+
+        monkeypatch.setattr(transition, "rule_updates", least_key)
+        monkeypatch.setattr(postulates, "rule_updates", counted)
+        for universe in (5, 8):
+            expected = _outcome(reference_abstract_state, algorithm, universe)
+            assert expected[0] is False
+            evaluated.clear()
+            assert _outcome(check_abstract_state, algorithm, universe) == expected
+            assert check_abstract_state(algorithm, universe).witness["renaming"] == swap
+            # the coset-first maps (3, x) before (4, 3), once in each of the two checks
+            assert len(evaluated) == 2 * (universe - 4)
 
     def test_unnatural_rule_semantics_match_the_reference_on_default_suite(
         self, default_suite, default_config, monkeypatch
@@ -1080,7 +1113,79 @@ def _renamed_tables_spy(monkeypatch):
     return calls
 
 
+def _free_sources(state, values):
+    return [e for e in state.nonlogical_elements() if e not in values]
+
+
+def _full_block(state, values, image):
+    """One carrier block keyed over all n! permutations of sorted(image):
+    (key, first map, its order of positions) per key, in key order."""
+    sources = _free_sources(state, values)
+    first = {}
+    for order in itertools.permutations(range(len(sources))):
+        m = {**{e: e for e in LOGICAL_IDS}, **values, **{s: image[p] for s, p in zip(sources, order)}}
+        first.setdefault(renamed_key(state, Renaming(m)), (m, order))
+    return [(key, *first[key]) for key in sorted(first)]
+
+
+def _stream_blocks(index, owner, values):
+    """An owner's stream, ``_copies_in_key_order`` with one owner, as blocks
+    of (key, map, its order of positions) with their images, read lazily."""
+    sources = _free_sources(index.algorithm.canonical_states[owner], values)
+    stream = postulates._copies_in_key_order(index, {owner: values})
+    for carrier, copies in itertools.groupby(stream, key=lambda c: c.key[0]):
+        image = tuple(sorted(e for e in carrier if e not in LOGICAL_IDS and e not in values.values()))
+        yield image, [(c.key, c.mapping, tuple(image.index(c.mapping[s]) for s in sources)) for c in copies]
+
+
+def _key_spy(monkeypatch):
+    """Counts the copy keys a class stream builds."""
+    calls = []
+
+    def spy(carrier, tables):
+        calls.append(None)
+        return state_key(carrier, tables)
+
+    monkeypatch.setattr(postulates, "state_key", spy)
+    return calls
+
+
 class TestClosureIndex:
+    def test_learned_blocks_equal_full_blocks(self, default_suite, monkeypatch):
+        # Every owner stream of the similarity classes and of the coincidence
+        # classes (the least vector of each owner's shape, as ``check_old_be``
+        # streams it), on the default suite at u=11 and the carrier-5 suite at
+        # headroom.  A later block keys only the orders that made a key first
+        # in the first block; each block, with its keys and first maps, must
+        # be the block keyed over all n! permutations.
+        keys = _key_spy(monkeypatch)
+        cases = [(instance, 11) for instance in default_suite]
+        for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=6)):
+            cases.append((instance, postulates.required_headroom(instance.algorithm)))
+        streams = learned = 0
+        for instance, universe in cases:
+            algorithm = instance.algorithm
+            fixings = {}
+            for terms in instance.witnesses:
+                index = postulates.ClosureIndex(algorithm, terms, universe)
+                for i in index.owners:
+                    least = postulates._least_renaming(index.vectors[i])
+                    values = {v: least[v] for v in index.vectors[i] if v not in LOGICAL_IDS}
+                    fixings.setdefault((i, tuple(sorted(values.items()))), (index, i, values))
+            for index, i, values in fixings.values():
+                state = algorithm.canonical_states[i]
+                keys.clear()
+                blocks = list(_stream_blocks(index, i, values))
+                assert blocks, "every owner has a copy at headroom"
+                for image, block in blocks:
+                    assert block == _full_block(state, values, image)
+                n = len(_free_sources(state, values))
+                per_block = len(blocks[0][1])
+                assert len(keys) == math.factorial(n) + (len(blocks) - 1) * per_block
+                streams += 1
+                learned += per_block < math.factorial(n)
+        assert (streams, learned) == (280, 99)  # 99 streams key fewer than n! in a later block
+
     def test_restricted_renamings_keep_the_closure_order(self):
         # The old check names its witness from the renamings that extend the
         # witness values; they must come in the order the closure tries them.
@@ -1258,3 +1363,79 @@ class TestClosureIndex:
                 continue
             with pytest.raises(error):
                 checker(flip, witnesses[terms], universe)
+
+
+_COSET_VOCABULARY = Vocabulary((Symbol("c", 0), Symbol("g", 1), Symbol("r", 2)))
+
+
+@st.composite
+def _states_with_fixed_values(draw):
+    """A state of carrier at most 5 over c/0, g/1 and r/2, a universe from
+    its headroom up, and values fixed for a random subset of its elements."""
+    n = draw(st.integers(0, 5))
+    base = [*LOGICAL_IDS, *range(3, 3 + n)]
+    tables = {
+        symbol.name: draw(
+            st.dictionaries(
+                st.tuples(*[st.sampled_from(base)] * symbol.arity), st.sampled_from(base), max_size=3
+            )
+        )
+        for symbol in _COSET_VOCABULARY.nonlogical
+    }
+    state = State(_COSET_VOCABULARY, base, tables)
+    universe = 2 * n + 3 + draw(st.integers(0, 2))
+    sources = draw(st.lists(st.sampled_from(base[3:]), unique=True)) if n else []
+    targets = draw(st.permutations(range(3, universe)))
+    return state, universe, dict(zip(sources, targets))
+
+
+def _least_mentioned(rule, tables):
+    """Unnatural semantics: c := the least nonlogical element the tables
+    mention, when that changes c; an automorphism that moves that element
+    moves the update set."""
+    updates = rule_updates(rule, tables)
+    mentioned = [e for table in tables.values() for args, value in table.items() for e in (*args, value)]
+    least = min((e for e in mentioned if e not in LOGICAL_IDS), default=None)
+    if least is not None and tables.get("c", {}).get((), UNDEF) != least:
+        updates[("c", ())] = least
+    return updates
+
+
+_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestCosetProperties:
+    @_PROPERTY_SETTINGS
+    @given(_states_with_fixed_values())
+    def test_learned_orders_are_the_key_dedup_orders(self, case):
+        # The first three blocks of the owner stream: each block's orders are
+        # those that first make each key when all n! permutations are keyed.
+        state, universe, values = case
+        algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), successors=(state,))
+        index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, universe)
+        for image, block in itertools.islice(_stream_blocks(index, 0, values), 3):
+            assert block == _full_block(state, values, image)
+
+    @_PROPERTY_SETTINGS
+    @given(_states_with_fixed_values(), st.booleans())
+    def test_coset_first_maps_are_the_renamed_key_dedup(self, case, natural):
+        # On the tightest universe or the next, the check renames exactly the
+        # first map of each distinct renamed key, in ``renamings_into``'s
+        # order, while every renaming passes; under unnatural semantics its
+        # outcome is the every-map reference's.
+        state, _, _ = case
+        universe = len(state.nonlogical_elements()) + 3 + natural
+        c = _COSET_VOCABULARY.symbol("c")
+        algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), program=Assign(c, (), Term(c)))
+        with pytest.MonkeyPatch.context() as patch:
+            if not natural:
+                patch.setattr(transition, "rule_updates", _least_mentioned)
+                patch.setattr(postulates, "rule_updates", _least_mentioned)
+            expected = _outcome(reference_abstract_state, algorithm, universe)
+            renamed = _renamed_tables_spy(patch)
+            assert _outcome(check_abstract_state, algorithm, universe) == expected
+        if expected[0] is True:
+            firsts = {}
+            for r in renamings_into(state.base, universe):
+                firsts.setdefault(renamed_key(state, r), r._map)
+            assert renamed == list(firsts.values())

@@ -31,6 +31,7 @@ from asmkit import (
     subterm_closure,
     t_similar,
 )
+from asmkit.similarity import equality_pattern
 from conftest import mk, random_state, random_term
 
 
@@ -163,6 +164,23 @@ class TestSimilarityFunction:
             similarity_of_vectors((3, 3), (5, 6), order)
         with pytest.raises(NotSimilarError, match="collapses on one side"):
             similarity_of_vectors((3, 4), (5, 5), order)
+
+    def test_from_vectors_with_a_known_pattern(self, remark):
+        # The pattern passed in stands for x's: y is checked against it,
+        # index by index, before the collapse check, with the same messages.
+        _, _, witness, _ = remark
+        order = sorted_terms(witness)[:3]
+        cases = [((3, 4, 3), (5, 6, 5)), ((3, 3, 4), (5, 6, 7)), ((3, 4, 5), (5, 5, 6)), ((3, 4, 4), (5, 3, 3))]
+        for xs, ys in cases:
+            outcomes = []
+            for pattern in (None, equality_pattern(xs)[0]):
+                try:
+                    outcomes.append(similarity_of_vectors(xs, ys, order, pattern).items())
+                except NotSimilarError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        with pytest.raises(NotSimilarError, match=f"terms {order[0]} and {order[1]} share"):
+            similarity_of_vectors((3, 4, 5), (5, 6, 7), order, (0, 0, 2))
 
     def test_apply_outside_domain(self, remark):
         x, y, witness, _ = remark
