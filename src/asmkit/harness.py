@@ -621,26 +621,52 @@ def ground_terms_up_to(
     """Ground terms over the nonlogical symbols with logical-constant leaves.
 
     Connective-rooted terms are excluded to keep the set small; the result is
-    truncated to ``cap`` terms by (depth, text) order, which preserves
-    subterm closure.
+    the first ``cap`` terms of depth at most ``max_depth`` in (depth, text)
+    order, which preserves subterm closure, sorted by text.
+
+    Only the terms of that result are built.  Round d applies each symbol to
+    held terms, at least one of them built by round d - 1; these are exactly
+    the terms of depth d, as a term is one deeper than its deepest child.
+    The rounds so add the terms in order of depth, and once ``cap`` or more
+    are held no later round can enter the first ``cap``: the rounds stop
+    there, and a round stops after the terms it can keep, which are its
+    smallest texts since each round runs in text order.
+
+    A round runs symbols in name order, and for each, ``itertools.product``
+    over the held terms in text order.  That is text order because the text
+    f(a1, ..., an) sorts as the tuple (f, a1, ..., an) of texts.  A text that
+    is a proper prefix of another is a name extended by identifier
+    characters: symbol names are identifiers, unique in the vocabulary, and
+    arities are fixed, so no term's text is a nullary name followed by "(",
+    and a composite text ends at its root's closing parenthesis.  Identifier
+    characters sort after "(", ")" and ",", which follow a name or a child.
+    The same facts make a text name exactly one term, so held terms are keyed
+    by their text.
     """
-    terms: set[Term] = {Term(s) for s in vocabulary.nonlogical if s.arity == 0}
-    terms |= {TRUE_TERM, FALSE_TERM, UNDEF_TERM}
+    held = {str(t): t for t in (TRUE_TERM, FALSE_TERM, UNDEF_TERM)}
+    held.update((s.name, Term(s)) for s in vocabulary.nonlogical if s.arity == 0)
+    ordered = sorted(held.values(), key=str)
+    newest = set(held)
     builders = [s for s in vocabulary.nonlogical if s.arity >= 1]
     for _ in range(max_depth):
-        snapshot = sorted(terms, key=str)
-        fresh: set[Term] = set()
-        for sym in builders:
-            for combo in itertools.product(snapshot, repeat=sym.arity):
-                t = Term(sym, combo)
-                if t not in terms:
-                    fresh.add(t)
+        if len(held) >= cap:
+            break
+        snapshot = sorted(held)
+        candidates = (
+            (sym, combo)
+            for sym in builders
+            for combo in itertools.product(snapshot, repeat=sym.arity)
+            if not newest.isdisjoint(combo)
+        )
+        fresh = [
+            Term(sym, tuple([held[c] for c in combo]))
+            for sym, combo in itertools.islice(candidates, cap - len(held))
+        ]
         if not fresh:
             break
-        terms |= fresh
-        if len(terms) > cap * 4:
-            break
-    ordered = sorted(terms, key=lambda t: (t.depth, str(t)))
+        newest = {str(t) for t in fresh}
+        held.update((str(t), t) for t in fresh)
+        ordered += fresh
     return sorted_terms(ordered[:cap])
 
 

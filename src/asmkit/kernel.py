@@ -147,6 +147,9 @@ class Term:
     children: tuple["Term", ...] = ()
     # Rendered once per term: witness sets are sorted by this text.
     _text: str = field(init=False, repr=False, compare=False)
+    # Hashed once per term, to the value the generated hash would give, so a
+    # hash costs no walk of the subtree and set orders stay as they were.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.children) != self.root.arity:
@@ -158,6 +161,15 @@ class Term:
         if self.children:
             text = f"{text}({', '.join([c._text for c in self.children])})"
         object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_hash", hash((self.root, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process, so a term is rebuilt, and
+        # rehashed, where it is loaded rather than carrying its cached hash.
+        return type(self), (self.root, self.children)
 
     def subterms(self) -> Iterator["Term"]:
         yield self
@@ -358,6 +370,7 @@ class TermProgram:
     once: terms are visited in the given order, each node before its
     children, and the first unknown symbol raises ``VocabularyMismatchError``
     with ``unknown`` formatted by it.  ``outputs`` holds the slot of each of
+    ``terms``, and ``size`` counts the slots, the distinct subterms of
     ``terms``.
 
     ``run`` evaluates every slot over a state's normalized tables in one pass,
@@ -426,6 +439,10 @@ class TermProgram:
                 steps.append((_CONNECTIVE, _TRUTH_TABLES[name], kids[0], kids[-1]))
         self._steps = tuple(steps)
         self.outputs = tuple([slot[n] for n in top])
+
+    @property
+    def size(self) -> int:
+        return len(self._constants) + len(self._leaves) + len(self._steps)
 
     def run(self, tables: Mapping[str, Mapping[tuple[int, ...], int]]) -> list[int]:
         """The value of every slot over normalized tables, in slot order."""

@@ -14,7 +14,8 @@ A copy is the raw element map that renames its canonical state; it derives
 its witness values and encoded update set from the index on first read, and
 builds its ``Renaming``, ``State`` and ``Update`` set only when a witness or
 a test reads them.  Nothing is cached across calls.  The index compiles the
-sorted witness once into a ``TermProgram``, whose symbols were checked then;
+sorted witness once into a ``TermProgram``, whose symbols were checked then
+and whose slot count tells whether the witness is subterm-closed;
 it evaluates the canonical states, and the proof replay runs it on the
 canonical tables renamed by each map it composes, without building a state.
 
@@ -191,15 +192,26 @@ def _require_headroom(algorithm: Algorithm, universe_size: int) -> None:
         )
 
 
-def _require_ground_terms(vocabulary: Vocabulary, terms: Iterable[Term]) -> None:
-    for t in terms:
-        for sub in t.subterms():
-            if sub.root not in vocabulary:
-                raise VocabularyMismatchError(f"witness term {t} uses unknown symbol {sub.root}")
+def _witness_program(vocabulary: Vocabulary, terms: frozenset[Term]) -> TermProgram:
+    """The witness compiled in text order; the compile checks it is ground
+    over ``vocabulary``.  An unknown symbol is reported for the first term,
+    in ``terms``' own order, that uses one."""
+    try:
+        return TermProgram(vocabulary, sorted_terms(terms))
+    except VocabularyMismatchError:
+        for t in terms:
+            for sub in t.subterms():
+                if sub.root not in vocabulary:
+                    raise VocabularyMismatchError(
+                        f"witness term {t} uses unknown symbol {sub.root}"
+                    ) from None
+        raise
 
 
-def _require_subterm_closed(terms: frozenset[Term]) -> None:
-    if not is_subterm_closed(terms):
+def _require_subterm_closed(program: TermProgram, terms: frozenset[Term]) -> None:
+    # The program's slots are the distinct subterms of the witness, which
+    # holds each of its own terms, so it is closed exactly when they are as many.
+    if program.size != len(terms):
         raise PreconditionError("the witness for the new postulate must be subterm-closed")
 
 
@@ -589,6 +601,8 @@ class ClosureIndex:
     derives the witness values and update set of its canonical state, renamed.
     Construction checks, in order, that the witness is ground, that the
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
+    ``program``, when given, is the witness compiled by ``_witness_program``,
+    already found ground.
     The canonical states' witness values, update sets, patterns and accessible
     traces are computed at construction.  Copies are streamed on each read of
     ``similarity_classes`` and not kept: a copy refers to its index, and the
@@ -596,16 +610,23 @@ class ClosureIndex:
     """
 
     def __init__(
-        self, algorithm: Algorithm, terms: Iterable[Term], universe_size: int, *, closed: bool = False
+        self,
+        algorithm: Algorithm,
+        terms: Iterable[Term],
+        universe_size: int,
+        *,
+        closed: bool = False,
+        program: TermProgram | None = None,
     ) -> None:
         self.algorithm = algorithm
         self.terms = frozenset(terms)
         self.universe_size = universe_size
-        _require_ground_terms(algorithm.vocabulary, self.terms)
+        if program is None:
+            program = _witness_program(algorithm.vocabulary, self.terms)
+        self.program = program
         _require_headroom(algorithm, universe_size)
         if closed:
-            _require_subterm_closed(self.terms)
-        self.program = TermProgram(algorithm.vocabulary, sorted_terms(self.terms))
+            _require_subterm_closed(self.program, self.terms)
         self.vectors = [self.program.evaluate(s) for s in algorithm.canonical_states]
         self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
         self.patterns: list[tuple[int, ...]] = []
@@ -818,9 +839,9 @@ def check_new_be(
     """
     if index is None:
         terms = frozenset(terms)
-        _require_ground_terms(algorithm.vocabulary, terms)
-        _require_subterm_closed(terms)
-        index = ClosureIndex(algorithm, terms, universe_size)
+        program = _witness_program(algorithm.vocabulary, terms)
+        _require_subterm_closed(program, terms)
+        index = ClosureIndex(algorithm, terms, universe_size, program=program)
     terms = index.terms
     witness_i: dict | None = None
     for i, state in enumerate(index.algorithm.canonical_states):

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asmkit import (
     Algorithm,
@@ -364,6 +366,62 @@ class TestMapLevelRoute:
         assert built == []
 
 
+def _reference_ground_terms(vocabulary, max_depth, cap=64):
+    """The generator as it was before it built only the kept terms: every
+    term of each round, stopping past 4 * cap."""
+    terms = {Term(s) for s in vocabulary.nonlogical if s.arity == 0}
+    terms |= {TRUE_TERM, FALSE_TERM, UNDEF_TERM}
+    builders = [s for s in vocabulary.nonlogical if s.arity >= 1]
+    for _ in range(max_depth):
+        snapshot = sorted(terms, key=str)
+        fresh = set()
+        for sym in builders:
+            for combo in itertools.product(snapshot, repeat=sym.arity):
+                t = Term(sym, combo)
+                if t not in terms:
+                    fresh.add(t)
+        if not fresh:
+            break
+        terms |= fresh
+        if len(terms) > cap * 4:
+            break
+    ordered = sorted(terms, key=lambda t: (t.depth, str(t)))
+    return sorted_terms(ordered[:cap])
+
+
+def _reference_work(arities, max_depth, cap):
+    """The terms ``_reference_ground_terms`` builds, counted without building."""
+    work, before, held = 0, 0, 3 + arities.count(0)
+    builders = [a for a in arities if a]
+    for _ in range(max_depth):
+        work += sum(held**a for a in builders)
+        fresh = sum(held**a - before**a for a in builders)
+        if not fresh:
+            break
+        before, held = held, held + fresh
+        if held > cap * 4:
+            break
+    return work
+
+
+# Names that extend one another by "_", a digit, a lower- and an upper-case
+# letter and a letter outside ASCII, so that texts are often prefixes.
+_NAMES = ("a", "a_", "a1", "aa", "aB", "aé")
+
+
+@st.composite
+def _generator_inputs(draw):
+    """A vocabulary of arity at most 3, a depth at most 3 and a cap from 1 to
+    70, with the depth lowered until the reference builds few terms."""
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    arities = [draw(st.integers(0, 3)) for _ in names]
+    cap = draw(st.integers(1, 70))
+    depth = draw(st.integers(1, 3))
+    while _reference_work(arities, depth, cap) > 20_000:
+        depth -= 1
+    return Vocabulary(Symbol(n, a) for n, a in zip(names, arities)), depth, cap
+
+
 class TestGenerators:
     def test_config_validation_and_derived_universe(self):
         assert GeneratorConfig().universe_size == 11
@@ -433,6 +491,17 @@ class TestGenerators:
         assert len(terms) <= 40
         assert is_subterm_closed(terms)
         assert TRUE_TERM in terms
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_generator_inputs())
+    def test_ground_terms_match_building_every_term(self, inputs):
+        vocabulary, depth, cap = inputs
+        terms = ground_terms_up_to(vocabulary, depth, cap)
+        expected = _reference_ground_terms(vocabulary, depth, cap)
+        assert [str(t) for t in terms] == [str(t) for t in expected]
+        assert terms == expected
+        for t in terms:
+            assert hash(t) == hash((t.root, t.children))
 
     def test_similar_pair_generator(self):
         cfg = GeneratorConfig(seed=3)

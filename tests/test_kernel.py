@@ -1,7 +1,13 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import asmkit
 from asmkit import (
     FALSE,
     FALSE_TERM,
@@ -26,6 +32,7 @@ from asmkit import (
     identity_renaming,
     is_subterm_closed,
     isomorphisms_between,
+    sorted_terms,
     subterm_closure,
 )
 from asmkit.harness import _random_state, _random_term
@@ -84,6 +91,39 @@ class TestSubtermClosure:
         verdicts = [closed_by_definition(frozenset(terms)) for terms in cases]
         assert [is_subterm_closed(terms) for terms in cases] == verdicts
         assert True in verdicts and False in verdicts
+
+
+# Unpickles a term from stdin; prints whether it hashes as a term rebuilt in
+# this process and is found in a set of one, then its hash.
+_LOAD_TERM = """
+import pickle, sys
+from asmkit import Term
+term = pickle.load(sys.stdin.buffer)
+print(hash(term) == hash((term.root, term.children)), term in frozenset({Term(term.root, term.children)}))
+print(term._hash)
+"""
+
+
+class TestTermHash:
+    def test_unpickled_term_is_rehashed_in_its_process(self, simple_vocab):
+        # String hashes are salted per process: a term pickled under one seed
+        # must hash, and be found in a set, by the loading process's hashes.
+        a, f = Term(simple_vocab.symbol("a")), simple_vocab.symbol("f")
+        term = mk(simple_vocab.symbol("eq"), mk(f, mk(f, a)), a)
+        source = str(Path(asmkit.__file__).resolve().parent.parent)
+        seeds, results = ("1", "2"), []
+        for seed in seeds:
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", _LOAD_TERM],
+                input=pickle.dumps(term), capture_output=True, env=env, check=True,
+            )
+            results.append(done.stdout.decode().split("\n"))
+        for checks, _, _ in results:
+            assert checks == "True True"
+        # the seeds salt the hash differently, so a carried hash would be stale
+        assert results[0][1] != results[1][1]
+        assert pickle.loads(pickle.dumps(term)) == term
 
 
 class TestEvaluation:
@@ -254,6 +294,18 @@ class TestTermProgram:
         state = State(v, {0, 1, 2, 3}, {"a": {(): 3}})
         assert program.evaluate(state) == (FALSE, UNDEF)
         assert program.evaluate(State(v, {0, 1, 2, 3})) == (TRUE, UNDEF)
+
+    def test_size_counts_distinct_subterms(self, default_suite, simple_vocab):
+        rng = random.Random(22)
+        cases = [(i.algorithm.vocabulary, w) for i in default_suite[:30] for w in i.witnesses]
+        cases += [
+            (simple_vocab, {random_term(rng, simple_vocab, 3) for _ in range(rng.randint(1, 5))})
+            for _ in range(40)
+        ]
+        for vocabulary, terms in cases:
+            program = TermProgram(vocabulary, sorted_terms(terms))
+            assert program.size == len(subterm_closure(terms))
+            assert (program.size == len(frozenset(terms))) == is_subterm_closed(terms)
 
 
 class TestRenaming:

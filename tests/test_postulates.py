@@ -1364,6 +1364,20 @@ class TestClosureIndex:
             with pytest.raises(error):
                 checker(flip, witnesses[terms], universe)
 
+    def test_unknown_symbol_names_the_first_failing_term(self, flip):
+        # The compile finds the unknown symbol; the message names the first
+        # term, in the witness set's own order, that uses one.
+        f = Term(flip.vocabulary.symbol("f"))
+        eq = flip.vocabulary.symbol("eq")
+        foreign = [Term(Symbol(name, 0)) for name in ("zz", "yy", "xx", "ww")]
+        terms = frozenset({f, mk(eq, f, f), *foreign, *(mk(eq, f, z) for z in foreign)})
+        first = next(t for t in terms if any(s.root not in flip.vocabulary for s in t.subterms()))
+        symbol = next(s.root for s in first.subterms() if s.root not in flip.vocabulary)
+        for checker in (check_old_be, check_new_be, verify_equivalence):
+            with pytest.raises(VocabularyMismatchError) as caught:
+                checker(flip, terms, 3)
+            assert str(caught.value) == f"witness term {first} uses unknown symbol {symbol}"
+
 
 _COSET_VOCABULARY = Vocabulary((Symbol("c", 0), Symbol("g", 1), Symbol("r", 2)))
 
