@@ -53,11 +53,13 @@ isomorphism from the first canonical state isomorphic to ci carries its
 successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
 stepped only to name a failing renaming, and on the rule-based backend,
 whose naturality is what the check tests there.  That backend runs the rule
-the ``Algorithm`` compiled when it was built on raw renamed tables, once per
-distinct copy, with renamings as raw element maps, and compares update sets;
-a renaming that differs from an earlier one by an automorphism is settled
-by whether that automorphism moves the update set.  ``State``s and a
-``Renaming`` are built only for the witness.
+the ``Algorithm`` compiled when it was built on raw renamed tables, with
+renamings as raw element maps, and compares update sets.  A renaming is
+settled by where it sends the support, the elements the tables or the
+update set mention, so the rule runs on renamings of the support only, one
+per class of those that differ by a permutation fixing the tables; the
+renamings themselves are walked only to name the first failing one.
+``State``s and a ``Renaming`` are built only for the witness.
 """
 from __future__ import annotations
 
@@ -442,50 +444,70 @@ def _first_unnatural_rule_map(
 ) -> dict[int, int] | None:
     """The first map m, in ``renamings_into``'s order, whose copy, the
     canonical tables renamed by m, has a rule update set other than m(D), D
-    the diff of ``state`` and ``successor``: the first failing renaming, by
+    the diff of ``state`` and ``successor``, or whose rule evaluation raises
+    an ``AsmError``, which is raised again: the first failing renaming, by
     the lemmas in ``check_abstract_state``.
 
-    Maps are tuples over the state's sorted nonlogical elements.  Each
-    automorphism a but the identity is a permutation of positions that turns
-    m's tuple into m a's.  Only a coset-first map, one no m a precedes, has
-    its copy renamed, evaluated and compared with m(D); any other map is
-    settled by the first a found with m a before it: it fails exactly when
-    that a moves D.
+    A map is settled by its restriction to S, the sorted nonlogical elements
+    the tables or D mention, a support map: a tuple over S.  Each permutation
+    a of S but the identity that fixes the tables is a permutation of
+    positions that turns s's tuple into s a's.  When no such a moves D, only
+    the coset-first support maps, those no s a precedes, are evaluated, and
+    every map passes exactly when they all do.  Otherwise, or once one fails
+    or raises, the maps are walked in order, each support map evaluated once.
     """
     rule, tables = algorithm.compiled, state.interpretations
-    sources = state.nonlogical_elements()
     delta = frozenset([u.encoded() for u in table_diff(state, successor)])
-    position = {e: k for k, e in enumerate(sources)}
-    # The identity comes first among the automorphisms; each other one comes
-    # as (m -> m a on tuples, whether a moves D).
+    mentioned = {e for table in tables.values() for args, v in table.items() for e in (*args, v)}
+    mentioned.update(e for _, args, v in delta for e in (*args, v))
+    support = tuple(sorted(mentioned.difference(LOGICAL_IDS)))
+    settled: dict[tuple[int, ...], bool | AsmError] = {}  # support map -> passes, or what it raised
+
+    def settle(images: tuple[int, ...]) -> bool | AsmError:
+        if images not in settled:
+            m = {**_LOGICAL_FIXED, **dict(zip(support, images))}
+            try:
+                updates = rule_updates(rule, rename_tables(tables, m))
+            except AsmError as exc:  # raised again if it settles the first failing map
+                settled[images] = exc
+            else:
+                settled[images] = updates == {
+                    (name, tuple([m[a] for a in args])): m[v] for name, args, v in delta
+                }
+        return settled[images]
+
+    position = {e: k for k, e in enumerate(support)}
+    # S with the tables, whose automorphisms are the permutations of S that
+    # fix them; the identity comes first, and each other one comes as
+    # (s -> s a on tuples, whether a moves D).
+    fixing = State(state.vocabulary, support, tables)
     twists = [
-        (operator.itemgetter(*[position[a[e]] for e in sources]), lift_encoded_set(a, delta) != delta)
-        for a in itertools.islice(isomorphisms_between(state, state), 1, None)
+        (operator.itemgetter(*[position[a[e]] for e in support]), lift_encoded_set(a, delta) != delta)
+        for a in itertools.islice(isomorphisms_between(fixing, fixing), 1, None)
     ]
-    for images in itertools.permutations(range(3, universe_size), len(sources)):
-        for twist, moves in twists:
-            if twist(images) < images:  # m a came first and passed
-                if moves:
-                    return {**_LOGICAL_FIXED, **dict(zip(sources, images))}
-                break
-        else:  # coset-first
-            m = {**_LOGICAL_FIXED, **dict(zip(sources, images))}
-            if rule_updates(rule, rename_tables(tables, m)) != {
-                (name, tuple([m[a] for a in args])): m[v] for name, args, v in delta
-            }:
-                return m
-    return None
+    if not any(moves for _, moves in twists) and all(
+        settle(images) is True
+        for images in itertools.permutations(range(3, universe_size), len(support))
+        if all(images < twist(images) for twist, _ in twists)  # coset-first
+    ):
+        return None
+    for m in _renaming_maps(state.base, universe_size):
+        outcome = settle(tuple([m[e] for e in support]))
+        if outcome is not True:
+            if outcome is not False:
+                raise outcome
+            return m
+    raise AssertionError("a support map failed but no renaming did")
 
 
 def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckReport:
     """Base-set preservation plus naturality of the step under every renaming.
 
-    The rule-based backend evaluates the rule on every distinct copy, and
-    checks every renaming: the naturality of rule semantics is what this
-    check tests there, so it is not assumed.  Each copy runs the
-    ``CompiledRule`` built with the ``Algorithm``, its symbols checked
-    then, over the copy's raw tables.  It compares update sets instead
-    of successors.  Lemma: for a renaming r of canonical state c, with
+    The rule-based backend checks every renaming: the naturality of rule
+    semantics is what this check tests there, so it is not assumed.  Each
+    evaluation runs the ``CompiledRule`` built with the ``Algorithm``, its
+    symbols checked then, over a copy's raw tables.  It compares update
+    sets instead of successors.  Lemma: for a renaming r of canonical state c, with
     successor succ and update set D = diff(c, succ), the copy r(c) steps to
     r(succ) exactly when the rule's update set on r(c) equals r(D).  Proof:
     ``apply_rule`` returns only nontrivial updates that do not clash, and the
@@ -498,27 +520,54 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     successors.  The lemma rests on table writes and renamings only, never
     on the naturality of rule semantics.
 
-    Each copy is evaluated once, through the coset of its renamings.  Order
-    the renamings of c as ``renamings_into`` does, lexicographically by their
-    tuples over c's sorted nonlogical elements, and let Aut(c) be c's
-    automorphism group.  Renamings m and m' give the same copy exactly when
-    m' = m a for some a in Aut(c): if m(c) = m'(c), then m^-1 m' carries c
-    onto c, and conversely m a(c) = m(c).  So each copy is the image of one
-    coset m Aut(c), first met at the coset's least member, its coset-first
-    map: exactly the map whose update set the loop used to remember under
-    the copy's key, so copies are evaluated in the same order as before.
-    Coset lemma: let m be a map that is not coset-first, a an automorphism
-    with m a before m, and every map before m pass; then m passes exactly
-    when a(D) = D.  Proof: m a makes m's copy, so the rule gives both the
-    same update set U, assuming only that the rule's update set is a
-    function of the copy's tables (not that it is natural).  m a passed, so
-    U = m(a(D)), and m passes when U = m(D), that is, m being injective,
-    when a(D) = D.  Any such a will do (one whose m a is least, m's
-    coset-first map, among them).  So ``_first_unnatural_rule_map`` finds
-    the first failing map in one pass that evaluates coset-first maps only
-    and fails any other map exactly when the first such a it meets moves D.
-    When no automorphism moves D, the maps that are not coset-first all pass
-    and are only skipped.
+    The rule runs on renamings of the support only.  Order the renamings of
+    c as ``renamings_into`` does, lexicographically by their tuples over c's
+    n sorted nonlogical elements.  Let S be the k sorted nonlogical elements
+    that c's tables T or D mention, and a support map an injective map s from
+    S into 3 .. u-1, ordered by its tuple over S; it passes when the rule's
+    update set on the tables s(T) is s(D), and fails or raises otherwise.
+    Support lemma: a renaming m passes, fails or raises, with the same
+    message, as its restriction m|S does.  Proof: m's copy has the tables
+    m(T) = m|S(T), and the rule reads only its tables (the premise that its
+    update set is a function of them, not that it is natural); m(D) = m|S(D).
+    Every support map is the restriction of a renaming, which sends c's
+    other nonlogical elements anywhere else: there is room, since the n of
+    them are distinct ids from 3 up that ``universe_fits`` puts below u, so
+    n <= u - 3.  So every renaming passes exactly when every support map does.
+
+    Quotient lemma: let G be the permutations p of S with p(T) = T; they
+    are the restrictions to S of the automorphisms a of c with
+    a(S) = S (T mentions no other nonlogical element, so p extended by the
+    identity is one), and they form a group.  Every support map passes
+    exactly when no p in G moves D and every coset-first support map, the
+    least member of its coset s G, passes.  Only if: s and s p give the rule
+    the same tables, so the same update set U; if p moves D then
+    s(p(D)) != s(D), s being injective, and one of the two fails.  If: a
+    support map s is t p for t the least member of its coset and p in G; t
+    passes, so U = t(D), and s gets t's tables, so it passes, as
+    s(D) = t(p(D)) = t(D) = U.  ``_first_unnatural_rule_map`` computes G as
+    the automorphisms of the state with carrier S and tables T, and tests
+    whether s is coset-first by comparing its tuple with each s p's.
+
+    Failure: when some p in G moves D, or a coset-first support map fails or
+    raises, the renamings are walked in order and each settled through its
+    restriction to S, which is evaluated once; by the support lemma the
+    first that fails or raises is the first renaming whose copy, evaluated
+    as it is, fails or raises, and a raised error is raised again.
+
+    Count: a passing check evaluates the rule at most once per distinct
+    copy.  Renamings m and m' give the same copy exactly when m' = m a for
+    some a in c's automorphism group Aut(c): if m(c) = m'(c), then m^-1 m'
+    carries c onto c, and conversely m a(c) = m(c); so there are
+    P(u - 3, n)/|Aut(c)| distinct copies.  When the check passes, every
+    renaming passes, so every a in Aut(c) fixes D: m and m a share a copy,
+    so m(D) = m(a(D)).  Then a preserves the elements T and D mention, so
+    a(S) = S and a restricts to a member of G; each p in G is the
+    restriction of its extension by the identity, and the a that fix S
+    pointwise are the (n - k)! permutations of c's other nonlogical
+    elements, which neither T nor D mentions.  So |Aut(c)| = |G| (n - k)!,
+    and the distinct copies number (P(u - 3, k)/|G|) C(u - 3 - k, n - k),
+    at least the P(u - 3, k)/|G| coset-first support maps evaluated.
 
     The explicit-successor backend is decided on the canonical states.  Let
     cj be the first canonical state isomorphic to ci, and succ the successor
@@ -552,7 +601,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     """
     label = "abstract-state"
     universe_fits(algorithm, universe_size)
-    if algorithm.rule_based:  # every distinct copy will be evaluated: refuse first
+    if algorithm.rule_based:  # every renaming may be walked: refuse first
         _require_work_budget(algorithm, universe_size)
     successors: list[State] = []
     for index, state in enumerate(algorithm.canonical_states):

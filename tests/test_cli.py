@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from asmkit.cli import main
-from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC
+from conftest import PAPER_EXAMPLE_SPEC, REPO_ROOT, RING6_SPEC
 
 SPEC = str(PAPER_EXAMPLE_SPEC)
 
@@ -56,6 +56,15 @@ class TestCheckCommand:
         small = capsys.readouterr()
         assert main(["check", "abstract-state", SPEC, "--universe", "100000"]) == 0
         assert capsys.readouterr() == small
+
+    def test_abstract_state_on_a_sparse_carrier_keeps_the_work_budget(self, capsys):
+        # Eight elements, two of them mentioned: answered at the tightest
+        # universe, refused one above it, as every renaming is still counted.
+        spec = str(REPO_ROOT / "specs" / "sparse8.spec")
+        assert main(["check", "abstract-state", spec, "--universe", "11"]) == 0
+        assert capsys.readouterr().out.startswith("PASS abstract-state")
+        assert main(["check", "abstract-state", spec, "--universe", "12"]) == 2
+        assert "needs 362880 renamings" in capsys.readouterr().err
 
     def test_new_be_fails_requirement_i(self, capsys):
         code = main(["check", "new-be", "--witness", "T1", SPEC, "--universe", "7"])

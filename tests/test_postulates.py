@@ -17,12 +17,14 @@ from asmkit import (
     Cond,
     FALSE_TERM,
     GeneratorConfig,
+    GuardError,
     HeadroomError,
     LOGICAL_IDS,
     PreconditionError,
     Renaming,
     State,
     Symbol,
+    TRUE,
     TRUE_TERM,
     Term,
     UNDEF,
@@ -235,6 +237,24 @@ def reference_abstract_state(algorithm, universe_size):
     )
 
 
+def _support_copies(algorithm, index, universe_size):
+    """The first support map of each distinct renaming of canonical state
+    ``index``'s tables, keyed by those tables as a state key holds them, in
+    lexicographic order over S, the sorted nonlogical elements its tables or
+    its update set mention."""
+    state = algorithm.canonical_states[index]
+    tables = state.interpretations
+    mentioned = {e for table in tables.values() for args, v in table.items() for e in (*args, v)}
+    for u in table_diff(state, canonical_step(algorithm, index)):
+        mentioned.update((*u.args, u.value))
+    support = sorted(mentioned.difference(LOGICAL_IDS))
+    firsts = {}
+    for images in itertools.permutations(range(3, universe_size), len(support)):
+        m = {**{e: e for e in LOGICAL_IDS}, **dict(zip(support, images))}
+        firsts.setdefault(state_key((), rename_tables(tables, m))[1], m)
+    return firsts
+
+
 def _unnatural_semantics(monkeypatch, change):
     """Rule semantics, for the check's loop and the reference alike, that let
     ``change`` edit the update set of a state whose tables do not mention
@@ -368,7 +388,7 @@ class TestAbstractState:
 
         monkeypatch.setattr(postulates, "rule_updates", evaluated)
         monkeypatch.setattr(postulates, "step", stepped)
-        backends, evaluations, renamings = set(), 0, 0
+        backends, evaluations, copies = set(), 0, 0
         for instance in default_suite[:20]:
             algorithm = instance.algorithm
             backends.add(algorithm.rule_based)
@@ -378,14 +398,13 @@ class TestAbstractState:
                 assert calls == []
                 continue
             expected = []
-            for state in algorithm.canonical_states:
-                keys = [renamed_key(state, r) for r in renamings_into(state.base, universe)]
-                renamings += len(keys)
-                expected += [tables for _, tables in dict.fromkeys(keys)]
+            for i, state in enumerate(algorithm.canonical_states):
+                expected += list(_support_copies(algorithm, i, universe))
+                copies += len({renamed_key(state, r) for r in renamings_into(state.base, universe)})
             assert calls == expected
             evaluations += len(calls)
         assert backends == {True, False}
-        assert evaluations < renamings / 2
+        assert evaluations <= copies
 
     @pytest.mark.parametrize("change", ["add", "value"])
     def test_unnatural_rule_semantics_fail_as_the_reference_does(self, monkeypatch, change):
@@ -415,9 +434,9 @@ class TestAbstractState:
     def test_first_failing_map_need_not_be_coset_first(self, monkeypatch):
         # h swaps 3 and 4, so Aut = {id, swap}.  Under "f := least key of h"
         # the canonical update set is f := 3, which the swap moves.  Map
-        # (4, 3) is (3, 4) after the swap, so it is not coset-first: the loop
-        # skips its evaluation and fails it because the swap moves D.  It is
-        # the first map that fails, since its copy is the canonical state.
+        # (4, 3) is (3, 4) after the swap, so it is not coset-first, and it
+        # fails because the swap moves D.  It is the first map that fails,
+        # since its copy is the canonical state.
         f, h = Symbol("f", 0), Symbol("h", 1)
         vocabulary = Vocabulary((f, h))
         state = State(vocabulary, {3, 4}, {"h": {(3,): 4, (4,): 3}})
@@ -441,8 +460,61 @@ class TestAbstractState:
             evaluated.clear()
             assert _outcome(check_abstract_state, algorithm, universe) == expected
             assert check_abstract_state(algorithm, universe).witness["renaming"] == swap
-            # the coset-first maps (3, x) before (4, 3), once in each of the two checks
-            assert len(evaluated) == 2 * (universe - 4)
+            # The swap fixes the tables and moves D, so the maps are walked
+            # without a quotient: (3, x) and (4, 3), once in each of the two checks.
+            assert len(evaluated) == 2 * (universe - 3)
+
+    @pytest.mark.parametrize("universe", [7, 8, 9])
+    def test_symmetric_support_is_evaluated_once_per_copy(self, monkeypatch, universe):
+        # r is the complete relation on 3..6, so every permutation of the
+        # support fixes the tables: one evaluation per distinct copy, not one
+        # per support map.
+        c, r = Symbol("c", 0), Symbol("r", 2)
+        vocabulary = Vocabulary((c, r))
+        elements = range(3, 7)
+        complete = {(x, y): TRUE for x in elements for y in elements if x != y}
+        state = State(vocabulary, elements, {"r": complete})
+        algorithm = Algorithm(vocabulary, (state,), (True,), program=Assign(c, (), TRUE_TERM))
+        assert len(list(isomorphisms_between(state, state))) == 24
+        evaluated = []
+
+        def counted(rule, tables):
+            evaluated.append(tables)
+            return rule_updates(rule, tables)
+
+        monkeypatch.setattr(postulates, "rule_updates", counted)
+        assert _outcome(check_abstract_state, algorithm, universe) == _outcome(
+            reference_abstract_state, algorithm, universe
+        )
+        copies = {renamed_key(state, m) for m in renamings_into(state.base, universe)}
+        assert len(evaluated) == len(copies) == math.comb(universe - 3, 4)
+
+    @pytest.mark.parametrize("universe", [7, 8, 9])
+    @pytest.mark.parametrize(
+        "tables", [{}, {"g": {(4,): 5}}, {"g": {(4,): 5, (5,): 4}}], ids=["empty", "one", "swap"]
+    )
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_literal_update_outside_the_tables_matches_the_reference(
+        self, monkeypatch, universe, tables, guarded
+    ):
+        # The semantics write c := 3 while no table mentions 3, so D mentions
+        # an element the tables do not, and, when guarded, raise on tables
+        # that mention 6: an error the reference meets at the first such map,
+        # unless an earlier map fails.
+        c, g = Symbol("c", 0), Symbol("g", 1)
+        vocabulary = Vocabulary((c, g))
+        state = State(vocabulary, {3, 4, 5}, tables)
+        algorithm = Algorithm(vocabulary, (state,), (True,), program=Assign(c, (), Term(c)))
+
+        def literal(tables, updates):
+            if guarded and any(6 in (*args, v) for table in tables.values() for args, v in table.items()):
+                raise GuardError("the tables mention 6")
+            updates[("c", ())] = 3
+
+        _unnatural_semantics(monkeypatch, literal)
+        expected = _outcome(reference_abstract_state, algorithm, universe)
+        assert expected[0] is not True
+        assert _outcome(check_abstract_state, algorithm, universe) == expected
 
     def test_unnatural_rule_semantics_match_the_reference_on_default_suite(
         self, default_suite, default_config, monkeypatch
@@ -1415,6 +1487,19 @@ def _least_mentioned(rule, tables):
     return updates
 
 
+def _natural_rules():
+    c, g, r = (_COSET_VOCABULARY.symbol(name) for name in "cgr")
+    return (
+        Assign(c, (), Term(c)),
+        Assign(c, (), mk(g, Term(c))),
+        Assign(g, (Term(c),), mk(r, Term(c), Term(c))),
+        Assign(r, (Term(c), mk(g, Term(c))), Term(c)),
+    )
+
+
+_NATURAL_RULES = _natural_rules()
+
+
 _PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
@@ -1431,12 +1516,27 @@ class TestCosetProperties:
             assert block == _full_block(state, values, image)
 
     @_PROPERTY_SETTINGS
+    @given(_states_with_fixed_values(), st.sampled_from(_NATURAL_RULES))
+    def test_passing_checks_evaluate_at_most_once_per_copy(self, case, rule):
+        # From the tightest universe up to two above it, a passing check
+        # evaluates the rule no more often than there are distinct copies.
+        state, universe, _ = case
+        n = len(state.nonlogical_elements())
+        universe -= n
+        algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), program=rule)
+        with pytest.MonkeyPatch.context() as patch:
+            renamed = _renamed_tables_spy(patch)
+            assert check_abstract_state(algorithm, universe).passed
+        copies = {renamed_key(state, r) for r in renamings_into(state.base, universe)}
+        assert len(renamed) <= len(copies)
+
+    @_PROPERTY_SETTINGS
     @given(_states_with_fixed_values(), st.booleans())
     def test_coset_first_maps_are_the_renamed_key_dedup(self, case, natural):
         # On the tightest universe or the next, the check renames exactly the
-        # first map of each distinct renamed key, in ``renamings_into``'s
-        # order, while every renaming passes; under unnatural semantics its
-        # outcome is the every-map reference's.
+        # first support map of each distinct renaming of the tables, in
+        # lexicographic order over the support, while every renaming passes;
+        # under unnatural semantics its outcome is the every-map reference's.
         state, _, _ = case
         universe = len(state.nonlogical_elements()) + 3 + natural
         c = _COSET_VOCABULARY.symbol("c")
@@ -1448,8 +1548,5 @@ class TestCosetProperties:
             expected = _outcome(reference_abstract_state, algorithm, universe)
             renamed = _renamed_tables_spy(patch)
             assert _outcome(check_abstract_state, algorithm, universe) == expected
-        if expected[0] is True:
-            firsts = {}
-            for r in renamings_into(state.base, universe):
-                firsts.setdefault(renamed_key(state, r), r._map)
-            assert renamed == list(firsts.values())
+            if expected[0] is True:
+                assert renamed == list(_support_copies(algorithm, 0, universe).values())
