@@ -477,7 +477,7 @@ def _decoded(vocabulary: Vocabulary, update: Encoded) -> Update:
 # Seeded generators
 
 
-_SYMBOL_POOL = ("f", "g", "h", "k", "m")
+_SYMBOL_POOL = ("f", "g", "h", "k", "m")  # symbols past these are named f5, f6, ...
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -488,7 +488,8 @@ def _random_vocabulary(rng: random.Random, cfg: GeneratorConfig) -> Vocabulary:
     count = rng.randint(1, cfg.max_nonlogical_symbols)
     arity_pool = list(range(cfg.max_arity + 1)) + [0]
     symbols = [
-        Symbol(_SYMBOL_POOL[i], rng.choice(arity_pool)) for i in range(count)
+        Symbol(_SYMBOL_POOL[i] if i < len(_SYMBOL_POOL) else f"f{i}", rng.choice(arity_pool))
+        for i in range(count)
     ]
     return Vocabulary(symbols)
 

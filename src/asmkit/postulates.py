@@ -30,6 +30,10 @@ Both checks are decided on the canonical states, by a symmetry reduction
 that does not appeal to the equivalence of the two postulates.  A copy
 belongs to the first canonical state it renames, so a canonical state owns
 copies exactly when it is not isomorphic to an earlier one (an owner).
+Renamings that differ by an automorphism form a coset, and every symmetry
+reduction tries only its least member, through the one filter
+``_coset_first``; an owner's automorphisms are found once, in
+``ClosureIndex.automorphisms``.
 
 The new check's requirements both survive renaming; it reads class streams
 only to name a requirement-(ii) witness.  Isomorphic states share their
@@ -52,13 +56,10 @@ first one for some renaming, so the step is natural exactly when every
 isomorphism from the first canonical state isomorphic to ci carries its
 successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
 stepped only to name a failing renaming, and on the rule-based backend,
-whose naturality is what the check tests there.  That backend runs the rule
-the ``Algorithm`` compiled when it was built on raw renamed tables, with
-renamings as raw element maps, and compares update sets.  A renaming is
-settled by where it sends the support, the elements the tables or the
-update set mention, so the rule runs on renamings of the support only, one
-per class of those that differ by a permutation fixing the tables; the
-renamings themselves are walked only to name the first failing one.
+whose naturality is what the check tests there: it runs the compiled rule
+on raw tables renamed by the coset-first renamings of the support, the
+elements the tables or the update set mention, and compares update sets;
+the renamings themselves are walked only to name the first failing one.
 ``State``s and a ``Renaming`` are built only for the witness.
 """
 from __future__ import annotations
@@ -220,24 +221,16 @@ def _require_subterm_closed(program: TermProgram, terms: frozenset[Term]) -> Non
 _LOGICAL_FIXED = {e: e for e in LOGICAL_IDS}
 
 
-def _renaming_maps(
-    base: frozenset[int], universe_size: int, fixed: dict[int, int] | None = None
-) -> Iterator[dict[int, int]]:
+def _renaming_maps(base: frozenset[int], universe_size: int) -> Iterator[dict[int, int]]:
     """The element maps of ``renamings_into``, in its order, unvalidated."""
-    fixed = fixed or {}
-    sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS and e not in fixed))
-    taken = set(fixed.values())
-    targets = [e for e in range(3, universe_size) if e not in taken]
-    for perm in itertools.permutations(targets, len(sources)):
-        yield {**_LOGICAL_FIXED, **fixed, **dict(zip(sources, perm))}
+    sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
+    for perm in itertools.permutations(range(3, universe_size), len(sources)):
+        yield {**_LOGICAL_FIXED, **dict(zip(sources, perm))}
 
 
-def renamings_into(
-    base: frozenset[int], universe_size: int, fixed: dict[int, int] | None = None
-) -> Iterator[Renaming]:
-    """All renamings of a carrier into the universe that extend ``fixed``, in
-    lexicographic order."""
-    return map(Renaming, _renaming_maps(base, universe_size, fixed))
+def renamings_into(base: frozenset[int], universe_size: int) -> Iterator[Renaming]:
+    """All renamings of a carrier into the universe, in lexicographic order."""
+    return map(Renaming, _renaming_maps(base, universe_size))
 
 
 def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
@@ -262,6 +255,37 @@ def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | N
     return copies
 
 
+def _coset_first(
+    tuples: Iterable[tuple[int, ...]], elements: tuple[int, ...], automorphisms: Iterable[Renaming]
+) -> Iterator[tuple[int, ...]]:
+    """The members of ``tuples`` least among their compositions with
+    ``automorphisms``, in ``tuples``' order.  A tuple t over the sorted
+    ``elements`` E maps E's k-th element to t[k], injectively; t a is the map
+    e -> t(a(e)); tuples compare lexicographically.
+
+    Quotient lemma: let G, the restrictions of ``automorphisms`` to E, be a
+    group of permutations of E, and ``tuples`` closed under composition with
+    G.  The cosets t G partition ``tuples``, each has one least member, t is
+    it exactly when t <= t p for every p in G, and a walk of ``tuples`` in
+    increasing order meets each coset first there.  Proof: t is in t G, and
+    t' = t p gives t' G = t G, as p G = G.  The t p are distinct, t being
+    injective, so the least is unique.  So a property constant on cosets
+    holds for every tuple exactly when it holds for every one yielded.
+
+    Renamings m, m' of a state c make one copy exactly when m' = m a for an
+    automorphism a of c: m(c) = m'(c) gives m^-1 m'(c) = c, and m a(c) = m(c).
+    """
+    position = {e: k for k, e in enumerate(elements)}
+    twists = [
+        operator.itemgetter(*[position[a[e]] for e in elements])
+        for a in automorphisms
+        if any(a[e] != e for e in elements)
+    ]
+    if not twists:
+        return iter(tuples)
+    return (t for t in tuples if all(t <= twist(t) for twist in twists))
+
+
 def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) -> Iterator[Copy]:
     """The distinct copies of the owners in ``fixed`` whose renamings extend
     the values fixed for each, lazily and in key order, each with the first
@@ -269,7 +293,7 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
 
     Per owner, the renamings are tried one carrier at a time: the free
     sources (nonlogical elements not fixed) go onto each subset C of the free
-    targets, in ``itertools.combinations`` order, by every permutation of
+    targets, in ``itertools.combinations`` order, by permutations of
     sorted(C).  A copy's key starts with its sorted carrier, the logical ids,
     the fixed values and C, so the copies of one C are one contiguous block
     of the key order; the block is sorted on its own.  The blocks come in
@@ -280,37 +304,26 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
     strictly increases.  Distinct owners are not isomorphic, so their keys
     are disjoint, and ``heapq.merge`` yields the union in key order.
 
-    Each key keeps the first renaming found for it, which is the first
-    ``renamings_into`` gives: renamings that make one copy have one image,
-    and ``renamings_into`` tries the permutations of the sorted free targets
-    in lexicographic order, which, restricted to one image C, is the order of
-    the permutations of sorted(C).  Without fixed values, that is the
-    renaming, and the canonical index, that ``closure`` gives the copy: no
-    canonical state before a copy's owner is isomorphic to it, so none makes
-    the copy.
-
-    Only the first block keys every permutation.  Write s_1 < ... < s_n for
-    the free sources, and m_C,o for the map sending s_k to the o(k)-th least
-    member of C, for an order o of the positions 1..n, and fixing the rest as
-    the values say.  m_C,o and m_C,o' make one copy exactly when
-    m_C,o^-1 m_C,o' is an automorphism of the owner; that map fixes the
-    logical ids and the fixed sources and sends s_k to s_p(k) for
-    p = o^-1 o', so whether it is one depends on p and not on C.  The keys of
-    a block are thus constant exactly on the cosets o Stab, Stab the
-    position permutations p for which that map is an automorphism; Stab
-    does not depend on C.  ``itertools.permutations`` yields the orders in lexicographic order,
-    which for one C is the order of the maps' tuples, so the first order of
-    each key in the first block is the least of its coset, and the set of
-    these first orders is the same for every C.  A later block keys only
-    those: it meets each coset once, at the map that keying all n! orders
-    would have kept first, so its keys, their sorted order and each key's
-    first map are unchanged.
+    A block keys only the coset-first orders.  Write m_C,o for the map
+    sending the k-th free source to the o(k)-th least member of C, for an
+    order o (a tuple over the free sources), and fixing the rest as the
+    values say.  m_C,o and m_C,o' make one copy exactly when
+    a = m_C,o^-1 m_C,o' is an automorphism of the owner; such an a fixes the
+    fixed sources, and o' = o a.  So a block's keys are constant exactly on
+    the cosets of Stab, the owner's automorphisms that fix the fixed
+    sources, and by the quotient lemma (``_coset_first``) each key comes from
+    one coset-first order, the least of its orders.  Its map is the first
+    ``renamings_into`` gives the copy: renamings that make one copy have one
+    image C, and ``renamings_into`` tries the permutations of the sorted free
+    targets in lexicographic order, which, restricted to C, is the order of
+    the orders.  Without fixed values, that is the renaming, and the
+    canonical index, that ``closure`` gives the copy: no canonical state
+    before a copy's owner is isomorphic to it, so none makes the copy.
 
     Laziness: every block holds at least one copy, so each pull of an
-    owner's stream builds at most one block; the first block keys n!
-    renamings for n free sources, and a later one n!/|Stab|.
-    ``heapq.merge`` pulls each stream once to start and once after each copy
-    of it that it yields.
+    owner's stream builds at most one block, of n!/|Stab| renamings for n
+    free sources.  ``heapq.merge`` pulls each stream once to start and once
+    after each copy of it that it yields.
     """
 
     def owner_stream(i: int, values: dict[int, int]) -> Iterator[Copy]:
@@ -320,17 +333,13 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
         taken = set(values.values())
         targets = [e for e in range(3, index.universe_size) if e not in taken]
         fixed = {**_LOGICAL_FIXED, **values}
-        firsts: Iterable[tuple[int, ...]] = itertools.permutations(range(len(sources)))
+        stab = [a for a in index.automorphisms(i) if all(a[v] == v for v in values)]
+        orders = list(_coset_first(itertools.permutations(range(len(sources))), sources, stab))
         for image in itertools.combinations(targets, len(sources)):
-            block: dict[tuple, dict[int, int]] = {}  # key -> first element map
-            learned = []  # the orders that made each key first
-            for order in firsts:
+            block = {}  # key -> its one coset-first map
+            for order in orders:
                 m = {**fixed, **dict(zip(sources, [image[p] for p in order]))}
-                key = state_key([m[e] for e in base], rename_tables(tables, m))
-                if key not in block:
-                    block[key] = m
-                    learned.append(order)
-            firsts = learned  # a later block keys only these
+                block[state_key([m[e] for e in base], rename_tables(tables, m))] = m
             for key in sorted(block):
                 yield Copy(i, block[key], key, index)
 
@@ -445,16 +454,11 @@ def _first_unnatural_rule_map(
     """The first map m, in ``renamings_into``'s order, whose copy, the
     canonical tables renamed by m, has a rule update set other than m(D), D
     the diff of ``state`` and ``successor``, or whose rule evaluation raises
-    an ``AsmError``, which is raised again: the first failing renaming, by
-    the lemmas in ``check_abstract_state``.
-
-    A map is settled by its restriction to S, the sorted nonlogical elements
-    the tables or D mention, a support map: a tuple over S.  Each permutation
-    a of S but the identity that fixes the tables is a permutation of
-    positions that turns s's tuple into s a's.  When no such a moves D, only
-    the coset-first support maps, those no s a precedes, are evaluated, and
-    every map passes exactly when they all do.  Otherwise, or once one fails
-    or raises, the maps are walked in order, each support map evaluated once.
+    an ``AsmError``, which is raised again: the first failing renaming.  A
+    map is settled by its restriction to the support S, a tuple over S.  Only
+    the coset-first ones are evaluated, unless a permutation of S fixing the
+    tables moves D or one of them fails; then the maps are walked in order,
+    each support map evaluated once, by the lemmas in ``check_abstract_state``.
     """
     rule, tables = algorithm.compiled, state.interpretations
     delta = frozenset([u.encoded() for u in table_diff(state, successor)])
@@ -476,19 +480,11 @@ def _first_unnatural_rule_map(
                 }
         return settled[images]
 
-    position = {e: k for k, e in enumerate(support)}
-    # S with the tables, whose automorphisms are the permutations of S that
-    # fix them; the identity comes first, and each other one comes as
-    # (s -> s a on tuples, whether a moves D).
     fixing = State(state.vocabulary, support, tables)
-    twists = [
-        (operator.itemgetter(*[position[a[e]] for e in support]), lift_encoded_set(a, delta) != delta)
-        for a in itertools.islice(isomorphisms_between(fixing, fixing), 1, None)
-    ]
-    if not any(moves for _, moves in twists) and all(
-        settle(images) is True
-        for images in itertools.permutations(range(3, universe_size), len(support))
-        if all(images < twist(images) for twist, _ in twists)  # coset-first
+    group = list(isomorphisms_between(fixing, fixing))
+    maps = itertools.permutations(range(3, universe_size), len(support))
+    if all(lift_encoded_set(a, delta) == delta for a in group) and all(
+        settle(images) is True for images in _coset_first(maps, support, group)
     ):
         return None
     for m in _renaming_maps(state.base, universe_size):
@@ -535,19 +531,16 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     them are distinct ids from 3 up that ``universe_fits`` puts below u, so
     n <= u - 3.  So every renaming passes exactly when every support map does.
 
-    Quotient lemma: let G be the permutations p of S with p(T) = T; they
-    are the restrictions to S of the automorphisms a of c with
-    a(S) = S (T mentions no other nonlogical element, so p extended by the
-    identity is one), and they form a group.  Every support map passes
-    exactly when no p in G moves D and every coset-first support map, the
-    least member of its coset s G, passes.  Only if: s and s p give the rule
-    the same tables, so the same update set U; if p moves D then
-    s(p(D)) != s(D), s being injective, and one of the two fails.  If: a
-    support map s is t p for t the least member of its coset and p in G; t
-    passes, so U = t(D), and s gets t's tables, so it passes, as
-    s(D) = t(p(D)) = t(D) = U.  ``_first_unnatural_rule_map`` computes G as
-    the automorphisms of the state with carrier S and tables T, and tests
-    whether s is coset-first by comparing its tuple with each s p's.
+    Cosets: let G, a group, be the permutations p of S with p(T) = T, the
+    restrictions to S of the automorphisms a of c with a(S) = S (T mentions
+    no other nonlogical element, so p extended by the identity is one).
+    Every support map passes exactly when no p in G moves D and every
+    coset-first support map passes.  Only if: s and s p get the same tables,
+    so the same update set; if p moves D then s(p(D)) != s(D), s being
+    injective, and one of the two fails.  If: s p gets s's tables, and, as
+    p(D) = D, s p(D) = s(D); passing is constant on cosets (``_coset_first``).
+    ``_first_unnatural_rule_map`` computes G as the automorphisms of the
+    state with carrier S and tables T.
 
     Failure: when some p in G moves D, or a coset-first support map fails or
     raises, the renamings are walked in order and each settled through its
@@ -556,18 +549,17 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     as it is, fails or raises, and a raised error is raised again.
 
     Count: a passing check evaluates the rule at most once per distinct
-    copy.  Renamings m and m' give the same copy exactly when m' = m a for
-    some a in c's automorphism group Aut(c): if m(c) = m'(c), then m^-1 m'
-    carries c onto c, and conversely m a(c) = m(c); so there are
-    P(u - 3, n)/|Aut(c)| distinct copies.  When the check passes, every
-    renaming passes, so every a in Aut(c) fixes D: m and m a share a copy,
-    so m(D) = m(a(D)).  Then a preserves the elements T and D mention, so
-    a(S) = S and a restricts to a member of G; each p in G is the
-    restriction of its extension by the identity, and the a that fix S
-    pointwise are the (n - k)! permutations of c's other nonlogical
-    elements, which neither T nor D mentions.  So |Aut(c)| = |G| (n - k)!,
-    and the distinct copies number (P(u - 3, k)/|G|) C(u - 3 - k, n - k),
-    at least the P(u - 3, k)/|G| coset-first support maps evaluated.
+    copy.  Renamings give one copy exactly when they differ by an
+    automorphism (``_coset_first``), so there are P(u - 3, n)/|Aut(c)|
+    distinct copies.  When the check passes, every renaming passes, so every
+    a in Aut(c) fixes D: m and m a share a copy, so m(D) = m(a(D)).  Then a
+    preserves the elements T and D mention, so a(S) = S and a restricts to a
+    member of G; each p in G is the restriction of its extension by the
+    identity, and the a that fix S pointwise are the (n - k)! permutations
+    of c's other nonlogical elements, which neither T nor D mentions.  So
+    |Aut(c)| = |G| (n - k)!, and the distinct copies number
+    (P(u - 3, k)/|G|) C(u - 3 - k, n - k), at least the P(u - 3, k)/|G|
+    coset-first support maps evaluated.
 
     The explicit-successor backend is decided on the canonical states.  Let
     cj be the first canonical state isomorphic to ci, and succ the successor
@@ -651,11 +643,10 @@ class ClosureIndex:
     Construction checks, in order, that the witness is ground, that the
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
     ``program``, when given, is the witness compiled by ``_witness_program``,
-    already found ground.
-    The canonical states' witness values, update sets, patterns and accessible
-    traces are computed at construction.  Copies are streamed on each read of
-    ``similarity_classes`` and not kept: a copy refers to its index, and the
-    index holding its copies would make a cycle.
+    already found ground.  The canonical states' witness values, update sets,
+    patterns and accessible traces are computed at construction.  Copies are
+    streamed on each read of ``similarity_classes`` and not kept: a copy
+    refers to its index, and the index holding its copies would make a cycle.
     """
 
     def __init__(
@@ -680,6 +671,7 @@ class ClosureIndex:
         self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
         self.patterns: list[tuple[int, ...]] = []
         self.traces: list[frozenset[tuple[str, tuple[int, ...], int]]] = []
+        self._automorphisms: dict[int, tuple[Renaming, ...]] = {}
         for vector, delta in zip(self.vectors, self.deltas):
             pattern, first = equality_pattern(vector)
             self.patterns.append(pattern)
@@ -697,6 +689,13 @@ class ClosureIndex:
         first = _first_isomorphic(self.algorithm.canonical_states)
         return tuple(i for i, j in enumerate(first) if i == j)
 
+    def automorphisms(self, i: int) -> tuple[Renaming, ...]:
+        """Owner i's automorphisms, identity first, searched once per index."""
+        if i not in self._automorphisms:
+            state = self.algorithm.canonical_states[i]
+            self._automorphisms[i] = tuple(isomorphisms_between(state, state))
+        return self._automorphisms[i]
+
     def similarity_classes(self, limit: int | None = None) -> Iterator[Iterator[Copy]]:
         """The closure's copies grouped by the equality pattern of their
         witness values (their owner's), one lazy stream per pattern in pattern
@@ -706,8 +705,8 @@ class ClosureIndex:
         is budgeted as ``closure`` is.  Cut, an owner with n nonlogical
         elements tries at most min(P(u - 3, n), (limit + 1) n!) renamings: its
         stream is pulled once to start and once after each of its at most
-        ``limit`` copies yielded, and a pull builds at most one block of n!
-        renamings (``_copies_in_key_order``).
+        ``limit`` copies yielded, and a pull builds at most one block, of at
+        most n! renamings (``_copies_in_key_order``).
         """
         states = self.algorithm.canonical_states
         count = None if limit is None else sum(
@@ -858,8 +857,7 @@ def check_old_be(
     states = index.algorithm.canonical_states
     free = index.universe_size - 3
     copies = sum(
-        math.perm(free, len(states[i].nonlogical_elements()))
-        // sum(1 for _ in isomorphisms_between(states[i], states[i]))
+        math.perm(free, len(states[i].nonlogical_elements())) // len(index.automorphisms(i))
         for i in index.owners
     )
     classes = sum(math.perm(free, len(set(vector).difference(LOGICAL_IDS))) for vector in shapes)

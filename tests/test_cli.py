@@ -125,6 +125,12 @@ class TestCheckCommand:
         assert "4/4 instances agree" in out
         assert "seed=0 instance=0 witness=w0" in out
 
+    def test_suite_with_more_symbols_than_pooled_names(self, capsys):
+        code = main(["check", "equivalence", "--suite", "symbols=9,instances=20"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PASS equivalence-suite 20/20 instances agree" in out
+
     def test_suite_on_other_postulate_rejected(self, capsys):
         assert main(["check", "old-be", "--suite", "default"]) == 2
 

@@ -482,6 +482,16 @@ class TestGenerators:
             )
             assert full in instance.witnesses
 
+    def test_symbols_past_the_name_pool_get_fresh_names(self):
+        # The five pooled names come first; the sixth symbol on is f5, f6, ...
+        suite = generate_algorithm_suite(GeneratorConfig(max_nonlogical_symbols=9, instances=20))
+        counts = []
+        for instance in suite:
+            names = {s.name for s in instance.algorithm.vocabulary.nonlogical}
+            counts.append(len(names))
+            assert names == {("f", "g", "h", "k", "m")[i] if i < 5 else f"f{i}" for i in range(len(names))}
+        assert max(counts) == 9
+
     def test_carrier_bound_above_four_is_drawn(self):
         suite = generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=5))
         assert max(i.algorithm.max_nonlogical_carrier() for i in suite) == 5

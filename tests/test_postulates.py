@@ -1227,9 +1227,10 @@ class TestClosureIndex:
         # Every owner stream of the similarity classes and of the coincidence
         # classes (the least vector of each owner's shape, as ``check_old_be``
         # streams it), on the default suite at u=11 and the carrier-5 suite at
-        # headroom.  A later block keys only the orders that made a key first
-        # in the first block; each block, with its keys and first maps, must
-        # be the block keyed over all n! permutations.
+        # headroom.  Every block keys only the coset-first orders; each block,
+        # with its keys and first maps, must be the block keyed over all n!
+        # permutations, and it must key n!/|Stab| orders, Stab the owner's
+        # automorphisms that fix the fixed values.
         keys = _key_spy(monkeypatch)
         cases = [(instance, 11) for instance in default_suite]
         for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=6)):
@@ -1253,26 +1254,14 @@ class TestClosureIndex:
                     assert block == _full_block(state, values, image)
                 n = len(_free_sources(state, values))
                 per_block = len(blocks[0][1])
-                assert len(keys) == math.factorial(n) + (len(blocks) - 1) * per_block
+                stab = [
+                    a for a in isomorphisms_between(state, state) if all(a[v] == v for v in values)
+                ]
+                assert per_block == math.factorial(n) // len(stab)
+                assert len(keys) == len(blocks) * per_block
                 streams += 1
                 learned += per_block < math.factorial(n)
-        assert (streams, learned) == (280, 99)  # 99 streams key fewer than n! in a later block
-
-    def test_restricted_renamings_keep_the_closure_order(self):
-        # The old check names its witness from the renamings that extend the
-        # witness values; they must come in the order the closure tries them.
-        rng = random.Random(0)
-        universe = 11
-        for carrier in range(5):
-            base = frozenset({0, 1, 2, *rng.sample(range(3, universe), carrier)})
-            full = list(renamings_into(base, universe))
-            assert len(full) == math.perm(universe - 3, carrier)
-            for size in range(carrier + 1):
-                for _ in range(3):
-                    sources = rng.sample(sorted(base - {0, 1, 2}), size)
-                    fixed = dict(zip(sources, rng.sample(range(3, universe), size)))
-                    expected = [r for r in full if all(r[v] == w for v, w in fixed.items())]
-                    assert list(renamings_into(base, universe, fixed)) == expected
+        assert (streams, learned) == (280, 99)  # 99 streams key fewer than n! orders a block
 
     def test_copies_do_not_keep_their_index_alive(self, flip):
         # Copies refer to their index, so an index that kept its copies would
