@@ -6,8 +6,11 @@
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each tree, from that tree's root, with one seed per pair
 (``--seed``, ``--seed + 1``, ...); which side runs first alternates from pair
-to pair.  ``--workload`` may be given several times; the workloads run one
-after the other.  The runs are sequential, one process at a time.
+to pair.  Every run compiles the package from source: it starts with
+``PYTHONDONTWRITEBYTECODE=1`` and a fresh empty ``PYTHONPYCACHEPREFIX``, so
+``__pycache__`` bytecode lying in one tree does not bias ``setup_s``.
+``--workload`` may be given several times; the workloads run one after the
+other.  The runs are sequential, one process at a time.
 
 The output file records the machine, the Python version, the seeds and the
 repeats, every run's metrics, and per workload and end-to-end metric the
@@ -18,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,12 +44,16 @@ METRICS = {
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``tree``; the JSON object it prints last."""
+    """One untraced benchmark run in ``tree``, compiled from source; the JSON
+    object it prints last.  Bytecode is read only from an empty temporary
+    cache, deleted after the run, and none is written."""
     command = [
         sys.executable, "bench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -138,7 +147,10 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "seeds": {w: [r["seed"] for r in e["runs"]] for w, e in results.items()},
-        "repeats": "one run per tree per seed; first side alternates per pair",
+        "repeats": (
+            "one run per tree per seed; first side alternates per pair; every run compiles "
+            "from source (PYTHONDONTWRITEBYTECODE=1, a fresh empty PYTHONPYCACHEPREFIX)"
+        ),
         "all_correct": all(
             r[side]["correct"] and r[side]["failed"] == 0
             for e in results.values() for r in e["runs"] for side in ("parent", "change")

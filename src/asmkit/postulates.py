@@ -54,13 +54,14 @@ the canonical states too: a renamed copy steps through the first isomorphism
 ``locate`` finds, and every isomorphism between two canonical states is that
 first one for some renaming, so the step is natural exactly when every
 isomorphism from the first canonical state isomorphic to ci carries its
-successor onto ci's.  ``check_abstract_state`` gives the proof.  Copies are
-stepped only to name a failing renaming, and on the rule-based backend,
-whose naturality is what the check tests there: it runs the compiled rule
-on raw tables renamed by the coset-first renamings of the support, the
-elements the tables or the update set mention, and compares update sets;
-the renamings themselves are walked only to name the first failing one.
-``State``s and a ``Renaming`` are built only for the witness.
+successor onto ci's; a failing state's first failing renaming is one onto
+the least ids.  On the rule-based backend, whose naturality is what the
+check tests there, the compiled rule runs on raw tables renamed by the
+coset-first renamings of the support, the elements the tables or the
+canonical update set mention, and update sets are compared, with no
+successor built; renamings are walked only to name a failure.
+``check_abstract_state`` gives the proofs.  ``State``s and a ``Renaming``
+are built only for the one failure report.
 """
 from __future__ import annotations
 
@@ -94,15 +95,12 @@ from .transition import (
     Algorithm,
     Encoded,
     Update,
-    apply_rule,
-    apply_updates,
     canonical_delta,
     canonical_step,
     lift_encoded_set,
     lift_update_set,
     rule_updates,
     step,
-    table_diff,
 )
 
 
@@ -405,29 +403,11 @@ def _first_unnatural_state(algorithm: Algorithm) -> int | None:
     return None
 
 
-def _first_failing_renaming(
-    algorithm: Algorithm, index: int, successor: State, universe_size: int
-) -> CheckReport | None:
-    """The report on the first renaming of canonical state ``index``, in
-    ``renamings_into``'s order, whose copy does not step to the renamed
-    ``successor``, or None.  Renamings come as raw element maps.  A
-    ``Renaming`` and ``State``s are built for the witness, and on the
-    explicit-successor backend, which gets here only for a failing state.
-    """
+def _unnatural_report(algorithm: Algorithm, index: int, mapping: dict[int, int]) -> CheckReport:
+    """The report on canonical state ``index``'s failing renaming ``mapping``:
+    its copy stepped, and the canonical successor renamed."""
     state = algorithm.canonical_states[index]
-    if algorithm.rule_based:
-        failing = _first_unnatural_rule_map(algorithm, state, successor, universe_size)
-    else:
-        maps = _renaming_maps(state.base, universe_size)
-        failing = next((m for m in maps if not _steps_along(algorithm, state, successor, Renaming(m))), None)
-    if failing is None:
-        return None
-    renaming = Renaming(failing)
-    copy = apply_renaming(state, renaming)
-    if algorithm.rule_based:
-        actual = apply_updates(copy, apply_rule(copy, algorithm.compiled))
-    else:
-        actual = step(algorithm, copy)
+    renaming = Renaming(mapping)
     return CheckReport(
         False,
         "abstract-state",
@@ -435,33 +415,26 @@ def _first_failing_renaming(
         witness={
             "state": state,
             "renaming": renaming,
-            "expected": apply_renaming(successor, renaming),
-            "actual": actual,
+            "expected": apply_renaming(canonical_step(algorithm, index), renaming),
+            "actual": step(algorithm, apply_renaming(state, renaming)),
         },
     )
 
 
-def _steps_along(algorithm: Algorithm, state: State, successor: State, renaming: Renaming) -> bool:
-    """Whether the renamed copy of ``state`` steps, keeping its base, to the renamed ``successor``."""
-    copy = apply_renaming(state, renaming)
-    actual = step(algorithm, copy)
-    return actual.key() == renamed_key(successor, renaming) and actual.base == copy.base
-
-
 def _first_unnatural_rule_map(
-    algorithm: Algorithm, state: State, successor: State, universe_size: int
+    algorithm: Algorithm, state: State, delta: frozenset[Encoded], universe_size: int
 ) -> dict[int, int] | None:
     """The first map m, in ``renamings_into``'s order, whose copy, the
     canonical tables renamed by m, has a rule update set other than m(D), D
-    the diff of ``state`` and ``successor``, or whose rule evaluation raises
-    an ``AsmError``, which is raised again: the first failing renaming.  A
-    map is settled by its restriction to the support S, a tuple over S.  Only
-    the coset-first ones are evaluated, unless a permutation of S fixing the
-    tables moves D or one of them fails; then the maps are walked in order,
-    each support map evaluated once, by the lemmas in ``check_abstract_state``.
+    the canonical update set ``delta``, encoded, or whose rule evaluation
+    raises an ``AsmError``, which is raised again: the first failing
+    renaming.  A map is settled by its restriction to the support S, a tuple
+    over S.  Only the coset-first ones are evaluated, unless a permutation
+    of S fixing the tables moves D or one of them fails; then the maps are
+    walked in order, each support map evaluated once, by the lemmas in
+    ``check_abstract_state``.
     """
     rule, tables = algorithm.compiled, state.interpretations
-    delta = frozenset([u.encoded() for u in table_diff(state, successor)])
     mentioned = {e for table in tables.values() for args, v in table.items() for e in (*args, v)}
     mentioned.update(e for _, args, v in delta for e in (*args, v))
     support = tuple(sorted(mentioned.difference(LOGICAL_IDS)))
@@ -503,18 +476,21 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     semantics is what this check tests there, so it is not assumed.  Each
     evaluation runs the ``CompiledRule`` built with the ``Algorithm``, its
     symbols checked then, over a copy's raw tables.  It compares update
-    sets instead of successors.  Lemma: for a renaming r of canonical state c, with
-    successor succ and update set D = diff(c, succ), the copy r(c) steps to
-    r(succ) exactly when the rule's update set on r(c) equals r(D).  Proof:
-    ``apply_rule`` returns only nontrivial updates that do not clash, and the
-    copy steps to ``apply_updates`` of them, which keeps the base.  succ is c
-    with D written, so r(succ) is r(c) with r(D) written, since a renaming is
-    a bijection of elements fixing undef; and r(D) is nontrivial on r(c).
-    Two nontrivial, non-clashing update sets on one state give the same
-    successor exactly when they are equal: a location in one but not the
-    other, or holding two values, takes different values in the two
+    sets instead of successors.  Lemma: for a renaming r of canonical state c,
+    with update set D, the rule's update set on c (``canonical_delta``), and
+    successor succ, c with D written, the copy r(c) steps to r(succ) exactly
+    when the rule's update set on r(c) equals r(D).  Proof: ``apply_rule``
+    returns only nontrivial updates that do not clash, and a state steps to
+    ``apply_updates`` of them, which keeps the base, so no rule-based
+    successor changes it.  r(succ) is r(c) with r(D) written, since a
+    renaming is a bijection of elements fixing undef; and r(D) is nontrivial
+    on r(c).  Two nontrivial, non-clashing update sets on one state give the
+    same successor exactly when they are equal: a location in one but not
+    the other, or holding two values, takes different values in the two
     successors.  The lemma rests on table writes and renamings only, never
-    on the naturality of rule semantics.
+    on the naturality of rule semantics.  Every canonical D is computed
+    before any copy is evaluated, so a rule that raises on a canonical state
+    raises first.
 
     The rule runs on renamings of the support only.  Order the renamings of
     c as ``renamings_into`` does, lexicographically by their tuples over c's
@@ -580,48 +556,58 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     ``universe_fits`` puts below u, so u - 3 >= n.  Then r t is increasing,
     so it is that first permutation, and it is an isomorphism cj -> r(ci):
     rho = r t and r^-1 rho = t.  So all renamings pass exactly when every t
-    does.
+    does, and every state before the first failing one passes every renaming.
 
-    Only when a state fails are its renamings enumerated, in order, each
-    copy stepped as a ``State``, to name the first failing renaming and its
-    witness; every earlier state passes every renaming, by the proof.
-    The work budget applies before renamings are enumerated (for the
-    rule-based backend, before any copy is evaluated), so a passing
-    explicit-successor algorithm answers at any universe.  Closure of the
-    family under isomorphism holds by construction, because copies are
+    Order-pattern lemma: whether a renaming r of ci passes depends only on
+    the relative order of r's values.  Proof: let o be the increasing map of
+    r's image onto 3 .. n+2.  ``isomorphisms_between`` tries the target's
+    sorted elements in permutation order, and o keeps them sorted, so the
+    isomorphisms cj -> o r(ci) are o composed with those cj -> r(ci), in the
+    same order.  The copy o r(ci) steps to o rho(succj), and o is injective,
+    so o r passes exactly when r does.  At each position o r is no greater
+    than r, since r's k-th least value, from k = 0, is at least 3 + k; so
+    the first failing renaming is one of the n! onto 3 .. n+2, and
+    ``renamings_into`` meets those in the same relative order at every
+    universe.  So only those are walked, each copy stepped as a ``State``,
+    to name the first failing renaming, behind a budget of n! renamings: an
+    explicit-successor algorithm answers at any universe when it passes, and
+    when it fails with n! within the limit.  The rule-based backend is
+    budgeted for the whole closure before any copy is evaluated.  Closure of
+    the family under isomorphism holds by construction, because copies are
     generated on demand rather than stored; the report says so.
     """
-    label = "abstract-state"
     universe_fits(algorithm, universe_size)
+    states = algorithm.canonical_states
     if algorithm.rule_based:  # every renaming may be walked: refuse first
         _require_work_budget(algorithm, universe_size)
-    successors: list[State] = []
-    for index, state in enumerate(algorithm.canonical_states):
-        successor = canonical_step(algorithm, index)
-        if successor.base != state.base:
-            return CheckReport(
-                False,
-                label,
-                f"successor of canonical state {index} changes the base set",
-                witness={"state": state, "successor": successor},
-            )
-        successors.append(successor)
-    if algorithm.rule_based:
-        for index, successor in enumerate(successors):
-            report = _first_failing_renaming(algorithm, index, successor, universe_size)
-            if report is not None:
-                return report
+        deltas = [canonical_delta(algorithm, i) for i in range(len(states))]
+        for index, (state, delta) in enumerate(zip(states, deltas)):
+            encoded = frozenset([u.encoded() for u in delta])
+            failing = _first_unnatural_rule_map(algorithm, state, encoded, universe_size)
+            if failing is not None:
+                return _unnatural_report(algorithm, index, failing)
     else:
+        for index, (state, successor) in enumerate(zip(states, algorithm.successors)):
+            if successor.base != state.base:
+                return CheckReport(
+                    False,
+                    "abstract-state",
+                    f"successor of canonical state {index} changes the base set",
+                    witness={"state": state, "successor": successor},
+                )
         index = _first_unnatural_state(algorithm)
         if index is not None:
-            _require_work_budget(algorithm, universe_size)
-            report = _first_failing_renaming(algorithm, index, successors[index], universe_size)
-            if report is None:
-                raise AssertionError("an isomorphism moved a successor but no renaming failed")
-            return report
+            state, successor = states[index], algorithm.successors[index]
+            n = len(state.nonlogical_elements())
+            _require_work_budget(algorithm, universe_size, math.factorial(n))
+            for m in _renaming_maps(state.base, n + 3):
+                renaming = Renaming(m)
+                if step(algorithm, apply_renaming(state, renaming)).key() != renamed_key(successor, renaming):
+                    return _unnatural_report(algorithm, index, m)
+            raise AssertionError("an isomorphism moved a successor but no renaming failed")
     return CheckReport(
         True,
-        label,
+        "abstract-state",
         notes=("closure under isomorphism holds by construction (copies are generated)",),
     )
 

@@ -66,6 +66,16 @@ class TestCheckCommand:
         assert main(["check", "abstract-state", spec, "--universe", "12"]) == 2
         assert "needs 362880 renamings" in capsys.readouterr().err
 
+    def test_abstract_state_names_an_explicit_failure_at_huge_universe(self, capsys):
+        # The first failing renaming maps onto the least ids, so a failing
+        # explicit algorithm is answered, with the same bytes, at any universe.
+        spec = str(REPO_ROOT / "specs" / "incoherent.spec")
+        assert main(["check", "abstract-state", spec, "--universe", "7"]) == 1
+        small = capsys.readouterr()
+        assert small.out.startswith("FAIL abstract-state")
+        assert main(["check", "abstract-state", spec, "--universe", "100000"]) == 1
+        assert capsys.readouterr() == small
+
     def test_new_be_fails_requirement_i(self, capsys):
         code = main(["check", "new-be", "--witness", "T1", SPEC, "--universe", "7"])
         out = capsys.readouterr().out

@@ -306,14 +306,26 @@ class TestAbstractState:
         assert huge[0] is True
         assert huge == _outcome(check_abstract_state, algorithm, 7)
 
-    def test_explicit_failure_over_the_work_budget(self, flip):
-        # A base-set change needs no renaming; naming a failing renaming does.
-        changed = _base_set_change(flip)
-        assert _outcome(check_abstract_state, changed, 100000) == _outcome(
-            check_abstract_state, changed, 7
+    def test_explicit_failure_over_the_work_budget(self, flip, monkeypatch):
+        # A base-set change needs no renaming.  A failing renaming is named
+        # among the n! onto 3 .. n+2, at any universe, so only a failing
+        # state with n! over the limit is refused.
+        for fixture in (_base_set_change, _incoherent):
+            algorithm = fixture(flip)
+            huge = _outcome(check_abstract_state, algorithm, 100000)
+            assert huge[0] is False
+            assert huge == _outcome(check_abstract_state, algorithm, 7)
+        # Nine elements, empty tables, and f set to the largest: every
+        # permutation is an automorphism, and most move the successor.
+        f = flip.vocabulary.symbol("f")
+        nine = State(flip.vocabulary, range(3, 12))
+        algorithm = Algorithm(
+            flip.vocabulary, (nine,), (True,), successors=(apply_updates(nine, [Update(f, (), 11)]),)
         )
-        with pytest.raises(PreconditionError, match="over the work limit of 250000"):
-            check_abstract_state(_incoherent(flip), 100000)
+        monkeypatch.setattr(postulates, "_renaming_maps", None)  # nothing may be enumerated
+        for universe in (12, 100000):
+            with pytest.raises(PreconditionError, match="needs 362880 renamings"):
+                check_abstract_state(algorithm, universe)
 
     def test_base_set_change_fails(self, flip):
         report = check_abstract_state(_base_set_change(flip), 7)
@@ -386,17 +398,38 @@ class TestAbstractState:
             calls.append(state.key())
             return step(algorithm, state)
 
+        # D is read through canonical_delta, once per canonical state, and
+        # no successor is built or diffed.
+        deltas, rebuilt = [], []
+
+        def delta_read(algorithm, index):
+            deltas.append(index)
+            return canonical_delta(algorithm, index)
+
+        def spy(name, function):
+            def spied(*args):
+                rebuilt.append(name)
+                return function(*args)
+            monkeypatch.setattr(transition, name, spied)
+
+        spy("apply_updates", apply_updates)
+        spy("table_diff", table_diff)
         monkeypatch.setattr(postulates, "rule_updates", evaluated)
         monkeypatch.setattr(postulates, "step", stepped)
+        monkeypatch.setattr(postulates, "canonical_delta", delta_read)
         backends, evaluations, copies = set(), 0, 0
         for instance in default_suite[:20]:
             algorithm = instance.algorithm
             backends.add(algorithm.rule_based)
             calls.clear()
+            deltas.clear()
+            rebuilt.clear()
             assert check_abstract_state(algorithm, universe).passed
+            assert rebuilt == []
             if not algorithm.rule_based:  # decided on the canonical states
-                assert calls == []
+                assert calls == deltas == []
                 continue
+            assert deltas == list(range(len(algorithm.canonical_states)))
             expected = []
             for i, state in enumerate(algorithm.canonical_states):
                 expected += list(_support_copies(algorithm, i, universe))
@@ -566,6 +599,10 @@ class TestAbstractState:
                 expected = _outcome(reference_abstract_state, algorithm, universe)
                 assert _outcome(check_abstract_state, algorithm, universe) == expected
                 verdicts.add(expected[0])
+            # A failure, too, is named at any universe (the order-pattern lemma).
+            assert _outcome(check_abstract_state, algorithm, 100000) == _outcome(
+                check_abstract_state, algorithm, tight
+            )
         assert verdicts == {True, False}
 
     def test_matches_reference_on_carrier5_suite(self):
