@@ -396,24 +396,24 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
     index = ClosureIndex(algorithm, terms, universe_size, closed=True)
     old = check_old_be(algorithm, terms, universe_size, index=index)
     new = check_new_be(algorithm, terms, universe_size, index=index)
-    notes = [f"old-be={old.verdict}", f"new-be={new.verdict}"]
+    stats: dict[str, int | str] = {"old-be": old.verdict, "new-be": new.verdict}
     if old.passed != new.passed:
         return CheckReport(
             False,
             label,
             "bounded-exploration verdicts disagree",
             witness={"old": old, "new": new, "terms": index.terms},
-            notes=tuple(notes),
+            stats=stats,
         )
     if old.passed and new.passed:
         replay = _replay_proof(index)
         if isinstance(replay, CheckReport):
             return replay
-        notes.extend(replay)
-    return CheckReport(True, label, notes=tuple(notes))
+        stats.update(replay)
+    return CheckReport(True, label, stats=stats)
 
 
-def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
+def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
     terms, program = index.terms, index.program
     vocabulary = index.algorithm.vocabulary
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
@@ -463,9 +463,7 @@ def _replay_proof(index: ClosureIndex) -> list[str] | CheckReport:
                         },
                     )
                 counts[route] += 1
-    stats = [f"replayed-chains={counts['case1'] + counts['case2'] + counts['direct']}"]
-    stats.extend(f"{k}={v}" for k, v in counts.items())
-    return stats
+    return {"replayed-chains": counts["case1"] + counts["case2"] + counts["direct"], **counts}
 
 
 def _decoded(vocabulary: Vocabulary, update: Encoded) -> Update:
@@ -797,12 +795,9 @@ def run_suite(cfg: GeneratorConfig, emit=None) -> CheckReport:
         instance_ok = True
         for w_index, terms in enumerate(instance.witnesses):
             report = verify_equivalence(instance.algorithm, terms, cfg.universe_size)
-            verdicts = dict(
-                note.split("=", 1) for note in report.notes if "=" in note
-            )
             emit(
                 f"seed={cfg.seed} instance={instance.index} witness=w{w_index} "
-                f"old={verdicts.get('old-be', '?')} new={verdicts.get('new-be', '?')} "
+                f"old={report.stats.get('old-be', '?')} new={report.stats.get('new-be', '?')} "
                 f"agree={str(report.passed).lower()}"
             )
             if not report.passed:
@@ -818,5 +813,5 @@ def run_suite(cfg: GeneratorConfig, emit=None) -> CheckReport:
         "equivalence-suite",
         f"{agreed}/{total} instances agree",
         witness=None if passed else (first_failure.witness if first_failure else {}),
-        notes=(f"instances={total}",),
+        stats={"instances": total},
     )

@@ -366,10 +366,7 @@ def check_sequential_time(algorithm: Algorithm) -> CheckReport:
     return CheckReport(
         True,
         label,
-        notes=(
-            f"states={len(algorithm.canonical_states)}",
-            f"initial={sum(algorithm.initial)}",
-        ),
+        stats={"states": len(algorithm.canonical_states), "initial": sum(algorithm.initial)},
     )
 
 
@@ -847,9 +844,7 @@ def check_old_be(
         for i in index.owners
     )
     classes = sum(math.perm(free, len(set(vector).difference(LOGICAL_IDS))) for vector in shapes)
-    return CheckReport(
-        True, "old-be", notes=(f"states={copies}", f"coincidence-classes={classes}")
-    )
+    return CheckReport(True, "old-be", stats={"states": copies, "coincidence-classes": classes})
 
 
 def check_new_be(
@@ -899,20 +894,20 @@ def check_new_be(
     )
 
     requirement_i_passed = witness_i is None
-    notes = (
-        f"requirement-i={'pass' if requirement_i_passed else 'fail'}",
-        f"requirement-ii={'pass' if requirement_ii_passed else 'fail'}",
-        f"similarity-classes={len(set(index.patterns))}",
-    )
+    stats = {
+        "requirement-i": "pass" if requirement_i_passed else "fail",
+        "requirement-ii": "pass" if requirement_ii_passed else "fail",
+        "similarity-classes": len(set(index.patterns)),
+    }
     if requirement_i_passed and requirement_ii_passed:
-        return CheckReport(True, "new-be", notes=notes)
+        return CheckReport(True, "new-be", stats=stats)
     # Requirement (ii)'s witness is named only when it is the one reported.
     witness = witness_i if witness_i is not None else _requirement_ii_witness(index)
     witness["requirement_i_passed"] = requirement_i_passed
     witness["requirement_ii_passed"] = requirement_ii_passed
     failed = "i" if witness_i is not None else "ii"
     return CheckReport(
-        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
+        False, "new-be", f"requirement ({failed}) violated", witness=witness, stats=stats
     )
 
 

@@ -12,6 +12,10 @@ class CheckReport:
     A failing report always carries a witness payload whose entries are real
     toolkit objects (states, updates, renamings, term sets) so the violation
     can be fed back through the primitive operations and reproduced.
+
+    ``stats`` maps names, in order, to ``int`` counts and ``"pass"``/``"fail"``
+    verdicts.  A report with stats has their ``name=value`` rendering as its
+    notes, made on construction, so ``dataclasses.replace`` renders it again.
     """
 
     passed: bool
@@ -19,6 +23,11 @@ class CheckReport:
     detail: str = ""
     witness: dict[str, Any] | None = None
     notes: tuple[str, ...] = ()
+    stats: dict[str, int | str] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.stats:
+            self.notes = tuple(f"{name}={value}" for name, value in self.stats.items())
 
     @property
     def verdict(self) -> str:

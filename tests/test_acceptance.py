@@ -88,10 +88,9 @@ def test_criterion_4_equivalence_on_default_suite(default_config, default_suite)
                 )
                 assert report.passed, (instance.index, sorted(map(str, terms)), report)
                 checked += 1
-                for note in report.notes:
-                    name, _, value = note.partition("=")
-                    if value.isdigit():
-                        replay[name] += int(value)
+                replay.update(
+                    {name: value for name, value in report.stats.items() if isinstance(value, int)}
+                )
         assert len(default_suite) == 100
         assert checked >= 300
         # every default witness holds a logical constant term, so each pair

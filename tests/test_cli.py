@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from asmkit import CheckReport, harness
 from asmkit.cli import main
 from conftest import PAPER_EXAMPLE_SPEC, REPO_ROOT, RING6_SPEC
 
@@ -132,8 +133,38 @@ class TestCheckCommand:
         code = main(["check", "equivalence", "--suite", "instances=4"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "4/4 instances agree" in out
-        assert "seed=0 instance=0 witness=w0" in out
+        assert out.splitlines() == [
+            *(
+                f"seed=0 instance={i} witness=w{w} old={verdict} new={verdict} agree=true"
+                for i, w, verdict in [
+                    (0, 0, "fail"), (0, 1, "fail"), (1, 0, "fail"), (1, 1, "fail"), (2, 0, "fail"),
+                    (2, 1, "pass"), (2, 2, "pass"), (2, 3, "pass"), (2, 4, "pass"),
+                    (3, 0, "pass"), (3, 1, "pass"), (3, 2, "pass"),
+                ]
+            ),
+            "PASS equivalence-suite 4/4 instances agree",
+            "  note: instances=4",
+        ]
+
+    def test_suite_mode_without_verdicts(self, capsys, monkeypatch):
+        # A failed replay reports no verdicts, so its suite line shows "?".
+        failure = CheckReport(False, "equivalence", "replay broken", witness={"route": "case2"})
+        monkeypatch.setattr(harness, "_replay_proof", lambda index: failure)
+        code = main(["check", "equivalence", "--suite", "instances=4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines() == [
+            *(
+                f"seed=0 instance={i} witness=w{w} old=fail new=fail agree=true"
+                for i, w in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+            ),
+            *(f"seed=0 instance=2 witness=w{w} old=? new=? agree=false" for w in range(1, 5)),
+            *(f"seed=0 instance=3 witness=w{w} old=? new=? agree=false" for w in range(3)),
+            "FAIL equivalence-suite 2/4 instances agree",
+            "  note: instances=4",
+            "  witness:",
+            "    route: case2",
+        ]
 
     def test_suite_with_more_symbols_than_pooled_names(self, capsys):
         code = main(["check", "equivalence", "--suite", "symbols=9,instances=20"])

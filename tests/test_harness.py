@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -21,6 +22,9 @@ from asmkit import (
     Vocabulary,
     VocabularyMismatchError,
     apply_renaming,
+    check_new_be,
+    check_old_be,
+    check_sequential_time,
     coincides_over,
     construct_case1_state,
     construct_disjoint_copy,
@@ -148,6 +152,21 @@ class TestDisjointCopy:
 
 
 class TestVerifyEquivalence:
+    def test_notes_render_stats_on_default_suite(self, default_suite):
+        reports = []
+        for instance in default_suite:
+            algorithm = instance.algorithm
+            reports.append(check_sequential_time(algorithm))
+            for terms in instance.witnesses:
+                reports.append(check_old_be(algorithm, terms, 11))
+                reports.append(check_new_be(algorithm, terms, 11))
+                reports.append(verify_equivalence(algorithm, terms, 11))
+        for report in reports:
+            assert all(type(v) is int or v in ("pass", "fail") for v in report.stats.values()), report
+            assert report.notes == tuple(f"{k}={v}" for k, v in report.stats.items()), report
+            assert dataclasses.replace(report, passed=not report.passed).notes == report.notes
+        assert all(report.stats for report in reports if report.passed)
+
     def test_flip_agreement_on_failure(self, flip):
         terms = subterm_closure({Term(flip.vocabulary.symbol("f"))})
         report = verify_equivalence(flip, terms, 7)
@@ -170,9 +189,8 @@ class TestVerifyEquivalence:
         terms = LOGICAL_TERMS | {Term(s) for s in vocabulary.nonlogical}
         report = verify_equivalence(moving, terms, 7)
         assert report.passed
-        stats = {n.split("=")[0]: int(n.split("=")[1]) for n in report.notes if "=" in n and n.split("=")[1].isdigit()}
-        assert stats.get("replayed-chains", 0) > 0
-        assert stats.get("case2", 0) > 0
+        assert report.stats["replayed-chains"] > 0
+        assert report.stats["case2"] > 0
 
     def test_witness_without_logical_values_takes_case1(self):
         # a logical constant term has the same value in every state, so only

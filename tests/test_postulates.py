@@ -1412,9 +1412,8 @@ class TestClosureIndex:
                     instance.algorithm, terms, default_config.universe_size
                 )
                 assert calls == []
-                if "old-be=pass" in report.notes and "new-be=pass" in report.notes:
-                    chains = next(n for n in report.notes if n.startswith("replayed-chains="))
-                    replayed += int(chains.split("=")[1])
+                if report.stats["old-be"] == report.stats["new-be"] == "pass":
+                    replayed += report.stats["replayed-chains"]
                 elif not new.passed and new.witness["requirement"] == "ii":
                     named += 1
         assert replayed > 0
