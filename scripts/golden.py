@@ -4,6 +4,7 @@
     python3 scripts/golden.py --group cli          # only the groups named
     python3 scripts/golden.py --dump --group abstract-state > records.txt
     python3 scripts/golden.py --diff ../parent     # both trees; exit 1 when a group differs
+    python3 scripts/golden.py --expect scripts/golden.txt  # exit 1 when a group differs from its pin
 
 A tree is a checkout of this repository; its ``src`` is imported.  Every
 digest is taken under ``PYTHONHASHSEED=0``, which the script sets for itself,
@@ -12,6 +13,10 @@ recorded as (passed, label, detail, notes, repr(witness)), and an error as its
 type and text; a CLI command as its arguments, exit code, stdout and stderr.
 The CLI runs from this script's tree, on its ``specs``, with the other tree's
 ``src``, so both trees read the same documents.
+
+``scripts/golden.txt`` pins each group's digest, one ``group digest`` line
+each; a line ``group digest X.Y`` holds instead on Python X.Y only.  A change
+that alters a report's or the CLI's bytes on purpose updates that file.
 
 Groups:
 - ``suites``: the generated suites, each instance's algorithm and witnesses;
@@ -167,21 +172,44 @@ def run_tree(tree: Path, groups: list[str], dump: bool) -> dict[str, str]:
     return dict(line.split() for line in done.stdout.splitlines())
 
 
+def pinned(path: Path) -> dict[str, str]:
+    """The digests ``path`` pins for the running Python version."""
+    version = "%d.%d" % sys.version_info[:2]
+    general, specific = {}, {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = line.split("#", 1)[0].split()
+        if len(fields) == 2:
+            general[fields[0]] = fields[1]
+        elif len(fields) == 3:
+            if fields[2] == version:
+                specific[fields[0]] = fields[1]
+        elif fields:
+            raise ValueError(f"{path}: not a 'group digest [X.Y]' line: {line!r}")
+    return {**general, **specific}
+
+
+def compare(expected: dict[str, str], actual: dict[str, str], groups: list[str]) -> int:
+    """Print both digests of each group; 1 when any group differs."""
+    for group in groups:
+        same = "same" if expected.get(group) == actual[group] else "DIFFERENT"
+        print(f"{group:24} {expected.get(group, '-')} {actual[group]} {same}")
+    return 0 if all(expected.get(group) == actual[group] for group in groups) else 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--group", action="append", choices=GROUPS, help="a group to digest (default: all)")
     parser.add_argument("--tree", type=Path, default=ROOT, help="the tree to import (default: this one)")
     parser.add_argument("--diff", type=Path, metavar="PARENT", help="also digest this tree and compare")
+    parser.add_argument("--expect", type=Path, metavar="FILE", help="compare with the digests pinned in FILE")
     parser.add_argument("--dump", action="store_true", help="print the records, not their digests")
     args = parser.parse_args()
     groups = args.group or list(GROUPS)
     tree = args.tree.resolve()
     if args.diff is not None:
-        parent, change = run_tree(args.diff.resolve(), groups, False), run_tree(tree, groups, False)
-        for group in groups:
-            same = "same" if parent[group] == change[group] else "DIFFERENT"
-            print(f"{group:24} {parent[group]} {change[group]} {same}")
-        return 0 if parent == change else 1
+        return compare(run_tree(args.diff.resolve(), groups, False), run_tree(tree, groups, False), groups)
+    if args.expect is not None:
+        return compare(pinned(args.expect), run_tree(tree, groups, False), groups)
     if os.environ.get("PYTHONHASHSEED") != "0":
         for group, digest in run_tree(tree, groups, args.dump).items():
             print(group, digest)

@@ -90,16 +90,18 @@ from .postulates import (
     required_headroom,
     witness_monotonicity,
 )
-from .harness import (
+from .generate import (
     GeneratorConfig,
     SuiteInstance,
-    construct_case1_state,
-    construct_disjoint_copy,
     flip_algorithm,
     generate_algorithm_suite,
     generate_monotonicity_cases,
     generate_similar_pairs,
     ground_terms_up_to,
+)
+from .harness import (
+    construct_case1_state,
+    construct_disjoint_copy,
     run_suite,
     verify_equivalence,
 )

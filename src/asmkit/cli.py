@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .errors import AsmError
-from .harness import GeneratorConfig, run_suite, verify_equivalence
+from .generate import GeneratorConfig
+from .harness import run_suite, verify_equivalence
 from .kernel import State
 from .postulates import (
     check_abstract_state,

@@ -26,7 +26,7 @@ from .kernel import (
     coincides_over,
     evaluate_term,
 )
-from .harness import flip_algorithm
+from .generate import flip_algorithm
 from .postulates import check_new_be, check_old_be
 from .report import ScenarioReport
 from .similarity import (

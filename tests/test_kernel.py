@@ -35,7 +35,7 @@ from asmkit import (
     sorted_terms,
     subterm_closure,
 )
-from asmkit.harness import _random_state, _random_term
+from asmkit.generate import _random_state, _random_term
 from conftest import mk, outcome, random_state, random_term, reference_evaluator
 
 

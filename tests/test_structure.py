@@ -1,0 +1,61 @@
+"""The package's import structure, read from its source with ``ast``.
+
+Nothing here imports ``asmkit``: each module's import statements are parsed,
+including those inside functions.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asmkit"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _imports(module: str) -> list[tuple[str, tuple[str, ...]]]:
+    """(source, names) for each import in the module, with relative sources
+    written absolutely (``.kernel`` as ``asmkit.kernel``); ``import x`` has
+    no names."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                source = f"asmkit.{source}" if source else "asmkit"
+            found.append((source, tuple(alias.name for alias in node.names)))
+    return found
+
+
+def _internal(source: str) -> bool:
+    return source == "asmkit" or source.startswith("asmkit.")
+
+
+def test_modules_are_found():
+    assert {"generate", "harness", "kernel", "postulates"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_crosses_modules(module):
+    private = [
+        (source, name)
+        for source, names in _imports(module)
+        if _internal(source)
+        for name in names
+        if name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_generate_reads_no_checker():
+    sources = {source for source, _ in _imports("generate") if _internal(source)}
+    assert sources <= {"asmkit.kernel", "asmkit.similarity", "asmkit.transition"}
+
+
+def test_harness_takes_only_the_suite_from_generate():
+    imports = _imports("harness")
+    assert [source for source, _ in imports if source.split(".")[0] == "random"] == []
+    from_generate = {name for source, names in imports if source == "asmkit.generate" for name in names}
+    assert from_generate == {"GeneratorConfig", "generate_algorithm_suite"}

@@ -37,7 +37,7 @@ from asmkit import (
     table_diff,
     update_set,
 )
-from asmkit.harness import _random_state, _random_term
+from asmkit.generate import _random_state, _random_term
 from asmkit.transition import rule_updates
 from conftest import mk, outcome, random_state, reference_evaluator
 
