@@ -86,10 +86,10 @@ from .postulates import (
     check_old_be,
     check_sequential_time,
     closure,
-    renamings_into,
     required_headroom,
     witness_monotonicity,
 )
+from .symmetry import renamings_into
 from .generate import (
     GeneratorConfig,
     SuiteInstance,

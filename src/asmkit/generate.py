@@ -6,9 +6,9 @@ naming the stream and the draw, so a config names one suite, and the golden
 ``suites`` group of ``scripts/golden.py`` pins the suites' bytes.
 
 Nothing here verifies anything, and nothing imports a checker: the module
-reads only ``kernel``, ``similarity`` and ``transition``.  ``_coherent`` keeps
-its own test of naturality; were it the abstract-state check, that check
-would pass on the explicit-successor instances by construction.
+reads only ``kernel``, ``similarity``, ``symmetry`` and ``transition``.
+``_coherent`` keeps its own test of naturality: were it the abstract-state
+check, that check would pass on explicit-successor instances by construction.
 """
 from __future__ import annotations
 
@@ -31,11 +31,11 @@ from .kernel import (
     Term,
     Vocabulary,
     apply_renaming,
-    isomorphisms_between,
     sorted_terms,
     subterm_closure,
 )
 from .similarity import t_similar
+from .symmetry import isomorphism_maps
 from .transition import Algorithm, Assign, Cond, Par, Rule, rule_terms
 
 
@@ -185,12 +185,12 @@ def _initial_flags(rng: random.Random, count: int) -> tuple[bool, ...]:
 
 
 def _coherent(states: list[State], successors: list[State]) -> bool:
-    for i in range(len(states)):
-        for j in range(i, len(states)):
-            for rho in isomorphisms_between(states[i], states[j]):
-                if apply_renaming(successors[i], rho) != successors[j]:
-                    return False
-    return True
+    return all(
+        apply_renaming(successors[i], Renaming(rho)) == successors[j]
+        for i in range(len(states))
+        for j in range(i, len(states))
+        for rho in isomorphism_maps(states[i], states[j])
+    )
 
 
 def _random_algorithm(rng: random.Random, cfg: GeneratorConfig, kind: str) -> Algorithm:

@@ -623,26 +623,32 @@ def _renamed(state: State, renaming: Renaming) -> tuple[list[int], dict]:
     return [m[e] for e in state.base], rename_tables(state.interpretations, m)
 
 
-def isomorphisms_between(x: State, y: State) -> Iterator[Renaming]:
-    """All renamings carrying ``x`` onto ``y``, in a fixed deterministic order."""
-    if x.vocabulary != y.vocabulary or len(x.base) != len(y.base):
+def isomorphism_maps(x: State, y: State, fixing: Iterable[int] = ()) -> Iterator[dict[int, int]]:
+    """The element maps of the isomorphisms from ``x`` onto ``y`` that fix
+    each element of ``fixing``, unvalidated, in ``asmkit.symmetry``'s search
+    order.  Each passes ``renaming_map``'s checks: it fixes the logical ids
+    and ``fixing``, members of both carriers, and sends x's other nonlogical
+    elements one-to-one onto y's, so it is injective and sends no nonlogical
+    element onto a logical one; its ids, a ``State``'s, are not negative."""
+    held = frozenset(fixing)
+    if x.vocabulary != y.vocabulary or len(x.base) != len(y.base) or not held <= x.base & y.base:
         return
     xt, yt = x.interpretations, y.interpretations
     if set(xt) != set(yt) or any(len(xt[n]) != len(yt[n]) for n in xt):
         return
-    sources = x.nonlogical_elements()
-    targets = y.nonlogical_elements()
+    sources = [e for e in x.nonlogical_elements() if e not in held]
+    targets = [e for e in y.nonlogical_elements() if e not in held]
+    fixed = {e: e for e in (*LOGICAL_IDS, *held)}
     for perm in itertools.permutations(targets, len(sources)):
-        m = dict(zip(sources, perm))
-        m.update({lid: lid for lid in LOGICAL_IDS})
-        ok = True
-        for name, table in xt.items():
-            other = yt[name]
-            for args, v in table.items():
-                if other.get(tuple(m[a] for a in args)) != m[v]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Renaming(m)
+        m = {**fixed, **dict(zip(sources, perm))}
+        if all(
+            yt[name].get(tuple([m[a] for a in args])) == m[v]
+            for name, table in xt.items()
+            for args, v in table.items()
+        ):
+            yield m
+
+
+def isomorphisms_between(x: State, y: State) -> Iterator[Renaming]:
+    """All renamings carrying ``x`` onto ``y``: the ``Renaming`` view of ``isomorphism_maps``."""
+    return map(Renaming, isomorphism_maps(x, y))

@@ -6,69 +6,29 @@ universe headroom of twice the largest nonlogical carrier plus the three
 logical ids, so that fresh-element constructions are expressible; smaller
 universes make the check inconclusive rather than wrong.
 
-A bounded-exploration check works on a ``ClosureIndex``: the witness values
-and update set of every canonical state.  No check enumerates the closure:
-the similarity and coincidence classes stream their copies lazily in key
-order, one carrier at a time, so a reader pays only for the copies it reads.
-A copy is the raw element map that renames its canonical state; it derives
-its witness values and encoded update set from the index on first read, and
-builds its ``Renaming``, ``State`` and ``Update`` set only when a witness or
-a test reads them.  Nothing is cached across calls.  The index compiles the
-sorted witness once into a ``TermProgram``, whose symbols were checked then
-and whose slot count tells whether the witness is subterm-closed;
-it evaluates the canonical states, and the proof replay runs it on the
-canonical tables renamed by each map it composes, without building a state.
+A bounded-exploration check works on a ``ClosureIndex``: the compiled
+witness, and the witness values and update set of every canonical state.  No
+check enumerates the closure: the similarity and coincidence classes stream
+their ``Copy``s lazily in key order, one carrier at a time, and nothing is
+cached across calls.  A pairwise property that depends only on the witness
+values (coincidence) or their equality pattern (similarity) holds for all
+pairs exactly when it is constant on each group of equal data; witnesses
+come from the first offending group in a fixed lexicographic order.
 
-The coincidence and similarity quantifications over state pairs are computed
-by grouping states on their witness-value vectors (respectively, on the
-equality pattern of those vectors): a pairwise property that only depends on
-the group data holds for all pairs exactly when the data is constant on each
-group.  Witnesses are materialized from the first offending group in a fixed
-lexicographic order.
-
-Both checks are decided on the canonical states, by a symmetry reduction
-that does not appeal to the equivalence of the two postulates.  A copy
-belongs to the first canonical state it renames, so a canonical state owns
-copies exactly when it is not isomorphic to an earlier one (an owner).
-Renamings that differ by an automorphism form a coset, and every symmetry
-reduction tries only its least member, through the one filter
-``_coset_first``; an owner's automorphisms are found once, in
-``ClosureIndex.automorphisms``.
-
-The new check's requirements both survive renaming; it reads class streams
-only to name a requirement-(ii) witness.  Isomorphic states share their
-pattern, so the similarity classes of the closure are the distinct canonical
-patterns.  At headroom every owner has at least one copy, so a class holds
-two copies with different accessible traces exactly when two of its owners
-have different traces.
-
-The old check is decided by placements: the partial injections by which
-two renamed owners overlap decide whether the copies coincide and whether
-their update sets agree, and failure depends only on the shape of the
-witness values.  ``check_old_be`` gives the argument.  Only the first
-failing coincidence class is streamed, up to the first copy whose update set
-differs, to name the witness.
-
-The abstract-state check on an explicit-successor algorithm is decided on
-the canonical states too: a renamed copy steps through the first isomorphism
-``locate`` finds, and every isomorphism between two canonical states is that
-first one for some renaming, so the step is natural exactly when every
-isomorphism from the first canonical state isomorphic to ci carries its
-successor onto ci's; a failing state's first failing renaming is one onto
-the least ids.  On the rule-based backend, whose naturality is what the
-check tests there, the compiled rule runs on raw tables renamed by the
-coset-first renamings of the support, the elements the tables or the
-canonical update set mention, and update sets are compared, with no
-successor built; renamings are walked only to name a failure.
-``check_abstract_state`` gives the proofs.  ``State``s and a ``Renaming``
-are built only for the one failure report.
+Every check is decided on the canonical states, by a symmetry reduction
+(``asmkit.symmetry``) that does not appeal to the equivalence of the two
+bounded-exploration postulates.  A copy belongs to the first canonical state
+it renames, so a canonical state owns copies exactly when it is not
+isomorphic to an earlier one (an owner).  The new check reads class streams
+only to name a requirement-(ii) witness, the old check only its first
+failing coincidence class, and the abstract-state check walks renamings
+only to name a failure; each check's docstring gives its argument.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -83,7 +43,6 @@ from .kernel import (
     Vocabulary,
     apply_renaming,
     is_subterm_closed,
-    isomorphisms_between,
     rename_tables,
     renamed_key,
     sorted_terms,
@@ -91,6 +50,14 @@ from .kernel import (
 )
 from .report import CheckReport
 from .similarity import equality_pattern
+from .symmetry import (
+    automorphisms,
+    coset_first,
+    first_isomorphic,
+    isomorphism_maps,
+    renaming_maps,
+    renamings_into,
+)
 from .transition import (
     Algorithm,
     Encoded,
@@ -115,10 +82,9 @@ class Copy:
 
     Every map a copy is made with passes ``Renaming``'s checks, so the view
     adds no failure: the closure's maps come from ``Renaming``s, and a class
-    stream's map sends the sorted free sources to a permutation of distinct
-    free targets, the fixed sources to distinct fixed targets outside those,
-    and the logical ids to themselves, all targets at least 3 but the
-    logical ones, as ``_renaming_maps`` does.
+    stream's map fixes the logical ids and sends the fixed sources to their
+    distinct values and the free sources to distinct ids outside those, all
+    from 3 up, as ``renaming_maps`` does.
     """
 
     canonical_index: int
@@ -219,18 +185,6 @@ def _require_subterm_closed(program: TermProgram, terms: frozenset[Term]) -> Non
 _LOGICAL_FIXED = {e: e for e in LOGICAL_IDS}
 
 
-def _renaming_maps(base: frozenset[int], universe_size: int) -> Iterator[dict[int, int]]:
-    """The element maps of ``renamings_into``, in its order, unvalidated."""
-    sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
-    for perm in itertools.permutations(range(3, universe_size), len(sources)):
-        yield {**_LOGICAL_FIXED, **dict(zip(sources, perm))}
-
-
-def renamings_into(base: frozenset[int], universe_size: int) -> Iterator[Renaming]:
-    """All renamings of a carrier into the universe, in lexicographic order."""
-    return map(Renaming, _renaming_maps(base, universe_size))
-
-
 def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
     """The deduplicated closure of the canonical states under renamings, each
     copy with the first renaming that makes it and deriving its witness values
@@ -251,37 +205,6 @@ def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | N
                 seen.add(key)
                 copies.append(Copy(i, renaming._map, key, index))
     return copies
-
-
-def _coset_first(
-    tuples: Iterable[tuple[int, ...]], elements: tuple[int, ...], automorphisms: Iterable[Renaming]
-) -> Iterator[tuple[int, ...]]:
-    """The members of ``tuples`` least among their compositions with
-    ``automorphisms``, in ``tuples``' order.  A tuple t over the sorted
-    ``elements`` E maps E's k-th element to t[k], injectively; t a is the map
-    e -> t(a(e)); tuples compare lexicographically.
-
-    Quotient lemma: let G, the restrictions of ``automorphisms`` to E, be a
-    group of permutations of E, and ``tuples`` closed under composition with
-    G.  The cosets t G partition ``tuples``, each has one least member, t is
-    it exactly when t <= t p for every p in G, and a walk of ``tuples`` in
-    increasing order meets each coset first there.  Proof: t is in t G, and
-    t' = t p gives t' G = t G, as p G = G.  The t p are distinct, t being
-    injective, so the least is unique.  So a property constant on cosets
-    holds for every tuple exactly when it holds for every one yielded.
-
-    Renamings m, m' of a state c make one copy exactly when m' = m a for an
-    automorphism a of c: m(c) = m'(c) gives m^-1 m'(c) = c, and m a(c) = m(c).
-    """
-    position = {e: k for k, e in enumerate(elements)}
-    twists = [
-        operator.itemgetter(*[position[a[e]] for e in elements])
-        for a in automorphisms
-        if any(a[e] != e for e in elements)
-    ]
-    if not twists:
-        return iter(tuples)
-    return (t for t in tuples if all(t <= twist(t) for twist in twists))
 
 
 def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) -> Iterator[Copy]:
@@ -309,14 +232,15 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
     a = m_C,o^-1 m_C,o' is an automorphism of the owner; such an a fixes the
     fixed sources, and o' = o a.  So a block's keys are constant exactly on
     the cosets of Stab, the owner's automorphisms that fix the fixed
-    sources, and by the quotient lemma (``_coset_first``) each key comes from
-    one coset-first order, the least of its orders.  Its map is the first
-    ``renamings_into`` gives the copy: renamings that make one copy have one
-    image C, and ``renamings_into`` tries the permutations of the sorted free
-    targets in lexicographic order, which, restricted to C, is the order of
-    the orders.  Without fixed values, that is the renaming, and the
-    canonical index, that ``closure`` gives the copy: no canonical state
-    before a copy's owner is isomorphic to it, so none makes the copy.
+    sources, found as ``automorphisms(c, fixing=...)`` (pointwise-fixing
+    lemma, ``asmkit.symmetry``), and by the quotient lemma each key comes
+    from one coset-first order, the least of its orders.  Its map is the
+    first ``renamings_into`` gives the copy: renamings that make one copy
+    have one image C, and in the renaming order the maps that agree on the
+    fixed sources and have image C compare as their orders do.  Without
+    fixed values, that is the renaming, and the canonical index, that
+    ``closure`` gives the copy: no canonical state before a copy's owner is
+    isomorphic to it, so none makes the copy.
 
     Laziness: every block holds at least one copy, so each pull of an
     owner's stream builds at most one block, of n!/|Stab| renamings for n
@@ -331,8 +255,8 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
         taken = set(values.values())
         targets = [e for e in range(3, index.universe_size) if e not in taken]
         fixed = {**_LOGICAL_FIXED, **values}
-        stab = [a for a in index.automorphisms(i) if all(a[v] == v for v in values)]
-        orders = list(_coset_first(itertools.permutations(range(len(sources))), sources, stab))
+        stab = automorphisms(canonical, fixing=values) if values else index.automorphisms(i)
+        orders = list(coset_first(itertools.permutations(range(len(sources))), sources, stab))
         for image in itertools.combinations(targets, len(sources)):
             block = {}  # key -> its one coset-first map
             for order in orders:
@@ -370,32 +294,15 @@ def check_sequential_time(algorithm: Algorithm) -> CheckReport:
     )
 
 
-def _first_isomorphic(states: tuple[State, ...]) -> list[int]:
-    """For each state, the index of the first state isomorphic to it, itself
-    when no earlier one is.  That first state maps to itself (an owner), so a
-    state is compared with the owners before it only."""
-    first: list[int] = []
-    owners: list[int] = []
-    for i, state in enumerate(states):
-        j = next(
-            (j for j in owners if next(isomorphisms_between(states[j], state), None) is not None), i
-        )
-        if j == i:
-            owners.append(i)
-        first.append(j)
-    return first
-
-
 def _first_unnatural_state(algorithm: Algorithm) -> int | None:
     """The first canonical state ci of an explicit-successor algorithm with an
     isomorphism from cj, the first canonical state isomorphic to it, that does
-    not carry succj onto succi; ``check_abstract_state`` says why this is the
-    first state some renaming fails on."""
+    not carry succj's tables onto succi's, the bases being kept; why no
+    renaming fails on an earlier state is in ``check_abstract_state``."""
     states, successors = algorithm.canonical_states, algorithm.successors
-    for i, j in enumerate(_first_isomorphic(states)):
-        expected = successors[i].key()
-        for tau in isomorphisms_between(states[j], states[i]):
-            if renamed_key(successors[j], tau) != expected:
+    for i, j in enumerate(first_isomorphic(states)):
+        for tau in isomorphism_maps(states[j], states[i]):
+            if rename_tables(successors[j].interpretations, tau) != successors[i].interpretations:
                 return i
     return None
 
@@ -450,14 +357,13 @@ def _first_unnatural_rule_map(
                 }
         return settled[images]
 
-    fixing = State(state.vocabulary, support, tables)
-    group = list(isomorphisms_between(fixing, fixing))
+    group = list(automorphisms(state, fixing=state.base - mentioned))
     maps = itertools.permutations(range(3, universe_size), len(support))
     if all(lift_encoded_set(a, delta) == delta for a in group) and all(
-        settle(images) is True for images in _coset_first(maps, support, group)
+        settle(images) is True for images in coset_first(maps, support, group)
     ):
         return None
-    for m in _renaming_maps(state.base, universe_size):
+    for m in renaming_maps(state.base, universe_size):
         outcome = settle(tuple([m[e] for e in support]))
         if outcome is not True:
             if outcome is not False:
@@ -489,9 +395,9 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     before any copy is evaluated, so a rule that raises on a canonical state
     raises first.
 
-    The rule runs on renamings of the support only.  Order the renamings of
-    c as ``renamings_into`` does, lexicographically by their tuples over c's
-    n sorted nonlogical elements.  Let S be the k sorted nonlogical elements
+    The rule runs on renamings of the support only.  Renamings of c are
+    ordered by their tuples over c's n sorted nonlogical elements (renaming
+    order, ``asmkit.symmetry``).  Let S be the k sorted nonlogical elements
     that c's tables T or D mention, and a support map an injective map s from
     S into 3 .. u-1, ordered by its tuple over S; it passes when the rule's
     update set on the tables s(T) is s(D), and fails or raises otherwise.
@@ -504,16 +410,16 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     them are distinct ids from 3 up that ``universe_fits`` puts below u, so
     n <= u - 3.  So every renaming passes exactly when every support map does.
 
-    Cosets: let G, a group, be the permutations p of S with p(T) = T, the
-    restrictions to S of the automorphisms a of c with a(S) = S (T mentions
-    no other nonlogical element, so p extended by the identity is one).
-    Every support map passes exactly when no p in G moves D and every
-    coset-first support map passes.  Only if: s and s p get the same tables,
-    so the same update set; if p moves D then s(p(D)) != s(D), s being
-    injective, and one of the two fails.  If: s p gets s's tables, and, as
-    p(D) = D, s p(D) = s(D); passing is constant on cosets (``_coset_first``).
-    ``_first_unnatural_rule_map`` computes G as the automorphisms of the
-    state with carrier S and tables T.
+    Cosets: let G, a group, be the permutations p of S with p(T) = T.
+    ``_first_unnatural_rule_map`` finds G as Aut(c) ∩ Fix(R), R c's elements
+    outside S, restricted to S: T mentions no nonlogical element outside S,
+    so such an a permutes S and keeps T, and each p in G, extended by the
+    identity on R, is such an a.  Every support map passes exactly when no
+    p in G moves D and every coset-first support map passes.  Only if: s
+    and s p get the same tables, so the same update set; if p moves D then
+    s(p(D)) != s(D), s being injective, and one of the two fails.  If: s p
+    gets s's tables, and, as p(D) = D, s p(D) = s(D); passing is constant on
+    cosets (quotient lemma).
 
     Failure: when some p in G moves D, or a coset-first support map fails or
     raises, the renamings are walked in order and each settled through its
@@ -523,7 +429,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
 
     Count: a passing check evaluates the rule at most once per distinct
     copy.  Renamings give one copy exactly when they differ by an
-    automorphism (``_coset_first``), so there are P(u - 3, n)/|Aut(c)|
+    automorphism (quotient lemma), so there are P(u - 3, n)/|Aut(c)|
     distinct copies.  When the check passes, every renaming passes, so every
     a in Aut(c) fixes D: m and m a share a copy, so m(D) = m(a(D)).  Then a
     preserves the elements T and D mention, so a(S) = S and a restricts to a
@@ -539,39 +445,37 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     tables.  The step is natural exactly when every isomorphism t: cj -> ci
     carries succj onto succi.  Proof: a copy r(ci) is isomorphic to exactly
     the canonical states isomorphic to ci, so ``locate`` finds cj first, and
-    with it rho, the first isomorphism cj -> r(ci) that
-    ``isomorphisms_between`` tries; the copy steps to rho(succj).  Bases are
-    kept by then (the base-set loop has run, and renamings are bijections),
-    so renaming r passes exactly when rho(succj) = r(succi), that is, when
+    with it rho, the first isomorphism cj -> r(ci) in the search order
+    (``asmkit.symmetry``); the copy steps to rho(succj).  Bases are kept by
+    then (the base-set loop has run, and renamings are bijections), so
+    renaming r passes exactly when rho(succj) = r(succi), that is, when
     t = r^-1 rho carries succj onto succi; t is an isomorphism cj -> ci.
-    Every such t arises: ``isomorphisms_between`` tries the permutations of
-    the target's sorted nonlogical elements in lexicographic order, so the
-    first one it tries sends cj's sorted nonlogical elements onto them in
-    increasing order.  Take r sending t(e_k), for cj's k-th least nonlogical
-    element e_k, to 3 + k; it is a renaming into the universe, because the n
-    nonlogical elements of ci are distinct ids from 3 up that
-    ``universe_fits`` puts below u, so u - 3 >= n.  Then r t is increasing,
-    so it is that first permutation, and it is an isomorphism cj -> r(ci):
-    rho = r t and r^-1 rho = t.  So all renamings pass exactly when every t
-    does, and every state before the first failing one passes every renaming.
+    Every such t arises, as the first map the search tries is increasing.
+    Take r sending t(e_k), for cj's k-th least nonlogical element e_k, to
+    3 + k; it is a renaming into the universe, because the n nonlogical
+    elements of ci are distinct ids from 3 up that ``universe_fits`` puts
+    below u, so u - 3 >= n.  Then r t is increasing, so it is that first
+    map, and it is an isomorphism cj -> r(ci): rho = r t and r^-1 rho = t.
+    So all renamings pass exactly when every t does, and every state before
+    the first failing one passes every renaming.
 
     Order-pattern lemma: whether a renaming r of ci passes depends only on
     the relative order of r's values.  Proof: let o be the increasing map of
-    r's image onto 3 .. n+2.  ``isomorphisms_between`` tries the target's
-    sorted elements in permutation order, and o keeps them sorted, so the
-    isomorphisms cj -> o r(ci) are o composed with those cj -> r(ci), in the
-    same order.  The copy o r(ci) steps to o rho(succj), and o is injective,
-    so o r passes exactly when r does.  At each position o r is no greater
-    than r, since r's k-th least value, from k = 0, is at least 3 + k; so
-    the first failing renaming is one of the n! onto 3 .. n+2, and
-    ``renamings_into`` meets those in the same relative order at every
-    universe.  So only those are walked, each copy stepped as a ``State``,
-    to name the first failing renaming, behind a budget of n! renamings: an
-    explicit-successor algorithm answers at any universe when it passes, and
-    when it fails with n! within the limit.  The rule-based backend is
-    budgeted for the whole closure before any copy is evaluated.  Closure of
-    the family under isomorphism holds by construction, because copies are
-    generated on demand rather than stored; the report says so.
+    r's image onto 3 .. n+2.  The search order depends only on the order of
+    the target's elements, which o keeps, so the isomorphisms cj -> o r(ci)
+    are o composed with those cj -> r(ci), in the same order.  The copy
+    o r(ci) steps to o rho(succj), and o is injective, so o r passes exactly
+    when r does.  At each position o r is no greater than r, since r's k-th
+    least value, from k = 0, is at least 3 + k; so the first failing
+    renaming is one of the n! onto 3 .. n+2, and ``renamings_into`` meets
+    those in the same relative order at every universe.  So only those are
+    walked, each copy stepped as a ``State``, to name the first failing
+    renaming, behind a budget of n! renamings: an explicit-successor
+    algorithm answers at any universe when it passes, and when it fails with
+    n! within the limit.  The rule-based backend is budgeted for the whole
+    closure before any copy is evaluated.  Closure of the family under
+    isomorphism holds by construction, because copies are generated on
+    demand rather than stored; the report says so.
     """
     universe_fits(algorithm, universe_size)
     states = algorithm.canonical_states
@@ -597,7 +501,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
             state, successor = states[index], algorithm.successors[index]
             n = len(state.nonlogical_elements())
             _require_work_budget(algorithm, universe_size, math.factorial(n))
-            for m in _renaming_maps(state.base, n + 3):
+            for m in renaming_maps(state.base, n + 3):
                 renaming = Renaming(m)
                 if step(algorithm, apply_renaming(state, renaming)).key() != renamed_key(successor, renaming):
                     return _unnatural_report(algorithm, index, m)
@@ -654,7 +558,7 @@ class ClosureIndex:
         self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
         self.patterns: list[tuple[int, ...]] = []
         self.traces: list[frozenset[tuple[str, tuple[int, ...], int]]] = []
-        self._automorphisms: dict[int, tuple[Renaming, ...]] = {}
+        self._automorphisms: dict[int, tuple[dict[int, int], ...]] = {}
         for vector, delta in zip(self.vectors, self.deltas):
             pattern, first = equality_pattern(vector)
             self.patterns.append(pattern)
@@ -669,14 +573,14 @@ class ClosureIndex:
     def owners(self) -> tuple[int, ...]:
         """Indices of the canonical states not isomorphic to an earlier one,
         the states that own copies."""
-        first = _first_isomorphic(self.algorithm.canonical_states)
+        first = first_isomorphic(self.algorithm.canonical_states)
         return tuple(i for i, j in enumerate(first) if i == j)
 
-    def automorphisms(self, i: int) -> tuple[Renaming, ...]:
-        """Owner i's automorphisms, identity first, searched once per index."""
+    def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
+        """Owner i's automorphisms' element maps, identity first, searched
+        once per index."""
         if i not in self._automorphisms:
-            state = self.algorithm.canonical_states[i]
-            self._automorphisms[i] = tuple(isomorphisms_between(state, state))
+            self._automorphisms[i] = tuple(automorphisms(self.algorithm.canonical_states[i]))
         return self._automorphisms[i]
 
     def similarity_classes(self, limit: int | None = None) -> Iterator[Iterator[Copy]]:

@@ -35,8 +35,8 @@ from .kernel import (
     TermProgram,
     Vocabulary,
     apply_renaming,
-    isomorphisms_between,
 )
+from .symmetry import first_isomorphism
 
 
 @dataclass(frozen=True)
@@ -291,11 +291,11 @@ class Algorithm:
 
 
 def locate(algorithm: Algorithm, state: State) -> tuple[int, Renaming]:
-    """First canonical state and renaming producing ``state``, in fixed order."""
-    for index, canonical in enumerate(algorithm.canonical_states):
-        for renaming in isomorphisms_between(canonical, state):
-            return index, renaming
-    raise UnknownStateError("state is not in the algorithm's family")
+    """First canonical state and renaming producing ``state``, in the search order."""
+    found = first_isomorphism(algorithm.canonical_states, state)
+    if found is None:
+        raise UnknownStateError("state is not in the algorithm's family")
+    return found[0], Renaming(found[1])
 
 
 def canonical_step(algorithm: Algorithm, index: int) -> State:

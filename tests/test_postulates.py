@@ -292,7 +292,7 @@ class TestAbstractState:
         algorithm, _ = _ring6()
         # nothing may be enumerated
         monkeypatch.setattr(postulates, "renamings_into", None)
-        monkeypatch.setattr(postulates, "_renaming_maps", None)
+        monkeypatch.setattr(postulates, "renaming_maps", None)
         with pytest.raises(PreconditionError, match="needs 665280 renamings"):
             check_abstract_state(algorithm, 15)
 
@@ -301,7 +301,7 @@ class TestAbstractState:
         algorithm = _paper_checks()[0] if paper else flip
         # nothing may be enumerated
         monkeypatch.setattr(postulates, "renamings_into", None)
-        monkeypatch.setattr(postulates, "_renaming_maps", None)
+        monkeypatch.setattr(postulates, "renaming_maps", None)
         huge = _outcome(check_abstract_state, algorithm, 100000)
         assert huge[0] is True
         assert huge == _outcome(check_abstract_state, algorithm, 7)
@@ -322,7 +322,7 @@ class TestAbstractState:
         algorithm = Algorithm(
             flip.vocabulary, (nine,), (True,), successors=(apply_updates(nine, [Update(f, (), 11)]),)
         )
-        monkeypatch.setattr(postulates, "_renaming_maps", None)  # nothing may be enumerated
+        monkeypatch.setattr(postulates, "renaming_maps", None)  # nothing may be enumerated
         for universe in (12, 100000):
             with pytest.raises(PreconditionError, match="needs 362880 renamings"):
                 check_abstract_state(algorithm, universe)
@@ -720,7 +720,7 @@ class TestOldBE:
         assert check_abstract_state(_still(flip), 11).passed
         # nothing may be enumerated or streamed
         monkeypatch.setattr(postulates, "renamings_into", None)
-        monkeypatch.setattr(postulates, "_renaming_maps", None)
+        monkeypatch.setattr(postulates, "renaming_maps", None)
         monkeypatch.setattr(postulates, "_copies_in_key_order", None)
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
             check_old_be(flip, witness_terms, 12)

@@ -10,6 +10,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asmkit"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+# The isomorphism search, and its ``Renaming`` view that the package exports.
+SEARCH = {"isomorphism_maps", "isomorphisms_between"}
 
 
 def _imports(module: str) -> list[tuple[str, tuple[str, ...]]]:
@@ -34,7 +36,7 @@ def _internal(source: str) -> bool:
 
 
 def test_modules_are_found():
-    assert {"generate", "harness", "kernel", "postulates"} <= set(MODULES)
+    assert {"generate", "harness", "kernel", "postulates", "symmetry"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -51,7 +53,22 @@ def test_no_private_name_crosses_modules(module):
 
 def test_generate_reads_no_checker():
     sources = {source for source, _ in _imports("generate") if _internal(source)}
-    assert sources <= {"asmkit.kernel", "asmkit.similarity", "asmkit.transition"}
+    assert sources <= {"asmkit.kernel", "asmkit.similarity", "asmkit.symmetry", "asmkit.transition"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_symmetry_imports_the_search(module):
+    # Every other caller goes through ``symmetry``; the package's
+    # ``__init__`` only exports the public view.
+    imported = {
+        name for source, names in _imports(module) if source in ("asmkit", "asmkit.kernel") for name in names
+    }
+    allowed = {"symmetry": SEARCH, "__init__": {"isomorphisms_between"}}.get(module, set())
+    assert imported & SEARCH <= allowed
+
+
+def test_symmetry_reads_only_the_kernel():
+    assert {source for source, _ in _imports("symmetry") if _internal(source)} == {"asmkit.kernel"}
 
 
 def test_harness_takes_only_the_suite_from_generate():
