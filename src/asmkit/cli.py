@@ -8,6 +8,7 @@ universe for the parsed algorithm is used.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .specfmt import SpecDocument, parse_spec, render_state_block, unparse_spec
 ENV_UNIVERSE = "ASMKIT_UNIVERSE"
 
 
+@functools.cache  # parsing never changes the parser, and each message gets a fresh formatter
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asmkit",

@@ -13,13 +13,13 @@ shares each logical witness value, so case 1 is reached only by pairs with
 no logical witness value; the generated witnesses all hold the logical
 constant terms, and none of their pairs takes case 1.
 
-Both checks and the replay share one ``ClosureIndex``, and nothing is
-cached across checks.  None of them enumerates the closure: the replay reads
-the first ``REPLAY_PAIR_LIMIT + 1`` copies of each similarity class, which
-the index streams lazily in key order, so its cost hardly grows with the
-universe.  It reads the witness values of those copies from their vectors,
-builds each pair's similarity function from them, and routes a pair only
-when it carries an accessible update.  The route and its constructions do
+Both checks and the replay share one ``ClosureIndex``, and no copy or
+update set is kept across checks.  None of them enumerates the closure: the
+replay reads the first ``REPLAY_PAIR_LIMIT + 1`` copies of each similarity
+class, which the index streams lazily in key order, so its cost hardly grows
+with the universe.  It reads the witness values of those copies from their
+vectors, builds each pair's similarity function from them, and routes a pair
+only when it carries an accessible update.  The route and its constructions do
 not depend on the update, so they run once per pair.  A copy is the element
 map that renames its canonical state, and the replay builds no ``State`` or
 ``Renaming``: each construction is a map composed with that one, checked as

@@ -9,8 +9,10 @@ universes make the check inconclusive rather than wrong.
 A bounded-exploration check works on a ``ClosureIndex``: the compiled
 witness, and the witness values and update set of every canonical state.  No
 check enumerates the closure: the similarity and coincidence classes stream
-their ``Copy``s lazily in key order, one carrier at a time, and nothing is
-cached across calls.  A pairwise property that depends only on the witness
+their ``Copy``s lazily in key order, one carrier at a time, and no copy is
+kept across calls.  What depends on the canonical states alone, and on
+neither the universe nor the rule, is kept on the algorithm
+(``CanonicalFacts``).  A pairwise property that depends only on the witness
 values (coincidence) or their equality pattern (similarity) holds for all
 pairs exactly when it is constant on each group of equal data; witnesses
 come from the first offending group in a fixed lexicographic order.
@@ -162,11 +164,12 @@ def _require_headroom(algorithm: Algorithm, universe_size: int) -> None:
 def _witness_program(vocabulary: Vocabulary, terms: frozenset[Term]) -> TermProgram:
     """The witness compiled in text order; the compile checks it is ground
     over ``vocabulary``.  An unknown symbol is reported for the first term,
-    in ``terms``' own order, that uses one."""
+    in that order, that uses one."""
+    ordered = sorted_terms(terms)
     try:
-        return TermProgram(vocabulary, sorted_terms(terms))
+        return TermProgram(vocabulary, ordered)
     except VocabularyMismatchError:
-        for t in terms:
+        for t in ordered:
             for sub in t.subterms():
                 if sub.root not in vocabulary:
                     raise VocabularyMismatchError(
@@ -300,7 +303,7 @@ def _first_unnatural_state(algorithm: Algorithm) -> int | None:
     not carry succj's tables onto succi's, the bases being kept; why no
     renaming fails on an earlier state is in ``check_abstract_state``."""
     states, successors = algorithm.canonical_states, algorithm.successors
-    for i, j in enumerate(first_isomorphic(states)):
+    for i, j in enumerate(canonical_facts(algorithm).first):
         for tau in isomorphism_maps(states[j], states[i]):
             if rename_tables(successors[j].interpretations, tau) != successors[i].interpretations:
                 return i
@@ -524,64 +527,126 @@ def _accessible_trace(
     )
 
 
+@dataclass(frozen=True)
+class CompiledWitness:
+    """A witness compiled by ``_witness_program``, with each canonical
+    state's witness values, their equality pattern and the map from each
+    value to the first index holding it (``equality_pattern``)."""
+
+    program: TermProgram
+    vectors: tuple[tuple[int, ...], ...]
+    patterns: tuple[tuple[int, ...], ...]
+    firsts: tuple[dict[int, int], ...]
+
+
+class CanonicalFacts:
+    """What the checks derive from an algorithm's canonical states alone,
+    found on first use and kept: for each state the first state isomorphic
+    to it (``first``), the owners, each owner's automorphisms, and each
+    witness compiled, with the canonical states' witness values and
+    patterns.  None of it depends on the universe or on the rule, so every
+    ``ClosureIndex`` and check over the algorithm shares it: it lives in
+    ``Algorithm.cache`` (``canonical_facts``), and no registry elsewhere
+    refers to it.  Sharing is sound because the algorithm and its states
+    are immutable.  A failure, such as a witness with an unknown symbol, is
+    raised each time and never kept.
+
+    Nothing derived from the rule is kept, here or anywhere: update sets and
+    traces are computed afresh for each index, since the rule's naturality
+    is what the abstract-state check tests, and a kept update set would
+    carry one semantics into a later check.  The cost is retention, not
+    peak: an owner's automorphisms, n! maps for a state with no structure,
+    stay alive as long as the algorithm.
+    """
+
+    def __init__(self, algorithm: Algorithm) -> None:
+        # The states and vocabulary, not the algorithm, which holds this.
+        self._states = algorithm.canonical_states
+        self._vocabulary = algorithm.vocabulary
+        self._automorphisms: dict[int, tuple[dict[int, int], ...]] = {}
+        self._witnesses: dict[frozenset[Term], CompiledWitness] = {}
+
+    @cached_property
+    def first(self) -> tuple[int, ...]:
+        """For each canonical state, the first one isomorphic to it."""
+        return tuple(first_isomorphic(self._states))
+
+    @cached_property
+    def owners(self) -> tuple[int, ...]:
+        """Indices of the canonical states not isomorphic to an earlier one,
+        the states that own copies."""
+        return tuple(i for i, j in enumerate(self.first) if i == j)
+
+    def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
+        """Canonical state i's automorphisms' element maps, identity first."""
+        if i not in self._automorphisms:
+            self._automorphisms[i] = tuple(automorphisms(self._states[i]))
+        return self._automorphisms[i]
+
+    def witness(self, terms: frozenset[Term]) -> CompiledWitness:
+        """``terms`` compiled, checked ground, and evaluated on every canonical state."""
+        found = self._witnesses.get(terms)
+        if found is None:
+            program = _witness_program(self._vocabulary, terms)
+            vectors = tuple([program.evaluate(s) for s in self._states])
+            pairs = [equality_pattern(v) for v in vectors]
+            found = self._witnesses[terms] = CompiledWitness(
+                program, vectors, tuple([p for p, _ in pairs]), tuple([f for _, f in pairs])
+            )
+        return found
+
+
+def canonical_facts(algorithm: Algorithm) -> CanonicalFacts:
+    """The algorithm's ``CanonicalFacts``, made on first use and kept on it."""
+    if algorithm.cache is None:
+        algorithm.cache = CanonicalFacts(algorithm)
+    return algorithm.cache
+
+
 class ClosureIndex:
     """The closure of an algorithm for one witness and universe; every copy
     derives the witness values and update set of its canonical state, renamed.
     Construction checks, in order, that the witness is ground, that the
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
-    ``program``, when given, is the witness compiled by ``_witness_program``,
-    already found ground.  The canonical states' witness values, update sets,
-    patterns and accessible traces are computed at construction.  Copies are
-    streamed on each read of ``similarity_classes`` and not kept: a copy
-    refers to its index, and the index holding its copies would make a cycle.
+
+    The compiled witness (``program``), the canonical states' witness values
+    and patterns, the owners and their automorphisms are the algorithm's
+    ``CanonicalFacts``, shared with every other index over it.  The
+    canonical update sets and accessible traces, which the rule decides, are
+    computed at construction, for this index alone.  Copies are streamed on
+    each read of ``similarity_classes`` and not kept: a copy refers to its
+    index, and the index holding its copies would make a cycle.
     """
 
     def __init__(
-        self,
-        algorithm: Algorithm,
-        terms: Iterable[Term],
-        universe_size: int,
-        *,
-        closed: bool = False,
-        program: TermProgram | None = None,
+        self, algorithm: Algorithm, terms: Iterable[Term], universe_size: int, *, closed: bool = False
     ) -> None:
         self.algorithm = algorithm
         self.terms = frozenset(terms)
         self.universe_size = universe_size
-        if program is None:
-            program = _witness_program(algorithm.vocabulary, self.terms)
-        self.program = program
+        self.facts = canonical_facts(algorithm)
+        witness = self.facts.witness(self.terms)
         _require_headroom(algorithm, universe_size)
         if closed:
-            _require_subterm_closed(self.program, self.terms)
-        self.vectors = [self.program.evaluate(s) for s in algorithm.canonical_states]
+            _require_subterm_closed(witness.program, self.terms)
+        self.program, self.vectors, self.patterns = witness.program, witness.vectors, witness.patterns
         self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
-        self.patterns: list[tuple[int, ...]] = []
-        self.traces: list[frozenset[tuple[str, tuple[int, ...], int]]] = []
-        self._automorphisms: dict[int, tuple[dict[int, int], ...]] = {}
-        for vector, delta in zip(self.vectors, self.deltas):
-            pattern, first = equality_pattern(vector)
-            self.patterns.append(pattern)
-            self.traces.append(_accessible_trace(delta, first))
+        self.traces = [_accessible_trace(d, first) for d, first in zip(self.deltas, witness.firsts)]
 
     @cached_property
     def encoded_deltas(self) -> list[frozenset[Encoded]]:
         """The canonical update sets, encoded."""
         return [frozenset([u.encoded() for u in delta]) for delta in self.deltas]
 
-    @cached_property
+    @property
     def owners(self) -> tuple[int, ...]:
-        """Indices of the canonical states not isomorphic to an earlier one,
-        the states that own copies."""
-        first = first_isomorphic(self.algorithm.canonical_states)
-        return tuple(i for i, j in enumerate(first) if i == j)
+        """Indices of the canonical states that own copies (``CanonicalFacts``)."""
+        return self.facts.owners
 
     def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
         """Owner i's automorphisms' element maps, identity first, searched
-        once per index."""
-        if i not in self._automorphisms:
-            self._automorphisms[i] = tuple(automorphisms(self.algorithm.canonical_states[i]))
-        return self._automorphisms[i]
+        once per algorithm."""
+        return self.facts.automorphisms(i)
 
     def similarity_classes(self, limit: int | None = None) -> Iterator[Iterator[Copy]]:
         """The closure's copies grouped by the equality pattern of their
@@ -769,11 +834,10 @@ def check_new_be(
     may share the closure index of the same arguments, built with ``closed``,
     with other checks.
     """
-    if index is None:
+    if index is None:  # compile, closedness, then headroom
         terms = frozenset(terms)
-        program = _witness_program(algorithm.vocabulary, terms)
-        _require_subterm_closed(program, terms)
-        index = ClosureIndex(algorithm, terms, universe_size, program=program)
+        _require_subterm_closed(canonical_facts(algorithm).witness(terms).program, terms)
+        index = ClosureIndex(algorithm, terms, universe_size)
     terms = index.terms
     witness_i: dict | None = None
     for i, state in enumerate(index.algorithm.canonical_states):

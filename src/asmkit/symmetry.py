@@ -66,9 +66,13 @@ def first_isomorphic(states: Sequence[State]) -> list[int]:
     """For each state, the index of the first state isomorphic to it, itself
     when none earlier is; that one is an owner, so only owners are compared."""
     first: list[int] = []
+    owners: list[int] = []
+    owner_states: list[State] = []
     for i, state in enumerate(states):
-        owners = [j for j, k in enumerate(first) if j == k]
-        found = first_isomorphism([states[j] for j in owners], state)
+        found = first_isomorphism(owner_states, state)
+        if found is None:
+            owners.append(i)
+            owner_states.append(state)
         first.append(i if found is None else owners[found[0]])
     return first
 

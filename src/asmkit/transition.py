@@ -241,9 +241,15 @@ class Algorithm:
     Degenerate inputs (no states, no initial state, base-set-violating
     successors) are representable on purpose; the postulate checkers are the
     place where they are rejected.
+
+    An Algorithm is immutable after construction: no attribute but ``cache``
+    is ever assigned again, and states are immutable.  ``cache`` is None
+    until the checkers store there, on first use, what they derive from the
+    canonical states alone (``postulates.CanonicalFacts``); that cache
+    relies on the immutability, and is freed with the Algorithm.
     """
 
-    __slots__ = ("vocabulary", "canonical_states", "initial", "program", "compiled", "successors")
+    __slots__ = ("vocabulary", "canonical_states", "initial", "program", "compiled", "successors", "cache")
 
     def __init__(
         self,
@@ -277,6 +283,7 @@ class Algorithm:
         self.program = program
         self.compiled = None if program is None else CompiledRule(vocabulary, program)
         self.successors = succ
+        self.cache = None
 
     @property
     def rule_based(self) -> bool:

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import asmkit
 from asmkit import CheckReport, harness
 from asmkit.cli import main
 from conftest import PAPER_EXAMPLE_SPEC, REPO_ROOT, RING6_SPEC
@@ -242,6 +245,37 @@ class TestFmtCommand:
         echo.write_text(first, encoding="utf-8")
         assert main(["fmt", str(echo)]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestParserReuse:
+    # One parser serves every call in a process; each call must still print
+    # the bytes, and return the exit code, of a fresh process.  The sequence
+    # sets options (--universe, --format lines, --witness) and then leaves
+    # them out, so a value kept from one call would show in the next.
+    SEQUENCE = [
+        ["check", "bogus"],
+        ["check", "old-be", SPEC, "--witness", "T1", "--universe", "7", "--format", "lines"],
+        ["check", "new-be", SPEC, "--witness", "T1"],
+        ["check", "old-be", SPEC],
+        ["fmt", SPEC],
+        ["check", "bogus"],
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv("ASMKIT_UNIVERSE", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap to it
+        env = dict(os.environ, PYTHONPATH=str(Path(asmkit.__file__).resolve().parent.parent))
+        codes = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "asmkit", *argv], capture_output=True, env=env)
+            assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+        assert codes == [2, 1, 1, 2, 0, 2]
 
 
 class TestModuleEntryPoint:

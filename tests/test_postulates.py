@@ -2,8 +2,12 @@ import functools
 import gc
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +68,7 @@ from asmkit import (
     witness_monotonicity,
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
-from asmkit.kernel import rename_tables, renamed_key, state_key
+from asmkit.kernel import TermProgram, rename_tables, renamed_key, state_key
 from asmkit.transition import rule_updates
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 
@@ -1461,19 +1465,130 @@ class TestClosureIndex:
             with pytest.raises(error):
                 checker(flip, witnesses[terms], universe)
 
-    def test_unknown_symbol_names_the_first_failing_term(self, flip):
+    def test_unknown_symbol_names_the_first_failing_term(self, flip, monkeypatch):
         # The compile finds the unknown symbol; the message names the first
-        # term, in the witness set's own order, that uses one.
+        # term, in text order (the compile's), that uses one.  A failed
+        # compile is never kept: each check compiles, and fails, again.
         f = Term(flip.vocabulary.symbol("f"))
         eq = flip.vocabulary.symbol("eq")
         foreign = [Term(Symbol(name, 0)) for name in ("zz", "yy", "xx", "ww")]
         terms = frozenset({f, mk(eq, f, f), *foreign, *(mk(eq, f, z) for z in foreign)})
-        first = next(t for t in terms if any(s.root not in flip.vocabulary for s in t.subterms()))
-        symbol = next(s.root for s in first.subterms() if s.root not in flip.vocabulary)
+        compiles = []
+        monkeypatch.setattr(
+            postulates, "TermProgram", lambda *args: compiles.append(args) or TermProgram(*args)
+        )
         for checker in (check_old_be, check_new_be, verify_equivalence):
             with pytest.raises(VocabularyMismatchError) as caught:
                 checker(flip, terms, 3)
-            assert str(caught.value) == f"witness term {first} uses unknown symbol {symbol}"
+            assert str(caught.value) == "witness term eq(f, ww) uses unknown symbol ww/0"
+        assert len(compiles) == 3
+
+    def test_unknown_symbol_message_does_not_follow_the_hash_seed(self):
+        # Eight unknown constants p .. w: a frozenset of them iterates in an
+        # order that changes with the string hash seed, the message must not.
+        source = str(Path(postulates.__file__).resolve().parent.parent)
+        messages = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", _UNKNOWN_SYMBOLS], capture_output=True, text=True, env=env, check=True
+            )
+            messages.add(done.stdout)
+        assert messages == {"witness term p uses unknown symbol p/0\n"}
+
+
+def _fresh(algorithm):
+    """A newly built copy of ``algorithm``, sharing its immutable parts but
+    not what the checks keep on it."""
+    return Algorithm(
+        algorithm.vocabulary,
+        algorithm.canonical_states,
+        algorithm.initial,
+        program=algorithm.program,
+        successors=algorithm.successors,
+    )
+
+
+def _report_fields(report):
+    return report.passed, report.detail, report.stats, report.notes, repr(report.witness)
+
+
+class TestCanonicalFacts:
+    """What the checks keep on an algorithm: its owners, their groups and
+    its compiled witnesses, never anything the rule decides."""
+
+    def test_checks_across_universes_search_and_compile_once(self, default_suite, monkeypatch):
+        instance = next(
+            i for i in default_suite
+            if len(postulates.ClosureIndex(i.algorithm, i.witnesses[1], 11).owners) > 1
+            and check_old_be(i.algorithm, i.witnesses[1], 11).passed
+        )
+        algorithm, terms = _fresh(instance.algorithm), instance.witnesses[1]
+        searches, groups, compiles = [], [], []
+
+        def spy(calls, function):
+            return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
+
+        monkeypatch.setattr(postulates, "first_isomorphic", spy(searches, postulates.first_isomorphic))
+        monkeypatch.setattr(postulates, "automorphisms", spy(groups, postulates.automorphisms))
+        monkeypatch.setattr(postulates, "TermProgram", spy(compiles, TermProgram))
+        headroom = postulates.required_headroom(algorithm)
+        for universe in (headroom, headroom + 1, headroom + 2):
+            assert check_old_be(algorithm, terms, universe).passed
+        owners = postulates.ClosureIndex(algorithm, terms, headroom).owners
+        assert len(searches) == 1
+        assert groups == [(algorithm.canonical_states[i],) for i in owners]
+        assert len(compiles) == 1
+
+    def test_warm_reports_equal_fresh_reports(self, default_suite, default_config):
+        universe = default_config.universe_size
+        for instance in default_suite[::2]:
+            warm = instance.algorithm
+            for terms in instance.witnesses:
+                for checker in (check_old_be, check_new_be, verify_equivalence):
+                    checker(warm, terms, universe)
+                    expected = _report_fields(checker(_fresh(warm), terms, universe))
+                    assert _report_fields(checker(warm, terms, universe)) == expected
+
+    def test_facts_are_freed_with_their_algorithm(self, flip):
+        # The facts refer to the states, not to the algorithm that holds
+        # them, so no cycle keeps either alive for the cyclic collector.
+        algorithm = _fresh(flip)
+        terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
+        gc.disable()
+        try:
+            assert not check_old_be(algorithm, terms, 7).passed
+            assert check_abstract_state(algorithm, 7).passed
+            facts = weakref.ref(algorithm.cache)
+            del algorithm
+            assert facts() is None
+        finally:
+            gc.enable()
+
+    def test_update_sets_are_not_kept(self, default_suite, default_config, monkeypatch):
+        # With no updates anywhere both checks pass; a kept update set would
+        # still fail them after the semantics changed.
+        universe = default_config.universe_size
+        instance = next(
+            i for i in default_suite
+            if i.algorithm.rule_based and not check_new_be(i.algorithm, i.witnesses[0], universe).passed
+        )
+        algorithm, terms = instance.algorithm, instance.witnesses[0]
+        assert any(postulates.ClosureIndex(algorithm, terms, universe).deltas)
+        monkeypatch.setattr(transition, "rule_updates", lambda rule, tables: {})
+        assert not any(postulates.ClosureIndex(algorithm, terms, universe).deltas)
+        assert check_new_be(algorithm, terms, universe).passed
+        assert check_old_be(algorithm, terms, universe).passed
+
+
+# Prints the message of old-BE on flip with a witness of eight unknown constants.
+_UNKNOWN_SYMBOLS = """
+from asmkit import Symbol, Term, VocabularyMismatchError, check_old_be, flip_algorithm
+try:
+    check_old_be(flip_algorithm(), frozenset(Term(Symbol(c, 0)) for c in "pqrstuvw"), 7)
+except VocabularyMismatchError as exc:
+    print(exc)
+"""
 
 
 _COSET_VOCABULARY = Vocabulary((Symbol("c", 0), Symbol("g", 1), Symbol("r", 2)))

@@ -76,3 +76,42 @@ def test_harness_takes_only_the_suite_from_generate():
     assert [source for source, _ in imports if source.split(".")[0] == "random"] == []
     from_generate = {name for source, names in imports if source == "asmkit.generate" for name in names}
     assert from_generate == {"GeneratorConfig", "generate_algorithm_suite"}
+
+
+
+MEMOS = {"cache", "lru_cache"}
+
+
+def _memo_uses(module: str) -> tuple[int, set[str]]:
+    """How often the module names ``functools.cache`` or ``lru_cache``, and
+    the functions they decorate."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    def is_memo(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in MEMOS
+        )
+
+    uses = sum(is_memo(node) for node in ast.walk(tree) if not isinstance(node, ast.Call))
+    decorated = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(is_memo, node.decorator_list))
+    }
+    return uses, decorated
+
+
+def test_the_only_memoised_function_is_the_cli_parser():
+    # Every other cache lives on the object it describes and dies with it; a
+    # module-level memo would keep algorithms, states or reports alive.
+    uses = {module: _memo_uses(module) for module in MODULES}
+    assert {module: found for module, found in uses.items() if found[0]} == {"cli": (1, {"build_parser"})}
+    # Only through the ``functools`` name, which the count above sees.
+    for module in MODULES:
+        for source, names in _imports(module):
+            assert source != "functools" or not MEMOS & set(names)
