@@ -29,6 +29,10 @@ Groups:
   element 3, so that rule-based checks fail and name a witness;
 - ``be``: ``check_old_be``, ``check_new_be`` and ``verify_equivalence`` on
   every default-suite witness at u=11 and 12;
+- ``replay``: ``verify_equivalence``'s verdict, detail and counts, without
+  the witness, on every default-suite witness at u=20 and every carrier-5
+  witness at its headroom and three above it, so the proof replay's counts
+  are pinned where its class streams cross several carrier blocks;
 - ``cli``: CI's spec commands and the suite commands.
 """
 from __future__ import annotations
@@ -66,7 +70,7 @@ CLI_COMMANDS = [
     ["check", "equivalence", "--suite", "carrier=5,instances=3"],
     ["check", "equivalence", "--suite", "depth=3,arity=3"],
 ]
-GROUPS = ("suites", "sequential-time", "abstract-state", "abstract-state-unnatural", "be", "cli")
+GROUPS = ("suites", "sequential-time", "abstract-state", "abstract-state-unnatural", "be", "replay", "cli")
 
 
 def outcome(check, *args) -> tuple:
@@ -147,6 +151,21 @@ def records(group: str, tree: Path):
                 for terms in instance.witnesses:
                     for check in (check_old_be, check_new_be, verify_equivalence):
                         yield universe, instance.index, outcome(check, instance.algorithm, terms, universe)
+    elif group == "replay":
+        from asmkit import AsmError, required_headroom
+
+        cases = [(instance, 20) for instance in default]
+        for instance in carrier5:
+            headroom = required_headroom(instance.algorithm)
+            cases += [(instance, headroom), (instance, headroom + 3)]
+        for instance, universe in cases:
+            for terms in instance.witnesses:
+                try:
+                    report = verify_equivalence(instance.algorithm, terms, universe)
+                except AsmError as exc:
+                    yield universe, instance.index, type(exc).__name__, str(exc)
+                else:
+                    yield universe, instance.index, report.passed, report.detail, report.stats
     elif group == "cli":
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         env.pop("ASMKIT_UNIVERSE", None)

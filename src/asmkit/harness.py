@@ -14,12 +14,15 @@ no logical witness value; the generated witnesses all hold the logical
 constant terms, and none of their pairs takes case 1.
 
 Both checks and the replay share one ``ClosureIndex``, and no copy or
-update set is kept across checks.  None of them enumerates the closure: the
-replay reads the first ``REPLAY_PAIR_LIMIT + 1`` copies of each similarity
-class, which the index streams lazily in key order, so its cost hardly grows
-with the universe.  It reads the witness values of those copies from their
-vectors, builds each pair's similarity function from them, and routes a pair
-only when it carries an accessible update.  The route and its constructions do
+rule-derived update set is kept across checks.  None of them enumerates the
+closure: the replay reads the first ``REPLAY_PAIR_LIMIT + 1`` copies of each
+similarity class, which the index streams lazily in key order, so its cost
+hardly grows with the universe.  A class with one owner streams its copies
+in a block order kept on the algorithm and builds no copy key; the replay
+samples its pairs by position and reads no key either.  It reads the
+witness values of those copies from their vectors, builds each pair's
+similarity function from them, and routes a pair only when it carries an
+accessible update.  The route and its constructions do
 not depend on the update, so they run once per pair.  A copy is the element
 map that renames its canonical state, and the replay builds no ``State`` or
 ``Renaming``: each construction is a map composed with that one, checked as
@@ -197,11 +200,7 @@ def _detached_copy(
 
 def _logically_compatible(sigma: SimilarityFunction) -> bool:
     """The similarity function fixes every logical value it touches."""
-    return all(
-        v == w
-        for v, w in sigma.items()
-        if v in LOGICAL_IDS or w in LOGICAL_IDS
-    )
+    return all(v == w for v, w in sigma._map.items() if v in LOGICAL_IDS or w in LOGICAL_IDS)
 
 
 def _pair_route(
@@ -290,30 +289,28 @@ def _sample_pairs(members: list[Copy], limit: int) -> list[tuple[Copy, Copy]]:
     The first ``limit + 1`` members of a class give the pairs the whole class
     gives, so the replay reads no more: with at least ``limit + 1`` members,
     the first member's pairs with the next ``limit`` fill the sample before
-    any other pair is pushed, and a smaller class is read whole.
+    any other pair is pushed, and a smaller class is read whole.  A class
+    streams distinct copies, so pairs are told apart by the members'
+    positions, and no copy's key is read.
     """
     pairs: list[tuple[Copy, Copy]] = []
-    seen: set[tuple] = set()
+    seen: set[tuple[int, int]] = set()
 
-    def push(a: Copy, b: Copy) -> None:
-        if a is b or len(pairs) >= limit:
+    def push(a: int, b: int) -> None:
+        if a == b or len(pairs) >= limit or (a, b) in seen:
             return
-        key = (a.key, b.key)
-        if key in seen:
-            return
-        seen.add(key)
-        pairs.append((a, b))
+        seen.add((a, b))
+        pairs.append((members[a], members[b]))
 
-    head = members[0]
-    for other in members[1:]:
-        push(head, other)
-    representatives: dict[int, Copy] = {}  # in key order, as the members are
-    for m in members:
-        representatives.setdefault(m.canonical_index, m)
+    for other in range(1, len(members)):
+        push(0, other)
+    representatives: dict[int, int] = {}  # canonical index -> first position, in key order
+    for position, m in enumerate(members):
+        representatives.setdefault(m.canonical_index, position)
     for a, b in itertools.combinations(representatives.values(), 2):
         push(a, b)
     if len(members) > 2:
-        push(members[0], members[-1])
+        push(0, len(members) - 1)
     return pairs
 
 

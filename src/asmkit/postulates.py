@@ -70,6 +70,7 @@ from .transition import (
     lift_update_set,
     rule_updates,
     step,
+    table_diff,
 )
 
 
@@ -77,10 +78,11 @@ from .transition import (
 class Copy:
     """One state of the universe closure, r(c) for the canonical state c at
     ``canonical_index`` in ``index``'s algorithm, remembered by the raw
-    element map r (``mapping``, over c's carrier) that made it.  Its witness
-    values and encoded update set are c's in ``index``, renamed by r; its
-    ``Renaming``, ``State`` and ``Update`` set are views built only for
-    witnesses and tests.  All are derived on first read; no one fills them in.
+    element map r (``mapping``, over c's carrier) that made it.  Its key,
+    witness values and encoded update set are c's in ``index``, renamed by
+    r; its ``Renaming``, ``State`` and ``Update`` set are views built only
+    for witnesses and tests.  All are derived on first read; only a walk
+    that had to build the key to sort its copies sets it.
 
     Every map a copy is made with passes ``Renaming``'s checks, so the view
     adds no failure: the closure's maps come from ``Renaming``s, and a class
@@ -91,8 +93,11 @@ class Copy:
 
     canonical_index: int
     mapping: dict[int, int]
-    key: tuple
     index: ClosureIndex = field(repr=False, compare=False)
+
+    @cached_property
+    def key(self) -> tuple:
+        return renamed_key(self.index.algorithm.canonical_states[self.canonical_index], self.renaming)
 
     @cached_property
     def renaming(self) -> Renaming:
@@ -206,7 +211,9 @@ def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | N
             key = renamed_key(canonical, renaming)
             if key not in seen:
                 seen.add(key)
-                copies.append(Copy(i, renaming._map, key, index))
+                copy = Copy(i, renaming._map, index)
+                copy.key = key
+                copies.append(copy)
     return copies
 
 
@@ -220,15 +227,16 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
     targets, in ``itertools.combinations`` order, by permutations of
     sorted(C).  A copy's key starts with its sorted carrier, the logical ids,
     the fixed values and C, so the copies of one C are one contiguous block
-    of the key order; the block is sorted on its own.  The blocks come in
-    key order: two subsets A, B of one size compare, as sorted tuples, by
+    of the key order, which is sorted on its own.  The blocks come in key
+    order: two subsets A, B of one size compare, as sorted tuples, by
     whether min(A ^ B) lies in A; adding the same disjoint values to both
     leaves A ^ B unchanged, so sorted carriers compare as the subsets do, and
     combinations come in the subsets' order.  Each owner's stream thus
     strictly increases.  Distinct owners are not isomorphic, so their keys
-    are disjoint, and ``heapq.merge`` yields the union in key order.
+    are disjoint; with two owners or more, ``heapq.merge`` yields the union
+    in key order.
 
-    A block keys only the coset-first orders.  Write m_C,o for the map
+    A block holds only the coset-first orders.  Write m_C,o for the map
     sending the k-th free source to the o(k)-th least member of C, for an
     order o (a tuple over the free sources), and fixing the rest as the
     values say.  m_C,o and m_C,o' make one copy exactly when
@@ -245,10 +253,28 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
     ``closure`` gives the copy: no canonical state before a copy's owner is
     isomorphic to it, so none makes the copy.
 
-    Laziness: every block holds at least one copy, so each pull of an
-    owner's stream builds at most one block, of n!/|Stab| renamings for n
-    free sources.  ``heapq.merge`` pulls each stream once to start and once
-    after each copy of it that it yields.
+    Block-order lemma: without fixed values, the orders sorted by their keys
+    in one block are sorted by their keys in every block.  Proof: let C, C'
+    be two images and phi the increasing bijection of C onto C', extended by
+    the identity on the logical ids, which lie below 3 and so below both; phi
+    is increasing on its whole domain.  For every order o, m_C',o = phi m_C,o,
+    since both send the k-th free source to the o(k)-th least member of C',
+    and so the key of m_C',o is the key of m_C,o with every element sent
+    through phi: the carrier and each table's entries stay sorted, since an
+    increasing map keeps the lexicographic order of tuples of elements, and
+    symbol names do not move.  For the same reason phi keeps every
+    comparison between two keys, elementwise and then lexicographically.
+    So the coset-first orders, sorted once by their keys on the image
+    3 .. n+2, are in key order in every block, and an unfixed stream builds
+    no key: ``CanonicalFacts.block_order`` keeps that order per owner.  With
+    fixed values phi need not be increasing on the fixed values, so a
+    fixed stream keys and sorts each block.
+
+    Laziness is per copy.  An unfixed stream builds each copy's map when it
+    is pulled, and its key only if the key is read; ``heapq.merge`` reads
+    the key of each copy it pulls, once to start and once after each copy
+    of the stream that it yields.  A fixed stream builds a block, of
+    n!/|Stab| renamings for n free sources, when its first copy is pulled.
     """
 
     def owner_stream(i: int, values: dict[int, int]) -> Iterator[Copy]:
@@ -258,7 +284,13 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
         taken = set(values.values())
         targets = [e for e in range(3, index.universe_size) if e not in taken]
         fixed = {**_LOGICAL_FIXED, **values}
-        stab = automorphisms(canonical, fixing=values) if values else index.automorphisms(i)
+        if not values:  # block-order lemma: one kept order serves every block
+            orders = index.facts.block_order(i)
+            for image in itertools.combinations(targets, len(sources)):
+                for order in orders:
+                    yield Copy(i, {**fixed, **dict(zip(sources, [image[p] for p in order]))}, index)
+            return
+        stab = automorphisms(canonical, fixing=values)
         orders = list(coset_first(itertools.permutations(range(len(sources))), sources, stab))
         for image in itertools.combinations(targets, len(sources)):
             block = {}  # key -> its one coset-first map
@@ -266,9 +298,14 @@ def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) 
                 m = {**fixed, **dict(zip(sources, [image[p] for p in order]))}
                 block[state_key([m[e] for e in base], rename_tables(tables, m))] = m
             for key in sorted(block):
-                yield Copy(i, block[key], key, index)
+                copy = Copy(i, block[key], index)
+                copy.key = key
+                yield copy
 
-    return heapq.merge(*(owner_stream(i, v) for i, v in fixed.items()), key=lambda c: c.key)
+    streams = [owner_stream(i, v) for i, v in fixed.items()]
+    if len(streams) == 1:
+        return streams[0]
+    return heapq.merge(*streams, key=lambda c: c.key)
 
 
 def check_sequential_time(algorithm: Algorithm) -> CheckReport:
@@ -540,30 +577,39 @@ class CompiledWitness:
 
 
 class CanonicalFacts:
-    """What the checks derive from an algorithm's canonical states alone,
-    found on first use and kept: for each state the first state isomorphic
-    to it (``first``), the owners, each owner's automorphisms, and each
+    """What the checks derive from an algorithm's canonical states and
+    explicit successors alone, found on first use and kept: for each state
+    the first state isomorphic to it (``first``), the owners, each owner's
+    automorphisms and the block order of its unfixed class stream, each
     witness compiled, with the canonical states' witness values and
-    patterns.  None of it depends on the universe or on the rule, so every
-    ``ClosureIndex`` and check over the algorithm shares it: it lives in
-    ``Algorithm.cache`` (``canonical_facts``), and no registry elsewhere
-    refers to it.  Sharing is sound because the algorithm and its states
-    are immutable.  A failure, such as a witness with an unknown symbol, is
-    raised each time and never kept.
+    patterns, and an explicit-successor algorithm's update sets.  None of it
+    depends on the universe or on a rule, so every ``ClosureIndex`` and
+    check over the algorithm shares it: it lives in ``Algorithm.cache``
+    (``canonical_facts``), and no registry elsewhere refers to it.  Sharing
+    is sound because the algorithm and its states are immutable.  A failure,
+    such as a witness with an unknown symbol or a successor over another
+    carrier, is raised each time and never kept.
 
-    Nothing derived from the rule is kept, here or anywhere: update sets and
-    traces are computed afresh for each index, since the rule's naturality
-    is what the abstract-state check tests, and a kept update set would
-    carry one semantics into a later check.  The cost is retention, not
-    peak: an owner's automorphisms, n! maps for a state with no structure,
-    stay alive as long as the algorithm.
+    Nothing derived from a rule is kept, here or anywhere: a rule's update
+    sets and every trace are computed afresh for each index, since the
+    rule's naturality is what the abstract-state check tests, and a kept
+    update set would carry one semantics into a later check.  An explicit
+    update set is the ``table_diff`` of two immutable states, so it cannot
+    change.  The cost is retention, not peak: an owner's automorphisms, n!
+    maps for a state with no structure, and its block order, at most n!
+    orders, stay alive as long as the algorithm.  A block order is found
+    only for an owner whose stream has passed the work budget, so at most
+    8! = 40,320 orders, about 5 MB; the walk before it was kept built the
+    same list for every stream, so the peak does not rise.
     """
 
     def __init__(self, algorithm: Algorithm) -> None:
-        # The states and vocabulary, not the algorithm, which holds this.
+        # The states, successors and vocabulary, not the algorithm, which holds this.
         self._states = algorithm.canonical_states
+        self._successors = algorithm.successors
         self._vocabulary = algorithm.vocabulary
         self._automorphisms: dict[int, tuple[dict[int, int], ...]] = {}
+        self._block_orders: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._witnesses: dict[frozenset[Term], CompiledWitness] = {}
 
     @cached_property
@@ -577,11 +623,34 @@ class CanonicalFacts:
         the states that own copies."""
         return tuple(i for i, j in enumerate(self.first) if i == j)
 
+    @cached_property
+    def explicit_deltas(self) -> tuple[frozenset[Update], ...]:
+        """An explicit-successor algorithm's canonical update sets, each the
+        ``table_diff`` of a canonical state and its successor."""
+        return tuple([table_diff(state, succ) for state, succ in zip(self._states, self._successors)])
+
     def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
         """Canonical state i's automorphisms' element maps, identity first."""
         if i not in self._automorphisms:
             self._automorphisms[i] = tuple(automorphisms(self._states[i]))
         return self._automorphisms[i]
+
+    def block_order(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Owner i's coset-first orders, over its sorted nonlogical elements
+        under its automorphisms, sorted by the keys of the copies they make
+        on the image 3 .. n+2: the order of every block of its unfixed
+        stream (block-order lemma, ``_copies_in_key_order``)."""
+        if i not in self._block_orders:
+            state = self._states[i]
+            base, tables = state.base, state.interpretations
+            sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
+            keyed = []
+            for order in coset_first(itertools.permutations(range(len(sources))), sources, self.automorphisms(i)):
+                m = {**_LOGICAL_FIXED, **{s: 3 + p for s, p in zip(sources, order)}}
+                keyed.append((state_key([m[e] for e in base], rename_tables(tables, m)), order))
+            keyed.sort()
+            self._block_orders[i] = tuple([order for _, order in keyed])
+        return self._block_orders[i]
 
     def witness(self, terms: frozenset[Term]) -> CompiledWitness:
         """``terms`` compiled, checked ground, and evaluated on every canonical state."""
@@ -610,10 +679,11 @@ class ClosureIndex:
     universe has headroom and, if ``closed``, that the witness is subterm-closed.
 
     The compiled witness (``program``), the canonical states' witness values
-    and patterns, the owners and their automorphisms are the algorithm's
-    ``CanonicalFacts``, shared with every other index over it.  The
-    canonical update sets and accessible traces, which the rule decides, are
-    computed at construction, for this index alone.  Copies are streamed on
+    and patterns, the owners, their automorphisms and block orders, and an
+    explicit-successor algorithm's update sets are the algorithm's
+    ``CanonicalFacts``, shared with every other index over it.  A rule's
+    canonical update sets, and the accessible traces, are computed at
+    construction, for this index alone.  Copies are streamed on
     each read of ``similarity_classes`` and not kept: a copy refers to its
     index, and the index holding its copies would make a cycle.
     """
@@ -630,7 +700,10 @@ class ClosureIndex:
         if closed:
             _require_subterm_closed(witness.program, self.terms)
         self.program, self.vectors, self.patterns = witness.program, witness.vectors, witness.patterns
-        self.deltas = [canonical_delta(algorithm, i) for i in range(len(self.vectors))]
+        if algorithm.rule_based:
+            self.deltas = tuple([canonical_delta(algorithm, i) for i in range(len(self.vectors))])
+        else:
+            self.deltas = self.facts.explicit_deltas
         self.traces = [_accessible_trace(d, first) for d, first in zip(self.deltas, witness.firsts)]
 
     @cached_property
@@ -655,10 +728,12 @@ class ClosureIndex:
 
         The work budget comes first.  Uncut, a stream may be read whole, so it
         is budgeted as ``closure`` is.  Cut, an owner with n nonlogical
-        elements tries at most min(P(u - 3, n), (limit + 1) n!) renamings: its
-        stream is pulled once to start and once after each of its at most
-        ``limit`` copies yielded, and a pull builds at most one block, of at
-        most n! renamings (``_copies_in_key_order``).
+        elements is budgeted at min(P(u - 3, n), (limit + 1) n!) renamings:
+        its stream is pulled once to start and once after each of its at most
+        ``limit`` copies yielded, and a pull makes at most one block, of at
+        most n! renamings.  The bound stays valid but is now loose: an
+        unfixed stream makes one copy per pull, and keys its at most n!
+        orders once per algorithm (``_copies_in_key_order``).
         """
         states = self.algorithm.canonical_states
         count = None if limit is None else sum(
@@ -701,14 +776,14 @@ def _requirement_ii_witness(index: ClosureIndex) -> dict:
     raise AssertionError("requirement (ii) failed on the canonical states but not on the closure")
 
 
-def _least_renaming(vector: tuple[int, ...]) -> Renaming:
-    """The renaming of a vector's values onto the least vector of its shape:
-    logical values stay, the others are numbered from 3 in order of first
-    occurrence."""
-    least = {e: e for e in LOGICAL_IDS}
+def _least_map(vector: tuple[int, ...]) -> dict[int, int]:
+    """The element map of the renaming of a vector's values onto the least
+    vector of its shape: logical values stay, the others are numbered from 3
+    in order of first occurrence."""
+    least = dict(_LOGICAL_FIXED)
     for v in vector:
         least.setdefault(v, len(least))
-    return Renaming(least)
+    return least
 
 
 def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> Iterator[Copy]:
@@ -771,15 +846,15 @@ def check_old_be(
     """
     if index is None:
         index = ClosureIndex(algorithm, terms, universe_size)
-    # least vector -> (owner, its update set renamed onto the least vector,
-    # or None when the set leaves the witness values)
-    shapes: dict[tuple[int, ...], list[tuple[int, frozenset[Update] | None]]] = {}
+    # least vector -> (owner, its encoded update set renamed onto the least
+    # vector, or None when the set leaves the witness values)
+    shapes: dict[tuple[int, ...], list[tuple[int, frozenset[Encoded] | None]]] = {}
     for i in index.owners:
-        vector, delta = index.vectors[i], index.deltas[i]
-        least = _least_renaming(vector)
-        inside = all(u.within(least.domain) for u in delta)
-        shapes.setdefault(tuple(least[v] for v in vector), []).append(
-            (i, lift_update_set(least, delta) if inside else None)
+        vector = index.vectors[i]
+        least = _least_map(vector)
+        inside = all(u.within(least) for u in index.deltas[i])
+        shapes.setdefault(tuple([least[v] for v in vector]), []).append(
+            (i, lift_encoded_set(least, index.encoded_deltas[i]) if inside else None)
         )
     failing = []
     for vector, members in shapes.items():

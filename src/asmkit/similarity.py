@@ -48,6 +48,13 @@ class SimilarityFunction(InjectiveMap):
             raise NotSimilarError("similarity mapping is not injective")
         self._map = m
 
+    @classmethod
+    def _of_injective(cls, mapping: dict[int, int]) -> SimilarityFunction:
+        """The function on ``mapping``, already checked injective, kept as it is."""
+        sigma = cls.__new__(cls)
+        sigma._map = mapping
+        return sigma
+
     def _outside(self, element: int) -> AsmError:
         return InaccessibleUpdateError(
             f"element {element} is outside the similarity function's domain"
@@ -102,18 +109,19 @@ def similarity_of_vectors(
     pattern, already known (an injective renaming keeps a pattern)."""
     if pattern is None:
         pattern = equality_pattern(xs)[0]
-    for i, first in enumerate(pattern):
-        if ys[i] != ys[first]:
-            raise NotSimilarError(
-                f"states are not similar over the witness: terms {order[first]} and "
-                f"{order[i]} share a value on one side only"
-            )
+    if [ys[first] for first in pattern] != list(ys):
+        for i, first in enumerate(pattern):
+            if ys[i] != ys[first]:
+                raise NotSimilarError(
+                    f"states are not similar over the witness: terms {order[first]} and "
+                    f"{order[i]} share a value on one side only"
+                )
     mapping = dict(zip(xs, ys))
     if len(set(mapping.values())) != len(mapping):
         raise NotSimilarError(
             "states are not similar over the witness: value pattern collapses on one side"
         )
-    return SimilarityFunction(mapping)
+    return SimilarityFunction._of_injective(mapping)
 
 
 def check_lemma_identity(x: State, y: State, terms: Iterable[Term]) -> CheckReport:

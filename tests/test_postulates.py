@@ -1,5 +1,6 @@
 import functools
 import gc
+import heapq
 import itertools
 import math
 import os
@@ -69,6 +70,7 @@ from asmkit import (
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
 from asmkit.kernel import TermProgram, rename_tables, renamed_key, state_key
+from asmkit.symmetry import automorphisms, coset_first
 from asmkit.transition import rule_updates
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 
@@ -1203,7 +1205,7 @@ def _triples(copies):
 
 
 def _shape(vector):
-    least = postulates._least_renaming(vector)
+    least = postulates._least_map(vector)
     return tuple(least[v] for v in vector)
 
 
@@ -1263,27 +1265,104 @@ def _key_spy(monkeypatch):
     return calls
 
 
+def _per_block_sorted_walk(index, fixed):
+    """``_copies_in_key_order`` as it was before block orders were kept, as
+    (canonical index, map, key): every block of every owner's stream keys
+    its coset-first orders and sorts them, and the streams are merged by key."""
+
+    def owner_stream(i, values):
+        state = index.algorithm.canonical_states[i]
+        sources = tuple(_free_sources(state, values))
+        taken = set(values.values())
+        targets = [e for e in range(3, index.universe_size) if e not in taken]
+        stab = list(automorphisms(state, fixing=values))
+        orders = list(coset_first(itertools.permutations(range(len(sources))), sources, stab))
+        for image in itertools.combinations(targets, len(sources)):
+            block = {}
+            for order in orders:
+                m = {**{e: e for e in LOGICAL_IDS}, **values, **{s: image[p] for s, p in zip(sources, order)}}
+                block[state_key([m[e] for e in state.base], rename_tables(state.interpretations, m))] = m
+            for key in sorted(block):
+                yield i, block[key], key
+
+    return heapq.merge(*(owner_stream(i, v) for i, v in fixed.items()), key=lambda t: t[2])
+
+
+def _walked(copies):
+    return [(c.canonical_index, c.mapping, c.key) for c in copies]
+
+
 class TestClosureIndex:
+    def test_streams_match_the_per_block_sorted_walk(self, default_suite):
+        # Every similarity stream, each merging the owners of one pattern,
+        # must walk the copies, maps and keys the per-block sorted walk does:
+        # uncut on the default suite at u=11, and elsewhere cut after 150
+        # copies, past the replay's REPLAY_PAIR_LIMIT + 1 and across blocks
+        # of every carrier here.  So must the coincidence streams, whose
+        # values are fixed, of the least vector of each owner's shape and of
+        # that vector with its k-th nonlogical value moved from 3 + k to
+        # 4 + 2k, so that free targets lie below, between and above them.
+        cases = [(i.algorithm, i.witnesses, u) for u in (11, 12, 20) for i in default_suite]
+        for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=30)):
+            headroom = postulates.required_headroom(instance.algorithm)
+            cases += [(instance.algorithm, instance.witnesses, u) for u in (headroom, headroom + 3)]
+        compared = set()
+        counts = {"unfixed": 0, "merged": 0, "fixed": 0}
+        for algorithm, witnesses, universe in cases:
+            for terms in witnesses:
+                index = postulates.ClosureIndex(algorithm, terms, universe)
+                groups = {}
+                for i in index.owners:
+                    groups.setdefault(index.patterns[i], []).append(i)
+                fixed = [{i: {} for i in group} for _, group in sorted(groups.items())]
+                for i in index.owners:
+                    least = postulates._least_map(index.vectors[i])
+                    values = {v: least[v] for v in index.vectors[i] if v not in LOGICAL_IDS}
+                    if values:
+                        fixed.append({i: values})
+                        fixed.append({i: {v: 2 * w - 2 for v, w in values.items()}})
+                for owners in fixed:
+                    case = (id(algorithm), universe, tuple((i, tuple(v.items())) for i, v in owners.items()))
+                    if case in compared:
+                        continue
+                    compared.add(case)
+                    kind = "fixed" if any(owners.values()) else "merged" if len(owners) > 1 else "unfixed"
+                    counts[kind] += 1
+                    limit = None if universe == 11 else 150
+                    stream = itertools.islice(postulates._copies_in_key_order(index, owners), limit)
+                    assert _walked(stream) == list(itertools.islice(_per_block_sorted_walk(index, owners), limit))
+        assert counts == {"unfixed": 531, "merged": 275, "fixed": 604}
+        # Fixing element 3 to 5 leaves 5 above the first block, {3, 4}, and
+        # below the block {6, 7}, where the two orders of the free elements
+        # 4 and 5 compare the other way: a fixed stream sorts every block.
+        state = State(_COSET_VOCABULARY, {3, 4, 5}, {"g": {(5,): 0, (3,): 4}})
+        algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), successors=(state,))
+        index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, 9)
+        owners = {0: {3: 5}}
+        assert _walked(postulates._copies_in_key_order(index, owners)) == list(_per_block_sorted_walk(index, owners))
+
     def test_learned_blocks_equal_full_blocks(self, default_suite, monkeypatch):
         # Every owner stream of the similarity classes and of the coincidence
         # classes (the least vector of each owner's shape, as ``check_old_be``
         # streams it), on the default suite at u=11 and the carrier-5 suite at
-        # headroom.  Every block keys only the coset-first orders; each block,
-        # with its keys and first maps, must be the block keyed over all n!
-        # permutations, and it must key n!/|Stab| orders, Stab the owner's
-        # automorphisms that fix the fixed values.
+        # headroom, each on a freshly built algorithm.  Each block, with its
+        # keys and first maps, must be the block keyed over all n!
+        # permutations, and it must hold n!/|Stab| copies, Stab the owner's
+        # automorphisms that fix the fixed values.  A stream with fixed values
+        # keys each block's coset-first orders; an unfixed stream keys them
+        # once, on first use, and never for a later block.
         keys = _key_spy(monkeypatch)
         cases = [(instance, 11) for instance in default_suite]
         for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=6)):
             cases.append((instance, postulates.required_headroom(instance.algorithm)))
         streams = learned = 0
         for instance, universe in cases:
-            algorithm = instance.algorithm
+            algorithm = _fresh(instance.algorithm)
             fixings = {}
             for terms in instance.witnesses:
                 index = postulates.ClosureIndex(algorithm, terms, universe)
                 for i in index.owners:
-                    least = postulates._least_renaming(index.vectors[i])
+                    least = postulates._least_map(index.vectors[i])
                     values = {v: least[v] for v in index.vectors[i] if v not in LOGICAL_IDS}
                     fixings.setdefault((i, tuple(sorted(values.items()))), (index, i, values))
             for index, i, values in fixings.values():
@@ -1299,7 +1378,7 @@ class TestClosureIndex:
                     a for a in isomorphisms_between(state, state) if all(a[v] == v for v in values)
                 ]
                 assert per_block == math.factorial(n) // len(stab)
-                assert len(keys) == len(blocks) * per_block
+                assert len(keys) == (len(blocks) if values else 1) * per_block
                 streams += 1
                 learned += per_block < math.factorial(n)
         assert (streams, learned) == (280, 99)  # 99 streams key fewer than n! orders a block
@@ -1359,12 +1438,16 @@ class TestClosureIndex:
         assert fixed == 270
 
     def test_a_cut_stream_builds_few_keys(self, monkeypatch):
-        # Two carrier blocks of 4! renamings give 25 copies, of P(17, 4) = 57120.
-        index = postulates.ClosureIndex(_path4(), LOGICAL_TERMS, 20)
+        # Two carrier blocks of 4! renamings give 25 copies, of P(17, 4) =
+        # 57120.  The 4! orders are keyed once, on the first index; a second
+        # index over the same algorithm keys none.
+        algorithm = _path4()
         calls = _renamed_tables_spy(monkeypatch)
-        (members,) = index.similarity_classes(25)
-        assert len(list(members)) == 25
-        assert len(calls) == 2 * 24
+        for built in (24, 0):
+            calls.clear()
+            (members,) = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, 20).similarity_classes(25)
+            assert len(list(members)) == 25
+            assert len(calls) == built
 
     def test_replay_tries_at_most_its_budgeted_renamings(
         self, default_suite, default_config, monkeypatch
@@ -1564,6 +1647,30 @@ class TestCanonicalFacts:
             assert facts() is None
         finally:
             gc.enable()
+
+    def test_explicit_update_sets_are_found_once(self, default_suite, monkeypatch):
+        # An explicit-successor update set is the table_diff of two immutable
+        # states: found once per algorithm, across old-BE, new-BE and
+        # verify_equivalence at three universes.
+        diffs = []
+
+        def spy(before, after):
+            diffs.append((before, after))
+            return table_diff(before, after)
+
+        monkeypatch.setattr(postulates, "table_diff", spy)
+        monkeypatch.setattr(transition, "table_diff", spy)
+        explicit = [i for i in default_suite if not i.algorithm.rule_based][:10]
+        for instance in explicit:
+            algorithm = _fresh(instance.algorithm)
+            diffs.clear()
+            headroom = postulates.required_headroom(algorithm)
+            for universe in (headroom, headroom + 1, headroom + 2):
+                for terms in instance.witnesses:
+                    for checker in (check_old_be, check_new_be, verify_equivalence):
+                        checker(algorithm, terms, universe)
+            assert diffs == list(zip(algorithm.canonical_states, algorithm.successors))
+        assert len(explicit) == 10
 
     def test_update_sets_are_not_kept(self, default_suite, default_config, monkeypatch):
         # With no updates anywhere both checks pass; a kept update set would
