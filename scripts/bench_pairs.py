@@ -13,7 +13,10 @@ to pair.  Every run compiles the package from source: it starts with
 other.  The runs are sequential, one process at a time.
 
 The output file records the machine, the Python version, the seeds and the
-repeats, every run's metrics, and per workload and end-to-end metric the
+repeats, each tree's commit and the paths where it differs from that commit
+(``git rev-parse HEAD`` and ``git status --porcelain``, taken before the
+first run; null for a tree that is not the root of a git checkout), every
+run's metrics, and per workload and end-to-end metric the
 median and quartiles of each side and the pairs the change won (ties count
 for neither side).  The script prints the same summary as a Markdown table.
 """
@@ -55,6 +58,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def git_state(tree: Path) -> dict | None:
+    """The commit ``tree`` is at and the paths where its files differ from
+    that commit, or None when ``tree`` is not the root of a git checkout."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=tree, capture_output=True, text=True, check=True
+        ).stdout
+    try:
+        top, head = git("rev-parse", "--show-toplevel", "HEAD").split()
+        status = git("status", "--porcelain")
+    except (OSError, ValueError, subprocess.CalledProcessError):
+        return None
+    if Path(top).resolve() != tree:
+        return None
+    return {"head": head, "dirty": [line[3:] for line in status.splitlines()]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -122,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"no bench/run.py under {tree}")
 
+    git = {side: git_state(tree) for side, tree in trees.items()}
     results = {}
     seed = args.seed
     for workload in args.workload:
@@ -147,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "seeds": {w: [r["seed"] for r in e["runs"]] for w, e in results.items()},
+        "git": git,
         "repeats": (
             "one run per tree per seed; first side alternates per pair; every run compiles "
             "from source (PYTHONDONTWRITEBYTECODE=1, a fresh empty PYTHONPYCACHEPREFIX)"

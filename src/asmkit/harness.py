@@ -22,22 +22,25 @@ in a block order kept on the algorithm and builds no copy key; the replay
 samples its pairs by position and reads no key either.  It reads the
 witness values of those copies from their vectors, builds each pair's
 similarity function from them, and routes a pair only when it carries an
-accessible update.  The route and its constructions do
-not depend on the update, so they run once per pair.  A copy is the element
-map that renames its canonical state, and the replay builds no ``State`` or
-``Renaming``: each construction is a map composed with that one, checked as
-a renaming; the copy it makes is the canonical state's tables renamed by the
-composed map, evaluated by the index's compiled witness program, and its
-update set is the canonical one, encoded and lifted through the same map.
-``_pair_route`` proves these are the tables and update sets of the states
-the constructions stand for, so the replay's internal assertions test the
-constructions themselves.  ``construct_case1_state`` and
-``construct_disjoint_copy`` run the same constructions and build the states.
+accessible update.  The route does not depend on the update, so it is found
+once per pair.  A copy is the element map that renames its canonical state,
+and the replay builds no ``State`` or ``Renaming``: each construction is a
+map composed with that one, checked as a renaming; the copy it makes is the
+canonical state's tables renamed by the composed map, evaluated by the
+index's compiled witness program, and its update set is the canonical one,
+encoded and lifted through the same map.  ``_pair_route`` proves these are
+the tables and update sets of the states the constructions stand for, so the
+replay's internal assertions test the constructions themselves.  Each
+distinct construction is built once per replay, keyed by every input it
+reads (``_Constructions``), since most of a class's sampled pairs share
+their first member; each pair still compares the copies with its own
+target.  ``construct_case1_state`` and ``construct_disjoint_copy`` run the
+same constructions and build the states.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     AsmError,
@@ -55,13 +58,14 @@ from .kernel import (
     TermProgram,
     Vocabulary,
     apply_renaming,
+    lazy_property,
     rename_tables,
     renaming_map,
     sorted_terms,
 )
 from .postulates import ClosureIndex, Copy, check_new_be, check_old_be
 from .report import CheckReport
-from .similarity import SimilarityFunction, similarity_of_vectors
+from .similarity import SimilarityFunction, equality_pattern, similarity_of_vectors
 from .transition import Algorithm, Encoded, Update, lift_encoded, lift_encoded_set
 
 
@@ -88,10 +92,12 @@ def construct_case1_state(
     program = TermProgram(x.vocabulary, sorted_terms(terms))
     xs, ys = program.evaluate(x), program.evaluate(y)
     sigma = similarity_of_vectors(xs, ys, program.terms)
-    xi, _ = _replaced_copy(program, x, {e: e for e in x.base}, sigma, ys)
+    identity = {e: e for e in x.base}
+    # one copy, x itself, so its canonical index 0 is all its key needs
+    replaced = _replaced_copy(_Constructions(program, (x,)), (0,), identity, sigma, ys)
     if x.vocabulary != y.vocabulary:
         raise VocabularyMismatchError("states have different vocabularies")
-    renaming = Renaming(xi)
+    renaming = Renaming(replaced.step)
     return apply_renaming(x, renaming), renaming
 
 
@@ -100,36 +106,110 @@ def _compose(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
     return {e: outer[v] for e, v in inner.items()}
 
 
+class _Built:
+    """A constructed copy s(x) of the copy x = r(c) of the canonical state c:
+    the renaming s, checked by ``renaming_map``; the composed map s r, a
+    renaming of c; and the copy's witness values, evaluated on c's tables
+    renamed by s r.  Its equality pattern (read for a detached copy) and its
+    update set, c's encoded one lifted through s r (read for a replaced
+    copy), are derived on first read."""
+
+    def __init__(
+        self,
+        step: dict[int, int],
+        composed: dict[int, int],
+        vector: tuple[int, ...],
+        canonical_updates: frozenset[Encoded],
+    ) -> None:
+        self.step, self.composed, self.vector = step, composed, vector
+        self._canonical_updates = canonical_updates
+
+    @lazy_property
+    def pattern(self) -> tuple[int, ...]:
+        return equality_pattern(self.vector)[0]
+
+    @lazy_property
+    def updates(self) -> frozenset[Encoded]:
+        return lift_encoded_set(self.composed, self._canonical_updates)
+
+
+class _Constructions:
+    """The copies one proof replay constructs, each built once.
+
+    A construction is keyed by every input it reads.  The key starts with
+    the index of the canonical state c; then comes what determines the map r
+    of the copy x it starts from, x's own map for a sampled copy and the key
+    of the detached copy for a replaced one; then what determines the map it
+    applies to x, eta itself, or the similarity function that xi is made of
+    with r's image.  Building it checks that map with ``renaming_map``,
+    composes it with r, renames c's tables by the composition and evaluates
+    them, and, when read, derives the values' equality pattern and lifts c's
+    encoded update set through the composition.  Each step is a function of
+    c, r and the map alone, so a later pair with the same key gets what it
+    would have built, and the memo shares only these steps.  Every
+    comparison against a pair's target y runs for each pair, outside the
+    memo.  A build that raises stores nothing, so a failing construction
+    fails for every pair that asks for it.  One instance serves one replay,
+    and nothing outlives it: no copy or rule-derived update set crosses
+    checks.  The standalone constructions use one without update sets, which
+    they do not read.
+    """
+
+    def __init__(
+        self,
+        program: TermProgram,
+        states: Sequence[State],
+        updates: Sequence[frozenset[Encoded]] = (frozenset(),),
+    ) -> None:
+        self.program, self.states, self.updates = program, states, updates
+        self._built: dict[tuple, _Built] = {}
+
+    def build(self, key: tuple, x_map: dict[int, int], step: dict[int, int]) -> _Built:
+        """The copy ``step``(x) of x = ``x_map``(c) for the canonical state c
+        at ``key[0]``, built on the first use of ``key``, which must
+        determine ``x_map`` and ``step``."""
+        built = self._built.get(key)
+        if built is None:
+            step = renaming_map(step)
+            composed = _compose(step, x_map)
+            i = key[0]
+            canonical = self.states[i]
+            tables = rename_tables(canonical.interpretations, composed)
+            vector = self.program.evaluate_tables(canonical.vocabulary, tables)
+            built = self._built[key] = _Built(step, composed, vector, self.updates[i])
+        return built
+
+
 def _replaced_copy(
-    program: TermProgram,
-    canonical: State,
+    constructions: _Constructions,
+    source: tuple,
     x_map: dict[int, int],
     sigma: SimilarityFunction,
     y_vector: tuple[int, ...],
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The value replacement xi of the copy x = r(c), c = ``canonical`` and
-    r = ``x_map``, and xi r: xi is ``sigma`` on x's witness values and the
+) -> _Built:
+    """The value replacement xi(x) of the copy x = r(c), with c the
+    canonical state at ``source[0]``, r = ``x_map`` and ``source`` the key
+    that determines them: xi is ``sigma`` on x's witness values and the
     identity on the rest of x's carrier, checked by ``renaming_map``
     (``CaseHypothesisError`` when it is no renaming).  The replaced copy
-    xi(x) = (xi r)(c) is evaluated by ``program`` on c's tables renamed by
-    xi r, to confirm that it has the values ``y_vector``."""
-    shared = sigma.domain & sigma.image
-    nonlogical_shared = sorted(v for v in shared if v not in LOGICAL_IDS)
+    xi(x) = (xi r)(c), evaluated by the witness program on c's tables
+    renamed by xi r, must have the values ``y_vector``.  xi reads only r and
+    ``sigma``, so it is built once per (``source``, ``sigma``)."""
+    sigma_map = sigma._map
+    nonlogical_shared = sorted(v for v in sigma_map.keys() & sigma_map.values() if v not in LOGICAL_IDS)
     if nonlogical_shared:
         raise CaseHypothesisError(
             f"witness value sets share nonlogical elements {nonlogical_shared}"
         )
     xi = {e: e for e in x_map.values()}
-    xi.update(sigma.items())
+    xi.update(sigma_map)
     try:
-        xi = renaming_map(xi)
+        replaced = constructions.build((source[0], "xi", source, frozenset(sigma_map.items())), x_map, xi)
     except InvalidRenamingError as exc:
         raise CaseHypothesisError(f"value replacement is not a renaming: {exc}") from exc
-    composed = _compose(xi, x_map)
-    tables = rename_tables(canonical.interpretations, composed)
-    if program.evaluate_tables(canonical.vocabulary, tables) != y_vector:
+    if replaced.vector != y_vector:
         raise AsmError("internal: value-replacement copy fails to coincide")
-    return xi, composed
+    return replaced
 
 
 def construct_disjoint_copy(
@@ -149,26 +229,30 @@ def construct_disjoint_copy(
     """
     program = TermProgram(y.vocabulary, sorted_terms(terms))
     identity = {e: e for e in x.base}
-    eta, _, _ = _detached_copy(program, x, identity, y.base, program.evaluate(y), universe_size)
-    renaming = Renaming(eta)
+    # one copy, x itself, so its canonical index 0 is all its key needs
+    _, detached = _detached_copy(
+        _Constructions(program, (x,)), (0,), identity, y.base, program.evaluate(y), universe_size
+    )
+    renaming = Renaming(detached.step)
     return apply_renaming(x, renaming), renaming
 
 
 def _detached_copy(
-    program: TermProgram,
-    canonical: State,
+    constructions: _Constructions,
+    source: tuple,
     x_map: dict[int, int],
     y_base: Iterable[int],
     y_vector: tuple[int, ...],
     universe_size: int,
-) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
-    """The map eta detaching the copy x = r(c), c = ``canonical`` and
-    r = ``x_map``, from a state y with carrier ``y_base`` and values
-    ``y_vector`` of the witness compiled in ``program``; eta r; and the
-    detached copy's witness values.  eta is checked by ``renaming_map``.  The
-    detached copy eta(x) = (eta r)(c) is evaluated by ``program`` on c's
-    tables renamed by eta r, to confirm that it shares no nonlogical value
-    with y."""
+) -> tuple[tuple, _Built]:
+    """The copy eta(x) of x = r(c) detached from a state y with carrier
+    ``y_base`` and witness values ``y_vector``, with c the canonical state at
+    ``source[0]``, r = ``x_map`` and ``source`` the key that determines them;
+    and its key.  eta, chosen from x's carrier, y and the universe, is
+    checked by ``renaming_map``.  The detached copy eta(x) = (eta r)(c),
+    evaluated by the witness program on c's tables renamed by eta r, must
+    share no nonlogical value with y.  The copy reads only r and eta, so it
+    is built once per (``source``, eta)."""
     x_carrier = {v for v in x_map.values() if v not in LOGICAL_IDS}
     y_values = {v for v in y_vector if v not in LOGICAL_IDS}
     if x_carrier.isdisjoint(y_base) or x_carrier.isdisjoint(y_values):
@@ -189,13 +273,11 @@ def _detached_copy(
                 )
             eta = {e: e for e in keep}
             eta.update(zip(moved, allowed))
-    eta = renaming_map(eta)
-    detached = _compose(eta, x_map)
-    tables = rename_tables(canonical.interpretations, detached)
-    detached_vector = program.evaluate_tables(canonical.vocabulary, tables)
-    if y_values.intersection(detached_vector):
+    key = (source[0], "eta", source, frozenset(eta.items()))
+    detached = constructions.build(key, x_map, eta)
+    if y_values.intersection(detached.vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
-    return eta, detached, detached_vector
+    return key, detached
 
 
 def _logically_compatible(sigma: SimilarityFunction) -> bool:
@@ -204,16 +286,19 @@ def _logically_compatible(sigma: SimilarityFunction) -> bool:
 
 
 def _pair_route(
-    index: ClosureIndex, x: Copy, y: Copy, sigma: SimilarityFunction
-) -> tuple[str, tuple[dict[int, int], ...]]:
-    """The proof's route from ``x`` to ``y`` and the element maps along it.
+    constructions: _Constructions, universe_size: int, x: Copy, y: Copy, sigma: SimilarityFunction
+) -> tuple[str, tuple[_Built, ...]]:
+    """The proof's route from ``x`` to ``y`` and the copies built along it.
 
-    The route does not depend on the carried update, so each pair's
-    construction runs once: none when ``sigma`` moves a logical element
+    The route does not depend on the carried update, so it is found once
+    per pair: no construction when ``sigma`` moves a logical element
     ("direct"), the value replacement xi when the witness-value sets are
     disjoint ("case1"), and otherwise a disjoint copy eta followed by the
     replacement xi ("case2").  The constructed copy must have ``y``'s update
-    set.
+    set.  Each construction is built once per distinct input in one replay
+    (``_Constructions``): many pairs of a class share their first member as
+    x, and so their detached copy and often their replaced one.  Every
+    comparison against ``y`` runs for each pair.
 
     Nothing is built but element maps.  With x = r(c) for x's canonical
     state c and r = ``x.mapping``, each constructed copy is a composed map of
@@ -235,30 +320,28 @@ def _pair_route(
     """
     if not _logically_compatible(sigma):
         return "direct", ()
-    program = index.program
-    canonical = index.algorithm.canonical_states[x.canonical_index]
-    updates = index.encoded_deltas[x.canonical_index]
+    source = (x.canonical_index, frozenset(x.mapping.items()))
     if set(x.vector).isdisjoint(y.vector):
         try:
-            xi, replaced = _replaced_copy(program, canonical, x.mapping, sigma, y.vector)
+            replaced = _replaced_copy(constructions, source, x.mapping, sigma, y.vector)
         except CaseHypothesisError:
             pass  # replacement collides inside the carrier; sanitize via a disjoint copy
         else:
-            if lift_encoded_set(replaced, updates) != y.encoded_delta:
+            if replaced.updates != y.encoded_delta:
                 raise AsmError(
                     "replayed chain broken: replacement copy and target disagree on updates"
                 )
-            return "case1", (xi,)
-    eta, detached, detached_vector = _detached_copy(
-        program, canonical, x.mapping, y.mapping.values(), y.vector, index.universe_size
+            return "case1", (replaced,)
+    key, detached = _detached_copy(
+        constructions, source, x.mapping, y.mapping.values(), y.vector, universe_size
     )
-    onto_y = similarity_of_vectors(detached_vector, y.vector, program.terms)
-    xi, replaced = _replaced_copy(program, canonical, detached, onto_y, y.vector)
-    if lift_encoded_set(replaced, updates) != y.encoded_delta:
+    onto_y = similarity_of_vectors(detached.vector, y.vector, constructions.program.terms, detached.pattern)
+    replaced = _replaced_copy(constructions, key, detached.composed, onto_y, y.vector)
+    if replaced.updates != y.encoded_delta:
         raise AsmError(
             "replayed chain broken: composed copy and target disagree on updates"
         )
-    return "case2", (eta, xi)
+    return "case2", (detached, replaced)
 
 
 _TRANSPORT_BROKEN = {
@@ -268,14 +351,14 @@ _TRANSPORT_BROKEN = {
 
 
 def _transport(
-    route: str, steps: tuple[dict[int, int], ...], sigma: SimilarityFunction, update: Encoded
+    route: str, steps: tuple[_Built, ...], sigma: SimilarityFunction, update: Encoded
 ) -> Encoded:
-    """Carry one accessible encoded update along the pair's route; it must
-    land where the similarity function sends it."""
+    """Carry one accessible encoded update along the renamings of the pair's
+    route; it must land where the similarity function sends it."""
     expected = lift_encoded(sigma, update)
     moved = update
-    for mapping in steps:
-        moved = lift_encoded(mapping, moved)
+    for built in steps:
+        moved = lift_encoded(built.step, moved)
     if steps and moved != expected:
         raise AsmError(_TRANSPORT_BROKEN[route])
     return expected
@@ -341,9 +424,12 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
 def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
     terms, program = index.terms, index.program
     vocabulary = index.algorithm.vocabulary
+    constructions = _Constructions(program, index.algorithm.canonical_states, index.encoded_deltas)
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
-        for left, right in _sample_pairs(list(members), REPLAY_PAIR_LIMIT):
+        members = list(members)
+        carried_by: dict[int, list[Encoded]] = {}  # id of a member of the class -> its carried updates
+        for left, right in _sample_pairs(members, REPLAY_PAIR_LIMIT):
             # left's pattern is its owner's: renamings are injective
             sigma = similarity_of_vectors(
                 left.vector, right.vector, program.terms, index.patterns[left.canonical_index]
@@ -364,13 +450,15 @@ def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
                         "coinciding pair with different update sets survived the checker",
                         witness={"left": left.state, "right": right.state},
                     )
-            accessible = set(left.vector)
-            carried = [
-                u for u in sorted(left.encoded_delta) if u[2] in accessible and accessible.issuperset(u[1])
-            ][:REPLAY_UPDATE_LIMIT]
+            carried = carried_by.get(id(left))
+            if carried is None:
+                accessible = set(left.vector)
+                carried = carried_by[id(left)] = [
+                    u for u in sorted(left.encoded_delta) if u[2] in accessible and accessible.issuperset(u[1])
+                ][:REPLAY_UPDATE_LIMIT]
             if not carried:
                 continue
-            route, steps = _pair_route(index, left, right, sigma)
+            route, steps = _pair_route(constructions, index.universe_size, left, right, sigma)
             for u in carried:
                 final = _transport(route, steps, sigma, u)
                 if final not in right.encoded_delta:

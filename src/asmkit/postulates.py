@@ -32,7 +32,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import AsmError, HeadroomError, PreconditionError, VocabularyMismatchError
@@ -45,6 +44,7 @@ from .kernel import (
     Vocabulary,
     apply_renaming,
     is_subterm_closed,
+    lazy_property,
     rename_tables,
     renamed_key,
     sorted_terms,
@@ -95,28 +95,28 @@ class Copy:
     mapping: dict[int, int]
     index: ClosureIndex = field(repr=False, compare=False)
 
-    @cached_property
+    @lazy_property
     def key(self) -> tuple:
         return renamed_key(self.index.algorithm.canonical_states[self.canonical_index], self.renaming)
 
-    @cached_property
+    @lazy_property
     def renaming(self) -> Renaming:
         return Renaming(self.mapping)
 
-    @cached_property
+    @lazy_property
     def state(self) -> State:
         return apply_renaming(self.index.algorithm.canonical_states[self.canonical_index], self.renaming)
 
-    @cached_property
+    @lazy_property
     def vector(self) -> tuple[int, ...]:
         m = self.mapping
         return tuple([m[v] for v in self.index.vectors[self.canonical_index]])
 
-    @cached_property
+    @lazy_property
     def delta(self) -> frozenset[Update]:
         return lift_update_set(self.renaming, self.index.deltas[self.canonical_index])
 
-    @cached_property
+    @lazy_property
     def encoded_delta(self) -> frozenset[Encoded]:
         return lift_encoded_set(self.mapping, self.index.encoded_deltas[self.canonical_index])
 
@@ -612,18 +612,18 @@ class CanonicalFacts:
         self._block_orders: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._witnesses: dict[frozenset[Term], CompiledWitness] = {}
 
-    @cached_property
+    @lazy_property
     def first(self) -> tuple[int, ...]:
         """For each canonical state, the first one isomorphic to it."""
         return tuple(first_isomorphic(self._states))
 
-    @cached_property
+    @lazy_property
     def owners(self) -> tuple[int, ...]:
         """Indices of the canonical states not isomorphic to an earlier one,
         the states that own copies."""
         return tuple(i for i, j in enumerate(self.first) if i == j)
 
-    @cached_property
+    @lazy_property
     def explicit_deltas(self) -> tuple[frozenset[Update], ...]:
         """An explicit-successor algorithm's canonical update sets, each the
         ``table_diff`` of a canonical state and its successor."""
@@ -706,7 +706,7 @@ class ClosureIndex:
             self.deltas = self.facts.explicit_deltas
         self.traces = [_accessible_trace(d, first) for d, first in zip(self.deltas, witness.firsts)]
 
-    @cached_property
+    @lazy_property
     def encoded_deltas(self) -> list[frozenset[Encoded]]:
         """The canonical update sets, encoded."""
         return [frozenset([u.encoded() for u in delta]) for delta in self.deltas]

@@ -44,7 +44,7 @@ from asmkit import (
 )
 from asmkit import harness
 from asmkit.kernel import LOGICAL_IDS, rename_tables
-from asmkit.postulates import ClosureIndex
+from asmkit.postulates import ClosureIndex, Copy
 from asmkit.transition import lift_encoded
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
@@ -329,19 +329,21 @@ class TestMapLevelRoute:
     @pytest.fixture
     def routed(self, monkeypatch):
         """Records, for every pair the replay routes, the pair, the route's
-        name and maps, and the tables it renames the canonical state to."""
-        pairs, renamed = [], []
+        name, the copies along it, whether built for this pair or earlier in
+        the replay, and the tables each of those copies was evaluated on when
+        it was built."""
+        pairs, renamed = [], {}
         route = harness._pair_route
 
-        def spy_route(index, x, y, sigma):
-            renamed.clear()
-            name, steps = route(index, x, y, sigma)
-            pairs.append((index, x, y, name, steps, list(renamed)))
+        def spy_route(constructions, universe_size, x, y, sigma):
+            name, steps = route(constructions, universe_size, x, y, sigma)
+            pairs.append((x, y, name, steps, [renamed[id(c.composed)][1] for c in steps]))
             return name, steps
 
         def spy_rename(tables, mapping):
-            renamed.append(rename_tables(tables, mapping))
-            return renamed[-1]
+            # the map is held with its tables, so its id names it for the whole test
+            renamed[id(mapping)] = (mapping, rename_tables(tables, mapping))
+            return renamed[id(mapping)][1]
 
         monkeypatch.setattr(harness, "_pair_route", spy_route)
         monkeypatch.setattr(harness, "rename_tables", spy_rename)
@@ -349,10 +351,12 @@ class TestMapLevelRoute:
 
     def _compare(self, pairs):
         routes = {}
-        for index, x, y, name, steps, tables in pairs:
+        for x, y, name, steps, tables in pairs:
+            index = x.index
             expected = _state_route(x.state, y.state, index.terms, index.universe_size)
-            assert (name, [Renaming(m) for m in steps]) == expected[:2]
+            assert (name, [Renaming(c.step) for c in steps]) == expected[:2]
             assert tables == [state.interpretations for state in expected[2]]
+            assert [c.vector for c in steps] == [index.program.evaluate(state) for state in expected[2]]
             routes[name] = routes.get(name, 0) + 1
         return routes
 
@@ -370,6 +374,27 @@ class TestMapLevelRoute:
         routes = self._compare(routed)
         assert routes["case1"] > 0 and routes["case2"] > 0
 
+    def test_reversed_pairs_route_from_their_own_copies(
+        self, routed, monkeypatch, default_suite, default_config
+    ):
+        # The sample's x is the first member of its canonical state in the
+        # class, so one replay never routes two copies of one canonical
+        # state as x.  Reversed, the pairs do, often with the same eta.
+        sample = harness._sample_pairs
+        monkeypatch.setattr(
+            harness,
+            "_sample_pairs",
+            lambda members, limit: [(y, x) for x, y in sample(members, limit)],
+        )
+        for instance in default_suite[:20]:
+            for terms in instance.witnesses:
+                assert verify_equivalence(instance.algorithm, terms, default_config.universe_size).passed
+        maps = {}  # (replay's index, canonical index) -> the maps of the x's routed
+        for x, *_ in routed:
+            maps.setdefault((id(x.index), x.canonical_index), set()).add(frozenset(x.mapping.items()))
+        assert max(map(len, maps.values())) > 1
+        assert self._compare(routed) == {"case2": 608}
+
     def test_replay_builds_no_state_or_renaming(self, monkeypatch, default_suite, default_config):
         built = []
         monkeypatch.setattr(harness, "apply_renaming", lambda *args: built.append(args))
@@ -382,6 +407,94 @@ class TestMapLevelRoute:
                     replayed += 1
         assert replayed == 266
         assert built == []
+
+
+def _spied_builds(monkeypatch):
+    """The maps ``harness`` renames canonical tables by, one per copy it
+    builds, and the copies along every routed pair's route, in call order."""
+    renamed, used = [], []
+    route = harness._pair_route
+
+    def spy_route(*args):
+        name, steps = route(*args)
+        used.extend(steps)
+        return name, steps
+
+    def spy_rename(tables, mapping):
+        renamed.append(mapping)
+        return rename_tables(tables, mapping)
+
+    monkeypatch.setattr(harness, "_pair_route", spy_route)
+    monkeypatch.setattr(harness, "rename_tables", spy_rename)
+    return renamed, used
+
+
+def _with_updates(copy, updates):
+    """A copy with the same canonical state and map but the encoded update
+    set ``updates``."""
+    tampered = Copy(copy.canonical_index, copy.mapping, copy.index)
+    tampered.encoded_delta = updates
+    return tampered
+
+
+class TestReplayConstructions:
+    """Each constructed copy is built once per replay, by the pair that first
+    needs it; every later pair reuses it and still compares it with its own
+    target."""
+
+    def test_default_suite_builds_each_copy_once(self, monkeypatch, default_suite, default_config):
+        renamed, used = _spied_builds(monkeypatch)
+        builds = uses = chains = 0
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                renamed.clear()
+                used.clear()
+                report = verify_equivalence(instance.algorithm, terms, default_config.universe_size)
+                chains += report.stats.get("replayed-chains", 0)
+                # every copy a route used was built exactly once, and nothing else was
+                assert sorted(map(id, renamed)) == sorted({id(c.composed) for c in used})
+                builds += len(renamed)
+                uses += len(used)
+        assert (builds, uses, chains) == (1684, 2 * 4297, 5402)
+
+    def test_no_copy_outlives_its_replay(self, monkeypatch, default_suite, default_config):
+        renamed, _ = _spied_builds(monkeypatch)
+        algorithm, terms = default_suite[2].algorithm, default_suite[2].witnesses[1]
+        counts = []
+        for _ in range(2):
+            renamed.clear()
+            assert verify_equivalence(algorithm, terms, default_config.universe_size).stats["case2"] == 79
+            counts.append(len(renamed))
+        assert counts[0] == counts[1] > 0
+
+    def test_a_reused_copy_is_compared_with_each_target(self, monkeypatch):
+        moving, vocabulary = _moving_algorithm()
+        terms = LOGICAL_TERMS | {Term(s) for s in vocabulary.nonlogical}
+        renamed, _ = _spied_builds(monkeypatch)
+        assert verify_equivalence(moving, terms, 7).stats["case2"] == 11
+        alone = len(renamed)
+        sample = harness._sample_pairs
+
+        def twice(tamper):
+            # every pair, then every pair again with its target's update set
+            # extended when ``tamper``: the repeats reuse every copy
+            def pairs(members, limit):
+                first = sample(members, limit)
+                return first + [
+                    (x, _with_updates(y, y.encoded_delta | {("tampered", (), 0)}) if tamper else y)
+                    for x, y in first
+                ]
+            return pairs
+
+        monkeypatch.setattr(harness, "_sample_pairs", twice(False))
+        renamed.clear()
+        assert verify_equivalence(moving, terms, 7).stats["case2"] == 22
+        assert len(renamed) == alone
+        monkeypatch.setattr(harness, "_sample_pairs", twice(True))
+        with pytest.raises(
+            AsmError, match="^replayed chain broken: composed copy and target disagree on updates$"
+        ):
+            verify_equivalence(moving, terms, 7)
 
 
 def _reference_ground_terms(vocabulary, max_depth, cap=64):
