@@ -81,14 +81,13 @@ class Copy:
     element map r (``mapping``, over c's carrier) that made it.  Its key,
     witness values and encoded update set are c's in ``index``, renamed by
     r; its ``Renaming``, ``State`` and ``Update`` set are views built only
-    for witnesses and tests.  All are derived on first read; only a walk
-    that had to build the key to sort its copies sets it.
+    for witnesses and tests.  All are derived on first read; only
+    ``closure``, which builds the key to deduplicate, sets it.
 
     Every map a copy is made with passes ``Renaming``'s checks, so the view
     adds no failure: the closure's maps come from ``Renaming``s, and a class
-    stream's map fixes the logical ids and sends the fixed sources to their
-    distinct values and the free sources to distinct ids outside those, all
-    from 3 up, as ``renaming_maps`` does.
+    stream's map fixes the logical ids and sends the nonlogical elements to
+    distinct ids from 3 up, as ``renaming_maps`` does.
     """
 
     canonical_index: int
@@ -217,92 +216,88 @@ def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | N
     return copies
 
 
-def _copies_in_key_order(index: ClosureIndex, fixed: dict[int, dict[int, int]]) -> Iterator[Copy]:
-    """The distinct copies of the owners in ``fixed`` whose renamings extend
-    the values fixed for each, lazily and in key order, each with the first
-    such renaming in ``renamings_into``'s order.
+def _copies_in_key_order(
+    index: ClosureIndex, owners: Iterable[int], vector: tuple[int, ...] | None = None
+) -> Iterator[Copy]:
+    """The distinct copies of ``owners``, lazily and in key order, each with
+    the first renaming that makes it in ``renamings_into``'s order, which is
+    the renaming, and the canonical index, that ``closure`` gives it: no
+    canonical state before a copy's owner is isomorphic to it, so none makes
+    the copy.  With ``vector``, only the copies whose witness values are
+    ``vector``.
 
-    Per owner, the renamings are tried one carrier at a time: the free
-    sources (nonlogical elements not fixed) go onto each subset C of the free
-    targets, in ``itertools.combinations`` order, by permutations of
-    sorted(C).  A copy's key starts with its sorted carrier, the logical ids,
-    the fixed values and C, so the copies of one C are one contiguous block
-    of the key order, which is sorted on its own.  The blocks come in key
-    order: two subsets A, B of one size compare, as sorted tuples, by
-    whether min(A ^ B) lies in A; adding the same disjoint values to both
-    leaves A ^ B unchanged, so sorted carriers compare as the subsets do, and
-    combinations come in the subsets' order.  Each owner's stream thus
-    strictly increases.  Distinct owners are not isomorphic, so their keys
-    are disjoint; with two owners or more, ``heapq.merge`` yields the union
-    in key order.
+    Per owner, the renamings are tried one carrier at a time: the nonlogical
+    elements go onto each subset C of 3 .. u-1, in ``itertools.combinations``
+    order, by permutations of sorted(C).  A copy's key starts with its sorted
+    carrier, the logical ids and C, so the copies of one C are one contiguous
+    block of the key order.  The blocks come in key order: two subsets A, B
+    of one size compare, as sorted tuples, by whether min(A ^ B) lies in A;
+    adding the logical ids to both leaves A ^ B unchanged, and combinations
+    come in the subsets' order.  Each owner's stream thus strictly increases.
+    Distinct owners are not isomorphic, so their keys are disjoint; with two
+    owners or more, ``heapq.merge`` yields the union in key order.
 
     A block holds only the coset-first orders.  Write m_C,o for the map
-    sending the k-th free source to the o(k)-th least member of C, for an
-    order o (a tuple over the free sources), and fixing the rest as the
-    values say.  m_C,o and m_C,o' make one copy exactly when
-    a = m_C,o^-1 m_C,o' is an automorphism of the owner; such an a fixes the
-    fixed sources, and o' = o a.  So a block's keys are constant exactly on
-    the cosets of Stab, the owner's automorphisms that fix the fixed
-    sources, found as ``automorphisms(c, fixing=...)`` (pointwise-fixing
-    lemma, ``asmkit.symmetry``), and by the quotient lemma each key comes
-    from one coset-first order, the least of its orders.  Its map is the
-    first ``renamings_into`` gives the copy: renamings that make one copy
-    have one image C, and in the renaming order the maps that agree on the
-    fixed sources and have image C compare as their orders do.  Without
-    fixed values, that is the renaming, and the canonical index, that
-    ``closure`` gives the copy: no canonical state before a copy's owner is
-    isomorphic to it, so none makes the copy.
+    sending the k-th nonlogical element to the o(k)-th least member of C,
+    for an order o, and fixing the logical ids.  m_C,o and m_C,o' make one
+    copy exactly when a = m_C,o^-1 m_C,o' is an automorphism of the owner,
+    and o' = o a.  So a block's keys are constant exactly on the cosets of
+    the owner's automorphisms, and by the quotient lemma (``asmkit.symmetry``)
+    each key comes from one coset-first order, the least of its orders.  Its
+    map is the first ``renamings_into`` gives the copy: renamings that make
+    one copy have one image C, and in the renaming order the maps with image
+    C compare as their orders do.
 
-    Block-order lemma: without fixed values, the orders sorted by their keys
-    in one block are sorted by their keys in every block.  Proof: let C, C'
-    be two images and phi the increasing bijection of C onto C', extended by
-    the identity on the logical ids, which lie below 3 and so below both; phi
-    is increasing on its whole domain.  For every order o, m_C',o = phi m_C,o,
-    since both send the k-th free source to the o(k)-th least member of C',
-    and so the key of m_C',o is the key of m_C,o with every element sent
-    through phi: the carrier and each table's entries stay sorted, since an
+    Block-order lemma: the orders sorted by their keys in one block are
+    sorted by their keys in every block.  Proof: let C, C' be two images and
+    phi the increasing bijection of C onto C', extended by the identity on
+    the logical ids, which lie below 3 and so below both; phi is increasing
+    on its whole domain.  For every order o, m_C',o = phi m_C,o, since both
+    send the k-th nonlogical element to the o(k)-th least member of C', and
+    so the key of m_C',o is the key of m_C,o with every element sent through
+    phi: the carrier and each table's entries stay sorted, since an
     increasing map keeps the lexicographic order of tuples of elements, and
     symbol names do not move.  For the same reason phi keeps every
-    comparison between two keys, elementwise and then lexicographically.
-    So the coset-first orders, sorted once by their keys on the image
-    3 .. n+2, are in key order in every block, and an unfixed stream builds
-    no key: ``CanonicalFacts.block_order`` keeps that order per owner.  With
-    fixed values phi need not be increasing on the fixed values, so a
-    fixed stream keys and sorts each block.
+    comparison between two keys, elementwise and then lexicographically.  So
+    the coset-first orders, sorted once by their keys on the image 3 .. n+2,
+    are in key order in every block, and a stream builds no key:
+    ``CanonicalFacts.block_order`` keeps that order per owner.
 
-    Laziness is per copy.  An unfixed stream builds each copy's map when it
-    is pulled, and its key only if the key is read; ``heapq.merge`` reads
-    the key of each copy it pulls, once to start and once after each copy
-    of the stream that it yields.  A fixed stream builds a block, of
-    n!/|Stab| renamings for n free sources, when its first copy is pulled.
+    Filter: an automorphism of an owner fixes every witness value
+    (``check_old_be``), so the renamings that make one copy agree on the
+    witness values, and filtering an owner's stream by ``vector`` keeps
+    whole copies, in key order, each with its first renaming.  Each owner's
+    stream is filtered before the merge, so the merge keys only copies it
+    keeps.  A copy's witness values lie in its carrier, so only the images
+    that hold the vector's nonlogical values V are tried, each V with a
+    subset of the other targets; those subsets come in combinations order,
+    and adding V to both of two leaves their symmetric difference, and so
+    their order, unchanged.  An owner's stream thus ends after its last
+    block that can hold a copy of the class.
+
+    Laziness is per copy.  A stream builds each copy's map when it is
+    pulled, and its key only if the key is read; ``heapq.merge`` reads the
+    key of each copy it pulls, once to start and once after each copy of the
+    stream that it yields.
     """
 
-    def owner_stream(i: int, values: dict[int, int]) -> Iterator[Copy]:
-        canonical = index.algorithm.canonical_states[i]
-        base, tables = canonical.base, canonical.interpretations
-        sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS and e not in values))
-        taken = set(values.values())
-        targets = [e for e in range(3, index.universe_size) if e not in taken]
-        fixed = {**_LOGICAL_FIXED, **values}
-        if not values:  # block-order lemma: one kept order serves every block
-            orders = index.facts.block_order(i)
-            for image in itertools.combinations(targets, len(sources)):
-                for order in orders:
-                    yield Copy(i, {**fixed, **dict(zip(sources, [image[p] for p in order]))}, index)
-            return
-        stab = automorphisms(canonical, fixing=values)
-        orders = list(coset_first(itertools.permutations(range(len(sources))), sources, stab))
-        for image in itertools.combinations(targets, len(sources)):
-            block = {}  # key -> its one coset-first map
-            for order in orders:
-                m = {**fixed, **dict(zip(sources, [image[p] for p in order]))}
-                block[state_key([m[e] for e in base], rename_tables(tables, m))] = m
-            for key in sorted(block):
-                copy = Copy(i, block[key], index)
-                copy.key = key
-                yield copy
+    values = set(vector or ())
+    held = [e for e in range(3, index.universe_size) if e in values]
+    free = [e for e in range(3, index.universe_size) if e not in values]
 
-    streams = [owner_stream(i, v) for i, v in fixed.items()]
+    def owner_stream(i: int) -> Iterator[Copy]:
+        sources = index.algorithm.canonical_states[i].nonlogical_elements()  # sorted
+        if len(sources) < len(held):  # no copy of i holds the vector's values
+            return
+        orders = index.facts.block_order(i)
+        for rest in itertools.combinations(free, len(sources) - len(held)):
+            image = tuple(heapq.merge(held, rest)) if held else rest
+            for order in orders:
+                copy = Copy(i, {**_LOGICAL_FIXED, **dict(zip(sources, [image[p] for p in order]))}, index)
+                if vector is None or copy.vector == vector:
+                    yield copy
+
+    streams = [owner_stream(i) for i in owners]
     if len(streams) == 1:
         return streams[0]
     return heapq.merge(*streams, key=lambda c: c.key)
@@ -580,7 +575,7 @@ class CanonicalFacts:
     """What the checks derive from an algorithm's canonical states and
     explicit successors alone, found on first use and kept: for each state
     the first state isomorphic to it (``first``), the owners, each owner's
-    automorphisms and the block order of its unfixed class stream, each
+    automorphisms and the block order of its class stream, each
     witness compiled, with the canonical states' witness values and
     patterns, and an explicit-successor algorithm's update sets.  None of it
     depends on the universe or on a rule, so every ``ClosureIndex`` and
@@ -638,7 +633,7 @@ class CanonicalFacts:
     def block_order(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Owner i's coset-first orders, over its sorted nonlogical elements
         under its automorphisms, sorted by the keys of the copies they make
-        on the image 3 .. n+2: the order of every block of its unfixed
+        on the image 3 .. n+2: the order of every block of its class
         stream (block-order lemma, ``_copies_in_key_order``)."""
         if i not in self._block_orders:
             state = self._states[i]
@@ -716,11 +711,6 @@ class ClosureIndex:
         """Indices of the canonical states that own copies (``CanonicalFacts``)."""
         return self.facts.owners
 
-    def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
-        """Owner i's automorphisms' element maps, identity first, searched
-        once per algorithm."""
-        return self.facts.automorphisms(i)
-
     def similarity_classes(self, limit: int | None = None) -> Iterator[Iterator[Copy]]:
         """The closure's copies grouped by the equality pattern of their
         witness values (their owner's), one lazy stream per pattern in pattern
@@ -731,9 +721,9 @@ class ClosureIndex:
         elements is budgeted at min(P(u - 3, n), (limit + 1) n!) renamings:
         its stream is pulled once to start and once after each of its at most
         ``limit`` copies yielded, and a pull makes at most one block, of at
-        most n! renamings.  The bound stays valid but is now loose: an
-        unfixed stream makes one copy per pull, and keys its at most n!
-        orders once per algorithm (``_copies_in_key_order``).
+        most n! renamings.  The bound is valid but loose: a stream makes one
+        copy per pull, and keys its at most n! orders once per algorithm
+        (``_copies_in_key_order``).
         """
         states = self.algorithm.canonical_states
         count = None if limit is None else sum(
@@ -745,7 +735,7 @@ class ClosureIndex:
         for i in self.owners:
             owners.setdefault(self.patterns[i], []).append(i)
         for pattern in sorted(owners):
-            yield itertools.islice(_copies_in_key_order(self, {i: {} for i in owners[pattern]}), limit)
+            yield itertools.islice(_copies_in_key_order(self, owners[pattern]), limit)
 
 
 def _requirement_ii_witness(index: ClosureIndex) -> dict:
@@ -788,15 +778,12 @@ def _least_map(vector: tuple[int, ...]) -> dict[int, int]:
 
 def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> Iterator[Copy]:
     """The copies whose witness values are ``vector``, streamed in key order:
-    the renamings of the owners of its shape that send their witness values
-    to ``vector``, each copy with the renaming ``closure`` gives it (see
+    the class streams of ``owners``, the owners of its shape, filtered by
+    ``vector``, each copy with the renaming ``closure`` gives it (see
     ``_copies_in_key_order``).  A failing class may be read whole, so it is
     budgeted for the whole closure."""
     _require_work_budget(index.algorithm, index.universe_size)
-    fixed = {
-        i: {v: w for v, w in zip(index.vectors[i], vector) if v not in LOGICAL_IDS} for i in owners
-    }
-    return _copies_in_key_order(index, fixed)
+    return _copies_in_key_order(index, owners, vector)
 
 
 def check_old_be(
@@ -884,7 +871,7 @@ def check_old_be(
     states = index.algorithm.canonical_states
     free = index.universe_size - 3
     copies = sum(
-        math.perm(free, len(states[i].nonlogical_elements())) // len(index.automorphisms(i))
+        math.perm(free, len(states[i].nonlogical_elements())) // len(index.facts.automorphisms(i))
         for i in index.owners
     )
     classes = sum(math.perm(free, len(set(vector).difference(LOGICAL_IDS))) for vector in shapes)

@@ -671,6 +671,19 @@ def _restless():
     return Algorithm(vocabulary, (state,), (True,), successors=(successor,))
 
 
+def _named_and_unnamed():
+    """Two owners of one witness shape: owner 0 names each of its four
+    elements by a constant and keeps its tables; owner 1 names four of its
+    five elements the same way and writes the fifth into g."""
+    vocabulary = Vocabulary(tuple(Symbol(name, 0) for name in ("c1", "c2", "c3", "c4", "g")))
+    named = {f"c{k}": {(): 2 + k} for k in range(1, 5)}
+    small = State(vocabulary, {3, 4, 5, 6}, named)
+    large = State(vocabulary, {3, 4, 5, 6, 7}, named)
+    written = State(vocabulary, {3, 4, 5, 6, 7}, {**named, "g": {(): 7}})
+    algorithm = Algorithm(vocabulary, (small, large), (True, True), successors=(small, written))
+    return algorithm, frozenset(Term(vocabulary.symbol(f"c{k}")) for k in range(1, 5))
+
+
 def _ring6():
     doc = parse_spec(RING6_SPEC.read_text(encoding="utf-8"))
     return doc.algorithm(), doc.witnesses["W"]
@@ -820,6 +833,56 @@ class TestOldBE:
                 passed += check_old_be(instance.algorithm, terms, default_config.universe_size).passed
         assert calls == []
         assert passed == 266
+
+    def test_warm_failure_naming_keys_and_searches_nothing(self, default_suite, default_config, monkeypatch):
+        # Once an algorithm's block orders are kept, naming a failing
+        # coincidence class builds no block key and searches no group, and
+        # the merge keys only copies of the class: each owner's stream is
+        # filtered before the merge.
+        universe = default_config.universe_size
+        keys, merged, groups = _key_spy(monkeypatch), _copy_key_spy(monkeypatch), []
+
+        def searched(*args, **kwargs):
+            groups.append(args)
+            return automorphisms(*args, **kwargs)
+
+        monkeypatch.setattr(postulates, "automorphisms", searched)
+        named = keyed = 0
+        for instance in default_suite:
+            algorithm = instance.algorithm
+            for terms in instance.witnesses:
+                warm = check_old_be(algorithm, terms, universe)
+                if warm.passed:
+                    continue
+                for calls in (keys, groups, merged):
+                    calls.clear()
+                report = check_old_be(algorithm, terms, universe)
+                assert _report_fields(report) == _report_fields(warm)
+                assert (keys, groups) == ([], [])
+                index = postulates.ClosureIndex(algorithm, terms, universe)
+                vector = tuple(index.program.evaluate(report.witness["left"]))
+                assert _keyed_vectors(index, merged) <= {vector}
+                named += 1
+                keyed += len(merged)
+        assert (named, keyed) == (104, 196)
+
+    def test_a_class_stream_tries_only_images_holding_its_values(self, monkeypatch):
+        # The least class's first copy is owner 0's only one, on 3 .. 6;
+        # owner 1's copies, whose update sets differ from it, all come later.
+        # Once the merge has yielded it, owner 0's stream must end after its
+        # one block that holds 3 .. 6, not walk the P(10, 4) renamings of
+        # the rest of its closure.
+        algorithm, terms = _named_and_unnamed()
+        expected = _report(reference_old_be(algorithm, terms, 13))
+        made, make = [], postulates.Copy
+
+        def counted(i, mapping, index):
+            made.append(i)
+            return make(i, mapping, index)
+
+        monkeypatch.setattr(postulates, "Copy", counted)
+        assert _report(check_old_be(algorithm, terms, 13)) == expected
+        assert made.count(0) == math.factorial(4)
 
     @pytest.mark.parametrize(
         "universe, states, classes",
@@ -1244,10 +1307,12 @@ def _full_block(state, values, image):
 
 
 def _stream_blocks(index, owner, values):
-    """An owner's stream, ``_copies_in_key_order`` with one owner, as blocks
-    of (key, map, its order of positions) with their images, read lazily."""
+    """An owner's coincidence class, its stream filtered by its witness
+    values renamed by ``values``, as blocks of (key, map, its order of
+    positions) with their images, read lazily."""
     sources = _free_sources(index.algorithm.canonical_states[owner], values)
-    stream = postulates._copies_in_key_order(index, {owner: values})
+    vector = tuple(values.get(v, v) for v in index.vectors[owner])
+    stream = postulates._copies_in_key_order(index, [owner], vector)
     for carrier, copies in itertools.groupby(stream, key=lambda c: c.key[0]):
         image = tuple(sorted(e for e in carrier if e not in LOGICAL_IDS and e not in values.values()))
         yield image, [(c.key, c.mapping, tuple(image.index(c.mapping[s]) for s in sources)) for c in copies]
@@ -1265,10 +1330,33 @@ def _key_spy(monkeypatch):
     return calls
 
 
+def _copy_key_spy(monkeypatch):
+    """Records (canonical state, renaming) for every copy key read."""
+    calls = []
+
+    def spy(state, renaming):
+        calls.append((state, renaming))
+        return renamed_key(state, renaming)
+
+    monkeypatch.setattr(postulates, "renamed_key", spy)
+    return calls
+
+
+def _keyed_vectors(index, calls):
+    """The witness values of every copy keyed in ``calls``."""
+    states = index.algorithm.canonical_states
+    return {
+        tuple(renaming[v] for v in index.vectors[next(i for i, s in enumerate(states) if s is state)])
+        for state, renaming in calls
+    }
+
+
 def _per_block_sorted_walk(index, fixed):
-    """``_copies_in_key_order`` as it was before block orders were kept, as
-    (canonical index, map, key): every block of every owner's stream keys
-    its coset-first orders and sorts them, and the streams are merged by key."""
+    """The class streams as they were before block orders were kept, with
+    values fixed per owner, as (canonical index, map, key): every block of
+    every owner's stream keys its coset-first orders under the owner's
+    automorphisms that fix the fixed values and sorts them, and the streams
+    are merged by key."""
 
     def owner_stream(i, values):
         state = index.algorithm.canonical_states[i]
@@ -1298,8 +1386,9 @@ class TestClosureIndex:
         # must walk the copies, maps and keys the per-block sorted walk does:
         # uncut on the default suite at u=11, and elsewhere cut after 150
         # copies, past the replay's REPLAY_PAIR_LIMIT + 1 and across blocks
-        # of every carrier here.  So must the coincidence streams, whose
-        # values are fixed, of the least vector of each owner's shape and of
+        # of every carrier here.  So must each owner's coincidence class,
+        # its stream filtered by a vector, against the walk with the
+        # vector's values fixed: the least vector of the owner's shape and
         # that vector with its k-th nonlogical value moved from 3 + k to
         # 4 + 2k, so that free targets lie below, between and above them.
         cases = [(i.algorithm, i.witnesses, u) for u in (11, 12, 20) for i in default_suite]
@@ -1329,17 +1418,27 @@ class TestClosureIndex:
                     kind = "fixed" if any(owners.values()) else "merged" if len(owners) > 1 else "unfixed"
                     counts[kind] += 1
                     limit = None if universe == 11 else 150
-                    stream = itertools.islice(postulates._copies_in_key_order(index, owners), limit)
+                    if kind == "fixed":
+                        ((i, values),) = owners.items()
+                        vector = tuple(values.get(v, v) for v in index.vectors[i])
+                        stream = postulates._coincidence_class(index, vector, [i])
+                    else:
+                        stream = postulates._copies_in_key_order(index, list(owners))
+                    stream = itertools.islice(stream, limit)
                     assert _walked(stream) == list(itertools.islice(_per_block_sorted_walk(index, owners), limit))
         assert counts == {"unfixed": 531, "merged": 275, "fixed": 604}
-        # Fixing element 3 to 5 leaves 5 above the first block, {3, 4}, and
-        # below the block {6, 7}, where the two orders of the free elements
-        # 4 and 5 compare the other way: a fixed stream sorts every block.
-        state = State(_COSET_VOCABULARY, {3, 4, 5}, {"g": {(5,): 0, (3,): 4}})
+        # The witness term c has the value 3; fixing it to 5 leaves 5 above
+        # the first block, {3, 4}, and below the block {6, 7}, where the two
+        # orders of the free elements 4 and 5 compare the other way, so the
+        # walk sorts every block, and the filtered stream must agree.
+        c = Term(_COSET_VOCABULARY.symbol("c"))
+        state = State(_COSET_VOCABULARY, {3, 4, 5}, {"c": {(): 3}, "g": {(5,): 0, (3,): 4}})
         algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), successors=(state,))
-        index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, 9)
-        owners = {0: {3: 5}}
-        assert _walked(postulates._copies_in_key_order(index, owners)) == list(_per_block_sorted_walk(index, owners))
+        index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS | {c}, 9)
+        vector = tuple(5 if v == 3 else v for v in index.vectors[0])
+        assert 3 in index.vectors[0]
+        walk = list(_per_block_sorted_walk(index, {0: {3: 5}}))
+        assert _walked(postulates._coincidence_class(index, vector, [0])) == walk
 
     def test_learned_blocks_equal_full_blocks(self, default_suite, monkeypatch):
         # Every owner stream of the similarity classes and of the coincidence
@@ -1347,10 +1446,11 @@ class TestClosureIndex:
         # streams it), on the default suite at u=11 and the carrier-5 suite at
         # headroom, each on a freshly built algorithm.  Each block, with its
         # keys and first maps, must be the block keyed over all n!
-        # permutations, and it must hold n!/|Stab| copies, Stab the owner's
-        # automorphisms that fix the fixed values.  A stream with fixed values
-        # keys each block's coset-first orders; an unfixed stream keys them
-        # once, on first use, and never for a later block.
+        # permutations of the sources its vector leaves free, and it must
+        # hold n!/|Stab| copies, Stab the owner's automorphisms that fix the
+        # vector's values.  No block builds a key: the owner's block order,
+        # its coset-first orders under all its automorphisms, is keyed once,
+        # by the owner's first stream.
         keys = _key_spy(monkeypatch)
         cases = [(instance, 11) for instance in default_suite]
         for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=6)):
@@ -1358,6 +1458,7 @@ class TestClosureIndex:
         streams = learned = 0
         for instance, universe in cases:
             algorithm = _fresh(instance.algorithm)
+            keyed = set()
             fixings = {}
             for terms in instance.witnesses:
                 index = postulates.ClosureIndex(algorithm, terms, universe)
@@ -1374,11 +1475,12 @@ class TestClosureIndex:
                     assert block == _full_block(state, values, image)
                 n = len(_free_sources(state, values))
                 per_block = len(blocks[0][1])
-                stab = [
-                    a for a in isomorphisms_between(state, state) if all(a[v] == v for v in values)
-                ]
+                group = list(isomorphisms_between(state, state))
+                stab = [a for a in group if all(a[v] == v for v in values)]
                 assert per_block == math.factorial(n) // len(stab)
-                assert len(keys) == (len(blocks) if values else 1) * per_block
+                orders = math.factorial(len(state.nonlogical_elements())) // len(group)
+                assert len(keys) == (0 if i in keyed else orders)
+                keyed.add(i)
                 streams += 1
                 learned += per_block < math.factorial(n)
         assert (streams, learned) == (280, 99)  # 99 streams key fewer than n! orders a block
@@ -1410,12 +1512,15 @@ class TestClosureIndex:
             for copy in copies:
                 assert copy.state.key() == copy.key
 
-    def test_class_streams_match_the_sorted_closure(self, default_suite):
+    def test_class_streams_match_the_sorted_closure(self, default_suite, monkeypatch):
         # As (canonical_index, renaming, key).  Under the logical constant
         # terms every owner has one pattern, so the one similarity stream
         # merges them all and must be the sorted closure.  Under every ground
         # term, the coincidence streams of the least and greatest vectors that
-        # fix a nonlogical value must be the sorted closure restricted to them.
+        # hold a nonlogical value must be the sorted closure restricted to
+        # them, read from the owners of their shape or from every owner, and
+        # the merge must key no copy outside the class.
+        keyed = _copy_key_spy(monkeypatch)
         fixed = 0
         for algorithm, (floor, full), universe in _stream_cases(default_suite):
             copies = sorted(closure(algorithm, universe), key=lambda c: c.key)
@@ -1432,8 +1537,11 @@ class TestClosureIndex:
             fixing = [vector for vector in vectors if set(vector).difference(LOGICAL_IDS)]
             for vector in (min(fixing), max(fixing)) if fixing else ():
                 owners = [i for i in index.owners if _shape(index.vectors[i]) == _shape(vector)]
-                stream = postulates._coincidence_class(index, vector, owners)
-                assert _triples(stream) == _triples(vectors[vector])
+                for members in (owners, index.owners):
+                    keyed.clear()
+                    stream = postulates._coincidence_class(index, vector, members)
+                    assert _triples(stream) == _triples(vectors[vector])
+                    assert _keyed_vectors(index, keyed) == {vector}
                 fixed += 1
         assert fixed == 270
 
@@ -1756,11 +1864,15 @@ class TestCosetProperties:
     def test_learned_orders_are_the_key_dedup_orders(self, case):
         # The first three blocks of the owner stream: each block's orders are
         # those that first make each key when all n! permutations are keyed.
-        state, universe, values = case
+        # The drawn values are ignored: a coincidence class filters this
+        # stream by witness values, which arbitrary values are not; the
+        # classes are checked against the sorted closure by
+        # ``test_class_streams_match_the_sorted_closure``.
+        state, universe, _ = case
         algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), successors=(state,))
         index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, universe)
-        for image, block in itertools.islice(_stream_blocks(index, 0, values), 3):
-            assert block == _full_block(state, values, image)
+        for image, block in itertools.islice(_stream_blocks(index, 0, {}), 3):
+            assert block == _full_block(state, {}, image)
 
     @_PROPERTY_SETTINGS
     @given(_states_with_fixed_values(), st.sampled_from(_NATURAL_RULES))
