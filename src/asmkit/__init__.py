@@ -43,7 +43,6 @@ from .kernel import (
     evaluate_set,
     evaluate_term,
     evaluate_terms,
-    identity_renaming,
     interpret,
     is_subterm_closed,
     isomorphisms_between,

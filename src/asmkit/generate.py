@@ -7,8 +7,11 @@ naming the stream and the draw, so a config names one suite, and the golden
 
 Nothing here verifies anything, and nothing imports a checker: the module
 reads only ``kernel``, ``similarity``, ``symmetry`` and ``transition``.
-``_coherent`` keeps its own test of naturality: were it the abstract-state
-check, that check would pass on explicit-successor instances by construction.
+Explicit successors are drawn until they are natural, as decided by
+``transition.first_unnatural_successor``, the decision the abstract-state
+check makes on explicit algorithms; so that check passes on generated
+explicit instances by construction, and its tests compare it with a
+reference that steps every copy instead.
 """
 from __future__ import annotations
 
@@ -35,8 +38,8 @@ from .kernel import (
     subterm_closure,
 )
 from .similarity import t_similar
-from .symmetry import isomorphism_maps
-from .transition import Algorithm, Assign, Cond, Par, Rule, rule_terms
+from .symmetry import first_isomorphic
+from .transition import Algorithm, Assign, Cond, Par, Rule, first_unnatural_successor, rule_terms
 
 
 @dataclass(frozen=True)
@@ -184,15 +187,6 @@ def _initial_flags(rng: random.Random, count: int) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def _coherent(states: list[State], successors: list[State]) -> bool:
-    return all(
-        apply_renaming(successors[i], Renaming(rho)) == successors[j]
-        for i in range(len(states))
-        for j in range(i, len(states))
-        for rho in isomorphism_maps(states[i], states[j])
-    )
-
-
 def _random_algorithm(rng: random.Random, cfg: GeneratorConfig, kind: str) -> Algorithm:
     """A random algorithm of ``kind``: "rule" draws a rule, "identity" keeps
     every state, and "explicit" draws successors over each state's carrier
@@ -204,12 +198,13 @@ def _random_algorithm(rng: random.Random, cfg: GeneratorConfig, kind: str) -> Al
     if kind == "rule":
         return Algorithm(vocabulary, states, flags, program=_random_rule(rng, vocabulary, cfg))
     if kind == "explicit":
+        first = first_isomorphic(states)
         for _ in range(30):
             successors = [
                 s if rng.random() < 0.25 else _random_state_over(rng, vocabulary, s.base)
                 for s in states
             ]
-            if _coherent(states, successors):
+            if first_unnatural_successor(states, successors, first) is None:
                 return Algorithm(vocabulary, states, flags, successors=tuple(successors))
     return Algorithm(vocabulary, states, flags, successors=tuple(states))
 

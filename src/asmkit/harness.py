@@ -35,7 +35,9 @@ distinct construction is built once per replay, keyed by every input it
 reads (``_Constructions``), since most of a class's sampled pairs share
 their first member; each pair still compares the copies with its own
 target.  ``construct_case1_state`` and ``construct_disjoint_copy`` run the
-same constructions and build the states.
+same constructions and build the states.  The tests check the replay's
+routes against the paper's constructions written out on ``State``s in
+``tests/reference.py``, which shares no code with these.
 """
 from __future__ import annotations
 

@@ -611,10 +611,6 @@ def renaming_map(mapping: Mapping[int, int]) -> dict[int, int]:
     return m
 
 
-def identity_renaming(elements: Iterable[int]) -> Renaming:
-    return Renaming({e: e for e in elements})
-
-
 def apply_renaming(state: State, renaming: Renaming) -> State:
     """The isomorphic copy of ``state`` along ``renaming``."""
     base, tables = _renamed(state, renaming)

@@ -56,9 +56,7 @@ from .symmetry import (
     automorphisms,
     coset_first,
     first_isomorphic,
-    isomorphism_maps,
     renaming_maps,
-    renamings_into,
 )
 from .transition import (
     Algorithm,
@@ -66,6 +64,7 @@ from .transition import (
     Update,
     canonical_delta,
     canonical_step,
+    first_unnatural_successor,
     lift_encoded_set,
     lift_update_set,
     rule_updates,
@@ -81,13 +80,12 @@ class Copy:
     element map r (``mapping``, over c's carrier) that made it.  Its key,
     witness values and encoded update set are c's in ``index``, renamed by
     r; its ``Renaming``, ``State`` and ``Update`` set are views built only
-    for witnesses and tests.  All are derived on first read; only
-    ``closure``, which builds the key to deduplicate, sets it.
+    for witnesses and tests.  All are derived on first read.
 
     Every map a copy is made with passes ``Renaming``'s checks, so the view
-    adds no failure: the closure's maps come from ``Renaming``s, and a class
-    stream's map fixes the logical ids and sends the nonlogical elements to
-    distinct ids from 3 up, as ``renaming_maps`` does.
+    adds no failure: a class stream's map fixes the logical ids and sends
+    the nonlogical elements to distinct ids from 3 up, as ``renaming_maps``
+    does.
     """
 
     canonical_index: int
@@ -193,38 +191,28 @@ _LOGICAL_FIXED = {e: e for e in LOGICAL_IDS}
 
 
 def closure(algorithm: Algorithm, universe_size: int, *, index: ClosureIndex | None = None) -> list[Copy]:
-    """The deduplicated closure of the canonical states under renamings, each
-    copy with the first renaming that makes it and deriving its witness values
-    and update set from ``index``, by default an index over the empty witness
-    (so the universe needs headroom); ``PreconditionError`` above
-    ``MAX_RENAMINGS`` renamings.  No check walks it: it is the oracle the
-    class streams are tested against."""
+    """The closure of the canonical states under renamings into the universe,
+    in key order: the owners' class streams merged (``_copies_in_key_order``),
+    each copy with the first renaming that makes it and deriving its witness
+    values and update set from ``index``, an index over the same universe, by
+    default over the empty witness (so the universe needs headroom);
+    ``PreconditionError`` above ``MAX_RENAMINGS`` renamings.  No check
+    calls it."""
     universe_fits(algorithm, universe_size)
     if index is None:
         index = ClosureIndex(algorithm, (), universe_size)
     _require_work_budget(algorithm, universe_size)
-    seen: set[tuple] = set()
-    copies: list[Copy] = []
-    for i, canonical in enumerate(algorithm.canonical_states):
-        for renaming in renamings_into(canonical.base, universe_size):
-            key = renamed_key(canonical, renaming)
-            if key not in seen:
-                seen.add(key)
-                copy = Copy(i, renaming._map, index)
-                copy.key = key
-                copies.append(copy)
-    return copies
+    return list(_copies_in_key_order(index, index.owners))
 
 
 def _copies_in_key_order(
     index: ClosureIndex, owners: Iterable[int], vector: tuple[int, ...] | None = None
 ) -> Iterator[Copy]:
     """The distinct copies of ``owners``, lazily and in key order, each with
-    the first renaming that makes it in ``renamings_into``'s order, which is
-    the renaming, and the canonical index, that ``closure`` gives it: no
-    canonical state before a copy's owner is isomorphic to it, so none makes
-    the copy.  With ``vector``, only the copies whose witness values are
-    ``vector``.
+    the first renaming that makes it in the renaming order
+    (``asmkit.symmetry``), and with the first canonical state that makes it:
+    no canonical state before a copy's owner is isomorphic to it.  With
+    ``vector``, only the copies whose witness values are ``vector``.
 
     Per owner, the renamings are tried one carrier at a time: the nonlogical
     elements go onto each subset C of 3 .. u-1, in ``itertools.combinations``
@@ -244,7 +232,7 @@ def _copies_in_key_order(
     and o' = o a.  So a block's keys are constant exactly on the cosets of
     the owner's automorphisms, and by the quotient lemma (``asmkit.symmetry``)
     each key comes from one coset-first order, the least of its orders.  Its
-    map is the first ``renamings_into`` gives the copy: renamings that make
+    map is the first the renaming order gives the copy: renamings that make
     one copy have one image C, and in the renaming order the maps with image
     C compare as their orders do.
 
@@ -329,19 +317,6 @@ def check_sequential_time(algorithm: Algorithm) -> CheckReport:
     )
 
 
-def _first_unnatural_state(algorithm: Algorithm) -> int | None:
-    """The first canonical state ci of an explicit-successor algorithm with an
-    isomorphism from cj, the first canonical state isomorphic to it, that does
-    not carry succj's tables onto succi's, the bases being kept; why no
-    renaming fails on an earlier state is in ``check_abstract_state``."""
-    states, successors = algorithm.canonical_states, algorithm.successors
-    for i, j in enumerate(canonical_facts(algorithm).first):
-        for tau in isomorphism_maps(states[j], states[i]):
-            if rename_tables(successors[j].interpretations, tau) != successors[i].interpretations:
-                return i
-    return None
-
-
 def _unnatural_report(algorithm: Algorithm, index: int, mapping: dict[int, int]) -> CheckReport:
     """The report on canonical state ``index``'s failing renaming ``mapping``:
     its copy stepped, and the canonical successor renamed."""
@@ -363,7 +338,7 @@ def _unnatural_report(algorithm: Algorithm, index: int, mapping: dict[int, int])
 def _first_unnatural_rule_map(
     algorithm: Algorithm, state: State, delta: frozenset[Encoded], universe_size: int
 ) -> dict[int, int] | None:
-    """The first map m, in ``renamings_into``'s order, whose copy, the
+    """The first map m, in the renaming order, whose copy, the
     canonical tables renamed by m, has a rule update set other than m(D), D
     the canonical update set ``delta``, encoded, or whose rule evaluation
     raises an ``AsmError``, which is raised again: the first failing
@@ -502,7 +477,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     o r(ci) steps to o rho(succj), and o is injective, so o r passes exactly
     when r does.  At each position o r is no greater than r, since r's k-th
     least value, from k = 0, is at least 3 + k; so the first failing
-    renaming is one of the n! onto 3 .. n+2, and ``renamings_into`` meets
+    renaming is one of the n! onto 3 .. n+2, and the renaming order meets
     those in the same relative order at every universe.  So only those are
     walked, each copy stepped as a ``State``, to name the first failing
     renaming, behind a budget of n! renamings: an explicit-successor
@@ -531,7 +506,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
                     f"successor of canonical state {index} changes the base set",
                     witness={"state": state, "successor": successor},
                 )
-        index = _first_unnatural_state(algorithm)
+        index = first_unnatural_successor(states, algorithm.successors, canonical_facts(algorithm).first)
         if index is not None:
             state, successor = states[index], algorithm.successors[index]
             n = len(state.nonlogical_elements())
@@ -779,7 +754,7 @@ def _least_map(vector: tuple[int, ...]) -> dict[int, int]:
 def _coincidence_class(index: ClosureIndex, vector: tuple[int, ...], owners: list[int]) -> Iterator[Copy]:
     """The copies whose witness values are ``vector``, streamed in key order:
     the class streams of ``owners``, the owners of its shape, filtered by
-    ``vector``, each copy with the renaming ``closure`` gives it (see
+    ``vector``, each copy with the first renaming that makes it (see
     ``_copies_in_key_order``).  A failing class may be read whole, so it is
     budgeted for the whole closure."""
     _require_work_budget(index.algorithm, index.universe_size)

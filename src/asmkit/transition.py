@@ -13,7 +13,7 @@ compile is where the rule's symbols are checked against the vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Union
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ClashError,
@@ -35,8 +35,9 @@ from .kernel import (
     TermProgram,
     Vocabulary,
     apply_renaming,
+    rename_tables,
 )
-from .symmetry import first_isomorphism
+from .symmetry import first_isomorphism, isomorphism_maps
 
 
 @dataclass(frozen=True)
@@ -303,6 +304,23 @@ def locate(algorithm: Algorithm, state: State) -> tuple[int, Renaming]:
     if found is None:
         raise UnknownStateError("state is not in the algorithm's family")
     return found[0], Renaming(found[1])
+
+
+def first_unnatural_successor(
+    states: Sequence[State], successors: Sequence[State], first: Sequence[int]
+) -> int | None:
+    """The first state si with an isomorphism from sj, j = ``first[i]`` the
+    first state isomorphic to it, that does not carry succj's tables onto
+    succi's, each successor being over its state's carrier; None when there
+    is none.  Then every isomorphism t: sk -> si carries succk's tables onto
+    succi's: for any u: sj -> sk, t u is an isomorphism sj -> si, so
+    t(succk) = t(u(succj)) = succi.  The abstract-state check and the suite
+    generator both decide explicit naturality with it."""
+    for i, j in enumerate(first):
+        for tau in isomorphism_maps(states[j], states[i]):
+            if rename_tables(successors[j].interpretations, tau) != successors[i].interpretations:
+                return i
+    return None
 
 
 def canonical_step(algorithm: Algorithm, index: int) -> State:

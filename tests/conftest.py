@@ -5,10 +5,7 @@ from typing import Callable
 import pytest
 
 from asmkit import (
-    FALSE,
     FALSE_TERM,
-    TRUE,
-    UNDEF,
     AsmError,
     GeneratorConfig,
     State,
@@ -17,7 +14,6 @@ from asmkit import (
     Term,
     UNDEF_TERM,
     Vocabulary,
-    VocabularyMismatchError,
     flip_algorithm,
     generate_algorithm_suite,
     remark_states,
@@ -78,46 +74,6 @@ def random_term(rng: random.Random, vocabulary: Vocabulary, depth: int) -> Term:
         return rng.choice(leaves)
     sym = rng.choice(builders)
     return Term(sym, tuple(random_term(rng, vocabulary, depth - 1) for _ in range(sym.arity)))
-
-
-def _connective(name: str, args: tuple[int, ...]) -> int:
-    """The logical symbols' fixed meaning, written apart from ``asmkit``'s."""
-    constants = {"true": TRUE, "false": FALSE, "undef": UNDEF}
-    if name in constants:
-        return constants[name]
-    if name == "eq":
-        return TRUE if args[0] == args[1] else FALSE
-    truth = {TRUE: True, FALSE: False}
-    if any(a not in truth for a in args):
-        return UNDEF
-    operands = [truth[a] for a in args]
-    result = {"not": lambda p: not p, "and": lambda p, q: p and q, "or": lambda p, q: p or q}[name](*operands)
-    return TRUE if result else FALSE
-
-
-def reference_evaluator(vocabulary: Vocabulary, tables) -> Callable[[Term], int]:
-    """Recursive evaluation of ground terms over normalized tables, the
-    reference the compiled ``TermProgram`` is checked against: a node's
-    symbol is checked before its children are evaluated, and values are
-    memoized by node identity, so the terms must outlive the evaluator."""
-    values: dict[int, int] = {}
-
-    def value(term: Term) -> int:
-        v = values.get(id(term))
-        if v is None:
-            if term.root not in vocabulary:
-                raise VocabularyMismatchError(
-                    f"term symbol {term.root} is not in the state's vocabulary"
-                )
-            args = tuple(value(child) for child in term.children)
-            if term.root.kind == "nonlogical":
-                v = tables.get(term.root.name, {}).get(args, UNDEF)
-            else:
-                v = _connective(term.root.name, args)
-            values[id(term)] = v
-        return v
-
-    return value
 
 
 def outcome(run: Callable[[], object]) -> object:

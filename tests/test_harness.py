@@ -46,6 +46,7 @@ from asmkit import harness
 from asmkit.kernel import LOGICAL_IDS, rename_tables
 from asmkit.postulates import ClosureIndex, Copy
 from asmkit.transition import lift_encoded
+import reference
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
 _COMPOSE = harness._compose
@@ -303,28 +304,11 @@ class TestReplayAssertions:
             self._replay(monkeypatch, logical=True)
 
 
-def _state_route(x, y, terms, universe_size):
-    """The replay's route from ``x`` to ``y`` taken on states, through the
-    public constructions: its name, its renamings and the states it builds."""
-    sigma = similarity_function(x, y, terms)
-    if not harness._logically_compatible(sigma):
-        return "direct", [], []
-    if evaluate_set(x, terms).isdisjoint(evaluate_set(y, terms)):
-        try:
-            replaced, xi = construct_case1_state(x, y, terms)
-        except CaseHypothesisError:
-            pass
-        else:
-            return "case1", [xi], [replaced]
-    detached, eta = construct_disjoint_copy(x, y, terms, universe_size)
-    replaced, xi = construct_case1_state(detached, y, terms)
-    return "case2", [eta, xi], [detached, replaced]
-
-
 class TestMapLevelRoute:
     """The replay routes pairs on element maps and renamed canonical tables;
-    on the copies' materialized states, the public constructions must take
-    the same route, with the same renamings, and build the same tables."""
+    on the copies' materialized states, the paper-literal constructions
+    (``reference.state_route``) must take the same route, with the same
+    renamings, and build the same tables."""
 
     @pytest.fixture
     def routed(self, monkeypatch):
@@ -353,7 +337,7 @@ class TestMapLevelRoute:
         routes = {}
         for x, y, name, steps, tables in pairs:
             index = x.index
-            expected = _state_route(x.state, y.state, index.terms, index.universe_size)
+            expected = reference.state_route(x.state, y.state, index.terms, index.universe_size)
             assert (name, [Renaming(c.step) for c in steps]) == expected[:2]
             assert tables == [state.interpretations for state in expected[2]]
             assert [c.vector for c in steps] == [index.program.evaluate(state) for state in expected[2]]

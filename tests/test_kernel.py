@@ -29,14 +29,14 @@ from asmkit import (
     evaluate_set,
     evaluate_term,
     evaluate_terms,
-    identity_renaming,
     is_subterm_closed,
     isomorphisms_between,
     sorted_terms,
     subterm_closure,
 )
 from asmkit.generate import _random_state, _random_term
-from conftest import mk, outcome, random_state, random_term, reference_evaluator
+from conftest import mk, outcome, random_state, random_term
+import reference
 
 
 class TestSubtermClosure:
@@ -262,7 +262,7 @@ class TestTermProgram:
             for _ in range(6):
                 state = _random_state(rng, vocabulary, rng.randint(1, 4))
                 terms = _program_terms(rng, vocabulary)
-                value = reference_evaluator(vocabulary, state.interpretations)
+                value = reference.evaluator(vocabulary, state.interpretations)
                 expected = tuple(value(t) for t in terms)
                 assert TermProgram(vocabulary, terms).evaluate(state) == expected
                 assert evaluate_terms(state, terms) == list(expected)
@@ -274,7 +274,7 @@ class TestTermProgram:
             other = rng.choice(vocabularies)
             state = _random_state(rng, other, 3)
             terms = _program_terms(rng, vocabulary)
-            value = reference_evaluator(other, state.interpretations)
+            value = reference.evaluator(other, state.interpretations)
             expected = outcome(lambda: tuple(value(t) for t in terms))
             # a program bound to one vocabulary is compiled afresh for the other
             program = TermProgram(vocabulary, terms)
@@ -311,7 +311,7 @@ class TestTermProgram:
 class TestRenaming:
     def test_identity_fixes_state(self, remark):
         x, _, _, _ = remark
-        assert apply_renaming(x, identity_renaming(x.base)) == x
+        assert apply_renaming(x, Renaming({e: e for e in x.base})) == x
 
     def test_remark_transport(self, remark):
         x, _, _, _ = remark

@@ -1,6 +1,4 @@
-import functools
 import gc
-import heapq
 import itertools
 import math
 import os
@@ -18,7 +16,6 @@ from asmkit import (
     Algorithm,
     AsmError,
     Assign,
-    CheckReport,
     Cond,
     FALSE_TERM,
     GeneratorConfig,
@@ -38,17 +35,14 @@ from asmkit import (
     Vocabulary,
     VocabularyMismatchError,
     apply_renaming,
-    apply_rule,
     apply_updates,
     canonical_delta,
-    canonical_step,
     check_abstract_state,
     check_new_be,
     check_old_be,
     check_sequential_time,
     closure,
     coincides_over,
-    evaluate_set,
     evaluate_terms,
     generate_algorithm_suite,
     is_accessible_update,
@@ -57,12 +51,10 @@ from asmkit import (
     lift_update_set,
     locate,
     parse_spec,
-    renamings_into,
     similarity_function,
     sorted_terms,
     step,
     subterm_closure,
-    t_similar,
     table_diff,
     update_set,
     verify_equivalence,
@@ -70,49 +62,13 @@ from asmkit import (
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
 from asmkit.kernel import TermProgram, rename_tables, renamed_key, state_key
-from asmkit.symmetry import automorphisms, coset_first
+from asmkit.symmetry import automorphisms
 from asmkit.transition import rule_updates
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
+import reference
 
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
-
-
-@functools.lru_cache(maxsize=4)
-def _closure(algorithm, universe_size):
-    """``closure`` for the oracles below, which run once per witness of an
-    instance: the last few closures are kept (algorithms hash by identity)."""
-    return closure(algorithm, universe_size)
-
-
-def brute_old_be(algorithm, terms, universe_size) -> bool:
-    states = [c.state for c in _closure(algorithm, universe_size)]
-    for x, y in itertools.product(states, repeat=2):
-        if coincides_over(x, y, terms):
-            if update_set(algorithm, x) != update_set(algorithm, y):
-                return False
-    return True
-
-
-def brute_new_be(algorithm, terms, universe_size) -> bool:
-    states = [c.state for c in _closure(algorithm, universe_size)]
-    for state in states:
-        for u in update_set(algorithm, state):
-            if not is_accessible_update(state, terms, u):
-                return False
-    for x, y in itertools.product(states, repeat=2):
-        if not t_similar(x, y, terms):
-            continue
-        sigma = similarity_function(x, y, terms)
-        dx, dy = update_set(algorithm, x), update_set(algorithm, y)
-        reachable = sorted(evaluate_set(x, terms))
-        for sym in algorithm.vocabulary.nonlogical:
-            for args in itertools.product(reachable, repeat=sym.arity):
-                for value in reachable:
-                    u = Update(sym, args, value)
-                    if (u in dx) != (lift_update(sigma, u) in dy):
-                        return False
-    return True
 
 
 class TestSequentialTime:
@@ -200,67 +156,6 @@ def _incoherent_suite(count, seed, max_carrier):
     return algorithms
 
 
-def reference_abstract_state(algorithm, universe_size):
-    """Naturality checked the direct way: every renaming builds the copy, the
-    transported successor and the stepped copy as states."""
-    label = "abstract-state"
-    postulates.universe_fits(algorithm, universe_size)
-    successors = []
-    for index, state in enumerate(algorithm.canonical_states):
-        successor = canonical_step(algorithm, index)
-        if successor.base != state.base:
-            return CheckReport(
-                False,
-                label,
-                f"successor of canonical state {index} changes the base set",
-                witness={"state": state, "successor": successor},
-            )
-        successors.append(successor)
-    for index, state in enumerate(algorithm.canonical_states):
-        for renaming in renamings_into(state.base, universe_size):
-            copy = apply_renaming(state, renaming)
-            expected = apply_renaming(successors[index], renaming)
-            if algorithm.rule_based:
-                actual = apply_updates(copy, apply_rule(copy, algorithm.program))
-            else:
-                actual = step(algorithm, copy)
-            if actual != expected or actual.base != copy.base:
-                return CheckReport(
-                    False,
-                    label,
-                    f"step does not commute with a renaming of canonical state {index}",
-                    witness={
-                        "state": state,
-                        "renaming": renaming,
-                        "expected": expected,
-                        "actual": actual,
-                    },
-                )
-    return CheckReport(
-        True,
-        label,
-        notes=("closure under isomorphism holds by construction (copies are generated)",),
-    )
-
-
-def _support_copies(algorithm, index, universe_size):
-    """The first support map of each distinct renaming of canonical state
-    ``index``'s tables, keyed by those tables as a state key holds them, in
-    lexicographic order over S, the sorted nonlogical elements its tables or
-    its update set mention."""
-    state = algorithm.canonical_states[index]
-    tables = state.interpretations
-    mentioned = {e for table in tables.values() for args, v in table.items() for e in (*args, v)}
-    for u in table_diff(state, canonical_step(algorithm, index)):
-        mentioned.update((*u.args, u.value))
-    support = sorted(mentioned.difference(LOGICAL_IDS))
-    firsts = {}
-    for images in itertools.permutations(range(3, universe_size), len(support)):
-        m = {**{e: e for e in LOGICAL_IDS}, **dict(zip(support, images))}
-        firsts.setdefault(state_key((), rename_tables(tables, m))[1], m)
-    return firsts
-
-
 def _unnatural_semantics(monkeypatch, change):
     """Rule semantics, for the check's loop and the reference alike, that let
     ``change`` edit the update set of a state whose tables do not mention
@@ -297,7 +192,6 @@ class TestAbstractState:
     def test_rule_based_carrier6_ring_over_the_work_budget(self, monkeypatch):
         algorithm, _ = _ring6()
         # nothing may be enumerated
-        monkeypatch.setattr(postulates, "renamings_into", None)
         monkeypatch.setattr(postulates, "renaming_maps", None)
         with pytest.raises(PreconditionError, match="needs 665280 renamings"):
             check_abstract_state(algorithm, 15)
@@ -306,7 +200,6 @@ class TestAbstractState:
     def test_explicit_algorithm_passes_at_huge_universe(self, flip, monkeypatch, paper):
         algorithm = _paper_checks()[0] if paper else flip
         # nothing may be enumerated
-        monkeypatch.setattr(postulates, "renamings_into", None)
         monkeypatch.setattr(postulates, "renaming_maps", None)
         huge = _outcome(check_abstract_state, algorithm, 100000)
         assert huge[0] is True
@@ -371,7 +264,7 @@ class TestAbstractState:
     def test_matches_reference_on_default_suite(self, default_suite, default_config):
         universe = default_config.universe_size
         for instance in default_suite:
-            expected = _outcome(reference_abstract_state, instance.algorithm, universe)
+            expected = _outcome(reference.abstract_state, instance.algorithm, universe)
             assert _outcome(check_abstract_state, instance.algorithm, universe) == expected
 
     @pytest.mark.parametrize(
@@ -387,7 +280,7 @@ class TestAbstractState:
     )
     def test_matches_reference_on_failing_fixtures(self, flip, fixture, universe):
         algorithm = fixture(flip)
-        expected = _outcome(reference_abstract_state, algorithm, universe)
+        expected = _outcome(reference.abstract_state, algorithm, universe)
         assert expected[0] is not True
         assert _outcome(check_abstract_state, algorithm, universe) == expected
 
@@ -438,8 +331,8 @@ class TestAbstractState:
             assert deltas == list(range(len(algorithm.canonical_states)))
             expected = []
             for i, state in enumerate(algorithm.canonical_states):
-                expected += list(_support_copies(algorithm, i, universe))
-                copies += len({renamed_key(state, r) for r in renamings_into(state.base, universe)})
+                expected += list(reference.support_copies(algorithm, i, universe))
+                copies += len({renamed_key(state, r) for r in reference.renamings(state.base, universe)})
             assert calls == expected
             evaluations += len(calls)
         assert backends == {True, False}
@@ -457,7 +350,7 @@ class TestAbstractState:
         algorithm = Algorithm(vocabulary, (state,), (True,), program=Assign(g, (), Term(f)))
         location = ("f", ()) if change == "add" else ("g", ())
         _unnatural_semantics(monkeypatch, lambda tables, updates: updates.__setitem__(location, UNDEF))
-        expected = _outcome(reference_abstract_state, algorithm, 6)
+        expected = _outcome(reference.abstract_state, algorithm, 6)
         assert _outcome(check_abstract_state, algorithm, 6) == expected
         report = check_abstract_state(algorithm, 6)
         assert not report.passed
@@ -494,7 +387,7 @@ class TestAbstractState:
         monkeypatch.setattr(transition, "rule_updates", least_key)
         monkeypatch.setattr(postulates, "rule_updates", counted)
         for universe in (5, 8):
-            expected = _outcome(reference_abstract_state, algorithm, universe)
+            expected = _outcome(reference.abstract_state, algorithm, universe)
             assert expected[0] is False
             evaluated.clear()
             assert _outcome(check_abstract_state, algorithm, universe) == expected
@@ -523,9 +416,9 @@ class TestAbstractState:
 
         monkeypatch.setattr(postulates, "rule_updates", counted)
         assert _outcome(check_abstract_state, algorithm, universe) == _outcome(
-            reference_abstract_state, algorithm, universe
+            reference.abstract_state, algorithm, universe
         )
-        copies = {renamed_key(state, m) for m in renamings_into(state.base, universe)}
+        copies = {renamed_key(state, m) for m in reference.renamings(state.base, universe)}
         assert len(evaluated) == len(copies) == math.comb(universe - 3, 4)
 
     @pytest.mark.parametrize("universe", [7, 8, 9])
@@ -551,7 +444,7 @@ class TestAbstractState:
             updates[("c", ())] = 3
 
         _unnatural_semantics(monkeypatch, literal)
-        expected = _outcome(reference_abstract_state, algorithm, universe)
+        expected = _outcome(reference.abstract_state, algorithm, universe)
         assert expected[0] is not True
         assert _outcome(check_abstract_state, algorithm, universe) == expected
 
@@ -568,7 +461,7 @@ class TestAbstractState:
         verdicts = []
         for instance in default_suite:
             if instance.algorithm.rule_based:
-                expected = _outcome(reference_abstract_state, instance.algorithm, universe)
+                expected = _outcome(reference.abstract_state, instance.algorithm, universe)
                 assert _outcome(check_abstract_state, instance.algorithm, universe) == expected
                 verdicts.append(expected[0])
         assert verdicts.count(False) > 20 and True in verdicts
@@ -587,7 +480,7 @@ class TestAbstractState:
                     if next(isomorphisms_between(states[j], state), None) is not None
                 )
                 reached = set()
-                for r in renamings_into(state.base, universe):
+                for r in reference.renamings(state.base, universe):
                     index, rho = locate(algorithm, apply_renaming(state, r))
                     assert index == j
                     back = r.inverse()
@@ -602,7 +495,7 @@ class TestAbstractState:
         for algorithm in _incoherent_suite(50, seed, max_carrier=3):
             tight = algorithm.max_nonlogical_carrier() + 3
             for universe in (tight, postulates.required_headroom(algorithm)):
-                expected = _outcome(reference_abstract_state, algorithm, universe)
+                expected = _outcome(reference.abstract_state, algorithm, universe)
                 assert _outcome(check_abstract_state, algorithm, universe) == expected
                 verdicts.add(expected[0])
             # A failure, too, is named at any universe (the order-pattern lemma).
@@ -622,43 +515,8 @@ class TestAbstractState:
             if not algorithm.rule_based:
                 universes.append(postulates.required_headroom(algorithm))
             for universe in universes:
-                expected = _outcome(reference_abstract_state, algorithm, universe)
+                expected = _outcome(reference.abstract_state, algorithm, universe)
                 assert _outcome(check_abstract_state, algorithm, universe) == expected
-
-
-def reference_old_be(algorithm, terms, universe_size):
-    """Old BE decided by walking the closure: copies grouped by their renamed
-    witness values, each group compared with its first copy in key order."""
-    terms = frozenset(terms)
-    order = sorted_terms(terms)
-    vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
-    deltas = [canonical_delta(algorithm, i) for i in range(len(vectors))]
-    groups = {}
-    for copy in _closure(algorithm, universe_size):
-        r = copy.renaming
-        vector = tuple(r[v] for v in vectors[copy.canonical_index])
-        delta = lift_update_set(r, deltas[copy.canonical_index])
-        groups.setdefault(vector, []).append((copy.key, copy, delta))
-    for vector in sorted(groups):
-        (_, left, left_delta), *others = sorted(groups[vector], key=lambda entry: entry[0])
-        for _, right, right_delta in others:
-            if right_delta != left_delta:
-                return CheckReport(
-                    False,
-                    "old-be",
-                    "states coincide over the witness but have different update sets",
-                    witness={
-                        "terms": terms,
-                        "left": left.state,
-                        "right": right.state,
-                        "left_delta": left_delta,
-                        "right_delta": right_delta,
-                    },
-                )
-    states = sum(len(group) for group in groups.values())
-    return CheckReport(
-        True, "old-be", notes=(f"states={states}", f"coincidence-classes={len(groups)}")
-    )
 
 
 def _restless():
@@ -714,14 +572,15 @@ def _restless_suite(count, seed=0):
     return cases
 
 
-def _closure_spy(monkeypatch):
-    calls = []
+def _spy(monkeypatch, name):
+    """Records the arguments of every call to ``postulates``' ``name``."""
+    calls, function = [], getattr(postulates, name)
 
-    def spy(algorithm, universe_size, **kwargs):
-        calls.append(universe_size)
-        return closure(algorithm, universe_size, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(postulates, "closure", spy)
+    monkeypatch.setattr(postulates, name, spy)
     return calls
 
 
@@ -738,7 +597,6 @@ class TestOldBE:
         assert not check_old_be(flip, witness_terms, 11).passed
         assert check_abstract_state(_still(flip), 11).passed
         # nothing may be enumerated or streamed
-        monkeypatch.setattr(postulates, "renamings_into", None)
         monkeypatch.setattr(postulates, "renaming_maps", None)
         monkeypatch.setattr(postulates, "_copies_in_key_order", None)
         with pytest.raises(PreconditionError, match="needs 144 renamings"):
@@ -780,7 +638,7 @@ class TestOldBE:
         verdicts = {True: 0, False: 0}
         for instance in default_suite:
             for terms in instance.witnesses:
-                expected = _report(reference_old_be(instance.algorithm, terms, universe))
+                expected = _report(reference.old_be(instance.algorithm, terms, universe))
                 assert _report(check_old_be(instance.algorithm, terms, universe)) == expected
                 verdicts[expected[0]] += 1
         assert verdicts == {True: 266, False: 104}
@@ -795,7 +653,7 @@ class TestOldBE:
             algorithm = instance.algorithm
             universe = postulates.required_headroom(algorithm)
             for terms in instance.witnesses:
-                expected = _report(reference_old_be(algorithm, terms, universe))
+                expected = _report(reference.old_be(algorithm, terms, universe))
                 assert _report(check_old_be(algorithm, terms, universe)) == expected
                 verdicts.append(expected[0])
         assert True in verdicts and False in verdicts
@@ -804,29 +662,29 @@ class TestOldBE:
     def test_matches_closure_walk_on_paper_spec(self, universe):
         algorithm, witnesses = _paper_checks()
         for terms in witnesses:
-            expected = _report(reference_old_be(algorithm, terms, universe))
+            expected = _report(reference.old_be(algorithm, terms, universe))
             assert _report(check_old_be(algorithm, terms, universe)) == expected
 
     @pytest.mark.parametrize("universe", [7, 9])
     def test_automorphism_moving_the_update_set_needs_no_closure(self, monkeypatch, universe):
         algorithm = _restless()
         assert not check_abstract_state(algorithm, universe).passed
-        calls = _closure_spy(monkeypatch)
+        calls = _spy(monkeypatch, "closure")
         report = check_old_be(algorithm, LOGICAL_TERMS, universe)
         assert calls == []
         assert not report.passed
-        assert _report(reference_old_be(algorithm, LOGICAL_TERMS, universe)) == _report(report)
+        assert _report(reference.old_be(algorithm, LOGICAL_TERMS, universe)) == _report(report)
 
     def test_matches_closure_walk_when_an_automorphism_moves_the_update_set(self):
         for algorithm, terms in _restless_suite(30):
             headroom = postulates.required_headroom(algorithm)
             for universe in (headroom, headroom + 1):
-                expected = _report(reference_old_be(algorithm, terms, universe))
+                expected = _report(reference.old_be(algorithm, terms, universe))
                 assert _report(check_old_be(algorithm, terms, universe)) == expected
                 assert not expected[0]
 
     def test_closure_not_enumerated(self, default_suite, default_config, monkeypatch):
-        calls = _closure_spy(monkeypatch)
+        calls = _spy(monkeypatch, "closure")
         passed = 0
         for instance in default_suite:
             for terms in instance.witnesses:
@@ -840,13 +698,8 @@ class TestOldBE:
         # the merge keys only copies of the class: each owner's stream is
         # filtered before the merge.
         universe = default_config.universe_size
-        keys, merged, groups = _key_spy(monkeypatch), _copy_key_spy(monkeypatch), []
-
-        def searched(*args, **kwargs):
-            groups.append(args)
-            return automorphisms(*args, **kwargs)
-
-        monkeypatch.setattr(postulates, "automorphisms", searched)
+        keys, merged = _spy(monkeypatch, "state_key"), _spy(monkeypatch, "renamed_key")
+        groups = _spy(monkeypatch, "automorphisms")
         named = keyed = 0
         for instance in default_suite:
             algorithm = instance.algorithm
@@ -873,7 +726,7 @@ class TestOldBE:
         # one block that holds 3 .. 6, not walk the P(10, 4) renamings of
         # the rest of its closure.
         algorithm, terms = _named_and_unnamed()
-        expected = _report(reference_old_be(algorithm, terms, 13))
+        expected = _report(reference.old_be(algorithm, terms, 13))
         made, make = [], postulates.Copy
 
         def counted(i, mapping, index):
@@ -928,90 +781,6 @@ class TestOldBE:
         algorithm, witnesses = _paper_checks()
         with pytest.raises(PreconditionError, match="over the work limit of 250000"):
             check_old_be(algorithm, witnesses[1], 100000)
-
-
-def _first_occurrence(vector):
-    first = {}
-    return tuple(first.setdefault(v, i) for i, v in enumerate(vector)), first
-
-
-def reference_new_be(algorithm, terms, universe_size):
-    """New BE decided by walking the closure: each copy's similarity pattern and
-    accessible trace come from its own renamed witness values and update set,
-    and each class is compared with its first copy in key order."""
-    terms = frozenset(terms)
-    order = sorted_terms(terms)
-    vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
-    deltas = [canonical_delta(algorithm, i) for i in range(len(vectors))]
-    witness_i = None
-    for i, state in enumerate(algorithm.canonical_states):
-        accessible = frozenset(vectors[i])
-        for u in sorted(deltas[i], key=lambda u: u.encoded()):
-            if u.value not in accessible or any(a not in accessible for a in u.args):
-                witness_i = {
-                    "requirement": "i",
-                    "state": state,
-                    "update": u,
-                    "accessible": accessible,
-                    "terms": terms,
-                }
-                break
-        if witness_i:
-            break
-
-    classes = {}
-    for copy in _closure(algorithm, universe_size):
-        r = copy.renaming
-        vector = tuple(r[v] for v in vectors[copy.canonical_index])
-        delta = lift_update_set(r, deltas[copy.canonical_index])
-        pattern, first = _first_occurrence(vector)
-        trace = frozenset(
-            (u.symbol.name, tuple(first[a] for a in u.args), first[u.value])
-            for u in delta
-            if u.value in first and all(a in first for a in u.args)
-        )
-        classes.setdefault(pattern, []).append((copy.key, copy, vector, delta, trace))
-    witness_ii = None
-    for pattern in sorted(classes):
-        (_, base, base_vector, base_delta, base_trace), *others = sorted(
-            classes[pattern], key=lambda entry: entry[0]
-        )
-        for _, copy, vector, delta, trace in others:
-            if trace == base_trace:
-                continue
-            name, arg_idx, value_idx = min(trace.symmetric_difference(base_trace))
-            symbol = algorithm.vocabulary.symbol(name)
-            u_left = Update(symbol, tuple(base_vector[i] for i in arg_idx), base_vector[value_idx])
-            u_right = Update(symbol, tuple(vector[i] for i in arg_idx), vector[value_idx])
-            witness_ii = {
-                "requirement": "ii",
-                "left": base.state,
-                "right": copy.state,
-                "update": u_left,
-                "lifted_update": u_right,
-                "in_left": u_left in base_delta,
-                "in_right": u_right in delta,
-                "terms": terms,
-            }
-            break
-        if witness_ii:
-            break
-
-    passed_i, passed_ii = witness_i is None, witness_ii is None
-    notes = (
-        f"requirement-i={'pass' if passed_i else 'fail'}",
-        f"requirement-ii={'pass' if passed_ii else 'fail'}",
-        f"similarity-classes={len(classes)}",
-    )
-    if passed_i and passed_ii:
-        return CheckReport(True, "new-be", notes=notes)
-    witness = witness_i if witness_i is not None else witness_ii
-    witness["requirement_i_passed"] = passed_i
-    witness["requirement_ii_passed"] = passed_ii
-    failed = "i" if witness_i is not None else "ii"
-    return CheckReport(
-        False, "new-be", f"requirement ({failed}) violated", witness=witness, notes=notes
-    )
 
 
 def _report(report):
@@ -1083,7 +852,7 @@ class TestNewBE:
         outcomes = {}
         for instance in default_suite:
             for terms in instance.witnesses:
-                expected = _report(reference_new_be(instance.algorithm, terms, universe))
+                expected = _report(reference.new_be(instance.algorithm, terms, universe))
                 assert _report(check_new_be(instance.algorithm, terms, universe)) == expected
                 requirements = expected[4][:2]
                 outcomes[requirements] = outcomes.get(requirements, 0) + 1
@@ -1098,7 +867,7 @@ class TestNewBE:
     def test_matches_closure_walk_on_paper_spec(self, universe):
         algorithm, witnesses = _paper_checks()
         for terms in witnesses:
-            expected = _report(reference_new_be(algorithm, terms, universe))
+            expected = _report(reference.new_be(algorithm, terms, universe))
             assert _report(check_new_be(algorithm, terms, universe)) == expected
 
     @pytest.mark.parametrize("swap", [False, True])
@@ -1116,13 +885,13 @@ class TestNewBE:
             "requirement-ii=pass",
             "similarity-classes=1",
         )
-        assert brute_new_be(algorithm, terms, universe) is True
-        assert _report(reference_new_be(algorithm, terms, universe)) == _report(report)
+        assert reference.pairwise_new_be(algorithm, terms, universe) is True
+        assert _report(reference.new_be(algorithm, terms, universe)) == _report(report)
 
     def test_closure_enumerated_only_for_a_requirement_ii_witness(
         self, default_suite, default_config, monkeypatch
     ):
-        calls = _closure_spy(monkeypatch)
+        calls = _spy(monkeypatch, "closure")
         algorithm, witnesses = _paper_checks()
         for universe in (7, 20, 45):
             for terms in witnesses:
@@ -1159,7 +928,7 @@ class TestBruteForceCrossValidation:
         compared = 0
         for instance in suite:
             for terms in instance.witnesses:
-                expected = brute_old_be(instance.algorithm, terms, cfg.universe_size)
+                expected = reference.pairwise_old_be(instance.algorithm, terms, cfg.universe_size)
                 actual = check_old_be(instance.algorithm, terms, cfg.universe_size).passed
                 assert actual == expected, (instance.index, sorted(map(str, terms)))
                 compared += 1
@@ -1172,7 +941,7 @@ class TestBruteForceCrossValidation:
             for terms in instance.witnesses:
                 if len(terms) > 6:
                     continue  # keep the exhaustive oracle affordable
-                expected = brute_new_be(instance.algorithm, terms, cfg.universe_size)
+                expected = reference.pairwise_new_be(instance.algorithm, terms, cfg.universe_size)
                 actual = check_new_be(instance.algorithm, terms, cfg.universe_size).passed
                 assert actual == expected, (instance.index, sorted(map(str, terms)))
                 compared += 1
@@ -1180,8 +949,8 @@ class TestBruteForceCrossValidation:
 
     def test_flip_against_both_oracles(self, flip):
         witness_terms = LOGICAL_TERMS | {Term(flip.vocabulary.symbol("f"))}
-        assert brute_old_be(flip, witness_terms, 7) is False
-        assert brute_new_be(flip, witness_terms, 7) is False
+        assert reference.pairwise_old_be(flip, witness_terms, 7) is False
+        assert reference.pairwise_new_be(flip, witness_terms, 7) is False
 
 
 class TestVerdictInvariance:
@@ -1239,18 +1008,6 @@ class TestWitnessMonotonicity:
             witness_monotonicity(flip, {f}, frozenset(), 7)
 
 
-def _materialized_closure(algorithm, universe_size):
-    """(canonical index, renaming, key) per closure state, from built states."""
-    seen, out = set(), []
-    for index, canonical in enumerate(algorithm.canonical_states):
-        for renaming in renamings_into(canonical.base, universe_size):
-            key = apply_renaming(canonical, renaming).key()
-            if key not in seen:
-                seen.add(key)
-                out.append((index, renaming, key))
-    return out
-
-
 def _stream_cases(default_suite):
     """Every default-suite instance at u=11 and u=12, and the first three
     carrier-5 suite instances at headroom, each with its first two witnesses:
@@ -1279,67 +1036,16 @@ def _path4():
     return Algorithm(vocabulary, (state,), (True,), successors=(state,))
 
 
-def _renamed_tables_spy(monkeypatch):
-    """Records the element map of every copy key a class stream builds."""
-    calls = []
-
-    def spy(tables, mapping):
-        calls.append(mapping)
-        return rename_tables(tables, mapping)
-
-    monkeypatch.setattr(postulates, "rename_tables", spy)
-    return calls
-
-
-def _free_sources(state, values):
-    return [e for e in state.nonlogical_elements() if e not in values]
-
-
-def _full_block(state, values, image):
-    """One carrier block keyed over all n! permutations of sorted(image):
-    (key, first map, its order of positions) per key, in key order."""
-    sources = _free_sources(state, values)
-    first = {}
-    for order in itertools.permutations(range(len(sources))):
-        m = {**{e: e for e in LOGICAL_IDS}, **values, **{s: image[p] for s, p in zip(sources, order)}}
-        first.setdefault(renamed_key(state, Renaming(m)), (m, order))
-    return [(key, *first[key]) for key in sorted(first)]
-
-
 def _stream_blocks(index, owner, values):
     """An owner's coincidence class, its stream filtered by its witness
     values renamed by ``values``, as blocks of (key, map, its order of
     positions) with their images, read lazily."""
-    sources = _free_sources(index.algorithm.canonical_states[owner], values)
+    sources = reference.free_sources(index.algorithm.canonical_states[owner], values)
     vector = tuple(values.get(v, v) for v in index.vectors[owner])
     stream = postulates._copies_in_key_order(index, [owner], vector)
     for carrier, copies in itertools.groupby(stream, key=lambda c: c.key[0]):
         image = tuple(sorted(e for e in carrier if e not in LOGICAL_IDS and e not in values.values()))
         yield image, [(c.key, c.mapping, tuple(image.index(c.mapping[s]) for s in sources)) for c in copies]
-
-
-def _key_spy(monkeypatch):
-    """Counts the copy keys a class stream builds."""
-    calls = []
-
-    def spy(carrier, tables):
-        calls.append(None)
-        return state_key(carrier, tables)
-
-    monkeypatch.setattr(postulates, "state_key", spy)
-    return calls
-
-
-def _copy_key_spy(monkeypatch):
-    """Records (canonical state, renaming) for every copy key read."""
-    calls = []
-
-    def spy(state, renaming):
-        calls.append((state, renaming))
-        return renamed_key(state, renaming)
-
-    monkeypatch.setattr(postulates, "renamed_key", spy)
-    return calls
 
 
 def _keyed_vectors(index, calls):
@@ -1349,31 +1055,6 @@ def _keyed_vectors(index, calls):
         tuple(renaming[v] for v in index.vectors[next(i for i, s in enumerate(states) if s is state)])
         for state, renaming in calls
     }
-
-
-def _per_block_sorted_walk(index, fixed):
-    """The class streams as they were before block orders were kept, with
-    values fixed per owner, as (canonical index, map, key): every block of
-    every owner's stream keys its coset-first orders under the owner's
-    automorphisms that fix the fixed values and sorts them, and the streams
-    are merged by key."""
-
-    def owner_stream(i, values):
-        state = index.algorithm.canonical_states[i]
-        sources = tuple(_free_sources(state, values))
-        taken = set(values.values())
-        targets = [e for e in range(3, index.universe_size) if e not in taken]
-        stab = list(automorphisms(state, fixing=values))
-        orders = list(coset_first(itertools.permutations(range(len(sources))), sources, stab))
-        for image in itertools.combinations(targets, len(sources)):
-            block = {}
-            for order in orders:
-                m = {**{e: e for e in LOGICAL_IDS}, **values, **{s: image[p] for s, p in zip(sources, order)}}
-                block[state_key([m[e] for e in state.base], rename_tables(state.interpretations, m))] = m
-            for key in sorted(block):
-                yield i, block[key], key
-
-    return heapq.merge(*(owner_stream(i, v) for i, v in fixed.items()), key=lambda t: t[2])
 
 
 def _walked(copies):
@@ -1425,7 +1106,8 @@ class TestClosureIndex:
                     else:
                         stream = postulates._copies_in_key_order(index, list(owners))
                     stream = itertools.islice(stream, limit)
-                    assert _walked(stream) == list(itertools.islice(_per_block_sorted_walk(index, owners), limit))
+                    walk = reference.block_walk(algorithm, universe, owners)
+                    assert _walked(stream) == list(itertools.islice(walk, limit))
         assert counts == {"unfixed": 531, "merged": 275, "fixed": 604}
         # The witness term c has the value 3; fixing it to 5 leaves 5 above
         # the first block, {3, 4}, and below the block {6, 7}, where the two
@@ -1437,7 +1119,7 @@ class TestClosureIndex:
         index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS | {c}, 9)
         vector = tuple(5 if v == 3 else v for v in index.vectors[0])
         assert 3 in index.vectors[0]
-        walk = list(_per_block_sorted_walk(index, {0: {3: 5}}))
+        walk = list(reference.block_walk(algorithm, 9, {0: {3: 5}}))
         assert _walked(postulates._coincidence_class(index, vector, [0])) == walk
 
     def test_learned_blocks_equal_full_blocks(self, default_suite, monkeypatch):
@@ -1451,7 +1133,7 @@ class TestClosureIndex:
         # vector's values.  No block builds a key: the owner's block order,
         # its coset-first orders under all its automorphisms, is keyed once,
         # by the owner's first stream.
-        keys = _key_spy(monkeypatch)
+        keys = _spy(monkeypatch, "state_key")
         cases = [(instance, 11) for instance in default_suite]
         for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=6)):
             cases.append((instance, postulates.required_headroom(instance.algorithm)))
@@ -1472,8 +1154,8 @@ class TestClosureIndex:
                 blocks = list(_stream_blocks(index, i, values))
                 assert blocks, "every owner has a copy at headroom"
                 for image, block in blocks:
-                    assert block == _full_block(state, values, image)
-                n = len(_free_sources(state, values))
+                    assert block == reference.full_block(state, values, image)
+                n = len(reference.free_sources(state, values))
                 per_block = len(blocks[0][1])
                 group = list(isomorphisms_between(state, state))
                 stab = [a for a in group if all(a[v] == v for v in values)]
@@ -1507,8 +1189,7 @@ class TestClosureIndex:
         for instance in default_suite:
             algorithm = instance.algorithm
             copies = closure(algorithm, universe)
-            expected = _materialized_closure(algorithm, universe)
-            assert [(c.canonical_index, c.renaming, c.key) for c in copies] == expected
+            assert _triples(copies) == reference.closure(algorithm, universe)
             for copy in copies:
                 assert copy.state.key() == copy.key
 
@@ -1519,28 +1200,28 @@ class TestClosureIndex:
         # term, the coincidence streams of the least and greatest vectors that
         # hold a nonlogical value must be the sorted closure restricted to
         # them, read from the owners of their shape or from every owner, and
-        # the merge must key no copy outside the class.
-        keyed = _copy_key_spy(monkeypatch)
+        # the merge must key no copy outside the class.  ``closure`` must be
+        # the reference closure, in key order.
+        keyed = _spy(monkeypatch, "renamed_key")
         fixed = 0
         for algorithm, (floor, full), universe in _stream_cases(default_suite):
-            copies = sorted(closure(algorithm, universe), key=lambda c: c.key)
+            copies = reference.closure(algorithm, universe)
+            assert _triples(closure(algorithm, universe)) == copies
             index = postulates.ClosureIndex(algorithm, floor, universe)
-            assert [_triples(members) for members in index.similarity_classes()] == [_triples(copies)]
-            assert [_triples(members) for members in index.similarity_classes(25)] == [
-                _triples(copies[:25])
-            ]
+            assert [_triples(members) for members in index.similarity_classes()] == [copies]
+            assert [_triples(members) for members in index.similarity_classes(25)] == [copies[:25]]
             index = postulates.ClosureIndex(algorithm, full, universe)
+            canonical = [evaluate_terms(state, sorted_terms(full)) for state in algorithm.canonical_states]
             vectors = {}
-            for copy in copies:
-                vector = tuple(copy.renaming[v] for v in index.vectors[copy.canonical_index])
-                vectors.setdefault(vector, []).append(copy)
+            for i, r, key in copies:
+                vectors.setdefault(tuple(r[v] for v in canonical[i]), []).append((i, r, key))
             fixing = [vector for vector in vectors if set(vector).difference(LOGICAL_IDS)]
             for vector in (min(fixing), max(fixing)) if fixing else ():
                 owners = [i for i in index.owners if _shape(index.vectors[i]) == _shape(vector)]
                 for members in (owners, index.owners):
                     keyed.clear()
                     stream = postulates._coincidence_class(index, vector, members)
-                    assert _triples(stream) == _triples(vectors[vector])
+                    assert _triples(stream) == vectors[vector]
                     assert _keyed_vectors(index, keyed) == {vector}
                 fixed += 1
         assert fixed == 270
@@ -1550,7 +1231,7 @@ class TestClosureIndex:
         # 57120.  The 4! orders are keyed once, on the first index; a second
         # index over the same algorithm keys none.
         algorithm = _path4()
-        calls = _renamed_tables_spy(monkeypatch)
+        calls = _spy(monkeypatch, "rename_tables")
         for built in (24, 0):
             calls.clear()
             (members,) = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, 20).similarity_classes(25)
@@ -1563,7 +1244,7 @@ class TestClosureIndex:
         # An owner with n nonlogical elements tries at most
         # min(P(u - 3, n), (REPLAY_PAIR_LIMIT + 2) n!) renamings.
         universe = default_config.universe_size
-        calls = _renamed_tables_spy(monkeypatch)
+        calls = _spy(monkeypatch, "rename_tables")
         replayed = 0
         for instance in default_suite:
             algorithm = instance.algorithm
@@ -1597,7 +1278,7 @@ class TestClosureIndex:
     def test_verify_equivalence_enumerates_closure_once(self, default_suite, default_config,
                                                         monkeypatch):
         # Never: the replay and new-BE's requirement-(ii) witness read class streams.
-        calls = _closure_spy(monkeypatch)
+        calls = _spy(monkeypatch, "closure")
         replayed = named = 0
         for instance in default_suite[:10]:
             for terms in instance.witnesses:
@@ -1664,10 +1345,7 @@ class TestClosureIndex:
         eq = flip.vocabulary.symbol("eq")
         foreign = [Term(Symbol(name, 0)) for name in ("zz", "yy", "xx", "ww")]
         terms = frozenset({f, mk(eq, f, f), *foreign, *(mk(eq, f, z) for z in foreign)})
-        compiles = []
-        monkeypatch.setattr(
-            postulates, "TermProgram", lambda *args: compiles.append(args) or TermProgram(*args)
-        )
+        compiles = _spy(monkeypatch, "TermProgram")
         for checker in (check_old_be, check_new_be, verify_equivalence):
             with pytest.raises(VocabularyMismatchError) as caught:
                 checker(flip, terms, 3)
@@ -1715,14 +1393,8 @@ class TestCanonicalFacts:
             and check_old_be(i.algorithm, i.witnesses[1], 11).passed
         )
         algorithm, terms = _fresh(instance.algorithm), instance.witnesses[1]
-        searches, groups, compiles = [], [], []
-
-        def spy(calls, function):
-            return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
-
-        monkeypatch.setattr(postulates, "first_isomorphic", spy(searches, postulates.first_isomorphic))
-        monkeypatch.setattr(postulates, "automorphisms", spy(groups, postulates.automorphisms))
-        monkeypatch.setattr(postulates, "TermProgram", spy(compiles, TermProgram))
+        searches, groups = _spy(monkeypatch, "first_isomorphic"), _spy(monkeypatch, "automorphisms")
+        compiles = _spy(monkeypatch, "TermProgram")
         headroom = postulates.required_headroom(algorithm)
         for universe in (headroom, headroom + 1, headroom + 2):
             assert check_old_be(algorithm, terms, universe).passed
@@ -1810,9 +1482,9 @@ _COSET_VOCABULARY = Vocabulary((Symbol("c", 0), Symbol("g", 1), Symbol("r", 2)))
 
 
 @st.composite
-def _states_with_fixed_values(draw):
-    """A state of carrier at most 5 over c/0, g/1 and r/2, a universe from
-    its headroom up, and values fixed for a random subset of its elements."""
+def _states_with_universes(draw):
+    """A state of carrier at most 5 over c/0, g/1 and r/2, and a universe
+    from its headroom up."""
     n = draw(st.integers(0, 5))
     base = [*LOGICAL_IDS, *range(3, 3 + n)]
     tables = {
@@ -1824,10 +1496,7 @@ def _states_with_fixed_values(draw):
         for symbol in _COSET_VOCABULARY.nonlogical
     }
     state = State(_COSET_VOCABULARY, base, tables)
-    universe = 2 * n + 3 + draw(st.integers(0, 2))
-    sources = draw(st.lists(st.sampled_from(base[3:]), unique=True)) if n else []
-    targets = draw(st.permutations(range(3, universe)))
-    return state, universe, dict(zip(sources, targets))
+    return state, 2 * n + 3 + draw(st.integers(0, 2))
 
 
 def _least_mentioned(rule, tables):
@@ -1860,43 +1529,42 @@ _PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
 
 class TestCosetProperties:
     @_PROPERTY_SETTINGS
-    @given(_states_with_fixed_values())
+    @given(_states_with_universes())
     def test_learned_orders_are_the_key_dedup_orders(self, case):
         # The first three blocks of the owner stream: each block's orders are
         # those that first make each key when all n! permutations are keyed.
-        # The drawn values are ignored: a coincidence class filters this
-        # stream by witness values, which arbitrary values are not; the
-        # classes are checked against the sorted closure by
+        # A coincidence class filters this stream by witness values; the
+        # classes are checked against the reference closure by
         # ``test_class_streams_match_the_sorted_closure``.
-        state, universe, _ = case
+        state, universe = case
         algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), successors=(state,))
         index = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, universe)
         for image, block in itertools.islice(_stream_blocks(index, 0, {}), 3):
-            assert block == _full_block(state, {}, image)
+            assert block == reference.full_block(state, {}, image)
 
     @_PROPERTY_SETTINGS
-    @given(_states_with_fixed_values(), st.sampled_from(_NATURAL_RULES))
+    @given(_states_with_universes(), st.sampled_from(_NATURAL_RULES))
     def test_passing_checks_evaluate_at_most_once_per_copy(self, case, rule):
         # From the tightest universe up to two above it, a passing check
         # evaluates the rule no more often than there are distinct copies.
-        state, universe, _ = case
+        state, universe = case
         n = len(state.nonlogical_elements())
         universe -= n
         algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), program=rule)
         with pytest.MonkeyPatch.context() as patch:
-            renamed = _renamed_tables_spy(patch)
+            renamed = _spy(patch, "rename_tables")
             assert check_abstract_state(algorithm, universe).passed
-        copies = {renamed_key(state, r) for r in renamings_into(state.base, universe)}
+        copies = {renamed_key(state, r) for r in reference.renamings(state.base, universe)}
         assert len(renamed) <= len(copies)
 
     @_PROPERTY_SETTINGS
-    @given(_states_with_fixed_values(), st.booleans())
+    @given(_states_with_universes(), st.booleans())
     def test_coset_first_maps_are_the_renamed_key_dedup(self, case, natural):
         # On the tightest universe or the next, the check renames exactly the
         # first support map of each distinct renaming of the tables, in
         # lexicographic order over the support, while every renaming passes;
         # under unnatural semantics its outcome is the every-map reference's.
-        state, _, _ = case
+        state, _ = case
         universe = len(state.nonlogical_elements()) + 3 + natural
         c = _COSET_VOCABULARY.symbol("c")
         algorithm = Algorithm(_COSET_VOCABULARY, (state,), (True,), program=Assign(c, (), Term(c)))
@@ -1904,8 +1572,8 @@ class TestCosetProperties:
             if not natural:
                 patch.setattr(transition, "rule_updates", _least_mentioned)
                 patch.setattr(postulates, "rule_updates", _least_mentioned)
-            expected = _outcome(reference_abstract_state, algorithm, universe)
-            renamed = _renamed_tables_spy(patch)
+            expected = _outcome(reference.abstract_state, algorithm, universe)
+            renamed = _spy(patch, "rename_tables")
             assert _outcome(check_abstract_state, algorithm, universe) == expected
             if expected[0] is True:
-                assert renamed == list(_support_copies(algorithm, 0, universe).values())
+                assert [m for _, m in renamed] == list(reference.support_copies(algorithm, 0, universe).values())

@@ -1,4 +1,5 @@
-"""The package's import structure, read from its source with ``ast``.
+"""The import structure of the package and of the tests' reference layer,
+read from their source with ``ast``.
 
 Nothing here imports ``asmkit``: each module's import statements are parsed,
 including those inside functions.
@@ -8,17 +9,18 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asmkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "asmkit"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 # The isomorphism search, and its ``Renaming`` view that the package exports.
 SEARCH = {"isomorphism_maps", "isomorphisms_between"}
 
 
-def _imports(module: str) -> list[tuple[str, tuple[str, ...]]]:
+def _imports(module: str, directory: Path = PACKAGE) -> list[tuple[str, tuple[str, ...]]]:
     """(source, names) for each import in the module, with relative sources
     written absolutely (``.kernel`` as ``asmkit.kernel``); ``import x`` has
     no names."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = ast.parse((directory / f"{module}.py").read_text(encoding="utf-8"))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -77,6 +79,17 @@ def test_harness_takes_only_the_suite_from_generate():
     from_generate = {name for source, names in imports if source == "asmkit.generate" for name in names}
     assert from_generate == {"GeneratorConfig", "generate_algorithm_suite"}
 
+
+def test_reference_reads_no_checker():
+    # The oracles read the kernel, the similarity primitives and the step,
+    # never a checker's reduction, and not the package root that exports one.
+    internal = [(source, names) for source, names in _imports("reference", TESTS) if _internal(source)]
+    sources = {source.removeprefix("asmkit.") for source, _ in internal}
+    assert sources <= {"kernel", "errors", "similarity", "transition"}
+    assert {name for source, names in internal if source == "asmkit.transition" for name in names} <= {
+        "Algorithm", "Update", "step", "update_set", "apply_rule", "apply_updates", "table_diff", "canonical_step",
+        "lift_update",
+    }
 
 
 MEMOS = {"cache", "lru_cache"}

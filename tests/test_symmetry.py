@@ -1,33 +1,20 @@
 """The symmetry module against a plain permutation search.
 
-``_reference_isomorphisms`` is an independent copy of the search without
-``fixing``: every permutation of the target's sorted nonlogical elements, in
-``itertools.permutations`` order, each checked entry by entry and validated
-as a ``Renaming``.  The states have tables closed under a random permutation
-of their nonlogical elements, so their automorphism groups are often large.
+The search is checked against ``reference.isomorphisms``, which shares no
+code with it: every permutation of the target's sorted nonlogical elements,
+in ``itertools.permutations`` order, each checked entry by entry and
+validated as a ``Renaming``.  The states have tables closed under a random
+permutation of their nonlogical elements, so their automorphism groups are
+often large.
 """
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
 from asmkit import LOGICAL_IDS, TRUE, Renaming, State, Symbol, Vocabulary, apply_renaming, isomorphisms_between
 from asmkit.symmetry import automorphisms, isomorphism_maps
+import reference
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 _VOCABULARY = Vocabulary((Symbol("c", 0), Symbol("g", 1), Symbol("r", 2)))
-
-
-def _reference_isomorphisms(x, y):
-    if x.vocabulary != y.vocabulary or len(x.base) != len(y.base):
-        return
-    xt, yt = x.interpretations, y.interpretations
-    if set(xt) != set(yt) or any(len(xt[n]) != len(yt[n]) for n in xt):
-        return
-    sources, targets = x.nonlogical_elements(), y.nonlogical_elements()
-    for perm in itertools.permutations(targets, len(sources)):
-        m = {**dict(zip(sources, perm)), **{e: e for e in LOGICAL_IDS}}
-        if all(yt[name].get(tuple(m[a] for a in args)) == m[v] for name in xt for args, v in xt[name].items()):
-            yield Renaming(m)
 
 
 def _fixes(renaming, fixing):
@@ -86,10 +73,10 @@ def _state_pairs(draw):
 @given(_state_pairs())
 def test_search_yields_the_reference_maps_in_order(case):
     x, y, fixing = case
-    reference = list(_reference_isomorphisms(x, y))
-    assert list(isomorphisms_between(x, y)) == reference
-    assert [Renaming(m) for m in isomorphism_maps(x, y)] == reference
-    assert [Renaming(m) for m in isomorphism_maps(x, y, fixing)] == [r for r in reference if _fixes(r, fixing)]
+    expected = list(reference.isomorphisms(x, y))
+    assert list(isomorphisms_between(x, y)) == expected
+    assert [Renaming(m) for m in isomorphism_maps(x, y)] == expected
+    assert [Renaming(m) for m in isomorphism_maps(x, y, fixing)] == [r for r in expected if _fixes(r, fixing)]
 
 
 @_SETTINGS

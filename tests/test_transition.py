@@ -39,7 +39,8 @@ from asmkit import (
 )
 from asmkit.generate import _random_state, _random_term
 from asmkit.transition import rule_updates
-from conftest import mk, outcome, random_state, reference_evaluator
+from conftest import mk, outcome, random_state
+import reference
 
 
 @pytest.fixture
@@ -257,7 +258,7 @@ def reference_rule_updates(vocabulary, tables, rule):
     reference the compiled rule is checked against: a term is evaluated only
     when the walk reaches it."""
     collected = {}
-    evaluate = reference_evaluator(vocabulary, tables)
+    evaluate = reference.evaluator(vocabulary, tables)
 
     def walk(r):
         if isinstance(r, Assign):
