@@ -19,25 +19,28 @@ closure: the replay reads the first ``REPLAY_PAIR_LIMIT + 1`` copies of each
 similarity class, which the index streams lazily in key order, so its cost
 hardly grows with the universe.  A class with one owner streams its copies
 in a block order kept on the algorithm and builds no copy key; the replay
-samples its pairs by position and reads no key either.  It reads the
-witness values of those copies from their vectors, builds each pair's
-similarity function from them, and routes a pair only when it carries an
-accessible update.  The route does not depend on the update, so it is found
-once per pair.  A copy is the element map that renames its canonical state,
-and the replay builds no ``State`` or ``Renaming``: each construction is a
-map composed with that one, checked as a renaming; the copy it makes is the
+samples its pairs by position and reads no key either.
+
+The replay computes on element maps and encoded updates alone.  A copy is
+the element map that renames its canonical state, a pair's similarity
+function the element map ``similarity_map`` reads off the copies' witness
+values, and an update an encoded triple, accessible by ``transition.within``.
+A pair is routed only when it carries an accessible update, and once, as the
+route does not depend on the update.  Each construction is a map composed
+with the copy's, checked by ``renaming_map``; the copy it makes is the
 canonical state's tables renamed by the composed map, evaluated by the
-index's compiled witness program, and its update set is the canonical one,
-encoded and lifted through the same map.  ``_pair_route`` proves these are
+index's compiled witness program, and its update set is the canonical
+encoded one lifted through the same map.  ``_pair_route`` proves these are
 the tables and update sets of the states the constructions stand for, so the
-replay's internal assertions test the constructions themselves.  Each
-distinct construction is built once per replay, keyed by every input it
-reads (``_Constructions``), since most of a class's sampled pairs share
-their first member; each pair still compares the copies with its own
-target.  ``construct_case1_state`` and ``construct_disjoint_copy`` run the
-same constructions and build the states.  The tests check the replay's
-routes against the paper's constructions written out on ``State``s in
-``tests/reference.py``, which shares no code with these.
+replay's assertions test the constructions themselves.  Each distinct
+construction is built once per replay, keyed by every input it reads
+(``_Constructions``); each pair still compares the copies with its own
+target.  ``State``s and ``Update``s are built only for a failure report's
+witness, and ``construct_case1_state`` and ``construct_disjoint_copy`` run
+the same constructions and build the ``State`` and ``Renaming`` for their
+callers.  The tests check the replay's routes against the paper's
+constructions written out on ``State``s in ``tests/reference.py``, which
+shares no code with these.
 """
 from __future__ import annotations
 
@@ -58,7 +61,6 @@ from .kernel import (
     State,
     Term,
     TermProgram,
-    Vocabulary,
     apply_renaming,
     lazy_property,
     rename_tables,
@@ -67,8 +69,8 @@ from .kernel import (
 )
 from .postulates import ClosureIndex, Copy, check_new_be, check_old_be
 from .report import CheckReport
-from .similarity import SimilarityFunction, equality_pattern, similarity_of_vectors
-from .transition import Algorithm, Encoded, Update, lift_encoded, lift_encoded_set
+from .similarity import equality_pattern, similarity_map
+from .transition import Algorithm, Encoded, decoded, lift_encoded, lift_encoded_set, within
 
 
 # The replay samples at most this many pairs per similarity class and carries
@@ -93,7 +95,7 @@ def construct_case1_state(
     """
     program = TermProgram(x.vocabulary, sorted_terms(terms))
     xs, ys = program.evaluate(x), program.evaluate(y)
-    sigma = similarity_of_vectors(xs, ys, program.terms)
+    sigma = similarity_map(xs, ys, program.terms)
     identity = {e: e for e in x.base}
     # one copy, x itself, so its canonical index 0 is all its key needs
     replaced = _replaced_copy(_Constructions(program, (x,)), (0,), identity, sigma, ys)
@@ -186,7 +188,7 @@ def _replaced_copy(
     constructions: _Constructions,
     source: tuple,
     x_map: dict[int, int],
-    sigma: SimilarityFunction,
+    sigma: dict[int, int],
     y_vector: tuple[int, ...],
 ) -> _Built:
     """The value replacement xi(x) of the copy x = r(c), with c the
@@ -197,16 +199,15 @@ def _replaced_copy(
     xi(x) = (xi r)(c), evaluated by the witness program on c's tables
     renamed by xi r, must have the values ``y_vector``.  xi reads only r and
     ``sigma``, so it is built once per (``source``, ``sigma``)."""
-    sigma_map = sigma._map
-    nonlogical_shared = sorted(v for v in sigma_map.keys() & sigma_map.values() if v not in LOGICAL_IDS)
+    nonlogical_shared = sorted(v for v in sigma.keys() & sigma.values() if v not in LOGICAL_IDS)
     if nonlogical_shared:
         raise CaseHypothesisError(
             f"witness value sets share nonlogical elements {nonlogical_shared}"
         )
     xi = {e: e for e in x_map.values()}
-    xi.update(sigma_map)
+    xi.update(sigma)
     try:
-        replaced = constructions.build((source[0], "xi", source, frozenset(sigma_map.items())), x_map, xi)
+        replaced = constructions.build((source[0], "xi", source, frozenset(sigma.items())), x_map, xi)
     except InvalidRenamingError as exc:
         raise CaseHypothesisError(f"value replacement is not a renaming: {exc}") from exc
     if replaced.vector != y_vector:
@@ -282,13 +283,8 @@ def _detached_copy(
     return key, detached
 
 
-def _logically_compatible(sigma: SimilarityFunction) -> bool:
-    """The similarity function fixes every logical value it touches."""
-    return all(v == w for v, w in sigma._map.items() if v in LOGICAL_IDS or w in LOGICAL_IDS)
-
-
 def _pair_route(
-    constructions: _Constructions, universe_size: int, x: Copy, y: Copy, sigma: SimilarityFunction
+    constructions: _Constructions, universe_size: int, x: Copy, y: Copy, sigma: dict[int, int]
 ) -> tuple[str, tuple[_Built, ...]]:
     """The proof's route from ``x`` to ``y`` and the copies built along it.
 
@@ -302,9 +298,10 @@ def _pair_route(
     x, and so their detached copy and often their replaced one.  Every
     comparison against ``y`` runs for each pair.
 
-    Nothing is built but element maps.  With x = r(c) for x's canonical
-    state c and r = ``x.mapping``, each constructed copy is a composed map of
-    c: eta r, then xi r or xi eta r.  It is evaluated on c's tables renamed
+    Nothing is built but element maps, ``sigma`` the similarity function's
+    (``similarity_map``).  With x = r(c) for x's canonical state c and
+    r = ``x.mapping``, each constructed copy is a composed map of c: eta r,
+    then xi r or xi eta r.  It is evaluated on c's tables renamed
     by that map, and its update set is c's encoded one lifted through it.
     These are exactly what the ``State``s that ``apply_renaming`` built gave:
     renaming r(c) by eta sends each argument and value of c's tables through
@@ -320,7 +317,7 @@ def _pair_route(
     decide what comparing ``Update`` sets decided.  So every check still
     tests the constructions themselves.
     """
-    if not _logically_compatible(sigma):
+    if any(v != w for v, w in sigma.items() if v in LOGICAL_IDS or w in LOGICAL_IDS):
         return "direct", ()
     source = (x.canonical_index, frozenset(x.mapping.items()))
     if set(x.vector).isdisjoint(y.vector):
@@ -337,7 +334,7 @@ def _pair_route(
     key, detached = _detached_copy(
         constructions, source, x.mapping, y.mapping.values(), y.vector, universe_size
     )
-    onto_y = similarity_of_vectors(detached.vector, y.vector, constructions.program.terms, detached.pattern)
+    onto_y = similarity_map(detached.vector, y.vector, constructions.program.terms, detached.pattern)
     replaced = _replaced_copy(constructions, key, detached.composed, onto_y, y.vector)
     if replaced.updates != y.encoded_delta:
         raise AsmError(
@@ -353,10 +350,11 @@ _TRANSPORT_BROKEN = {
 
 
 def _transport(
-    route: str, steps: tuple[_Built, ...], sigma: SimilarityFunction, update: Encoded
+    route: str, steps: tuple[_Built, ...], sigma: dict[int, int], update: Encoded
 ) -> Encoded:
     """Carry one accessible encoded update along the renamings of the pair's
-    route; it must land where the similarity function sends it."""
+    route; it must land where the similarity function's element map
+    ``sigma`` sends it."""
     expected = lift_encoded(sigma, update)
     moved = update
     for built in steps:
@@ -424,21 +422,18 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
 
 
 def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
-    terms, program = index.terms, index.program
-    vocabulary = index.algorithm.vocabulary
-    constructions = _Constructions(program, index.algorithm.canonical_states, index.encoded_deltas)
+    terms, program, vocabulary = index.terms, index.program, index.algorithm.vocabulary
+    constructions = _Constructions(program, index.algorithm.canonical_states, index.deltas)
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
         members = list(members)
         carried_by: dict[int, list[Encoded]] = {}  # id of a member of the class -> its carried updates
         for left, right in _sample_pairs(members, REPLAY_PAIR_LIMIT):
             # left's pattern is its owner's: renamings are injective
-            sigma = similarity_of_vectors(
-                left.vector, right.vector, program.terms, index.patterns[left.canonical_index]
-            )
+            sigma = similarity_map(left.vector, right.vector, program.terms, index.patterns[left.canonical_index])
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
-                if not sigma.is_identity:
+                if any(v != w for v, w in sigma.items()):
                     return CheckReport(
                         False,
                         "equivalence",
@@ -456,7 +451,7 @@ def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
             if carried is None:
                 accessible = set(left.vector)
                 carried = carried_by[id(left)] = [
-                    u for u in sorted(left.encoded_delta) if u[2] in accessible and accessible.issuperset(u[1])
+                    u for u in sorted(left.encoded_delta) if within(u, accessible)
                 ][:REPLAY_UPDATE_LIMIT]
             if not carried:
                 continue
@@ -471,19 +466,14 @@ def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
                         witness={
                             "left": left.state,
                             "right": right.state,
-                            "update": _decoded(vocabulary, u),
-                            "transported": _decoded(vocabulary, final),
+                            "update": decoded(vocabulary, u),
+                            "transported": decoded(vocabulary, final),
                             "route": route,
                             "terms": terms,
                         },
                     )
                 counts[route] += 1
     return {"replayed-chains": counts["case1"] + counts["case2"] + counts["direct"], **counts}
-
-
-def _decoded(vocabulary: Vocabulary, update: Encoded) -> Update:
-    name, args, value = update
-    return Update(vocabulary.symbol(name), args, value)
 
 
 def run_suite(cfg: GeneratorConfig, emit=None) -> CheckReport:

@@ -613,13 +613,13 @@ def renaming_map(mapping: Mapping[int, int]) -> dict[int, int]:
 
 def apply_renaming(state: State, renaming: Renaming) -> State:
     """The isomorphic copy of ``state`` along ``renaming``."""
-    base, tables = _renamed(state, renaming)
+    base, tables = _renamed(state, renaming._map)
     return State(state.vocabulary, base, tables)
 
 
-def renamed_key(state: State, renaming: Renaming) -> tuple:
-    """``apply_renaming(state, renaming).key()`` without building the state."""
-    return state_key(*_renamed(state, renaming))
+def renamed_key(state: State, mapping: Mapping[int, int]) -> tuple:
+    """``apply_renaming(state, Renaming(mapping)).key()``, building neither."""
+    return state_key(*_renamed(state, mapping))
 
 
 def rename_tables(
@@ -634,8 +634,7 @@ def rename_tables(
     }
 
 
-def _renamed(state: State, renaming: Renaming) -> tuple[list[int], dict]:
-    m = renaming._map
+def _renamed(state: State, m: Mapping[int, int]) -> tuple[list[int], dict]:
     missing = [e for e in state.base if e not in m]
     if missing:
         raise InvalidRenamingError(f"renaming does not cover carrier elements {sorted(missing)}")

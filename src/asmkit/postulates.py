@@ -48,7 +48,6 @@ from .kernel import (
     rename_tables,
     renamed_key,
     sorted_terms,
-    state_key,
 )
 from .report import CheckReport
 from .similarity import equality_pattern
@@ -64,12 +63,15 @@ from .transition import (
     Update,
     canonical_delta,
     canonical_step,
+    decoded,
+    encoded_rule_deltas,
     first_unnatural_successor,
     lift_encoded_set,
     lift_update_set,
     rule_updates,
     step,
     table_diff,
+    within,
 )
 
 
@@ -78,9 +80,10 @@ class Copy:
     """One state of the universe closure, r(c) for the canonical state c at
     ``canonical_index`` in ``index``'s algorithm, remembered by the raw
     element map r (``mapping``, over c's carrier) that made it.  Its key,
-    witness values and encoded update set are c's in ``index``, renamed by
-    r; its ``Renaming``, ``State`` and ``Update`` set are views built only
-    for witnesses and tests.  All are derived on first read.
+    witness values and encoded update set, c's in ``index`` renamed by r,
+    are all a check reads.  Its ``Renaming``, ``State`` and ``Update`` set,
+    c's ``canonical_delta`` or kept ``table_diff`` lifted, are views built
+    only for reports and tests.  All are derived on first read.
 
     Every map a copy is made with passes ``Renaming``'s checks, so the view
     adds no failure: a class stream's map fixes the logical ids and sends
@@ -94,7 +97,7 @@ class Copy:
 
     @lazy_property
     def key(self) -> tuple:
-        return renamed_key(self.index.algorithm.canonical_states[self.canonical_index], self.renaming)
+        return renamed_key(self.index.algorithm.canonical_states[self.canonical_index], self.mapping)
 
     @lazy_property
     def renaming(self) -> Renaming:
@@ -111,11 +114,13 @@ class Copy:
 
     @lazy_property
     def delta(self) -> frozenset[Update]:
-        return lift_update_set(self.renaming, self.index.deltas[self.canonical_index])
+        algorithm, i = self.index.algorithm, self.canonical_index
+        canonical = canonical_delta(algorithm, i) if algorithm.rule_based else self.index.facts.explicit_deltas[i]
+        return lift_update_set(self.renaming, canonical)
 
     @lazy_property
     def encoded_delta(self) -> frozenset[Encoded]:
-        return lift_encoded_set(self.mapping, self.index.encoded_deltas[self.canonical_index])
+        return lift_encoded_set(self.mapping, self.index.deltas[self.canonical_index])
 
 
 # Most renamings of the canonical states into the universe that the closure or
@@ -491,10 +496,8 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     states = algorithm.canonical_states
     if algorithm.rule_based:  # every renaming may be walked: refuse first
         _require_work_budget(algorithm, universe_size)
-        deltas = [canonical_delta(algorithm, i) for i in range(len(states))]
-        for index, (state, delta) in enumerate(zip(states, deltas)):
-            encoded = frozenset([u.encoded() for u in delta])
-            failing = _first_unnatural_rule_map(algorithm, state, encoded, universe_size)
+        for index, (state, delta) in enumerate(zip(states, encoded_rule_deltas(algorithm))):
+            failing = _first_unnatural_rule_map(algorithm, state, delta, universe_size)
             if failing is not None:
                 return _unnatural_report(algorithm, index, failing)
     else:
@@ -512,8 +515,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
             n = len(state.nonlogical_elements())
             _require_work_budget(algorithm, universe_size, math.factorial(n))
             for m in renaming_maps(state.base, n + 3):
-                renaming = Renaming(m)
-                if step(algorithm, apply_renaming(state, renaming)).key() != renamed_key(successor, renaming):
+                if step(algorithm, apply_renaming(state, Renaming(m))).key() != renamed_key(successor, m):
                     return _unnatural_report(algorithm, index, m)
             raise AssertionError("an isomorphism moved a successor but no renaming failed")
     return CheckReport(
@@ -523,15 +525,9 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     )
 
 
-def _accessible_trace(
-    delta: frozenset[Update], first: dict[int, int]
-) -> frozenset[tuple[str, tuple[int, ...], int]]:
-    """Accessible members of an update set, encoded by witness-term index class."""
-    return frozenset(
-        (u.symbol.name, tuple(first[a] for a in u.args), first[u.value])
-        for u in delta
-        if u.within(first)
-    )
+def _accessible_trace(delta: frozenset[Encoded], first: dict[int, int]) -> frozenset[Encoded]:
+    """Accessible members of an encoded update set, encoded by witness-term index class."""
+    return frozenset((u[0], tuple([first[a] for a in u[1]]), first[u[2]]) for u in delta if within(u, first))
 
 
 @dataclass(frozen=True)
@@ -550,15 +546,16 @@ class CanonicalFacts:
     """What the checks derive from an algorithm's canonical states and
     explicit successors alone, found on first use and kept: for each state
     the first state isomorphic to it (``first``), the owners, each owner's
-    automorphisms and the block order of its class stream, each
-    witness compiled, with the canonical states' witness values and
-    patterns, and an explicit-successor algorithm's update sets.  None of it
-    depends on the universe or on a rule, so every ``ClosureIndex`` and
-    check over the algorithm shares it: it lives in ``Algorithm.cache``
-    (``canonical_facts``), and no registry elsewhere refers to it.  Sharing
-    is sound because the algorithm and its states are immutable.  A failure,
-    such as a witness with an unknown symbol or a successor over another
-    carrier, is raised each time and never kept.
+    automorphisms and the block order of its class stream, each witness
+    compiled, with the canonical states' witness values and patterns, and an
+    explicit-successor algorithm's update sets, encoded for the checks and
+    as the ``Update`` sets a report lifts.  None of it depends on the
+    universe or on a rule, so every ``ClosureIndex`` and check over the
+    algorithm shares it: it lives in ``Algorithm.cache`` (``canonical_facts``),
+    and no registry elsewhere refers to it.  Sharing is sound because the
+    algorithm and its states are immutable.  A failure, such as a witness
+    with an unknown symbol or a successor over another carrier, is raised
+    each time and never kept.
 
     Nothing derived from a rule is kept, here or anywhere: a rule's update
     sets and every trace are computed afresh for each index, since the
@@ -599,6 +596,11 @@ class CanonicalFacts:
         ``table_diff`` of a canonical state and its successor."""
         return tuple([table_diff(state, succ) for state, succ in zip(self._states, self._successors)])
 
+    @lazy_property
+    def explicit_encoded(self) -> tuple[frozenset[Encoded], ...]:
+        """``explicit_deltas``, encoded."""
+        return tuple([frozenset([u.encoded() for u in delta]) for delta in self.explicit_deltas])
+
     def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
         """Canonical state i's automorphisms' element maps, identity first."""
         if i not in self._automorphisms:
@@ -612,12 +614,11 @@ class CanonicalFacts:
         stream (block-order lemma, ``_copies_in_key_order``)."""
         if i not in self._block_orders:
             state = self._states[i]
-            base, tables = state.base, state.interpretations
-            sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
+            sources = state.nonlogical_elements()
             keyed = []
             for order in coset_first(itertools.permutations(range(len(sources))), sources, self.automorphisms(i)):
                 m = {**_LOGICAL_FIXED, **{s: 3 + p for s, p in zip(sources, order)}}
-                keyed.append((state_key([m[e] for e in base], rename_tables(tables, m)), order))
+                keyed.append((renamed_key(state, m), order))
             keyed.sort()
             self._block_orders[i] = tuple([order for _, order in keyed])
         return self._block_orders[i]
@@ -653,9 +654,10 @@ class ClosureIndex:
     explicit-successor algorithm's update sets are the algorithm's
     ``CanonicalFacts``, shared with every other index over it.  A rule's
     canonical update sets, and the accessible traces, are computed at
-    construction, for this index alone.  Copies are streamed on
-    each read of ``similarity_classes`` and not kept: a copy refers to its
-    index, and the index holding its copies would make a cycle.
+    construction, for this index alone.  ``deltas`` holds them encoded, the
+    only form a check reads.  Copies are streamed on each read of
+    ``similarity_classes`` and not kept: a copy refers to its index, and the
+    index holding its copies would make a cycle.
     """
 
     def __init__(
@@ -670,16 +672,8 @@ class ClosureIndex:
         if closed:
             _require_subterm_closed(witness.program, self.terms)
         self.program, self.vectors, self.patterns = witness.program, witness.vectors, witness.patterns
-        if algorithm.rule_based:
-            self.deltas = tuple([canonical_delta(algorithm, i) for i in range(len(self.vectors))])
-        else:
-            self.deltas = self.facts.explicit_deltas
+        self.deltas = encoded_rule_deltas(algorithm) if algorithm.rule_based else self.facts.explicit_encoded
         self.traces = [_accessible_trace(d, first) for d, first in zip(self.deltas, witness.firsts)]
-
-    @lazy_property
-    def encoded_deltas(self) -> list[frozenset[Encoded]]:
-        """The canonical update sets, encoded."""
-        return [frozenset([u.encoded() for u in delta]) for delta in self.deltas]
 
     @property
     def owners(self) -> tuple[int, ...]:
@@ -725,17 +719,16 @@ def _requirement_ii_witness(index: ClosureIndex) -> dict:
             if trace == base_trace:
                 continue
             name, arg_idx, value_idx = min(trace.symmetric_difference(base_trace))
-            symbol = index.algorithm.vocabulary.symbol(name)
-            u_left = Update(symbol, tuple(base.vector[i] for i in arg_idx), base.vector[value_idx])
-            u_right = Update(symbol, tuple(copy.vector[i] for i in arg_idx), copy.vector[value_idx])
+            u_left = (name, tuple([base.vector[i] for i in arg_idx]), base.vector[value_idx])
+            u_right = (name, tuple([copy.vector[i] for i in arg_idx]), copy.vector[value_idx])
             return {
                 "requirement": "ii",
                 "left": base.state,
                 "right": copy.state,
-                "update": u_left,
-                "lifted_update": u_right,
-                "in_left": u_left in base.delta,
-                "in_right": u_right in copy.delta,
+                "update": decoded(index.algorithm.vocabulary, u_left),
+                "lifted_update": decoded(index.algorithm.vocabulary, u_right),
+                "in_left": u_left in base.encoded_delta,
+                "in_right": u_right in copy.encoded_delta,
                 "terms": index.terms,
             }
     raise AssertionError("requirement (ii) failed on the canonical states but not on the closure")
@@ -814,9 +807,9 @@ def check_old_be(
     for i in index.owners:
         vector = index.vectors[i]
         least = _least_map(vector)
-        inside = all(u.within(least) for u in index.deltas[i])
+        inside = all(within(u, least) for u in index.deltas[i])
         shapes.setdefault(tuple([least[v] for v in vector]), []).append(
-            (i, lift_encoded_set(least, index.encoded_deltas[i]) if inside else None)
+            (i, lift_encoded_set(least, index.deltas[i]) if inside else None)
         )
     failing = []
     for vector, members in shapes.items():
@@ -827,8 +820,8 @@ def check_old_be(
         vector = min(failing)
         group = _coincidence_class(index, vector, [i for i, _ in shapes[vector]])
         left = next(group)
-        for right in group:  # read, and update sets lifted, only up to the first that differs
-            if right.delta != left.delta:
+        for right in group:  # read only up to the first whose update set differs
+            if right.encoded_delta != left.encoded_delta:
                 return CheckReport(
                     False,
                     "old-be",
@@ -877,19 +870,17 @@ def check_new_be(
         index = ClosureIndex(algorithm, terms, universe_size)
     terms = index.terms
     witness_i: dict | None = None
-    for i, state in enumerate(index.algorithm.canonical_states):
+    for i, delta in enumerate(index.deltas):
         accessible = frozenset(index.vectors[i])
-        for u in sorted(index.deltas[i], key=lambda u: u.encoded()):
-            if not u.within(accessible):
-                witness_i = {
-                    "requirement": "i",
-                    "state": state,
-                    "update": u,
-                    "accessible": accessible,
-                    "terms": terms,
-                }
-                break
-        if witness_i:
+        outside = sorted(u for u in delta if not within(u, accessible))
+        if outside:
+            witness_i = {
+                "requirement": "i",
+                "state": index.algorithm.canonical_states[i],
+                "update": decoded(index.algorithm.vocabulary, outside[0]),
+                "accessible": accessible,
+                "terms": terms,
+            }
             break
 
     first_trace: dict[tuple[int, ...], frozenset] = {}  # pattern -> its first owner's trace

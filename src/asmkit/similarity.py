@@ -6,11 +6,13 @@ the two value sets sending each term's value in one state to its value in
 the other.  An element is accessible when some witness term names it; an
 update is accessible when all its components are.
 
-One core serves each notion: ``equality_pattern`` encodes every equality
-pattern, ``SimilarityFunction`` is a ``kernel.InjectiveMap`` like ``Renaming``,
-``similarity_of_vectors`` builds it from values already evaluated (as
-``similarity_function`` does after evaluating), and ``Update.within`` is the
-one accessibility test.
+One core serves each notion, and the checkers compute on it alone:
+``equality_pattern`` encodes every equality pattern, ``similarity_map``
+builds the similarity function's element map from values already evaluated,
+and ``transition.within``, on an encoded update, is the one accessibility
+test.  ``SimilarityFunction``, a ``kernel.InjectiveMap`` like ``Renaming``,
+is a view built for callers and reports (``similarity_of_vectors``, and
+``similarity_function`` after evaluating), as ``Update`` is.
 """
 from __future__ import annotations
 
@@ -47,13 +49,6 @@ class SimilarityFunction(InjectiveMap):
         if len(set(m.values())) != len(m):
             raise NotSimilarError("similarity mapping is not injective")
         self._map = m
-
-    @classmethod
-    def _of_injective(cls, mapping: dict[int, int]) -> SimilarityFunction:
-        """The function on ``mapping``, already checked injective, kept as it is."""
-        sigma = cls.__new__(cls)
-        sigma._map = mapping
-        return sigma
 
     def _outside(self, element: int) -> AsmError:
         return InaccessibleUpdateError(
@@ -98,15 +93,20 @@ def similarity_function(x: State, y: State, terms: Iterable[Term]) -> Similarity
 
 
 def similarity_of_vectors(
-    xs: Sequence[int],
-    ys: Sequence[int],
-    order: Sequence[Term],
-    pattern: Sequence[int] | None = None,
+    xs: Sequence[int], ys: Sequence[int], order: Sequence[Term], pattern: Sequence[int] | None = None
 ) -> SimilarityFunction:
-    """The similarity function of two states given their values of the terms
-    in ``order``; ``NotSimilarError`` unless the value vectors realize the
-    same equality pattern.  ``pattern``, when given, is ``xs``' equality
-    pattern, already known (an injective renaming keeps a pattern)."""
+    """The ``SimilarityFunction`` view of ``similarity_map``."""
+    return SimilarityFunction(similarity_map(xs, ys, order, pattern))
+
+
+def similarity_map(
+    xs: Sequence[int], ys: Sequence[int], order: Sequence[Term], pattern: Sequence[int] | None = None
+) -> dict[int, int]:
+    """The element map of the similarity function of two states given their
+    values of the terms in ``order``; ``NotSimilarError`` unless the value
+    vectors realize the same equality pattern.  ``pattern``, when given, is
+    ``xs``' equality pattern, already known (an injective renaming keeps a
+    pattern)."""
     if pattern is None:
         pattern = equality_pattern(xs)[0]
     if [ys[first] for first in pattern] != list(ys):
@@ -121,7 +121,7 @@ def similarity_of_vectors(
         raise NotSimilarError(
             "states are not similar over the witness: value pattern collapses on one side"
         )
-    return SimilarityFunction._of_injective(mapping)
+    return mapping
 
 
 def check_lemma_identity(x: State, y: State, terms: Iterable[Term]) -> CheckReport:

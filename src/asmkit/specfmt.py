@@ -191,6 +191,8 @@ class _Parser:
                     raise SpecParseError(f"bad arity in {token!r}", lineno)
                 try:
                     symbols.append(Symbol(name, int(arity_text)))
+                except ValueError:  # a digit int() does not read, such as '²', or too many digits
+                    raise SpecParseError(f"bad arity in {token!r}", lineno) from None
                 except ValidationError as exc:
                     raise SpecParseError(str(exc), lineno) from exc
         try:

@@ -60,12 +60,28 @@ class Update:
         return (self.symbol.name, self.args, self.value)
 
     def within(self, values: Container[int]) -> bool:
-        """Whether all components lie in ``values``: accessibility, over witness values."""
-        return self.value in values and all(a in values for a in self.args)
+        """Whether all components lie in ``values`` (``within``)."""
+        return within(self.encoded(), values)
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         return f"({self.symbol.name}, ({inner}), {self.value})"
+
+
+# An update as ``Update.encoded`` gives it: (symbol name, args, value), the form
+# the checkers compute on.  Symbol names are unique in a vocabulary, so over one
+# vocabulary encoded updates are equal exactly when the updates are.
+Encoded = tuple[str, tuple[int, ...], int]
+
+
+def within(update: Encoded, values: Container[int]) -> bool:
+    """Accessibility over witness values: the update's value and arguments all lie in ``values``."""
+    return update[2] in values and all(a in values for a in update[1])
+
+
+def decoded(vocabulary: Vocabulary, update: Encoded) -> Update:
+    """The ``Update`` an encoded update over ``vocabulary`` stands for."""
+    return Update(vocabulary.symbol(update[0]), update[1], update[2])
 
 
 @dataclass(frozen=True)
@@ -186,9 +202,8 @@ def apply_rule(state: State, rule: Rule | CompiledRule) -> frozenset[Update]:
         rule = CompiledRule(vocabulary, rule)
     elif rule.vocabulary is not vocabulary and rule.vocabulary != vocabulary:
         rule = CompiledRule(vocabulary, rule.rule)
-    symbol = vocabulary.symbol
     return frozenset(
-        Update(symbol(name), args, value)
+        decoded(vocabulary, (name, args, value))
         for (name, args), value in rule_updates(rule, state.interpretations).items()
     )
 
@@ -339,6 +354,14 @@ def canonical_delta(algorithm: Algorithm, index: int) -> frozenset[Update]:
     return table_diff(source, algorithm.successors[index])
 
 
+def encoded_rule_deltas(algorithm: Algorithm) -> tuple[frozenset[Encoded], ...]:
+    """``canonical_delta`` of every canonical state of a rule-based algorithm,
+    encoded straight from ``rule_updates``; all are computed afresh, first."""
+    rule = algorithm.compiled
+    found = [rule_updates(rule, state.interpretations) for state in algorithm.canonical_states]
+    return tuple([frozenset([(name, args, v) for (name, args), v in updates.items()]) for updates in found])
+
+
 def step(algorithm: Algorithm, state: State) -> State:
     """One step of the algorithm; the carrier never changes."""
     index, renaming = locate(algorithm, state)
@@ -407,12 +430,6 @@ def lift_update(mapping: InjectiveMap, update: Update) -> Update:
 def lift_update_set(renaming: Renaming, updates: Iterable[Update]) -> frozenset[Update]:
     """Element-wise application of a renaming to an update set."""
     return frozenset(lift_update(renaming, u) for u in updates)
-
-
-# An update as ``Update.encoded`` gives it: (symbol name, args, value).  Symbol
-# names are unique in a vocabulary, so over one vocabulary encoded updates are
-# equal exactly when the updates are.
-Encoded = tuple[str, tuple[int, ...], int]
 
 
 def lift_encoded(mapping: Mapping[int, int] | InjectiveMap, update: Encoded) -> Encoded:

@@ -32,6 +32,31 @@ witness W:
 """
 
 
+# ``check new-be specs/requirement-ii.spec --witness W --universe 7``, byte
+# for byte: the one checked-in requirement-(ii) failure.
+REQUIREMENT_II_REPORT = """\
+FAIL new-be requirement (ii) violated
+  note: requirement-i=pass
+  note: requirement-ii=fail
+  note: similarity-classes=1
+  witness:
+    requirement: ii
+    left: state witness:
+        elements e3
+        f = FALSE
+    right: state witness:
+        elements e3 e4
+        g = e3
+    update: (f, (), 0)
+    lifted_update: (f, (), 0)
+    in_left: False
+    in_right: True
+    terms: {false, true, undef}
+    requirement_i_passed: True
+    requirement_ii_passed: False
+"""
+
+
 class TestCheckCommand:
     def test_old_be_fails_with_witness_pair(self, capsys):
         code = main(["check", "old-be", "--witness", "T1", SPEC, "--universe", "7"])
@@ -86,6 +111,11 @@ class TestCheckCommand:
         assert code == 1
         assert "requirement (i)" in out
 
+    def test_new_be_names_a_requirement_ii_witness(self, capsys):
+        spec = str(REPO_ROOT / "specs" / "requirement-ii.spec")
+        code = main(["check", "new-be", "--witness", "W", spec, "--universe", "7"])
+        assert (code, capsys.readouterr().out) == (1, REQUIREMENT_II_REPORT)
+
     def test_equivalence_agreement(self, capsys):
         code = main(["check", "equivalence", "--witness", "T1", SPEC, "--universe", "7"])
         out = capsys.readouterr().out
@@ -119,6 +149,15 @@ class TestCheckCommand:
         code = main(["check", "new-be", "--witness", "W", str(doc), "--universe", "5"])
         assert code == 2
         assert "subterm-closed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arity", ["\u00b2", "1" * 5000])
+    def test_unreadable_arity_is_one_error_line(self, tmp_path, capsys, arity):
+        doc = tmp_path / "arity.spec"
+        doc.write_text(f"vocabulary:\n  f/{arity}\nstate S:\n  elements x\ntransition:\n  state S -> S\n", "utf-8")
+        assert main(["check", "sequential-time", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: line 2: bad arity in 'f/{arity}'"]
 
     def test_missing_file(self, capsys):
         assert main(["check", "sequential-time", "no-such-file.spec"]) == 2

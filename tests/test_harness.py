@@ -13,6 +13,7 @@ from asmkit import (
     GeneratorConfig,
     HeadroomError,
     Renaming,
+    SimilarityFunction,
     State,
     Symbol,
     TRUE_TERM,
@@ -43,7 +44,7 @@ from asmkit import (
     verify_equivalence,
 )
 from asmkit import harness
-from asmkit.kernel import LOGICAL_IDS, rename_tables
+from asmkit.kernel import LOGICAL_IDS, rename_tables, renaming_map
 from asmkit.postulates import ClosureIndex, Copy
 from asmkit.transition import lift_encoded
 import reference
@@ -242,10 +243,15 @@ def _swapping_compose(outer, inner):
     return {e: swap.get(v, v) for e, v in composed.items()}
 
 
+class _RouteMap(dict):
+    """A route's element map, as ``renaming_map`` checked it, told apart from
+    the similarity function's element map by its type."""
+
+
 def _unlifted_by_route_maps(mapping, update):
     """Lifts through the similarity function only: the route's element maps
     leave the update where it was."""
-    return update if isinstance(mapping, dict) else lift_encoded(mapping, update)
+    return update if isinstance(mapping, _RouteMap) else lift_encoded(mapping, update)
 
 
 class TestReplayAssertions:
@@ -286,6 +292,7 @@ class TestReplayAssertions:
         ],
     )
     def test_transport_must_match_similarity_lift(self, monkeypatch, case1_only, message):
+        monkeypatch.setattr(harness, "renaming_map", lambda mapping: _RouteMap(renaming_map(mapping)))
         monkeypatch.setattr(harness, "lift_encoded", _unlifted_by_route_maps)
         with pytest.raises(AsmError, match=f"^{message}$"):
             self._replay(monkeypatch, logical=not case1_only, case1_only=case1_only)
@@ -391,6 +398,34 @@ class TestMapLevelRoute:
                     replayed += 1
         assert replayed == 266
         assert built == []
+
+
+class TestReportOnlyObjects:
+    """The checks and the replay compute on element maps and encoded
+    updates; ``Update``, ``Renaming``, ``SimilarityFunction`` and ``State``
+    are built only for what a report names."""
+
+    def test_warm_double_pass_checks_build_none(self, monkeypatch, default_suite, default_config):
+        # Every double-pass check of the default suite at u=11, run again once
+        # its algorithm's canonical facts are kept: no report is made, so
+        # none of the four may be constructed.
+        universe = default_config.universe_size
+        double = []
+        for instance in default_suite:
+            for terms in instance.witnesses:
+                notes = verify_equivalence(instance.algorithm, terms, universe).notes
+                if "old-be=pass" in notes and "new-be=pass" in notes:
+                    double.append((instance.algorithm, terms))
+        built = []
+        for cls, name in ((Update, "__post_init__"), (Renaming, "__init__"), (SimilarityFunction, "__init__"),
+                          (State, "__init__")):
+            def spy(self, *args, _made=getattr(cls, name), **kwargs):
+                built.append(type(self).__name__)
+                return _made(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, spy)
+        for algorithm, terms in double:
+            assert verify_equivalence(algorithm, terms, universe).passed
+        assert (len(double), built) == (266, [])
 
 
 def _spied_builds(monkeypatch):

@@ -61,9 +61,9 @@ from asmkit import (
     witness_monotonicity,
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
-from asmkit.kernel import TermProgram, rename_tables, renamed_key, state_key
+from asmkit.kernel import TermProgram, renaming_map
 from asmkit.symmetry import automorphisms
-from asmkit.transition import rule_updates
+from asmkit.transition import encoded_rule_deltas, lift_encoded_set, rule_updates
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 import reference
 
@@ -297,13 +297,13 @@ class TestAbstractState:
             calls.append(state.key())
             return step(algorithm, state)
 
-        # D is read through canonical_delta, once per canonical state, and
-        # no successor is built or diffed.
+        # Every D is read, encoded, by one encoded_rule_deltas call, and no
+        # successor is built or diffed.
         deltas, rebuilt = [], []
 
-        def delta_read(algorithm, index):
-            deltas.append(index)
-            return canonical_delta(algorithm, index)
+        def delta_read(algorithm):
+            deltas.append(algorithm)
+            return encoded_rule_deltas(algorithm)
 
         def spy(name, function):
             def spied(*args):
@@ -315,7 +315,7 @@ class TestAbstractState:
         spy("table_diff", table_diff)
         monkeypatch.setattr(postulates, "rule_updates", evaluated)
         monkeypatch.setattr(postulates, "step", stepped)
-        monkeypatch.setattr(postulates, "canonical_delta", delta_read)
+        monkeypatch.setattr(postulates, "encoded_rule_deltas", delta_read)
         backends, evaluations, copies = set(), 0, 0
         for instance in default_suite[:20]:
             algorithm = instance.algorithm
@@ -328,11 +328,12 @@ class TestAbstractState:
             if not algorithm.rule_based:  # decided on the canonical states
                 assert calls == deltas == []
                 continue
-            assert deltas == list(range(len(algorithm.canonical_states)))
+            assert deltas == [algorithm]
             expected = []
             for i, state in enumerate(algorithm.canonical_states):
                 expected += list(reference.support_copies(algorithm, i, universe))
-                copies += len({renamed_key(state, r) for r in reference.renamings(state.base, universe)})
+                maps = reference.renaming_maps(state.base, universe)
+                copies += len({reference.copy_key(state, m) for m in maps})
             assert calls == expected
             evaluations += len(calls)
         assert backends == {True, False}
@@ -418,7 +419,7 @@ class TestAbstractState:
         assert _outcome(check_abstract_state, algorithm, universe) == _outcome(
             reference.abstract_state, algorithm, universe
         )
-        copies = {renamed_key(state, m) for m in reference.renamings(state.base, universe)}
+        copies = {reference.copy_key(state, m) for m in reference.renaming_maps(state.base, universe)}
         assert len(evaluated) == len(copies) == math.comb(universe - 3, 4)
 
     @pytest.mark.parametrize("universe", [7, 8, 9])
@@ -564,7 +565,7 @@ def _restless_suite(count, seed=0):
             terms |= LOGICAL_TERMS
         index = postulates.ClosureIndex(algorithm, terms, postulates.required_headroom(algorithm))
         if any(
-            lift_update_set(a, index.deltas[i]) != index.deltas[i]
+            lift_encoded_set(a, index.deltas[i]) != index.deltas[i]
             for i in index.owners
             for a in isomorphisms_between(states[i], states[i])
         ):
@@ -696,9 +697,10 @@ class TestOldBE:
         # Once an algorithm's block orders are kept, naming a failing
         # coincidence class builds no block key and searches no group, and
         # the merge keys only copies of the class: each owner's stream is
-        # filtered before the merge.
+        # filtered before the merge.  Block keys and merge keys are both
+        # ``renamed_key`` calls, so a block key would add to the count.
         universe = default_config.universe_size
-        keys, merged = _spy(monkeypatch, "state_key"), _spy(monkeypatch, "renamed_key")
+        merged = _spy(monkeypatch, "renamed_key")
         groups = _spy(monkeypatch, "automorphisms")
         named = keyed = 0
         for instance in default_suite:
@@ -707,11 +709,11 @@ class TestOldBE:
                 warm = check_old_be(algorithm, terms, universe)
                 if warm.passed:
                     continue
-                for calls in (keys, groups, merged):
+                for calls in (groups, merged):
                     calls.clear()
                 report = check_old_be(algorithm, terms, universe)
                 assert _report_fields(report) == _report_fields(warm)
-                assert (keys, groups) == ([], [])
+                assert groups == []
                 index = postulates.ClosureIndex(algorithm, terms, universe)
                 vector = tuple(index.program.evaluate(report.witness["left"]))
                 assert _keyed_vectors(index, merged) <= {vector}
@@ -1132,8 +1134,9 @@ class TestClosureIndex:
         # hold n!/|Stab| copies, Stab the owner's automorphisms that fix the
         # vector's values.  No block builds a key: the owner's block order,
         # its coset-first orders under all its automorphisms, is keyed once,
-        # by the owner's first stream.
-        keys = _spy(monkeypatch, "state_key")
+        # by the owner's first stream.  Block orders and copies are both keyed
+        # by ``renamed_key``, and the blocks below read each copy's key once.
+        keys = _spy(monkeypatch, "renamed_key")
         cases = [(instance, 11) for instance in default_suite]
         for instance in generate_algorithm_suite(GeneratorConfig(max_carrier_size=5, instances=6)):
             cases.append((instance, postulates.required_headroom(instance.algorithm)))
@@ -1161,7 +1164,7 @@ class TestClosureIndex:
                 stab = [a for a in group if all(a[v] == v for v in values)]
                 assert per_block == math.factorial(n) // len(stab)
                 orders = math.factorial(len(state.nonlogical_elements())) // len(group)
-                assert len(keys) == (0 if i in keyed else orders)
+                assert len(keys) == (0 if i in keyed else orders) + sum(len(block) for _, block in blocks)
                 keyed.add(i)
                 streams += 1
                 learned += per_block < math.factorial(n)
@@ -1202,13 +1205,16 @@ class TestClosureIndex:
         # them, read from the owners of their shape or from every owner, and
         # the merge must key no copy outside the class.  ``closure`` must be
         # the reference closure, in key order.
+        # Every stream map is a renaming's element map, as ``Copy`` claims.
         keyed = _spy(monkeypatch, "renamed_key")
         fixed = 0
         for algorithm, (floor, full), universe in _stream_cases(default_suite):
             copies = reference.closure(algorithm, universe)
             assert _triples(closure(algorithm, universe)) == copies
             index = postulates.ClosureIndex(algorithm, floor, universe)
-            assert [_triples(members) for members in index.similarity_classes()] == [copies]
+            classes = [list(members) for members in index.similarity_classes()]
+            assert all(renaming_map(copy.mapping) == copy.mapping for members in classes for copy in members)
+            assert [_triples(members) for members in classes] == [copies]
             assert [_triples(members) for members in index.similarity_classes(25)] == [copies[:25]]
             index = postulates.ClosureIndex(algorithm, full, universe)
             canonical = [evaluate_terms(state, sorted_terms(full)) for state in algorithm.canonical_states]
@@ -1220,7 +1226,8 @@ class TestClosureIndex:
                 owners = [i for i in index.owners if _shape(index.vectors[i]) == _shape(vector)]
                 for members in (owners, index.owners):
                     keyed.clear()
-                    stream = postulates._coincidence_class(index, vector, members)
+                    stream = list(postulates._coincidence_class(index, vector, members))
+                    assert all(renaming_map(copy.mapping) == copy.mapping for copy in stream)
                     assert _triples(stream) == vectors[vector]
                     assert _keyed_vectors(index, keyed) == {vector}
                 fixed += 1
@@ -1231,7 +1238,7 @@ class TestClosureIndex:
         # 57120.  The 4! orders are keyed once, on the first index; a second
         # index over the same algorithm keys none.
         algorithm = _path4()
-        calls = _spy(monkeypatch, "rename_tables")
+        calls = _spy(monkeypatch, "renamed_key")
         for built in (24, 0):
             calls.clear()
             (members,) = postulates.ClosureIndex(algorithm, LOGICAL_TERMS, 20).similarity_classes(25)
@@ -1242,9 +1249,10 @@ class TestClosureIndex:
         self, default_suite, default_config, monkeypatch
     ):
         # An owner with n nonlogical elements tries at most
-        # min(P(u - 3, n), (REPLAY_PAIR_LIMIT + 2) n!) renamings.
+        # min(P(u - 3, n), (REPLAY_PAIR_LIMIT + 2) n!) renamings, each made
+        # into a ``Copy`` by its stream.
         universe = default_config.universe_size
-        calls = _spy(monkeypatch, "rename_tables")
+        calls = _spy(monkeypatch, "Copy")
         replayed = 0
         for instance in default_suite:
             algorithm = instance.algorithm
@@ -1554,7 +1562,7 @@ class TestCosetProperties:
         with pytest.MonkeyPatch.context() as patch:
             renamed = _spy(patch, "rename_tables")
             assert check_abstract_state(algorithm, universe).passed
-        copies = {renamed_key(state, r) for r in reference.renamings(state.base, universe)}
+        copies = {reference.copy_key(state, m) for m in reference.renaming_maps(state.base, universe)}
         assert len(renamed) <= len(copies)
 
     @_PROPERTY_SETTINGS

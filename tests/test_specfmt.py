@@ -125,6 +125,19 @@ transition:
         with pytest.raises(SpecParseError, match="applied to 1 arguments"):
             parse_spec(text)
 
+    @pytest.mark.parametrize("arity", ["\u00b2", "1" * 5000])
+    def test_digits_int_does_not_read_are_a_bad_arity(self, arity):
+        # str.isdigit accepts a superscript two, and int() refuses more than
+        # 4300 digits; both are a bad arity, not a ValueError.
+        text = f"vocabulary:\n  f/{arity}\nstate S:\n  elements x\ntransition:\n  state S -> S\n"
+        with pytest.raises(SpecParseError, match="^line 2: bad arity in 'f/") as excinfo:
+            parse_spec(text)
+        assert excinfo.value.line == 2
+
+    def test_other_decimal_digits_still_parse(self):
+        text = "vocabulary:\n  f/\u0663\nstate S:\n  elements x\ntransition:\n  state S -> S\n"
+        assert parse_spec(text).vocabulary.symbol("f").arity == 3
+
     def test_unknown_symbol(self):
         text = """
 vocabulary:

@@ -80,6 +80,23 @@ def test_harness_takes_only_the_suite_from_generate():
     assert from_generate == {"GeneratorConfig", "generate_algorithm_suite"}
 
 
+def test_only_the_map_classes_read_their_element_maps():
+    # ``kernel`` and ``similarity`` define ``InjectiveMap`` and its views;
+    # every other module computes on raw element maps and never reads a
+    # view's ``_map``.
+    readers = {
+        module
+        for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_map"
+    }
+    assert readers <= {"kernel", "similarity"}
+
+
+def test_harness_does_not_import_the_similarity_view():
+    assert [names for _, names in _imports("harness") if "SimilarityFunction" in names] == []
+
+
 def test_reference_reads_no_checker():
     # The oracles read the kernel, the similarity primitives and the step,
     # never a checker's reduction, and not the package root that exports one.
