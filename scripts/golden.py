@@ -6,17 +6,18 @@
     python3 scripts/golden.py --diff ../parent     # both trees; exit 1 when a group differs
     python3 scripts/golden.py --expect scripts/golden.txt  # exit 1 when a group differs from its pin
 
-A tree is a checkout of this repository; its ``src`` is imported.  Every
-digest is taken under ``PYTHONHASHSEED=0``, which the script sets for itself,
-since a witness may hold sets whose order follows the hash.  A report is
-recorded as (passed, label, detail, notes, repr(witness)), and an error as its
-type and text; a CLI command as its arguments, exit code, stdout and stderr.
-The CLI runs from this script's tree, on its ``specs``, with the other tree's
-``src``, so both trees read the same documents.
+A tree is a checkout of this repository; its ``src`` is imported.  A report
+is recorded as (passed, label, detail, notes, repr(witness)), and an error as
+its type and text; a CLI command as its arguments, exit code, stdout and
+stderr.  The CLI runs from this script's tree, on its ``specs``, with the
+other tree's ``src``, so both trees read the same documents.  No hash is
+salted into a record: a witness's sets hold terms and updates, whose hashes
+read no string hash, so they print in one order under any ``PYTHONHASHSEED``
+and on every Python.
 
 ``scripts/golden.txt`` pins each group's digest, one ``group digest`` line
-each; a line ``group digest X.Y`` holds instead on Python X.Y only.  A change
-that alters a report's or the CLI's bytes on purpose updates that file.
+each.  A change that alters a report's or the CLI's bytes on purpose updates
+that file.
 
 Groups:
 - ``suites``: the generated suites, each instance's algorithm and witnesses;
@@ -178,33 +179,25 @@ def records(group: str, tree: Path):
         raise ValueError(f"unknown group {group!r}")
 
 
-def run_tree(tree: Path, groups: list[str], dump: bool) -> dict[str, str]:
+def run_tree(tree: Path, groups: list[str]) -> dict[str, str]:
     """Each group's SHA-256 over its records, one repr per line, in ``tree``,
-    under PYTHONHASHSEED=0; with ``dump``, print the records instead."""
+    taken in a child process that imports ``tree``'s ``src``."""
     command = [sys.executable, __file__, "--tree", str(tree), *(f"--group={g}" for g in groups)]
-    if dump:
-        command.append("--dump")
-    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(command, env=env, capture_output=not dump, text=True, check=True)
-    if dump:
-        return {}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return dict(line.split() for line in done.stdout.splitlines())
 
 
 def pinned(path: Path) -> dict[str, str]:
-    """The digests ``path`` pins for the running Python version."""
-    version = "%d.%d" % sys.version_info[:2]
-    general, specific = {}, {}
+    """The digests ``path`` pins, one ``group digest`` line per group."""
+    digests = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         fields = line.split("#", 1)[0].split()
-        if len(fields) == 2:
-            general[fields[0]] = fields[1]
-        elif len(fields) == 3:
-            if fields[2] == version:
-                specific[fields[0]] = fields[1]
+        if len(fields) == 2 and fields[0] not in digests:
+            digests[fields[0]] = fields[1]
         elif fields:
-            raise ValueError(f"{path}: not a 'group digest [X.Y]' line: {line!r}")
-    return {**general, **specific}
+            raise ValueError(f"{path}: not one 'group digest' line per group: {line!r}")
+    return digests
 
 
 def compare(expected: dict[str, str], actual: dict[str, str], groups: list[str]) -> int:
@@ -226,13 +219,10 @@ def main() -> int:
     groups = args.group or list(GROUPS)
     tree = args.tree.resolve()
     if args.diff is not None:
-        return compare(run_tree(args.diff.resolve(), groups, False), run_tree(tree, groups, False), groups)
+        return compare(run_tree(args.diff.resolve(), groups), run_tree(tree, groups), groups)
     if args.expect is not None:
-        return compare(pinned(args.expect), run_tree(tree, groups, False), groups)
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        for group, digest in run_tree(tree, groups, args.dump).items():
-            print(group, digest)
-        return 0
+        return compare(pinned(args.expect), run_tree(tree, groups), groups)
+    sys.dont_write_bytecode = True
     sys.path.insert(0, str(tree / "src"))
     for group in groups:
         digest = hashlib.sha256()

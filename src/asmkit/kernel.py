@@ -73,6 +73,10 @@ class Symbol:
     name: str
     arity: int
     kind: str = KIND_NONLOGICAL
+    # Read from the name's UTF-8 bytes as an integer, never from a str hash,
+    # so it is the same in every process and on every Python: so are the
+    # hashes of terms and updates, and the order their sets print in.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_identifier(self.name):
@@ -81,6 +85,11 @@ class Symbol:
             raise ValidationError(f"negative arity for symbol {self.name}")
         if self.kind not in (KIND_LOGICAL, KIND_NONLOGICAL):
             raise ValidationError(f"bad symbol kind {self.kind!r}")
+        name = int.from_bytes(self.name.encode(), "big")
+        object.__setattr__(self, "_hash", hash((name, self.arity, self.kind == KIND_LOGICAL)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -170,8 +179,8 @@ class Term:
     children: tuple["Term", ...] = ()
     # Rendered once per term: witness sets are sorted by this text.
     _text: str = field(init=False, repr=False, compare=False)
-    # Hashed once per term, to the value the generated hash would give, so a
-    # hash costs no walk of the subtree and set orders stay as they were.
+    # Hashed once per term, as the generated hash would, so a hash costs no
+    # walk of the subtree; it reads only symbol hashes, so no process salts it.
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -188,11 +197,6 @@ class Term:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # String hashes are salted per process, so a term is rebuilt, and
-        # rehashed, where it is loaded rather than carrying its cached hash.
-        return type(self), (self.root, self.children)
 
     def subterms(self) -> Iterator["Term"]:
         yield self

@@ -61,13 +61,11 @@ from .transition import (
     Algorithm,
     Encoded,
     Update,
-    canonical_delta,
     canonical_step,
     decoded,
     encoded_rule_deltas,
     first_unnatural_successor,
     lift_encoded_set,
-    lift_update_set,
     rule_updates,
     step,
     table_diff,
@@ -82,8 +80,8 @@ class Copy:
     element map r (``mapping``, over c's carrier) that made it.  Its key,
     witness values and encoded update set, c's in ``index`` renamed by r,
     are all a check reads.  Its ``Renaming``, ``State`` and ``Update`` set,
-    c's ``canonical_delta`` or kept ``table_diff`` lifted, are views built
-    only for reports and tests.  All are derived on first read.
+    the encoded set decoded in sorted order, are views built only for
+    reports and tests.  All are derived on first read.
 
     Every map a copy is made with passes ``Renaming``'s checks, so the view
     adds no failure: a class stream's map fixes the logical ids and sends
@@ -114,9 +112,8 @@ class Copy:
 
     @lazy_property
     def delta(self) -> frozenset[Update]:
-        algorithm, i = self.index.algorithm, self.canonical_index
-        canonical = canonical_delta(algorithm, i) if algorithm.rule_based else self.index.facts.explicit_deltas[i]
-        return lift_update_set(self.renaming, canonical)
+        vocabulary = self.index.algorithm.vocabulary
+        return frozenset([decoded(vocabulary, u) for u in sorted(self.encoded_delta)])
 
     @lazy_property
     def encoded_delta(self) -> frozenset[Encoded]:
@@ -297,7 +294,16 @@ def _copies_in_key_order(
 
 
 def check_sequential_time(algorithm: Algorithm) -> CheckReport:
-    """Nonempty states, a nonempty initial subset, and a total one-step map."""
+    """Nonempty states, a nonempty initial subset, and a total one-step map.
+
+    The map is total exactly when the rule's updates (``rule_updates``) are
+    defined on every canonical state, and no successor is built.  Proof: an
+    explicit successor is a lookup, which never fails.  A rule-based
+    successor writes the updates, which cannot fail: they do not clash, their
+    symbols are the vocabulary's, which the rule was compiled against, and
+    each argument and value is a term's value, a table entry or a logical id,
+    so inside the carrier.
+    """
     label = "sequential-time"
     if not algorithm.canonical_states:
         return CheckReport(False, label, "empty state set", witness={"states": 0})
@@ -305,9 +311,9 @@ def check_sequential_time(algorithm: Algorithm) -> CheckReport:
         return CheckReport(
             False, label, "no initial state", witness={"initial_flags": algorithm.initial}
         )
-    for index, state in enumerate(algorithm.canonical_states):
+    for index, state in enumerate(algorithm.canonical_states if algorithm.rule_based else ()):
         try:
-            canonical_step(algorithm, index)
+            rule_updates(algorithm.compiled, state.interpretations)
         except AsmError as exc:
             return CheckReport(
                 False,
@@ -548,14 +554,13 @@ class CanonicalFacts:
     the first state isomorphic to it (``first``), the owners, each owner's
     automorphisms and the block order of its class stream, each witness
     compiled, with the canonical states' witness values and patterns, and an
-    explicit-successor algorithm's update sets, encoded for the checks and
-    as the ``Update`` sets a report lifts.  None of it depends on the
-    universe or on a rule, so every ``ClosureIndex`` and check over the
-    algorithm shares it: it lives in ``Algorithm.cache`` (``canonical_facts``),
-    and no registry elsewhere refers to it.  Sharing is sound because the
-    algorithm and its states are immutable.  A failure, such as a witness
-    with an unknown symbol or a successor over another carrier, is raised
-    each time and never kept.
+    explicit-successor algorithm's update sets, encoded, the one form a check
+    or a report reads.  None of it depends on the universe or on a rule, so
+    every ``ClosureIndex`` and check over the algorithm shares it: it lives
+    in ``Algorithm.cache`` (``canonical_facts``), and no registry elsewhere
+    refers to it.  Sharing is sound because the algorithm and its states are
+    immutable.  A failure, such as a witness with an unknown symbol or a
+    successor over another carrier, is raised each time and never kept.
 
     Nothing derived from a rule is kept, here or anywhere: a rule's update
     sets and every trace are computed afresh for each index, since the
@@ -591,15 +596,11 @@ class CanonicalFacts:
         return tuple(i for i, j in enumerate(self.first) if i == j)
 
     @lazy_property
-    def explicit_deltas(self) -> tuple[frozenset[Update], ...]:
-        """An explicit-successor algorithm's canonical update sets, each the
-        ``table_diff`` of a canonical state and its successor."""
-        return tuple([table_diff(state, succ) for state, succ in zip(self._states, self._successors)])
-
-    @lazy_property
     def explicit_encoded(self) -> tuple[frozenset[Encoded], ...]:
-        """``explicit_deltas``, encoded."""
-        return tuple([frozenset([u.encoded() for u in delta]) for delta in self.explicit_deltas])
+        """An explicit-successor algorithm's canonical update sets, encoded,
+        each the ``table_diff`` of a canonical state and its successor."""
+        diffs = [table_diff(state, succ) for state, succ in zip(self._states, self._successors)]
+        return tuple([frozenset([u.encoded() for u in diff]) for diff in diffs])
 
     def automorphisms(self, i: int) -> tuple[dict[int, int], ...]:
         """Canonical state i's automorphisms' element maps, identity first."""

@@ -136,9 +136,7 @@ def _walk_terms(rule: Rule) -> Iterator[Term]:
 
 def rule_terms(rule: Rule) -> frozenset[Term]:
     """Every ground term the rule evaluates, including composed left-hand sides."""
-    # Through a set, as it always was: the frozenset copy iterates in the same
-    # order, and so do the witnesses and reports built from it.
-    return frozenset(set(_walk_terms(rule)))
+    return frozenset(_walk_terms(rule))
 
 
 # Instruction kinds of a compiled rule.

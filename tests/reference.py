@@ -4,7 +4,8 @@ Each enumerates what the paper quantifies over, the direct way: every
 renaming of every canonical state into the universe, from
 ``itertools.permutations``, each copy keyed by its renamed carrier and
 tables and built by ``apply_renaming`` where a state is read; every pair of
-copies; every permutation of a carrier for an isomorphism.
+copies; every permutation of a carrier for an isomorphism; every ground
+term of each depth round.
 None of it reads the checkers' symmetry reduction, closure index, class
 streams or proof replay: the module imports only ``asmkit.kernel``,
 ``asmkit.errors``, ``asmkit.similarity`` and the step and update-set
@@ -20,8 +21,8 @@ import itertools
 
 from asmkit.errors import HeadroomError, InvalidRenamingError, VocabularyMismatchError
 from asmkit.kernel import (
-    FALSE, LOGICAL_IDS, TRUE, UNDEF, Renaming, apply_renaming, coincides_over, evaluate_set, evaluate_terms,
-    rename_tables, sorted_terms, state_key,
+    FALSE, FALSE_TERM, LOGICAL_IDS, TRUE, TRUE_TERM, UNDEF, UNDEF_TERM, Renaming, Term, apply_renaming,
+    coincides_over, evaluate_set, evaluate_terms, rename_tables, sorted_terms, state_key,
 )
 from asmkit.similarity import is_accessible_update, similarity_function, t_similar
 from asmkit.transition import (
@@ -117,14 +118,15 @@ def _classes(algorithm, terms, universe_size, group):
     """The canonical witness values and update sets, and the closure's copies
     grouped by ``group`` of their witness values, in key order, as
     ``Member``s: each copy's witness values and update set are its canonical
-    state's, renamed."""
+    state's, renamed.  A renamed set is built in the order of its encoded
+    updates, so it prints in the order a report's does."""
     order = sorted_terms(terms)
     vectors = [tuple(evaluate_terms(s, order)) for s in algorithm.canonical_states]
     deltas = [canonical_updates(algorithm, i) for i in range(len(vectors))]
     classes = {}
     for i, r, _ in closure(algorithm, universe_size):
         vector = tuple(r[v] for v in vectors[i])
-        delta = frozenset(lift_update(r, u) for u in deltas[i])
+        delta = frozenset(sorted((lift_update(r, u) for u in deltas[i]), key=Update.encoded))
         classes.setdefault(group(vector), []).append(Member(i, r, vector, delta))
     return vectors, deltas, classes
 
@@ -348,6 +350,45 @@ def isomorphisms(x, y):
         m = {**dict(zip(sources, perm)), **_LOGICAL_FIXED}
         if all(yt[name].get(tuple(m[a] for a in args)) == m[v] for name in xt for args, v in xt[name].items()):
             yield Renaming(m)
+
+
+def ground_terms(vocabulary, max_depth, cap=64):
+    """The ground-term generator as it was before it built only the kept
+    terms: every term of each round, stopping past 4 * cap."""
+    terms = {Term(s) for s in vocabulary.nonlogical if s.arity == 0}
+    terms |= {TRUE_TERM, FALSE_TERM, UNDEF_TERM}
+    builders = [s for s in vocabulary.nonlogical if s.arity >= 1]
+    for _ in range(max_depth):
+        snapshot = sorted(terms, key=str)
+        fresh = set()
+        for sym in builders:
+            for combo in itertools.product(snapshot, repeat=sym.arity):
+                t = Term(sym, combo)
+                if t not in terms:
+                    fresh.add(t)
+        if not fresh:
+            break
+        terms |= fresh
+        if len(terms) > cap * 4:
+            break
+    ordered = sorted(terms, key=lambda t: (t.depth, str(t)))
+    return sorted_terms(ordered[:cap])
+
+
+def ground_terms_work(arities, max_depth, cap):
+    """The terms ``ground_terms`` builds, counted without building, for a
+    vocabulary with these arities."""
+    work, before, held = 0, 0, 3 + arities.count(0)
+    builders = [a for a in arities if a]
+    for _ in range(max_depth):
+        work += sum(held**a for a in builders)
+        fresh = sum(held**a - before**a for a in builders)
+        if not fresh:
+            break
+        before, held = held, held + fresh
+        if held > cap * 4:
+            break
+    return work
 
 
 # The logical symbols' fixed meaning, written apart from ``asmkit``'s: each

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import pytest
@@ -12,6 +11,7 @@ from asmkit import (
     FALSE_TERM,
     GeneratorConfig,
     HeadroomError,
+    NotSimilarError,
     Renaming,
     SimilarityFunction,
     State,
@@ -23,6 +23,7 @@ from asmkit import (
     Vocabulary,
     VocabularyMismatchError,
     apply_renaming,
+    check_abstract_state,
     check_new_be,
     check_old_be,
     check_sequential_time,
@@ -302,6 +303,28 @@ class TestReplayAssertions:
         with pytest.raises(AsmError, match="^internal: value-replacement copy fails to coincide$"):
             self._replay(monkeypatch, logical=True)
 
+    def test_pairs_must_share_one_pattern(self, monkeypatch):
+        # Two classes of one state each: c0 = c1 in the first, c0 != c1 in
+        # the second.  The sample pairs the first class's copy with the
+        # second's; zipped, their witness values still make an injective
+        # map, so only the pattern comparison tells them apart.
+        vocabulary = _constants_vocab(2)
+        shared = State(vocabulary, {0, 1, 2, 3}, {"c0": {(): 3}, "c1": {(): 3}})
+        apart = State(vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 3}, "c1": {(): 4}})
+        still = Algorithm(vocabulary, (shared, apart), (True, True), successors=(shared, apart))
+        terms = frozenset(Term(s) for s in vocabulary.nonlogical)
+        assert verify_equivalence(still, terms, 7).passed
+        firsts = []
+
+        def across_classes(members, limit):
+            firsts.append(members[0])
+            return [tuple(firsts)] if len(firsts) == 2 else []
+
+        monkeypatch.setattr(harness, "_sample_pairs", across_classes)
+        with pytest.raises(NotSimilarError, match="^states are not similar over the witness: terms c0 and c1 share"):
+            verify_equivalence(still, terms, 7)
+        assert [copy.vector for copy in firsts] == [(3, 3), (3, 4)]
+
     def test_detached_copy_must_not_share_values(self, monkeypatch):
         # The detached map is never composed in: the copy is x itself.
         monkeypatch.setattr(harness, "_compose", lambda outer, inner: inner)
@@ -405,6 +428,18 @@ class TestReportOnlyObjects:
     updates; ``Update``, ``Renaming``, ``SimilarityFunction`` and ``State``
     are built only for what a report names."""
 
+    @staticmethod
+    def _spy_builds(monkeypatch):
+        """The class names of the report-only objects built from now on."""
+        built = []
+        for cls, name in ((Update, "__post_init__"), (Renaming, "__init__"), (SimilarityFunction, "__init__"),
+                          (State, "__init__")):
+            def spy(self, *args, _made=getattr(cls, name), **kwargs):
+                built.append(type(self).__name__)
+                return _made(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, spy)
+        return built
+
     def test_warm_double_pass_checks_build_none(self, monkeypatch, default_suite, default_config):
         # Every double-pass check of the default suite at u=11, run again once
         # its algorithm's canonical facts are kept: no report is made, so
@@ -416,16 +451,23 @@ class TestReportOnlyObjects:
                 notes = verify_equivalence(instance.algorithm, terms, universe).notes
                 if "old-be=pass" in notes and "new-be=pass" in notes:
                     double.append((instance.algorithm, terms))
-        built = []
-        for cls, name in ((Update, "__post_init__"), (Renaming, "__init__"), (SimilarityFunction, "__init__"),
-                          (State, "__init__")):
-            def spy(self, *args, _made=getattr(cls, name), **kwargs):
-                built.append(type(self).__name__)
-                return _made(self, *args, **kwargs)
-            monkeypatch.setattr(cls, name, spy)
+        built = self._spy_builds(monkeypatch)
         for algorithm, terms in double:
             assert verify_equivalence(algorithm, terms, universe).passed
         assert (len(double), built) == (266, [])
+
+    def test_warm_naturality_checks_build_none(self, monkeypatch, default_suite, default_config):
+        # Sequential time and abstract state on every default-suite instance
+        # at u=11, run again once the canonical facts are kept: both decide
+        # on tables and element maps, and pass, so nothing is built.
+        universe = default_config.universe_size
+        for instance in default_suite:
+            check_abstract_state(instance.algorithm, universe)
+        built = self._spy_builds(monkeypatch)
+        for instance in default_suite:
+            assert check_sequential_time(instance.algorithm).passed
+            assert check_abstract_state(instance.algorithm, universe).passed
+        assert built == []
 
 
 def _spied_builds(monkeypatch):
@@ -516,44 +558,6 @@ class TestReplayConstructions:
             verify_equivalence(moving, terms, 7)
 
 
-def _reference_ground_terms(vocabulary, max_depth, cap=64):
-    """The generator as it was before it built only the kept terms: every
-    term of each round, stopping past 4 * cap."""
-    terms = {Term(s) for s in vocabulary.nonlogical if s.arity == 0}
-    terms |= {TRUE_TERM, FALSE_TERM, UNDEF_TERM}
-    builders = [s for s in vocabulary.nonlogical if s.arity >= 1]
-    for _ in range(max_depth):
-        snapshot = sorted(terms, key=str)
-        fresh = set()
-        for sym in builders:
-            for combo in itertools.product(snapshot, repeat=sym.arity):
-                t = Term(sym, combo)
-                if t not in terms:
-                    fresh.add(t)
-        if not fresh:
-            break
-        terms |= fresh
-        if len(terms) > cap * 4:
-            break
-    ordered = sorted(terms, key=lambda t: (t.depth, str(t)))
-    return sorted_terms(ordered[:cap])
-
-
-def _reference_work(arities, max_depth, cap):
-    """The terms ``_reference_ground_terms`` builds, counted without building."""
-    work, before, held = 0, 0, 3 + arities.count(0)
-    builders = [a for a in arities if a]
-    for _ in range(max_depth):
-        work += sum(held**a for a in builders)
-        fresh = sum(held**a - before**a for a in builders)
-        if not fresh:
-            break
-        before, held = held, held + fresh
-        if held > cap * 4:
-            break
-    return work
-
-
 # Names that extend one another by "_", a digit, a lower- and an upper-case
 # letter and a letter outside ASCII, so that texts are often prefixes.
 _NAMES = ("a", "a_", "a1", "aa", "aB", "aé")
@@ -567,7 +571,7 @@ def _generator_inputs(draw):
     arities = [draw(st.integers(0, 3)) for _ in names]
     cap = draw(st.integers(1, 70))
     depth = draw(st.integers(1, 3))
-    while _reference_work(arities, depth, cap) > 20_000:
+    while reference.ground_terms_work(arities, depth, cap) > 20_000:
         depth -= 1
     return Vocabulary(Symbol(n, a) for n, a in zip(names, arities)), depth, cap
 
@@ -657,7 +661,7 @@ class TestGenerators:
     def test_ground_terms_match_building_every_term(self, inputs):
         vocabulary, depth, cap = inputs
         terms = ground_terms_up_to(vocabulary, depth, cap)
-        expected = _reference_ground_terms(vocabulary, depth, cap)
+        expected = reference.ground_terms(vocabulary, depth, cap)
         assert [str(t) for t in terms] == [str(t) for t in expected]
         assert terms == expected
         for t in terms:

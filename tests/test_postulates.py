@@ -684,6 +684,41 @@ class TestOldBE:
                 assert _report(check_old_be(algorithm, terms, universe)) == expected
                 assert not expected[0]
 
+    def test_failure_report_runs_the_rule_only_for_its_index(self, default_suite, default_config, monkeypatch):
+        # A rule-based check evaluates the rule once per canonical state, for
+        # its index's encoded update sets; a failure's report decodes those
+        # and evaluates it no more.
+        inside, calls = [], []
+        rule_updates, encoded = transition.rule_updates, postulates.encoded_rule_deltas
+
+        def spy_rule(*args):
+            calls.append(bool(inside))
+            return rule_updates(*args)
+
+        def spy_deltas(algorithm):
+            inside.append(algorithm)
+            try:
+                return encoded(algorithm)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(transition, "rule_updates", spy_rule)
+        monkeypatch.setattr(postulates, "rule_updates", spy_rule)
+        monkeypatch.setattr(postulates, "encoded_rule_deltas", spy_deltas)
+        failing = 0
+        for instance in default_suite:
+            algorithm = instance.algorithm
+            if not algorithm.rule_based:
+                continue
+            for terms in instance.witnesses:
+                calls.clear()
+                report = check_old_be(algorithm, terms, default_config.universe_size)
+                if not report.passed:
+                    failing += 1
+                    assert report.witness["left_delta"] != report.witness["right_delta"]
+                assert calls == [True] * len(algorithm.canonical_states)
+        assert failing == 21
+
     def test_closure_not_enumerated(self, default_suite, default_config, monkeypatch):
         calls = _spy(monkeypatch, "closure")
         passed = 0
@@ -979,6 +1014,43 @@ class TestVerdictInvariance:
             assert lift_update(
                 backward, lift_update(forward, u)
             ) == u
+
+
+    def test_witness_reprs_do_not_follow_the_hash_seed(self):
+        # The witnesses hold frozensets of terms and of updates, which
+        # iterate in hash order: no hash may read the salted string hash.
+        source = str(Path(postulates.__file__).resolve().parent.parent)
+        printed = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", _WITNESS_REPRS, str(PAPER_EXAMPLE_SPEC)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            printed.add(done.stdout)
+        assert len(printed) == 1
+        reprs = printed.pop().splitlines()
+        assert len(reprs) == 3 and all("frozenset({" in r for r in reprs)
+
+
+# Prints the witnesses of the paper spec's failing old-BE and new-BE checks
+# of T1 at u=7, and of a default-suite old-BE failure with ten updates and
+# 28 terms, one repr per line.
+_WITNESS_REPRS = """
+import sys
+from pathlib import Path
+from asmkit import GeneratorConfig, check_new_be, check_old_be, generate_algorithm_suite, parse_spec
+doc = parse_spec(Path(sys.argv[1]).read_text(encoding="utf-8"))
+instance = generate_algorithm_suite(GeneratorConfig())[76]
+for check, algorithm, terms, universe in (
+    (check_old_be, doc.algorithm(), doc.witnesses["T1"], 7),
+    (check_new_be, doc.algorithm(), doc.witnesses["T1"], 7),
+    (check_old_be, instance.algorithm, instance.witnesses[2], 11),
+):
+    report = check(algorithm, terms, universe)
+    assert not report.passed
+    print(repr(report.witness))
+"""
 
 
 class TestWitnessMonotonicity:
@@ -1361,8 +1433,8 @@ class TestClosureIndex:
         assert len(compiles) == 3
 
     def test_unknown_symbol_message_does_not_follow_the_hash_seed(self):
-        # Eight unknown constants p .. w: a frozenset of them iterates in an
-        # order that changes with the string hash seed, the message must not.
+        # Eight unknown constants q .. x: a frozenset of them iterates v
+        # first, under every seed; the message names q, the first in text order.
         source = str(Path(postulates.__file__).resolve().parent.parent)
         messages = set()
         for seed in ("0", "1", "2", "3"):
@@ -1371,7 +1443,7 @@ class TestClosureIndex:
                 [sys.executable, "-c", _UNKNOWN_SYMBOLS], capture_output=True, text=True, env=env, check=True
             )
             messages.add(done.stdout)
-        assert messages == {"witness term p uses unknown symbol p/0\n"}
+        assert messages == {"witness term q uses unknown symbol q/0\n"}
 
 
 def _fresh(algorithm):
@@ -1480,7 +1552,7 @@ class TestCanonicalFacts:
 _UNKNOWN_SYMBOLS = """
 from asmkit import Symbol, Term, VocabularyMismatchError, check_old_be, flip_algorithm
 try:
-    check_old_be(flip_algorithm(), frozenset(Term(Symbol(c, 0)) for c in "pqrstuvw"), 7)
+    check_old_be(flip_algorithm(), frozenset(Term(Symbol(c, 0)) for c in "qrstuvwx"), 7)
 except VocabularyMismatchError as exc:
     print(exc)
 """
