@@ -32,15 +32,19 @@ canonical state's tables renamed by the composed map, evaluated by the
 index's compiled witness program, and its update set is the canonical
 encoded one lifted through the same map.  ``_pair_route`` proves these are
 the tables and update sets of the states the constructions stand for, so the
-replay's assertions test the constructions themselves.  Each distinct
-construction is built once per replay, keyed by every input it reads
-(``_Constructions``); each pair still compares the copies with its own
-target.  ``State``s and ``Update``s are built only for a failure report's
-witness, and ``construct_case1_state`` and ``construct_disjoint_copy`` run
-the same constructions and build the ``State`` and ``Renaming`` for their
-callers.  The tests check the replay's routes against the paper's
-constructions written out on ``State``s in ``tests/reference.py``, which
-shares no code with these.
+replay's assertions test the constructions themselves.  Each pure step is
+computed once per replay and distinct input, keyed by small values that
+determine it (``_Constructions``): a pair's similarity function by the
+pair's witness values, a routed copy's key and carrier once per copy, and
+each construction with the maps it is made of, among them a replaced
+copy's similarity function sigma' and replacement xi.  Every comparison
+against a pair's target still runs for each pair.  ``State``s and
+``Update``s are built only for a failure report's witness, and
+``construct_case1_state`` and ``construct_disjoint_copy`` run the same
+constructions and build the ``State`` and ``Renaming`` for their callers.
+The tests check the replay's routes against the paper's constructions
+written out on ``State``s in ``tests/reference.py``, which shares no code
+with these.
 """
 from __future__ import annotations
 
@@ -84,23 +88,24 @@ def construct_case1_state(
 ) -> tuple[State, Renaming]:
     """Replace each witness value of ``x`` by the corresponding value of ``y``.
 
-    Requires similar states with disjoint witness-value sets up to logical
-    elements the similarity function fixes.  The returned renaming coincides
-    with the similarity function on the witness values and is the identity on
-    the rest of the carrier; the copy coincides with ``y`` over the witness.
-    This wrapper evaluates the witness on both states, takes ``x`` as the
-    copy of itself by the identity map and runs ``_replaced_copy``, the
-    construction the proof replay runs on element maps; it builds the
-    ``State`` and ``Renaming`` from the map that construction checked.
+    Requires similar states over one vocabulary with disjoint witness-value
+    sets up to logical elements the similarity function fixes.  The returned
+    renaming coincides with the similarity function on the witness values and
+    is the identity on the rest of the carrier; the copy coincides with ``y``
+    over the witness.  This wrapper checks the vocabularies before anything
+    else, evaluates the witness on both states, takes ``x`` as the copy of
+    itself by the identity map and runs ``_replaced_copy``, the construction
+    the proof replay runs on element maps; it builds the ``State`` and
+    ``Renaming`` from the map that construction checked.
     """
+    if x.vocabulary != y.vocabulary:
+        raise VocabularyMismatchError("states have different vocabularies")
     program = TermProgram(x.vocabulary, sorted_terms(terms))
     xs, ys = program.evaluate(x), program.evaluate(y)
     sigma = similarity_map(xs, ys, program.terms)
     identity = {e: e for e in x.base}
-    # one copy, x itself, so its canonical index 0 is all its key needs
-    replaced = _replaced_copy(_Constructions(program, (x,)), (0,), identity, sigma, ys)
-    if x.vocabulary != y.vocabulary:
-        raise VocabularyMismatchError("states have different vocabularies")
+    # one copy, x itself, in a memo of its own, so any key will do
+    replaced = _replaced_copy(_Constructions(program, (x,)), (), 0, identity, lambda: sigma, ys)
     renaming = Renaming(replaced.step)
     return apply_renaming(x, renaming), renaming
 
@@ -108,6 +113,23 @@ def construct_case1_state(
 def _compose(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
     """The element map of ``outer`` after ``inner``, over ``inner``'s domain."""
     return {e: outer[v] for e, v in inner.items()}
+
+
+class _Source:
+    """A copy x = r(c) of the canonical state c at ``index`` that pairs route
+    from, as the constructions read it: its key, c's index and the map r
+    (``mapping``) as a hashable value; r's image (x's carrier) and its
+    nonlogical part; and x's witness values as a set.  All are functions of
+    c and r, made once per copy."""
+
+    __slots__ = ("index", "mapping", "key", "image", "carrier", "values")
+
+    def __init__(self, index: int, mapping: dict[int, int], vector: tuple[int, ...]) -> None:
+        self.index, self.mapping = index, mapping
+        self.key = (index, frozenset(mapping.items()))
+        self.image = set(mapping.values())
+        self.carrier = self.image.difference(LOGICAL_IDS)
+        self.values = set(vector)
 
 
 class _Built:
@@ -138,25 +160,54 @@ class _Built:
 
 
 class _Constructions:
-    """The copies one proof replay constructs, each built once.
+    """The pure steps of one proof replay, each computed once per distinct
+    input: pairs' similarity functions, the copies pairs route from, and the
+    copies the constructions build.
 
-    A construction is keyed by every input it reads.  The key starts with
-    the index of the canonical state c; then comes what determines the map r
-    of the copy x it starts from, x's own map for a sampled copy and the key
-    of the detached copy for a replaced one; then what determines the map it
-    applies to x, eta itself, or the similarity function that xi is made of
-    with r's image.  Building it checks that map with ``renaming_map``,
-    composes it with r, renames c's tables by the composition and evaluates
-    them, and, when read, derives the values' equality pattern and lifts c's
-    encoded update set through the composition.  Each step is a function of
-    c, r and the map alone, so a later pair with the same key gets what it
-    would have built, and the memo shares only these steps.  Every
-    comparison against a pair's target y runs for each pair, outside the
-    memo.  A build that raises stores nothing, so a failing construction
-    fails for every pair that asks for it.  One instance serves one replay,
-    and nothing outlives it: no copy or rule-derived update set crosses
-    checks.  The standalone constructions use one without update sets, which
-    they do not read.
+    Each step is keyed by small values that determine it, c being the
+    canonical state at index i and r the map of the copy x = r(c) a pair
+    routes from:
+    - A similarity function, ``similarity_map`` of a pair's witness values,
+      by (i, x's values, y's values): it reads those values, the replay's
+      one term order and c's equality pattern, a function of i.
+    - A ``_Source``, by the copy x itself (held while the replay runs, so no
+      other copy takes its id); its key (i, r as a set of pairs) determines
+      c, r, x's carrier and x's values.
+    - A detached copy eta(x), by ("eta", source key, how).  ``how`` is (),
+      the ``unused`` ids, or the (moved, allowed) ids, and with x's carrier
+      it determines eta: the identity on x's carrier; x's sorted nonlogical
+      elements sent to ``unused`` in order; or ``moved`` sent to ``allowed``
+      in order and the identity on the rest of x's carrier.  The shapes of
+      the three never coincide.
+    - A case-1 replaced copy xi(x), by ("xi", source key, y's values): xi is
+      the similarity function sigma on x's values and the identity on the
+      rest of x's carrier, and sigma is the similarity step above, whose key
+      the source key and y's values determine.
+    - A case-2 replaced copy xi(eta(x)), by ("xi", detached key, y's values):
+      the detached key determines eta r and hence eta(x)'s values and
+      pattern, and sigma', ``similarity_map`` of those values and y's, is a
+      function of them and y's values; xi is sigma' on eta(x)'s values and
+      the identity on the rest of its carrier, the image of eta r.  A hit
+      computes neither sigma' nor xi.
+
+    A detached key starts with "eta" and a replaced one with "xi", whose
+    middle entry is a source key, a pair, in case 1 and a detached key, a
+    triple, in case 2, so no two kinds of copy share a key.  Building a copy
+    checks its map s with ``renaming_map``, composes it with r, renames c's
+    tables by the composition and evaluates them, and, when read, derives
+    the values' equality pattern and lifts c's encoded update set through
+    the composition: functions of c, r and s alone, which the key
+    determines, so a later pair with the same key gets what it would have
+    computed.
+
+    Every comparison against a pair's target y runs for each pair, outside
+    the memo: a coinciding pair's update sets, the detached copy's values
+    against y's, the replaced copy's values and update set against y's, and
+    each transport.  A step that raises stores nothing, so it fails for
+    every pair that asks for it.  One instance serves one replay, and
+    nothing outlives it: no copy or rule-derived update set crosses checks.
+    The standalone constructions use one without update sets or patterns,
+    which they do not read.
     """
 
     def __init__(
@@ -164,19 +215,37 @@ class _Constructions:
         program: TermProgram,
         states: Sequence[State],
         updates: Sequence[frozenset[Encoded]] = (frozenset(),),
+        patterns: Sequence[tuple[int, ...]] = (),
     ) -> None:
-        self.program, self.states, self.updates = program, states, updates
+        self.program, self.states, self.updates, self.patterns = program, states, updates, patterns
+        self._similar: dict[tuple, dict[int, int]] = {}
+        self._sources: dict[int, tuple[Copy, _Source]] = {}
         self._built: dict[tuple, _Built] = {}
 
-    def build(self, key: tuple, x_map: dict[int, int], step: dict[int, int]) -> _Built:
-        """The copy ``step``(x) of x = ``x_map``(c) for the canonical state c
-        at ``key[0]``, built on the first use of ``key``, which must
-        determine ``x_map`` and ``step``."""
+    def similarity(self, i: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> dict[int, int]:
+        """The similarity function's element map from the values ``xs`` of a
+        copy of the canonical state at ``i`` to the values ``ys``."""
+        key = (i, xs, ys)
+        sigma = self._similar.get(key)
+        if sigma is None:
+            sigma = self._similar[key] = similarity_map(xs, ys, self.program.terms, self.patterns[i])
+        return sigma
+
+    def source(self, x: Copy) -> _Source:
+        """The ``_Source`` of the copy ``x``, made on its first use."""
+        held = self._sources.get(id(x))
+        if held is None:
+            held = self._sources[id(x)] = (x, _Source(x.canonical_index, x.mapping, x.vector))
+        return held[1]
+
+    def build(self, key: tuple, i: int, x_map: dict[int, int], make_step) -> _Built:
+        """The copy s(x) of x = ``x_map``(c) for the canonical state c at
+        ``i``, s = ``make_step()``, built on the first use of ``key``, which
+        must determine ``i``, ``x_map`` and s; ``make_step`` runs only then."""
         built = self._built.get(key)
         if built is None:
-            step = renaming_map(step)
+            step = renaming_map(make_step())
             composed = _compose(step, x_map)
-            i = key[0]
             canonical = self.states[i]
             tables = rename_tables(canonical.interpretations, composed)
             vector = self.program.evaluate_tables(canonical.vocabulary, tables)
@@ -186,28 +255,35 @@ class _Constructions:
 
 def _replaced_copy(
     constructions: _Constructions,
-    source: tuple,
+    key: tuple,
+    i: int,
     x_map: dict[int, int],
-    sigma: dict[int, int],
+    make_sigma,
     y_vector: tuple[int, ...],
 ) -> _Built:
     """The value replacement xi(x) of the copy x = r(c), with c the
-    canonical state at ``source[0]``, r = ``x_map`` and ``source`` the key
-    that determines them: xi is ``sigma`` on x's witness values and the
-    identity on the rest of x's carrier, checked by ``renaming_map``
-    (``CaseHypothesisError`` when it is no renaming).  The replaced copy
-    xi(x) = (xi r)(c), evaluated by the witness program on c's tables
-    renamed by xi r, must have the values ``y_vector``.  xi reads only r and
-    ``sigma``, so it is built once per (``source``, ``sigma``)."""
-    nonlogical_shared = sorted(v for v in sigma.keys() & sigma.values() if v not in LOGICAL_IDS)
-    if nonlogical_shared:
-        raise CaseHypothesisError(
-            f"witness value sets share nonlogical elements {nonlogical_shared}"
-        )
-    xi = {e: e for e in x_map.values()}
-    xi.update(sigma)
+    canonical state at ``i``, r = ``x_map`` and ``key`` its key in
+    ``_Constructions``: xi is sigma = ``make_sigma()`` on x's witness values
+    and the identity on the rest of x's carrier, checked by
+    ``renaming_map`` (``CaseHypothesisError`` when it is no renaming).  The
+    replaced copy xi(x) = (xi r)(c), evaluated by the witness program on c's
+    tables renamed by xi r, must have the values ``y_vector``; that is
+    checked on every call, and sigma and xi are computed only when the copy
+    is built."""
+
+    def xi() -> dict[int, int]:
+        sigma = make_sigma()
+        nonlogical_shared = sorted(v for v in sigma.keys() & sigma.values() if v not in LOGICAL_IDS)
+        if nonlogical_shared:
+            raise CaseHypothesisError(
+                f"witness value sets share nonlogical elements {nonlogical_shared}"
+            )
+        step = {e: e for e in x_map.values()}
+        step.update(sigma)
+        return step
+
     try:
-        replaced = constructions.build((source[0], "xi", source, frozenset(sigma.items())), x_map, xi)
+        replaced = constructions.build(key, i, x_map, xi)
     except InvalidRenamingError as exc:
         raise CaseHypothesisError(f"value replacement is not a renaming: {exc}") from exc
     if replaced.vector != y_vector:
@@ -220,21 +296,24 @@ def construct_disjoint_copy(
 ) -> tuple[State, Renaming]:
     """An isomorphic copy of ``x`` with no nonlogical witness value of ``y``.
 
-    When the nonlogical carriers (hence the value sets) are already disjoint
-    the identity is returned.  Otherwise the whole carrier moves to the least
-    ids unused by either state; if the universe has no room for that, only
-    the elements appearing among ``y``'s witness values move, which always
-    fits inside the documented headroom of twice the carrier bound.  This
-    wrapper evaluates the witness on ``y``, takes both states as copies of
-    themselves by identity maps and runs ``_detached_copy``, the
-    construction the proof replay runs on element maps; it builds the
-    ``State`` and ``Renaming`` from the map that construction checked.
+    The states must share a vocabulary.  When the nonlogical carriers (hence
+    the value sets) are already disjoint the identity is returned.
+    Otherwise the whole carrier moves to the least ids unused by either
+    state; if the universe has no room for that, only the elements appearing
+    among ``y``'s witness values move, which always fits inside the
+    documented headroom of twice the carrier bound.  This wrapper checks the
+    vocabularies before anything else, evaluates the witness on both states,
+    takes both as copies of themselves by identity maps and runs
+    ``_detached_copy``, the construction the proof replay runs on element
+    maps; it builds the ``State`` and ``Renaming`` from the map that
+    construction checked.
     """
+    if x.vocabulary != y.vocabulary:
+        raise VocabularyMismatchError("states have different vocabularies")
     program = TermProgram(y.vocabulary, sorted_terms(terms))
-    identity = {e: e for e in x.base}
-    # one copy, x itself, so its canonical index 0 is all its key needs
+    source = _Source(0, {e: e for e in x.base}, program.evaluate(x))
     _, detached = _detached_copy(
-        _Constructions(program, (x,)), (0,), identity, y.base, program.evaluate(y), universe_size
+        _Constructions(program, (x,)), source, y.base, program.evaluate(y), universe_size
     )
     renaming = Renaming(detached.step)
     return apply_renaming(x, renaming), renaming
@@ -242,42 +321,53 @@ def construct_disjoint_copy(
 
 def _detached_copy(
     constructions: _Constructions,
-    source: tuple,
-    x_map: dict[int, int],
+    source: _Source,
     y_base: Iterable[int],
     y_vector: tuple[int, ...],
     universe_size: int,
 ) -> tuple[tuple, _Built]:
-    """The copy eta(x) of x = r(c) detached from a state y with carrier
-    ``y_base`` and witness values ``y_vector``, with c the canonical state at
-    ``source[0]``, r = ``x_map`` and ``source`` the key that determines them;
+    """The copy eta(x) of the copy x = r(c) that ``source`` holds, detached
+    from a state y with carrier ``y_base`` and witness values ``y_vector``;
     and its key.  eta, chosen from x's carrier, y and the universe, is
     checked by ``renaming_map``.  The detached copy eta(x) = (eta r)(c),
     evaluated by the witness program on c's tables renamed by eta r, must
-    share no nonlogical value with y.  The copy reads only r and eta, so it
-    is built once per (``source``, eta)."""
-    x_carrier = {v for v in x_map.values() if v not in LOGICAL_IDS}
+    share no nonlogical value with y, which is checked on every call.  The
+    choice is reduced to ``how``, which with x's carrier determines eta, and
+    eta is made only when the copy is built."""
+    carrier, x_map = source.carrier, source.mapping
     y_values = {v for v in y_vector if v not in LOGICAL_IDS}
-    if x_carrier.isdisjoint(y_base) or x_carrier.isdisjoint(y_values):
-        eta = {v: v for v in x_map.values()}
+    if carrier.isdisjoint(y_base) or carrier.isdisjoint(y_values):
+        how: tuple = ()
+
+        def eta() -> dict[int, int]:
+            return {v: v for v in x_map.values()}
     else:
-        taken = set(x_map.values()).union(y_base)
-        unused = list(itertools.islice((e for e in range(3, universe_size) if e not in taken), len(x_carrier)))
-        if len(unused) == len(x_carrier):
-            eta = dict(zip(sorted(x_carrier), unused))
+        taken = source.image.union(y_base)
+        unused = tuple(itertools.islice((e for e in range(3, universe_size) if e not in taken), len(carrier)))
+        if len(unused) == len(carrier):
+            how = unused
+
+            def eta() -> dict[int, int]:
+                return dict(zip(sorted(carrier), unused))
         else:
-            moved = sorted(x_carrier & y_values)
-            keep = x_carrier.difference(moved)
+            moved = tuple(sorted(carrier & y_values))
+            keep = carrier.difference(moved)
             excluded = y_values | keep | set(moved)
-            allowed = list(itertools.islice((e for e in range(3, universe_size) if e not in excluded), len(moved)))
+            allowed = tuple(
+                itertools.islice((e for e in range(3, universe_size) if e not in excluded), len(moved))
+            )
             if len(allowed) < len(moved):
                 raise HeadroomError(
                     f"universe of size {universe_size} has no room for a disjoint copy"
                 )
-            eta = {e: e for e in keep}
-            eta.update(zip(moved, allowed))
-    key = (source[0], "eta", source, frozenset(eta.items()))
-    detached = constructions.build(key, x_map, eta)
+            how = (moved, allowed)
+
+            def eta() -> dict[int, int]:
+                step = {e: e for e in keep}
+                step.update(zip(moved, allowed))
+                return step
+    key = ("eta", source.key, how)
+    detached = constructions.build(key, source.index, x_map, eta)
     if y_values.intersection(detached.vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
     return key, detached
@@ -293,10 +383,13 @@ def _pair_route(
     ("direct"), the value replacement xi when the witness-value sets are
     disjoint ("case1"), and otherwise a disjoint copy eta followed by the
     replacement xi ("case2").  The constructed copy must have ``y``'s update
-    set.  Each construction is built once per distinct input in one replay
-    (``_Constructions``): many pairs of a class share their first member as
-    x, and so their detached copy and often their replaced one.  Every
-    comparison against ``y`` runs for each pair.
+    set.  Each pure step is computed once per distinct input in one replay
+    (``_Constructions``): x's source key, carrier and values once per copy,
+    each copy once per key, and with a replaced copy the similarity
+    function sigma' and the map xi it is made of.  Many pairs of a class
+    share their first member as x, and so their detached copy and often
+    their replaced one.  Every comparison against ``y`` still runs for each
+    pair.
 
     Nothing is built but element maps, ``sigma`` the similarity function's
     (``similarity_map``).  With x = r(c) for x's canonical state c and
@@ -319,10 +412,13 @@ def _pair_route(
     """
     if any(v != w for v, w in sigma.items() if v in LOGICAL_IDS or w in LOGICAL_IDS):
         return "direct", ()
-    source = (x.canonical_index, frozenset(x.mapping.items()))
-    if set(x.vector).isdisjoint(y.vector):
+    source = constructions.source(x)
+    if source.values.isdisjoint(y.vector):
         try:
-            replaced = _replaced_copy(constructions, source, x.mapping, sigma, y.vector)
+            replaced = _replaced_copy(
+                constructions, ("xi", source.key, y.vector), source.index, source.mapping,
+                lambda: sigma, y.vector,
+            )
         except CaseHypothesisError:
             pass  # replacement collides inside the carrier; sanitize via a disjoint copy
         else:
@@ -331,11 +427,12 @@ def _pair_route(
                     "replayed chain broken: replacement copy and target disagree on updates"
                 )
             return "case1", (replaced,)
-    key, detached = _detached_copy(
-        constructions, source, x.mapping, y.mapping.values(), y.vector, universe_size
+    key, detached = _detached_copy(constructions, source, y.mapping.values(), y.vector, universe_size)
+    replaced = _replaced_copy(
+        constructions, ("xi", key, y.vector), source.index, detached.composed,
+        lambda: similarity_map(detached.vector, y.vector, constructions.program.terms, detached.pattern),
+        y.vector,
     )
-    onto_y = similarity_map(detached.vector, y.vector, constructions.program.terms, detached.pattern)
-    replaced = _replaced_copy(constructions, key, detached.composed, onto_y, y.vector)
     if replaced.updates != y.encoded_delta:
         raise AsmError(
             "replayed chain broken: composed copy and target disagree on updates"
@@ -423,14 +520,14 @@ def verify_equivalence(algorithm: Algorithm, terms: frozenset[Term], universe_si
 
 def _replay_proof(index: ClosureIndex) -> dict[str, int] | CheckReport:
     terms, program, vocabulary = index.terms, index.program, index.algorithm.vocabulary
-    constructions = _Constructions(program, index.algorithm.canonical_states, index.deltas)
+    constructions = _Constructions(program, index.algorithm.canonical_states, index.deltas, index.patterns)
     counts = {"case1": 0, "case2": 0, "direct": 0, "coincident-pairs": 0}
     for members in index.similarity_classes(REPLAY_PAIR_LIMIT + 1):
         members = list(members)
         carried_by: dict[int, list[Encoded]] = {}  # id of a member of the class -> its carried updates
         for left, right in _sample_pairs(members, REPLAY_PAIR_LIMIT):
             # left's pattern is its owner's: renamings are injective
-            sigma = similarity_map(left.vector, right.vector, program.terms, index.patterns[left.canonical_index])
+            sigma = constructions.similarity(left.canonical_index, left.vector, right.vector)
             if left.vector == right.vector:
                 counts["coincident-pairs"] += 1
                 if any(v != w for v, w in sigma.items()):

@@ -94,10 +94,13 @@ class TestCase1Construction:
         with pytest.raises(CaseHypothesisError):
             construct_case1_state(x, y, terms)
 
-    def test_states_of_different_vocabularies_rejected(self):
+    # y's c0 shares x's value 3, or not: either way the vocabularies are
+    # checked before any witness value
+    @pytest.mark.parametrize("y_value", [4, 3])
+    def test_states_of_different_vocabularies_rejected(self, y_value):
         vocabulary = _constants_vocab(1)
         x = _naming_state(vocabulary, {"c0": 3})
-        y = _naming_state(_constants_vocab(2), {"c0": 4})
+        y = _naming_state(_constants_vocab(2), {"c0": y_value})
         with pytest.raises(VocabularyMismatchError, match="^states have different vocabularies$"):
             construct_case1_state(x, y, frozenset({Term(vocabulary.symbol("c0"))}))
 
@@ -135,6 +138,13 @@ class TestDisjointCopy:
         terms = frozenset(Term(s) for s in vocabulary.nonlogical)
         copy, _ = construct_disjoint_copy(x, y, terms, 11)
         assert evaluate_set(copy, terms).isdisjoint(evaluate_set(y, terms))
+
+    def test_states_of_different_vocabularies_rejected(self):
+        vocabulary = _constants_vocab(1)
+        x = _naming_state(vocabulary, {"c0": 3})
+        y = _naming_state(_constants_vocab(2), {"c0": 3})
+        with pytest.raises(VocabularyMismatchError, match="^states have different vocabularies$"):
+            construct_disjoint_copy(x, y, frozenset({Term(vocabulary.symbol("c0"))}), 9)
 
     def test_insufficient_headroom(self):
         vocabulary = _constants_vocab(2)
@@ -235,6 +245,14 @@ def _moving_algorithm() -> tuple[Algorithm, Vocabulary]:
     return Algorithm(vocabulary, (x,), (True,), successors=(successor,)), vocabulary
 
 
+def _disjoint_pairs(sample):
+    """The pair sampler ``sample`` keeping only the pairs with disjoint
+    witness values, the pairs that may take case 1."""
+    return lambda members, limit: [
+        (a, b) for a, b in sample(members, limit) if set(a.vector).isdisjoint(b.vector)
+    ]
+
+
 def _swapping_compose(outer, inner):
     """The composed map, then the copy's two least nonlogical elements
     swapped: still an isomorphic copy, but not the one asked for."""
@@ -261,14 +279,7 @@ class TestReplayAssertions:
 
     def _replay(self, monkeypatch, *, logical: bool, case1_only: bool = False):
         if case1_only:
-            sample = harness._sample_pairs
-            monkeypatch.setattr(
-                harness,
-                "_sample_pairs",
-                lambda members, limit: [
-                    (a, b) for a, b in sample(members, limit) if set(a.vector).isdisjoint(b.vector)
-                ],
-            )
+            monkeypatch.setattr(harness, "_sample_pairs", _disjoint_pairs(harness._sample_pairs))
         moving, vocabulary = _moving_algorithm()
         terms = frozenset(Term(s) for s in vocabulary.nonlogical)
         return verify_equivalence(moving, terms | LOGICAL_TERMS if logical else terms, 7)
@@ -374,13 +385,17 @@ class TestMapLevelRoute:
             routes[name] = routes.get(name, 0) + 1
         return routes
 
-    def test_default_suite_routes_match_the_state_constructions(
-        self, routed, default_suite, default_config
-    ):
-        for instance in default_suite:
+    # seed 1 was not used while the replay's memo keys were written
+    @pytest.mark.parametrize(
+        "config, routes",
+        [(GeneratorConfig(), {"case2": 4297}), (GeneratorConfig(seed=1, instances=20), {"case2": 889})],
+        ids=["default", "seed1"],
+    )
+    def test_generated_suite_routes_match_the_state_constructions(self, routed, config, routes):
+        for instance in generate_algorithm_suite(config):
             for terms in instance.witnesses:
-                verify_equivalence(instance.algorithm, terms, default_config.universe_size)
-        assert self._compare(routed) == {"case2": 4297}
+                assert verify_equivalence(instance.algorithm, terms, config.universe_size).passed
+        assert self._compare(routed) == routes
 
     def test_two_constant_routes_match_the_state_constructions(self, routed):
         moving, vocabulary = _moving_algorithm()
@@ -505,6 +520,11 @@ class TestReplayConstructions:
 
     def test_default_suite_builds_each_copy_once(self, monkeypatch, default_suite, default_config):
         renamed, used = _spied_builds(monkeypatch)
+        similarities = []  # one entry per similarity function the replay computes
+        similarity_map = harness.similarity_map
+        monkeypatch.setattr(
+            harness, "similarity_map", lambda *args: similarities.append(args) or similarity_map(*args)
+        )
         builds = uses = chains = 0
         for instance in default_suite:
             for terms in instance.witnesses:
@@ -516,7 +536,9 @@ class TestReplayConstructions:
                 assert sorted(map(id, renamed)) == sorted({id(c.composed) for c in used})
                 builds += len(renamed)
                 uses += len(used)
-        assert (builds, uses, chains) == (1684, 2 * 4297, 5402)
+        # 8,552 sampled pairs and 4,297 routed ones would compute 12,849
+        # similarity functions without the memo
+        assert (builds, uses, chains, len(similarities)) == (1684, 2 * 4297, 5402, 2639)
 
     def test_no_copy_outlives_its_replay(self, monkeypatch, default_suite, default_config):
         renamed, _ = _spied_builds(monkeypatch)
@@ -528,13 +550,27 @@ class TestReplayConstructions:
             counts.append(len(renamed))
         assert counts[0] == counts[1] > 0
 
-    def test_a_reused_copy_is_compared_with_each_target(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "route, routed, message",
+        [
+            ("case2", 11, "composed copy and target disagree on updates"),
+            ("case1", 2, "replacement copy and target disagree on updates"),
+        ],
+    )
+    def test_a_reused_copy_is_compared_with_each_target(self, monkeypatch, route, routed, message):
+        # case 1 is taken only without logical terms, by pairs with disjoint
+        # witness values, and the sample keeps only those
         moving, vocabulary = _moving_algorithm()
-        terms = LOGICAL_TERMS | {Term(s) for s in vocabulary.nonlogical}
-        renamed, _ = _spied_builds(monkeypatch)
-        assert verify_equivalence(moving, terms, 7).stats["case2"] == 11
-        alone = len(renamed)
+        terms = frozenset(Term(s) for s in vocabulary.nonlogical)
         sample = harness._sample_pairs
+        if route == "case2":
+            terms |= LOGICAL_TERMS
+        else:
+            sample = _disjoint_pairs(sample)
+            monkeypatch.setattr(harness, "_sample_pairs", sample)
+        renamed, _ = _spied_builds(monkeypatch)
+        assert verify_equivalence(moving, terms, 7).stats[route] == routed
+        alone = len(renamed)
 
         def twice(tamper):
             # every pair, then every pair again with its target's update set
@@ -549,12 +585,10 @@ class TestReplayConstructions:
 
         monkeypatch.setattr(harness, "_sample_pairs", twice(False))
         renamed.clear()
-        assert verify_equivalence(moving, terms, 7).stats["case2"] == 22
+        assert verify_equivalence(moving, terms, 7).stats[route] == 2 * routed
         assert len(renamed) == alone
         monkeypatch.setattr(harness, "_sample_pairs", twice(True))
-        with pytest.raises(
-            AsmError, match="^replayed chain broken: composed copy and target disagree on updates$"
-        ):
+        with pytest.raises(AsmError, match=f"^replayed chain broken: {message}$"):
             verify_equivalence(moving, terms, 7)
 
 
