@@ -128,7 +128,10 @@ def _parse_suite_config(text: str) -> GeneratorConfig:
         key, _, raw = part.partition("=")
         if not raw:
             raise AsmError(f"bad suite option {part!r}; expected key=value")
-        values[key.strip()] = _integer(raw, f"suite option {key.strip()!r}")
+        key = key.strip()
+        if key in values:
+            raise AsmError(f"suite option {key!r} given twice")
+        values[key] = _integer(raw, f"suite option {key!r}")
     mapping = {
         "seed": "seed",
         "instances": "instances",
@@ -153,6 +156,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.suite:
         if args.postulate != "equivalence":
             raise AsmError("--suite applies to 'check equivalence' only")
+        # the suite's configuration fixes its algorithms, witnesses and universe
+        for given, name in ((args.spec, "specification document"), (args.witness, "--witness"),
+                            (args.universe, "--universe")):
+            if given is not None:
+                raise AsmError(f"--suite takes no {name}")
         config = _parse_suite_config(args.suite)
         report = run_suite(config, emit=print)
         _print_check(report, args.format)
@@ -184,6 +192,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.name == "remark":
+        if args.universe is not None:
+            raise AsmError("scenario remark takes no --universe")
         report = run_scenario_remark()
     else:
         universe = _default_universe(args.universe, 7)

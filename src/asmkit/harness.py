@@ -2,15 +2,15 @@
 
 Besides running both checkers and comparing verdicts, the verifier replays
 the transport argument behind the agreement on a bounded, deterministic
-sample of similar state pairs: route each accessible update through the
-value-replacement construction (disjoint value sets, case 1) or through a
-disjoint copy followed by the replacement (overlapping value sets, case 2),
-and confirm the transported update's membership claim.  Pairs whose
-similarity function moves a logical element cannot be expressed as renamings
-here, because the three logical ids are global; those chains are confirmed
-by direct membership transport and counted separately.  Any other pair
-shares each logical witness value, so case 1 is reached only by pairs with
-no logical witness value; the generated witnesses all hold the logical
+sample of similar state pairs: route each accessible update through a
+disjoint copy and then the value replacement (case 1 when the copy is the
+pair's first state itself and the value sets are disjoint, case 2
+otherwise), and confirm the transported update's membership claim.  Pairs
+whose similarity function moves a logical element cannot be expressed as
+renamings here, because the three logical ids are global; those chains are
+confirmed by direct membership transport and counted separately.  Any other
+pair shares each logical witness value, so case 1 is reached only by pairs
+with no logical witness value; the generated witnesses all hold the logical
 constant terms, and none of their pairs takes case 1.
 
 Both checks and the replay share one ``ClosureIndex``, and no copy or
@@ -49,7 +49,7 @@ with these.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     AsmError,
@@ -118,17 +118,16 @@ def _compose(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
 class _Source:
     """A copy x = r(c) of the canonical state c at ``index`` that pairs route
     from, as the constructions read it: its key, c's index and the map r
-    (``mapping``) as a hashable value; r's image (x's carrier) and its
-    nonlogical part; and x's witness values as a set.  All are functions of
-    c and r, made once per copy."""
+    (``mapping``) as a hashable value; the nonlogical part of r's image (x's
+    carrier); and x's witness values as a set.  All are functions of c and
+    r, made once per copy."""
 
-    __slots__ = ("index", "mapping", "key", "image", "carrier", "values")
+    __slots__ = ("index", "mapping", "key", "carrier", "values")
 
     def __init__(self, index: int, mapping: dict[int, int], vector: tuple[int, ...]) -> None:
         self.index, self.mapping = index, mapping
         self.key = (index, frozenset(mapping.items()))
-        self.image = set(mapping.values())
-        self.carrier = self.image.difference(LOGICAL_IDS)
+        self.carrier = set(mapping.values()).difference(LOGICAL_IDS)
         self.values = set(vector)
 
 
@@ -173,32 +172,24 @@ class _Constructions:
     - A ``_Source``, by the copy x itself (held while the replay runs, so no
       other copy takes its id); its key (i, r as a set of pairs) determines
       c, r, x's carrier and x's values.
-    - A detached copy eta(x), by ("eta", source key, how).  ``how`` is (),
-      the ``unused`` ids, or the (moved, allowed) ids, and with x's carrier
-      it determines eta: the identity on x's carrier; x's sorted nonlogical
-      elements sent to ``unused`` in order; or ``moved`` sent to ``allowed``
-      in order and the identity on the rest of x's carrier.  The shapes of
-      the three never coincide.
-    - A case-1 replaced copy xi(x), by ("xi", source key, y's values): xi is
-      the similarity function sigma on x's values and the identity on the
-      rest of x's carrier, and sigma is the similarity step above, whose key
-      the source key and y's values determine.
-    - A case-2 replaced copy xi(eta(x)), by ("xi", detached key, y's values):
-      the detached key determines eta r and hence eta(x)'s values and
-      pattern, and sigma', ``similarity_map`` of those values and y's, is a
-      function of them and y's values; xi is sigma' on eta(x)'s values and
-      the identity on the rest of its carrier, the image of eta r.  A hit
+    - A detached copy eta(x), by ("eta", source key, moved, allowed): with
+      x's carrier the ids ``moved`` and ``allowed`` determine eta, which
+      sends ``moved`` to ``allowed`` in order and is the identity on the
+      rest of x's carrier.
+    - A replaced copy xi(eta(x)), by ("xi", detached key, y's values): the
+      detached key determines eta r and hence eta(x)'s values and pattern,
+      and sigma', ``similarity_map`` of those values and y's, is a function
+      of them and y's values; xi is sigma' on eta(x)'s values and the
+      identity on the rest of its carrier, the image of eta r.  A hit
       computes neither sigma' nor xi.
 
-    A detached key starts with "eta" and a replaced one with "xi", whose
-    middle entry is a source key, a pair, in case 1 and a detached key, a
-    triple, in case 2, so no two kinds of copy share a key.  Building a copy
-    checks its map s with ``renaming_map``, composes it with r, renames c's
-    tables by the composition and evaluates them, and, when read, derives
-    the values' equality pattern and lifts c's encoded update set through
-    the composition: functions of c, r and s alone, which the key
-    determines, so a later pair with the same key gets what it would have
-    computed.
+    A detached key starts with "eta" and a replaced one with "xi", so no two
+    kinds of copy share a key.  Building a copy checks its map s with
+    ``renaming_map``, composes it with r, renames c's tables by the
+    composition and evaluates them, and, when read, derives the values'
+    equality pattern and lifts c's encoded update set through the
+    composition: functions of c, r and s alone, which the key determines,
+    so a later pair with the same key gets what it would have computed.
 
     Every comparison against a pair's target y runs for each pair, outside
     the memo: a coinciding pair's update sets, the detached copy's values
@@ -296,14 +287,15 @@ def construct_disjoint_copy(
 ) -> tuple[State, Renaming]:
     """An isomorphic copy of ``x`` with no nonlogical witness value of ``y``.
 
-    The states must share a vocabulary.  When the nonlogical carriers (hence
-    the value sets) are already disjoint the identity is returned.
-    Otherwise the whole carrier moves to the least ids unused by either
-    state; if the universe has no room for that, only the elements appearing
-    among ``y``'s witness values move, which always fits inside the
-    documented headroom of twice the carrier bound.  This wrapper checks the
+    The states must share a vocabulary.  The elements of ``x``'s nonlogical
+    carrier that are nonlogical witness values of ``y`` move, in order, to
+    the least ids of 3 .. u-1 outside those values and ``x``'s other
+    elements, and the rest stay; so the identity is returned when none is.
+    ``HeadroomError`` is raised only when there are too few such ids, which
+    never happens at the documented headroom of twice the carrier bound
+    (the fit lemma of ``_detached_copy``).  This wrapper checks the
     vocabularies before anything else, evaluates the witness on both states,
-    takes both as copies of themselves by identity maps and runs
+    takes ``x`` as the copy of itself by the identity map and runs
     ``_detached_copy``, the construction the proof replay runs on element
     maps; it builds the ``State`` and ``Renaming`` from the map that
     construction checked.
@@ -312,65 +304,51 @@ def construct_disjoint_copy(
         raise VocabularyMismatchError("states have different vocabularies")
     program = TermProgram(y.vocabulary, sorted_terms(terms))
     source = _Source(0, {e: e for e in x.base}, program.evaluate(x))
-    _, detached = _detached_copy(
-        _Constructions(program, (x,)), source, y.base, program.evaluate(y), universe_size
-    )
+    _, detached = _detached_copy(_Constructions(program, (x,)), source, program.evaluate(y), universe_size)
     renaming = Renaming(detached.step)
     return apply_renaming(x, renaming), renaming
 
 
 def _detached_copy(
-    constructions: _Constructions,
-    source: _Source,
-    y_base: Iterable[int],
-    y_vector: tuple[int, ...],
-    universe_size: int,
+    constructions: _Constructions, source: _Source, y_vector: tuple[int, ...], universe_size: int
 ) -> tuple[tuple, _Built]:
     """The copy eta(x) of the copy x = r(c) that ``source`` holds, detached
-    from a state y with carrier ``y_base`` and witness values ``y_vector``;
-    and its key.  eta, chosen from x's carrier, y and the universe, is
-    checked by ``renaming_map``.  The detached copy eta(x) = (eta r)(c),
-    evaluated by the witness program on c's tables renamed by eta r, must
-    share no nonlogical value with y, which is checked on every call.  The
-    choice is reduced to ``how``, which with x's carrier determines eta, and
-    eta is made only when the copy is built."""
-    carrier, x_map = source.carrier, source.mapping
+    from a state y with witness values ``y_vector``; and its key.  With Y
+    the nonlogical values of y and C x's carrier, eta sends the elements M
+    of C among Y, in order, to the least ids of 3 .. u-1 outside Y and C,
+    and is the identity on the rest of C; it is checked by
+    ``renaming_map``, and made only when the copy is built.  The detached
+    copy eta(x) = (eta r)(c), evaluated by the witness program on c's tables
+    renamed by eta r, must share no value with Y, which is checked on every
+    call: eta(x)'s carrier is C without M and ids outside Y.
+
+    Fit lemma.  Y and C share exactly M, so the ids of 3 .. u-1 outside
+    both number at least (u-3) - |Y| - |C| + |M|.  Y lies in y's nonlogical
+    carrier, so with n the size of the larger nonlogical carrier, |Y| <= n
+    and |C| <= n, and at headroom u - 3 >= 2n there are at least |M| free
+    ids.  So ``HeadroomError`` is raised only below that headroom."""
+    carrier = source.carrier
     y_values = {v for v in y_vector if v not in LOGICAL_IDS}
-    if carrier.isdisjoint(y_base) or carrier.isdisjoint(y_values):
-        how: tuple = ()
+    moved = tuple(sorted(carrier & y_values))
+    excluded = y_values | carrier
+    allowed = tuple(itertools.islice((e for e in range(3, universe_size) if e not in excluded), len(moved)))
+    if len(allowed) < len(moved):
+        raise HeadroomError(f"universe of size {universe_size} has no room for a disjoint copy")
 
-        def eta() -> dict[int, int]:
-            return {v: v for v in x_map.values()}
-    else:
-        taken = source.image.union(y_base)
-        unused = tuple(itertools.islice((e for e in range(3, universe_size) if e not in taken), len(carrier)))
-        if len(unused) == len(carrier):
-            how = unused
+    def eta() -> dict[int, int]:
+        step = {e: e for e in carrier}
+        step.update(zip(moved, allowed))
+        return step
 
-            def eta() -> dict[int, int]:
-                return dict(zip(sorted(carrier), unused))
-        else:
-            moved = tuple(sorted(carrier & y_values))
-            keep = carrier.difference(moved)
-            excluded = y_values | keep | set(moved)
-            allowed = tuple(
-                itertools.islice((e for e in range(3, universe_size) if e not in excluded), len(moved))
-            )
-            if len(allowed) < len(moved):
-                raise HeadroomError(
-                    f"universe of size {universe_size} has no room for a disjoint copy"
-                )
-            how = (moved, allowed)
-
-            def eta() -> dict[int, int]:
-                step = {e: e for e in keep}
-                step.update(zip(moved, allowed))
-                return step
-    key = ("eta", source.key, how)
-    detached = constructions.build(key, source.index, x_map, eta)
+    key = ("eta", source.key, moved, allowed)
+    detached = constructions.build(key, source.index, source.mapping, eta)
     if y_values.intersection(detached.vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
     return key, detached
+
+
+# The name a route's failure messages give the copy it constructs.
+_CONSTRUCTED = {"case1": "replacement", "case2": "composed"}
 
 
 def _pair_route(
@@ -380,32 +358,49 @@ def _pair_route(
 
     The route does not depend on the carried update, so it is found once
     per pair: no construction when ``sigma`` moves a logical element
-    ("direct"), the value replacement xi when the witness-value sets are
-    disjoint ("case1"), and otherwise a disjoint copy eta followed by the
-    replacement xi ("case2").  The constructed copy must have ``y``'s update
-    set.  Each pure step is computed once per distinct input in one replay
-    (``_Constructions``): x's source key, carrier and values once per copy,
-    each copy once per key, and with a replaced copy the similarity
+    ("direct"), and otherwise the one chain, a disjoint copy eta
+    (``_detached_copy``) followed by the value replacement xi
+    (``_replaced_copy``).  It is "case1", with xi alone as its step, when
+    eta moves nothing and the witness-value sets are disjoint, and "case2",
+    with both steps, otherwise.  The constructed copy must have ``y``'s
+    update set.  Each pure step is computed once per distinct input in one
+    replay (``_Constructions``): x's source key, carrier and values once per
+    copy, each copy once per key, and with a replaced copy the similarity
     function sigma' and the map xi it is made of.  Many pairs of a class
     share their first member as x, and so their detached copy and often
     their replaced one.  Every comparison against ``y`` still runs for each
     pair.
 
+    Case-1 lemma.  Let x's witness values miss y's, and sigma fix the
+    logical ids.  sigma sends a logical value to itself, which y would then
+    share, so neither holds one, and the paper's replacement xi, sigma on
+    x's values and the identity on the rest of x's carrier, maps no
+    nonlogical element onto a logical one.  It is injective exactly when no
+    element of x's carrier outside x's values is a value of y, that is,
+    since x's values miss y's, exactly when x's carrier misses y's
+    nonlogical values, that is, exactly when eta moves nothing.  Then
+    eta(x) = x, sigma' = sigma and the chain's xi is the paper's; so the
+    chain is labelled "case1" exactly when xi(x) is a renaming, and
+    otherwise the chain is case 2's, with a detached copy; pairs whose
+    values meet take case 2 either way.  Transport through eta, the
+    identity, moves nothing, so dropping it from case 1's steps changes no
+    lift.  So the labels stay the paper's, and reports, which name a route
+    but none of its maps, stay byte for byte the same.
+
     Nothing is built but element maps, ``sigma`` the similarity function's
-    (``similarity_map``).  With x = r(c) for x's canonical state c and
-    r = ``x.mapping``, each constructed copy is a composed map of c: eta r,
-    then xi r or xi eta r.  It is evaluated on c's tables renamed
-    by that map, and its update set is c's encoded one lifted through it.
-    These are exactly what the ``State``s that ``apply_renaming`` built gave:
-    renaming r(c) by eta sends each argument and value of c's tables through
-    r, then eta, which is the same as through eta r, and eta covers r(c)'s
-    carrier, which holds every element the tables mention; a renaming fixes
-    undef and is injective, so renamed normalized tables are normalized, and
-    ``State`` keeps them as they are.  Likewise for xi, and for lifting an
-    update set, stage by stage or through the composition.  r passes
-    ``Renaming``'s checks (see ``Copy``), and eta and xi are checked by
-    ``renaming_map``, so the composed maps are renamings of c, as the
-    renamings the old route composed were.  Encoded updates over one
+    (``similarity_map``).  With x = r(c) for x's canonical state c and r =
+    ``x.mapping``, each constructed copy is a composed map of c: eta r, then
+    xi eta r.  It is evaluated on c's tables renamed by that map, and its
+    update set is c's encoded one lifted through it.  These are exactly what
+    the ``State``s that ``apply_renaming`` built gave: renaming r(c) by eta
+    sends each argument and value of c's tables through r, then eta, which
+    is the same as through eta r, and eta covers r(c)'s carrier, which holds
+    every element the tables mention; a renaming fixes undef and is
+    injective, so renamed normalized tables are normalized, and ``State``
+    keeps them as they are.  Likewise for xi, and for lifting an update set,
+    stage by stage or through the composition.  r passes ``Renaming``'s
+    checks (see ``Copy``), and eta and xi are checked by ``renaming_map``,
+    so the composed maps are renamings of c.  Encoded updates over one
     vocabulary are equal exactly when the updates are, so the comparisons
     decide what comparing ``Update`` sets decided.  So every check still
     tests the constructions themselves.
@@ -413,37 +408,17 @@ def _pair_route(
     if any(v != w for v, w in sigma.items() if v in LOGICAL_IDS or w in LOGICAL_IDS):
         return "direct", ()
     source = constructions.source(x)
-    if source.values.isdisjoint(y.vector):
-        try:
-            replaced = _replaced_copy(
-                constructions, ("xi", source.key, y.vector), source.index, source.mapping,
-                lambda: sigma, y.vector,
-            )
-        except CaseHypothesisError:
-            pass  # replacement collides inside the carrier; sanitize via a disjoint copy
-        else:
-            if replaced.updates != y.encoded_delta:
-                raise AsmError(
-                    "replayed chain broken: replacement copy and target disagree on updates"
-                )
-            return "case1", (replaced,)
-    key, detached = _detached_copy(constructions, source, y.mapping.values(), y.vector, universe_size)
+    key, detached = _detached_copy(constructions, source, y.vector, universe_size)
     replaced = _replaced_copy(
         constructions, ("xi", key, y.vector), source.index, detached.composed,
         lambda: similarity_map(detached.vector, y.vector, constructions.program.terms, detached.pattern),
         y.vector,
     )
+    case1 = source.values.isdisjoint(y.vector) and source.carrier.isdisjoint(y.vector)
+    route = "case1" if case1 else "case2"
     if replaced.updates != y.encoded_delta:
-        raise AsmError(
-            "replayed chain broken: composed copy and target disagree on updates"
-        )
-    return "case2", (detached, replaced)
-
-
-_TRANSPORT_BROKEN = {
-    "case1": "replayed chain broken: replacement transport differs from similarity lift",
-    "case2": "replayed chain broken: composed transport differs from similarity lift",
-}
+        raise AsmError(f"replayed chain broken: {_CONSTRUCTED[route]} copy and target disagree on updates")
+    return route, (replaced,) if case1 else (detached, replaced)
 
 
 def _transport(
@@ -457,7 +432,7 @@ def _transport(
     for built in steps:
         moved = lift_encoded(built.step, moved)
     if steps and moved != expected:
-        raise AsmError(_TRANSPORT_BROKEN[route])
+        raise AsmError(f"replayed chain broken: {_CONSTRUCTED[route]} transport differs from similarity lift")
     return expected
 
 
@@ -604,6 +579,6 @@ def run_suite(cfg: GeneratorConfig, emit=None) -> CheckReport:
         passed,
         "equivalence-suite",
         f"{agreed}/{total} instances agree",
-        witness=None if passed else (first_failure.witness if first_failure else {}),
+        witness=None if passed else first_failure.witness,
         stats={"instances": total},
     )

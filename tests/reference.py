@@ -297,11 +297,10 @@ def state_route(x, y, terms, universe_size):
     similarity function on x's witness values and the identity on the rest
     of its carrier, when the witness-value sets are disjoint and xi is a
     renaming ("case1").  Otherwise ("case2") a copy eta(x) that shares no
-    nonlogical witness value with y, then its replacement: eta is the
-    identity when x's nonlogical elements miss y's carrier or witness
-    values, else sends them, in order, to the least ids in 3 .. u-1 outside
-    both carriers, or, when there are too few, moves only those among y's
-    witness values, to the least ids outside them and x's carrier."""
+    nonlogical witness value with y, then its replacement: eta sends x's
+    nonlogical elements among y's nonlogical witness values, in order, to
+    the least ids in 3 .. u-1 outside those values and x's carrier, and is
+    the identity on the rest."""
 
     def replaced(x):
         xi = Renaming({**{e: e for e in x.base}, **dict(similarity_function(x, y, terms).items())})
@@ -319,18 +318,11 @@ def state_route(x, y, terms, universe_size):
             return "case1", [xi], [copy]
     carrier = set(x.nonlogical_elements())
     values = evaluate_set(y, terms).difference(LOGICAL_IDS)
-    eta = {e: e for e in x.base}
-    if not (carrier.isdisjoint(y.base) or carrier.isdisjoint(values)):
-        fresh = [e for e in range(3, universe_size) if e not in x.base | y.base]
-        if len(fresh) >= len(carrier):
-            eta.update(zip(sorted(carrier), fresh))
-        else:
-            moved = sorted(carrier & values)
-            room = [e for e in range(3, universe_size) if e not in values | carrier]
-            if len(room) < len(moved):
-                raise HeadroomError(f"universe of size {universe_size} has no room for a disjoint copy")
-            eta.update(zip(moved, room))
-    eta = Renaming(eta)
+    moved = sorted(carrier & values)
+    room = [e for e in range(3, universe_size) if e not in values | carrier]
+    if len(room) < len(moved):
+        raise HeadroomError(f"universe of size {universe_size} has no room for a disjoint copy")
+    eta = Renaming({**{e: e for e in x.base}, **dict(zip(moved, room))})
     detached = apply_renaming(x, eta)
     copy, xi = replaced(detached)
     return "case2", [eta, xi], [detached, copy]

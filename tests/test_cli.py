@@ -216,6 +216,27 @@ class TestCheckCommand:
 
     def test_suite_on_other_postulate_rejected(self, capsys):
         assert main(["check", "old-be", "--suite", "default"]) == 2
+        assert main(["check", "abstract-state", "--suite", "default", "--universe", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --suite applies to 'check equivalence' only"] * 2
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--suite", "default", "--universe", "3"], "--suite takes no --universe"),
+            (["--suite", "default", "--witness", "T1"], "--suite takes no --witness"),
+            ([SPEC, "--suite", "default"], "--suite takes no specification document"),
+            (["--suite", "default", SPEC], "--suite takes no specification document"),
+            (["--suite", "seed=1,seed=2"], "suite option 'seed' given twice"),
+            (["--suite", "seed=1, seed =2"], "suite option 'seed' given twice"),
+        ],
+    )
+    def test_suite_refuses_options_it_would_ignore(self, capsys, options, message):
+        assert main(["check", "equivalence", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_universe_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ASMKIT_UNIVERSE", "6")
@@ -269,6 +290,12 @@ class TestScenarioCommand:
 
     def test_example_headroom(self, capsys):
         assert main(["scenario", "example", "--universe", "6"]) == 2
+
+    def test_remark_refuses_a_universe(self, capsys):
+        assert main(["scenario", "remark", "--universe", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: scenario remark takes no --universe"]
 
     def test_lines_format(self, capsys):
         assert main(["scenario", "remark", "--format", "lines"]) == 0

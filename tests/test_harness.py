@@ -124,12 +124,25 @@ class TestDisjointCopy:
         assert copy == x
         assert eta.is_identity
 
-    def test_remark_pair_moves_to_least_fresh_ids(self, remark):
+    def test_remark_pair_moves_only_shared_elements(self, remark):
+        # x's elements 3 and 5 are witness values of y, and move to the least
+        # ids outside y's values and x's carrier; 4 stays
         x, y, witness, _ = remark
         copy, eta = construct_disjoint_copy(x, y, witness, 9)
-        assert [(k, v) for k, v in eta.items() if k != v] == [(3, 6), (4, 7), (5, 8)]
+        assert [(k, v) for k, v in eta.items() if k != v] == [(3, 6), (5, 7)]
         values = evaluate_set(copy, witness)
         assert values.isdisjoint(evaluate_set(y, witness))
+
+    def test_generated_pairs_fit_at_twice_the_carrier(self):
+        # the fit lemma: at u = 2n + 3, n the larger nonlogical carrier, the
+        # copy always fits, and misses y's nonlogical witness values
+        moved = 0
+        for x, y, terms in generate_similar_pairs(GeneratorConfig(), 200):
+            n = max(len(x.nonlogical_elements()), len(y.nonlogical_elements()))
+            copy, eta = construct_disjoint_copy(x, y, terms, 2 * n + 3)
+            assert evaluate_set(copy, terms).isdisjoint(evaluate_set(y, terms).difference(LOGICAL_IDS))
+            moved += not eta.is_identity
+        assert moved > 0
 
     def test_partial_overlap_fits_in_headroom(self):
         vocabulary = _constants_vocab(4)
@@ -403,6 +416,22 @@ class TestMapLevelRoute:
         routes = self._compare(routed)
         assert routes["case1"] > 0 and routes["case2"] > 0
 
+    def test_untouched_carrier_routes_match_the_state_constructions(self, routed):
+        # One state whose carrier holds 4, an element the witness {c0} does
+        # not name, stepping to set f(c0) to c0.  So x may hold y's witness
+        # value outside its own: the value sets are disjoint, but the
+        # replacement alone is no renaming, and the pair takes case 2
+        vocabulary = Vocabulary((Symbol("c0", 0), Symbol("f", 1)))
+        x = State(vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 3}})
+        successor = State(vocabulary, {0, 1, 2, 3, 4}, {"c0": {(): 3}, "f": {(3,): 3}})
+        algorithm = Algorithm(vocabulary, (x,), (True,), successors=(successor,))
+        assert verify_equivalence(algorithm, frozenset({Term(vocabulary.symbol("c0"))}), 7).passed
+        routes = self._compare(routed)
+        disjoint_case2 = [
+            pair for pair in routed if pair[2] == "case2" and set(pair[0].vector).isdisjoint(pair[1].vector)
+        ]
+        assert (routes, len(disjoint_case2)) == ({"case1": 6, "case2": 5}, 3)
+
     def test_reversed_pairs_route_from_their_own_copies(
         self, routed, monkeypatch, default_suite, default_config
     ):
@@ -538,7 +567,7 @@ class TestReplayConstructions:
                 uses += len(used)
         # 8,552 sampled pairs and 4,297 routed ones would compute 12,849
         # similarity functions without the memo
-        assert (builds, uses, chains, len(similarities)) == (1684, 2 * 4297, 5402, 2639)
+        assert (builds, uses, chains, len(similarities)) == (1311, 2 * 4297, 5402, 2314)
 
     def test_no_copy_outlives_its_replay(self, monkeypatch, default_suite, default_config):
         renamed, _ = _spied_builds(monkeypatch)
