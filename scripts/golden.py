@@ -169,7 +169,6 @@ def records(group: str, tree: Path):
                     yield universe, instance.index, report.passed, report.detail, report.stats
     elif group == "cli":
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        env.pop("ASMKIT_UNIVERSE", None)
         for command in CLI_COMMANDS:
             done = subprocess.run(
                 [sys.executable, "-m", "asmkit", *command], cwd=ROOT, env=env, capture_output=True

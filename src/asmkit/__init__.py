@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     GuardError,
     HeadroomError,
-    InaccessibleUpdateError,
     InvalidRenamingError,
     NotSimilarError,
     PreconditionError,
@@ -40,7 +39,6 @@ from .kernel import (
     Vocabulary,
     apply_renaming,
     coincides_over,
-    evaluate_set,
     evaluate_term,
     evaluate_terms,
     interpret,
@@ -59,7 +57,6 @@ from .transition import (
     Update,
     apply_rule,
     apply_updates,
-    canonical_delta,
     canonical_step,
     lift_update,
     lift_update_set,
@@ -70,12 +67,9 @@ from .transition import (
     update_set,
 )
 from .similarity import (
-    SimilarityFunction,
     check_lemma_identity,
     check_partial_isomorphism,
-    is_accessible_update,
     similarity_function,
-    similarity_of_vectors,
     t_similar,
 )
 from .report import CheckReport, ScenarioReport
@@ -86,16 +80,12 @@ from .postulates import (
     check_sequential_time,
     closure,
     required_headroom,
-    witness_monotonicity,
 )
-from .symmetry import renamings_into
 from .generate import (
     GeneratorConfig,
     SuiteInstance,
     flip_algorithm,
     generate_algorithm_suite,
-    generate_monotonicity_cases,
-    generate_similar_pairs,
     ground_terms_up_to,
 )
 from .harness import (

@@ -1,15 +1,16 @@
 """Command-line driver.
 
 Exit codes: 0 when every reported check passes, 1 when a check fails, and 2
-for precondition, parse, headroom and usage errors.  ``ASMKIT_UNIVERSE``
-supplies the default universe size; without it the smallest conclusive
-universe for the parsed algorithm is used.
+for precondition, parse, headroom and usage errors, which print one
+``error:`` line on stderr and nothing on stdout.  The universe size is
+``--universe`` where a command takes it; without it a spec check uses the
+smallest conclusive universe for the parsed algorithm, and ``scenario
+example`` uses 7.  No environment variable changes any of this.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -27,9 +28,6 @@ from .postulates import (
 from .report import CheckReport, ScenarioReport
 from .scenarios import run_scenario_example, run_scenario_remark
 from .specfmt import SpecDocument, parse_spec, render_state_block, unparse_spec
-
-ENV_UNIVERSE = "ASMKIT_UNIVERSE"
-
 
 @functools.cache  # parsing never changes the parser, and each message gets a fresh formatter
 def build_parser() -> argparse.ArgumentParser:
@@ -61,15 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = sub.add_parser("fmt", help="reprint a document in canonical form")
     fmt.add_argument("spec")
     return parser
-
-
-def _default_universe(flag: int | None, derived: int) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_UNIVERSE)
-    if env:
-        return _integer(env, ENV_UNIVERSE)
-    return derived
 
 
 def _integer(text: str, name: str) -> int:
@@ -169,7 +158,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise AsmError("a specification document is required unless --suite is given")
     doc = _read_spec(args.spec)
     algorithm = doc.algorithm()
-    universe = _default_universe(args.universe, required_headroom(algorithm))
+    universe = required_headroom(algorithm) if args.universe is None else args.universe
     if args.postulate == "sequential-time":
         report = check_sequential_time(algorithm)
     elif args.postulate == "abstract-state":
@@ -196,8 +185,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             raise AsmError("scenario remark takes no --universe")
         report = run_scenario_remark()
     else:
-        universe = _default_universe(args.universe, 7)
-        report = run_scenario_example(universe)
+        report = run_scenario_example(7 if args.universe is None else args.universe)
     _print_scenario(report, args.format)
     return 0 if report.passed else 1
 

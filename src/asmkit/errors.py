@@ -42,10 +42,6 @@ class NotSimilarError(AsmError):
     """The similarity function was requested for a pair that is not similar."""
 
 
-class InaccessibleUpdateError(AsmError):
-    """An update component lies outside the similarity function's domain."""
-
-
 class CaseHypothesisError(AsmError):
     """The value-replacement construction was invoked outside its hypothesis."""
 

@@ -1,4 +1,4 @@
-"""Seeded generators of algorithms, witnesses and state pairs for the suites.
+"""Seeded generators of the suites' algorithms and witnesses.
 
 Everything here is deterministic in ``GeneratorConfig.seed``: each stream
 draws from its own ``random.Random`` seeded by the config's seed and a tag
@@ -6,7 +6,7 @@ naming the stream and the draw, so a config names one suite, and the golden
 ``suites`` group of ``scripts/golden.py`` pins the suites' bytes.
 
 Nothing here verifies anything, and nothing imports a checker: the module
-reads only ``kernel``, ``similarity``, ``symmetry`` and ``transition``.
+reads only ``kernel``, ``symmetry`` and ``transition``.
 Explicit successors are drawn until they are natural, as decided by
 ``transition.first_unnatural_successor``, the decision the abstract-state
 check makes on explicit algorithms; so that check passes on generated
@@ -28,16 +28,13 @@ from .kernel import (
     EQ_SYMBOL,
     NOT_SYMBOL,
     OR_SYMBOL,
-    Renaming,
     State,
     Symbol,
     Term,
     Vocabulary,
-    apply_renaming,
     sorted_terms,
     subterm_closure,
 )
-from .similarity import t_similar
 from .symmetry import first_isomorphic
 from .transition import Algorithm, Assign, Cond, Par, Rule, first_unnatural_successor, rule_terms
 
@@ -316,58 +313,3 @@ def generate_algorithm_suite(cfg: GeneratorConfig) -> list[SuiteInstance]:
         witnesses = _candidate_witnesses(algorithm, cfg, rng)
         instances.append(SuiteInstance(index, description, algorithm, witnesses))
     return instances
-
-
-def _random_renaming(
-    rng: random.Random, base: frozenset[int], universe_size: int
-) -> Renaming:
-    sources = sorted(e for e in base if e not in LOGICAL_IDS)
-    targets = rng.sample(range(3, universe_size), k=len(sources))
-    return Renaming(dict(zip(sources, targets)))
-
-
-def generate_similar_pairs(cfg: GeneratorConfig, count: int):
-    """Seeded stream of (state, state, closed witness) triples that are similar.
-
-    Odd draws are renamed copies (similar over any witness); even draws are
-    rejection-sampled independent states, falling back to a copy when no
-    similar partner shows up.
-    """
-    attempt = 0
-    produced = 0
-    while produced < count:
-        rng = _rng(cfg.seed, f"pair:{attempt}")
-        attempt += 1
-        vocabulary = _random_vocabulary(rng, cfg)
-        carrier = _carrier_size(rng, cfg)
-        x = _random_state(rng, vocabulary, carrier)
-        terms = subterm_closure(
-            _random_term(rng, vocabulary, cfg.max_term_depth)
-            for _ in range(rng.randint(1, 4))
-        )
-        y: State | None = None
-        if attempt % 2 == 0:
-            for _ in range(40):
-                candidate = _random_state(rng, vocabulary, carrier)
-                if t_similar(x, candidate, terms):
-                    y = candidate
-                    break
-        if y is None:
-            y = apply_renaming(x, _random_renaming(rng, x.base, cfg.universe_size))
-        produced += 1
-        yield x, y, terms
-
-
-def generate_monotonicity_cases(cfg: GeneratorConfig, count: int):
-    """Rule-based algorithms with the rule-term closure as a passing witness,
-    paired with a strictly larger closed witness."""
-    for index in range(count):
-        rng = _rng(cfg.seed, f"mono:{index}")
-        algorithm = _random_algorithm(rng, cfg, "rule")
-        small = subterm_closure(rule_terms(algorithm.program)) | LOGICAL_CONSTANT_TERMS
-        extras = [
-            _random_term(rng, algorithm.vocabulary, cfg.max_term_depth)
-            for _ in range(rng.randint(1, 3))
-        ]
-        large = small | subterm_closure(extras)
-        yield algorithm, small, large

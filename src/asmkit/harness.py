@@ -175,7 +175,8 @@ class _Constructions:
     - A detached copy eta(x), by ("eta", source key, moved, allowed): with
       x's carrier the ids ``moved`` and ``allowed`` determine eta, which
       sends ``moved`` to ``allowed`` in order and is the identity on the
-      rest of x's carrier.
+      rest of x's carrier.  None is built when ``moved`` is empty: eta(x)
+      is then x itself.
     - A replaced copy xi(eta(x)), by ("xi", detached key, y's values): the
       detached key determines eta r and hence eta(x)'s values and pattern,
       and sigma', ``similarity_map`` of those values and y's, is a function
@@ -305,22 +306,25 @@ def construct_disjoint_copy(
     program = TermProgram(y.vocabulary, sorted_terms(terms))
     source = _Source(0, {e: e for e in x.base}, program.evaluate(x))
     _, detached = _detached_copy(_Constructions(program, (x,)), source, program.evaluate(y), universe_size)
-    renaming = Renaming(detached.step)
+    renaming = Renaming(source.mapping if detached is None else detached.step)
     return apply_renaming(x, renaming), renaming
 
 
 def _detached_copy(
     constructions: _Constructions, source: _Source, y_vector: tuple[int, ...], universe_size: int
-) -> tuple[tuple, _Built]:
-    """The copy eta(x) of the copy x = r(c) that ``source`` holds, detached
-    from a state y with witness values ``y_vector``; and its key.  With Y
-    the nonlogical values of y and C x's carrier, eta sends the elements M
-    of C among Y, in order, to the least ids of 3 .. u-1 outside Y and C,
-    and is the identity on the rest of C; it is checked by
-    ``renaming_map``, and made only when the copy is built.  The detached
-    copy eta(x) = (eta r)(c), evaluated by the witness program on c's tables
-    renamed by eta r, must share no value with Y, which is checked on every
-    call: eta(x)'s carrier is C without M and ids outside Y.
+) -> tuple[tuple, _Built | None]:
+    """The key of the copy eta(x) of the copy x = r(c) that ``source``
+    holds, detached from a state y with witness values ``y_vector``; and
+    that copy, or None when eta moves nothing.  With Y the nonlogical values
+    of y and C x's carrier, eta sends the elements M of C among Y, in order,
+    to the least ids of 3 .. u-1 outside Y and C, and is the identity on the
+    rest of C; it is checked by ``renaming_map``, and made only when the
+    copy is built.  When M is empty, eta is the identity on C and eta(x) is
+    x, so nothing is built and x's own values stand for the copy's.  The
+    detached copy eta(x) = (eta r)(c), evaluated by the witness program on
+    c's tables renamed by eta r, must share no value with Y, which is
+    checked on every call: eta(x)'s carrier is C without M and ids outside
+    Y.
 
     Fit lemma.  Y and C share exactly M, so the ids of 3 .. u-1 outside
     both number at least (u-3) - |Y| - |C| + |M|.  Y lies in y's nonlogical
@@ -341,8 +345,8 @@ def _detached_copy(
         return step
 
     key = ("eta", source.key, moved, allowed)
-    detached = constructions.build(key, source.index, source.mapping, eta)
-    if y_values.intersection(detached.vector):
+    detached = constructions.build(key, source.index, source.mapping, eta) if moved else None
+    if y_values.intersection(source.values if detached is None else detached.vector):
         raise AsmError("internal: disjoint copy still shares nonlogical witness values")
     return key, detached
 
@@ -360,10 +364,11 @@ def _pair_route(
     per pair: no construction when ``sigma`` moves a logical element
     ("direct"), and otherwise the one chain, a disjoint copy eta
     (``_detached_copy``) followed by the value replacement xi
-    (``_replaced_copy``).  It is "case1", with xi alone as its step, when
-    eta moves nothing and the witness-value sets are disjoint, and "case2",
-    with both steps, otherwise.  The constructed copy must have ``y``'s
-    update set.  Each pure step is computed once per distinct input in one
+    (``_replaced_copy``).  When eta moves nothing, eta(x) is x and sigma' is
+    ``sigma``, so nothing is built for eta and xi is the chain's one step.
+    The chain is "case1" when eta moves nothing and the witness-value sets
+    are disjoint, and "case2" otherwise.  The constructed copy must have
+    ``y``'s update set.  Each pure step is computed once per distinct input in one
     replay (``_Constructions``): x's source key, carrier and values once per
     copy, each copy once per key, and with a replaced copy the similarity
     function sigma' and the map xi it is made of.  Many pairs of a class
@@ -382,10 +387,10 @@ def _pair_route(
     eta(x) = x, sigma' = sigma and the chain's xi is the paper's; so the
     chain is labelled "case1" exactly when xi(x) is a renaming, and
     otherwise the chain is case 2's, with a detached copy; pairs whose
-    values meet take case 2 either way.  Transport through eta, the
-    identity, moves nothing, so dropping it from case 1's steps changes no
-    lift.  So the labels stay the paper's, and reports, which name a route
-    but none of its maps, stay byte for byte the same.
+    values meet take case 2 either way.  Transport through eta, when it is
+    the identity, moves nothing, so leaving it out of the steps, in either
+    case, changes no lift.  So the labels stay the paper's, and reports,
+    which name a route but none of its maps, stay byte for byte the same.
 
     Nothing is built but element maps, ``sigma`` the similarity function's
     (``similarity_map``).  With x = r(c) for x's canonical state c and r =
@@ -409,16 +414,20 @@ def _pair_route(
         return "direct", ()
     source = constructions.source(x)
     key, detached = _detached_copy(constructions, source, y.vector, universe_size)
-    replaced = _replaced_copy(
-        constructions, ("xi", key, y.vector), source.index, detached.composed,
-        lambda: similarity_map(detached.vector, y.vector, constructions.program.terms, detached.pattern),
-        y.vector,
-    )
+    if detached is None:
+        steps, x_map, make_sigma = (), source.mapping, lambda: sigma
+    else:
+        steps, x_map = (detached,), detached.composed
+
+        def make_sigma() -> dict[int, int]:
+            return similarity_map(detached.vector, y.vector, constructions.program.terms, detached.pattern)
+
+    replaced = _replaced_copy(constructions, ("xi", key, y.vector), source.index, x_map, make_sigma, y.vector)
     case1 = source.values.isdisjoint(y.vector) and source.carrier.isdisjoint(y.vector)
     route = "case1" if case1 else "case2"
     if replaced.updates != y.encoded_delta:
         raise AsmError(f"replayed chain broken: {_CONSTRUCTED[route]} copy and target disagree on updates")
-    return route, (replaced,) if case1 else (detached, replaced)
+    return route, steps + (replaced,)
 
 
 def _transport(

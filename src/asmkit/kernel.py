@@ -12,6 +12,11 @@ vocabulary, the same carrier and the same tables.
 Ground terms are evaluated by one evaluator, ``TermProgram``: terms are
 compiled once, their symbols checked against the vocabulary then, and the
 program runs over a state's tables in one flat pass per state.
+
+Code that decides computes on raw element maps, checked by
+``renaming_map``; ``Renaming``, the one map class, wraps such a map for
+what a report or a caller names.  A similarity function is a plain element
+map too (``similarity.similarity_map``).
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    AsmError,
     DomainError,
     InvalidRenamingError,
     ValidationError,
@@ -521,11 +525,6 @@ def evaluate_term(state: State, term: Term) -> int:
     return evaluate_terms(state, (term,))[0]
 
 
-def evaluate_set(state: State, terms: Iterable[Term]) -> frozenset[int]:
-    """The image of a term set under evaluation."""
-    return frozenset(evaluate_terms(state, terms))
-
-
 def coincides_over(x: State, y: State, terms: Iterable[Term]) -> bool:
     """True iff every term of the set has the same value in both states."""
     if x.vocabulary != y.vocabulary:
@@ -534,59 +533,39 @@ def coincides_over(x: State, y: State, terms: Iterable[Term]) -> bool:
     return program.evaluate(x) == program.evaluate(y)
 
 
-class InjectiveMap:
-    """A finite injective element map, the one core of renamings and
-    similarity functions.  A subclass validates the map it is given, stores
-    it in ``_map`` and names the error for an element outside the domain
-    (``_outside``); maps of different subclasses are never equal."""
+class Renaming:
+    """An injective finite element map fixing the three logical elements."""
 
     __slots__ = ("_map",)
 
-    def _outside(self, element: int) -> AsmError:
-        raise NotImplementedError
+    def __init__(self, mapping: Mapping[int, int]) -> None:
+        self._map = renaming_map(mapping)
 
     def __getitem__(self, element: int) -> int:
         try:
             return self._map[element]
         except KeyError:
-            raise self._outside(element) from None
+            raise DomainError(f"element {element} outside renaming domain") from None
 
     @property
     def domain(self) -> frozenset[int]:
         return frozenset(self._map)
 
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self._map.values())
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._map.items())
 
-    def inverse(self) -> InjectiveMap:
-        """The inverse map, of the same class."""
-        return type(self)({v: k for k, v in self._map.items()})
+    def inverse(self) -> Renaming:
+        return Renaming({v: k for k, v in self._map.items()})
 
     @property
     def is_identity(self) -> bool:
         return all(k == v for k, v in self._map.items())
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._map == other._map
+        return type(other) is Renaming and self._map == other._map
 
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
-
-
-class Renaming(InjectiveMap):
-    """An injective finite element map fixing the three logical elements."""
-
-    __slots__ = ()
-
-    def __init__(self, mapping: Mapping[int, int]) -> None:
-        self._map = renaming_map(mapping)
-
-    def _outside(self, element: int) -> AsmError:
-        return DomainError(f"element {element} outside renaming domain")
 
     def __repr__(self) -> str:
         moved = ", ".join(f"{k}->{v}" for k, v in self.items() if k != v)

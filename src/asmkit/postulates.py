@@ -43,7 +43,6 @@ from .kernel import (
     TermProgram,
     Vocabulary,
     apply_renaming,
-    is_subterm_closed,
     lazy_property,
     rename_tables,
     renamed_key,
@@ -401,7 +400,7 @@ def check_abstract_state(algorithm: Algorithm, universe_size: int) -> CheckRepor
     evaluation runs the ``CompiledRule`` built with the ``Algorithm``, its
     symbols checked then, over a copy's raw tables.  It compares update
     sets instead of successors.  Lemma: for a renaming r of canonical state c,
-    with update set D, the rule's update set on c (``canonical_delta``), and
+    with update set D, the rule's update set on c, and
     successor succ, c with D written, the copy r(c) steps to r(succ) exactly
     when the rule's update set on r(c) equals r(D).  Proof: ``apply_rule``
     returns only nontrivial updates that do not clash, and a state steps to
@@ -906,44 +905,3 @@ def check_new_be(
     return CheckReport(
         False, "new-be", f"requirement ({failed}) violated", witness=witness, stats=stats
     )
-
-
-def witness_monotonicity(
-    algorithm: Algorithm,
-    small: Iterable[Term],
-    large: Iterable[Term],
-    universe_size: int,
-) -> CheckReport:
-    """A passing witness must keep passing after growing the term set.
-
-    A failure here is an implementation-bug signal, not a property of the
-    algorithm.
-    """
-    label = "witness-monotonicity"
-    small = frozenset(small)
-    large = frozenset(large)
-    if not small <= large:
-        raise PreconditionError("the first witness must be a subset of the second")
-    if not (is_subterm_closed(small) and is_subterm_closed(large)):
-        raise PreconditionError("both witnesses must be subterm-closed")
-    notes = []
-    for name, checker in (("old-be", check_old_be), ("new-be", check_new_be)):
-        small_report = checker(algorithm, small, universe_size)
-        if not small_report.passed:
-            notes.append(f"{name}: vacuous (small witness fails)")
-            continue
-        large_report = checker(algorithm, large, universe_size)
-        if not large_report.passed:
-            return CheckReport(
-                False,
-                label,
-                f"{name} passes on the small witness but fails on the superset",
-                witness={
-                    "postulate": name,
-                    "small": small,
-                    "large": large,
-                    "large_report": large_report,
-                },
-            )
-        notes.append(f"{name}: pass -> pass")
-    return CheckReport(True, label, notes=tuple(notes))

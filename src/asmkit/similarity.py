@@ -6,61 +6,21 @@ the two value sets sending each term's value in one state to its value in
 the other.  An element is accessible when some witness term names it; an
 update is accessible when all its components are.
 
-One core serves each notion, and the checkers compute on it alone:
+One core serves each notion, and everything computes on it alone:
 ``equality_pattern`` encodes every equality pattern, ``similarity_map``
-builds the similarity function's element map from values already evaluated,
-and ``transition.within``, on an encoded update, is the one accessibility
-test.  ``SimilarityFunction``, a ``kernel.InjectiveMap`` like ``Renaming``,
-is a view built for callers and reports (``similarity_of_vectors``, and
-``similarity_function`` after evaluating), as ``Update`` is.
+builds the similarity function as a plain element map, a dict, from values
+already evaluated, and ``transition.within``, on an encoded update, is the
+one accessibility test.  ``similarity_function`` evaluates the terms first;
+no view class wraps the map, and an element outside it raises ``KeyError``.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    AsmError,
-    InaccessibleUpdateError,
-    NotSimilarError,
-    PreconditionError,
-)
-from .kernel import (
-    InjectiveMap,
-    State,
-    Term,
-    evaluate_set,
-    evaluate_terms,
-    interpret,
-    is_subterm_closed,
-    sorted_terms,
-)
+from .errors import NotSimilarError, PreconditionError
+from .kernel import State, Term, evaluate_terms, interpret, is_subterm_closed, sorted_terms
 from .report import CheckReport
-from .transition import Update
-
-
-class SimilarityFunction(InjectiveMap):
-    """Finite bijection between the value sets of two similar states."""
-
-    __slots__ = ()
-
-    def __init__(self, mapping: Mapping[int, int]) -> None:
-        m = dict(mapping)
-        if len(set(m.values())) != len(m):
-            raise NotSimilarError("similarity mapping is not injective")
-        self._map = m
-
-    def _outside(self, element: int) -> AsmError:
-        return InaccessibleUpdateError(
-            f"element {element} is outside the similarity function's domain"
-        )
-
-    def apply(self, element: int) -> int:
-        return self[element]
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{k}->{v}" for k, v in self.items())
-        return f"SimilarityFunction({pairs})"
 
 
 def equality_pattern(vector: Sequence[int]) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -86,17 +46,11 @@ def t_similar(x: State, y: State, terms: Iterable[Term]) -> bool:
     )
 
 
-def similarity_function(x: State, y: State, terms: Iterable[Term]) -> SimilarityFunction:
-    """The bijection sending each term's value in ``x`` to its value in ``y``."""
+def similarity_function(x: State, y: State, terms: Iterable[Term]) -> dict[int, int]:
+    """The bijection sending each term's value in ``x`` to its value in
+    ``y``, as ``similarity_map``'s element map."""
     order = sorted_terms(terms)
-    return similarity_of_vectors(evaluate_terms(x, order), evaluate_terms(y, order), order)
-
-
-def similarity_of_vectors(
-    xs: Sequence[int], ys: Sequence[int], order: Sequence[Term], pattern: Sequence[int] | None = None
-) -> SimilarityFunction:
-    """The ``SimilarityFunction`` view of ``similarity_map``."""
-    return SimilarityFunction(similarity_map(xs, ys, order, pattern))
+    return similarity_map(evaluate_terms(x, order), evaluate_terms(y, order), order)
 
 
 def similarity_map(
@@ -138,8 +92,8 @@ def check_lemma_identity(x: State, y: State, terms: Iterable[Term]) -> CheckRepo
         if t.root.arity == 0:
             continue
         args = tuple(evaluate_terms(x, t.children))
-        lhs = sigma.apply(interpret(x, t.root, args))
-        rhs = interpret(y, t.root, tuple(sigma.apply(a) for a in args))
+        lhs = sigma[interpret(x, t.root, args)]
+        rhs = interpret(y, t.root, tuple(sigma[a] for a in args))
         if lhs != rhs:
             return CheckReport(
                 False,
@@ -158,14 +112,14 @@ def check_partial_isomorphism(x: State, y: State, terms: Iterable[Term]) -> Chec
     states; the first violated tuple is reported.
     """
     sigma = similarity_function(x, y, terms)
-    domain = sorted(sigma.domain)
+    domain = sorted(sigma)
     for symbol in sorted(x.vocabulary.symbols):
         for args in itertools.product(domain, repeat=symbol.arity):
             fx = interpret(x, symbol, args)
-            if fx not in sigma.domain:
+            if fx not in sigma:
                 continue
-            lhs = sigma.apply(fx)
-            rhs = interpret(y, symbol, tuple(sigma.apply(a) for a in args))
+            lhs = sigma[fx]
+            rhs = interpret(y, symbol, tuple(sigma[a] for a in args))
             if lhs != rhs:
                 return CheckReport(
                     False,
@@ -181,8 +135,3 @@ def check_partial_isomorphism(x: State, y: State, terms: Iterable[Term]) -> Chec
                     },
                 )
     return CheckReport(True, "partial-isomorphism")
-
-
-def is_accessible_update(state: State, terms: Iterable[Term], update: Update) -> bool:
-    """True iff the value and every argument of the update are accessible."""
-    return update.within(evaluate_set(state, terms))

@@ -34,21 +34,17 @@ import itertools
 import operator
 from typing import Iterable, Iterator, Sequence
 
-from .kernel import LOGICAL_IDS, Renaming, State, isomorphism_maps
+from .kernel import LOGICAL_IDS, State, isomorphism_maps
 
 _LOGICAL_FIXED = {e: e for e in LOGICAL_IDS}
 
 
 def renaming_maps(base: frozenset[int], universe_size: int) -> Iterator[dict[int, int]]:
-    """The element maps of ``renamings_into``, in its order, unvalidated."""
+    """The element maps of all renamings of a carrier into the universe, in
+    the renaming order, unvalidated."""
     sources = tuple(sorted(e for e in base if e not in LOGICAL_IDS))
     for perm in itertools.permutations(range(3, universe_size), len(sources)):
         yield {**_LOGICAL_FIXED, **dict(zip(sources, perm))}
-
-
-def renamings_into(base: frozenset[int], universe_size: int) -> Iterator[Renaming]:
-    """All renamings of a carrier into the universe, in the renaming order."""
-    return map(Renaming, renaming_maps(base, universe_size))
 
 
 def automorphisms(state: State, fixing: Iterable[int] = ()) -> Iterator[dict[int, int]]:

@@ -27,7 +27,6 @@ from .kernel import (
     KIND_NONLOGICAL,
     TRUE,
     UNDEF,
-    InjectiveMap,
     Renaming,
     State,
     Symbol,
@@ -58,10 +57,6 @@ class Update:
 
     def encoded(self) -> tuple[str, tuple[int, ...], int]:
         return (self.symbol.name, self.args, self.value)
-
-    def within(self, values: Container[int]) -> bool:
-        """Whether all components lie in ``values`` (``within``)."""
-        return within(self.encoded(), values)
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -344,16 +339,8 @@ def canonical_step(algorithm: Algorithm, index: int) -> State:
     return algorithm.successors[index]
 
 
-def canonical_delta(algorithm: Algorithm, index: int) -> frozenset[Update]:
-    """Update set of the canonical state at ``index``."""
-    source = algorithm.canonical_states[index]
-    if algorithm.rule_based:
-        return apply_rule(source, algorithm.compiled)
-    return table_diff(source, algorithm.successors[index])
-
-
 def encoded_rule_deltas(algorithm: Algorithm) -> tuple[frozenset[Encoded], ...]:
-    """``canonical_delta`` of every canonical state of a rule-based algorithm,
+    """The update set of every canonical state of a rule-based algorithm,
     encoded straight from ``rule_updates``; all are computed afresh, first."""
     rule = algorithm.compiled
     found = [rule_updates(rule, state.interpretations) for state in algorithm.canonical_states]
@@ -415,9 +402,11 @@ def table_diff(before: State, after: State) -> frozenset[Update]:
     return frozenset(updates)
 
 
-def lift_update(mapping: InjectiveMap, update: Update) -> Update:
-    """Element-wise application of a renaming or a similarity function to one
-    update; an element outside its domain raises that map's error."""
+def lift_update(mapping: Renaming | Mapping[int, int], update: Update) -> Update:
+    """Element-wise application of a renaming, or of an element map such as
+    a similarity function's dict, to one update; an element outside it
+    raises ``DomainError`` from a ``Renaming`` and ``KeyError`` from a
+    dict."""
     return Update(
         update.symbol,
         tuple(mapping[a] for a in update.args),
@@ -430,9 +419,10 @@ def lift_update_set(renaming: Renaming, updates: Iterable[Update]) -> frozenset[
     return frozenset(lift_update(renaming, u) for u in updates)
 
 
-def lift_encoded(mapping: Mapping[int, int] | InjectiveMap, update: Encoded) -> Encoded:
-    """``lift_update`` on an encoded update, through an element map or an
-    ``InjectiveMap``; an element outside it raises that map's error."""
+def lift_encoded(mapping: Mapping[int, int], update: Encoded) -> Encoded:
+    """``lift_update`` on an encoded update, through an element map such as
+    a similarity function's dict; an element outside it raises
+    ``KeyError``."""
     name, args, value = update
     return name, tuple([mapping[a] for a in args]), mapping[value]
 

@@ -22,9 +22,9 @@ import itertools
 from asmkit.errors import HeadroomError, InvalidRenamingError, VocabularyMismatchError
 from asmkit.kernel import (
     FALSE, FALSE_TERM, LOGICAL_IDS, TRUE, TRUE_TERM, UNDEF, UNDEF_TERM, Renaming, Term, apply_renaming,
-    coincides_over, evaluate_set, evaluate_terms, rename_tables, sorted_terms, state_key,
+    coincides_over, evaluate_terms, rename_tables, sorted_terms, state_key,
 )
-from asmkit.similarity import is_accessible_update, similarity_function, t_similar
+from asmkit.similarity import similarity_function, t_similar
 from asmkit.transition import (
     Update, apply_rule, apply_updates, canonical_step, lift_update, step, table_diff, update_set,
 )
@@ -92,14 +92,16 @@ def pairwise_new_be(algorithm, terms, universe_size) -> bool:
     update accessible, and membership of every update over the reachable
     values transported by the similarity function."""
     copies = states(algorithm, closure(algorithm, universe_size))
-    if not all(is_accessible_update(s, terms, u) for s in copies for u in update_set(algorithm, s)):
+    if not all(
+        {*u.args, u.value} <= set(evaluate_terms(s, terms)) for s in copies for u in update_set(algorithm, s)
+    ):
         return False
     for x, y in itertools.product(copies, repeat=2):
         if not t_similar(x, y, terms):
             continue
         sigma = similarity_function(x, y, terms)
         dx, dy = update_set(algorithm, x), update_set(algorithm, y)
-        reachable = sorted(evaluate_set(x, terms))
+        reachable = sorted(set(evaluate_terms(x, terms)))
         for sym in algorithm.vocabulary.nonlogical:
             for args in itertools.product(reachable, repeat=sym.arity):
                 for value in reachable:
@@ -303,13 +305,13 @@ def state_route(x, y, terms, universe_size):
     the identity on the rest."""
 
     def replaced(x):
-        xi = Renaming({**{e: e for e in x.base}, **dict(similarity_function(x, y, terms).items())})
+        xi = Renaming({**{e: e for e in x.base}, **similarity_function(x, y, terms)})
         return apply_renaming(x, xi), xi
 
     sigma = similarity_function(x, y, terms)
     if any(v != w for v, w in sigma.items() if v in LOGICAL_IDS or w in LOGICAL_IDS):
         return "direct", [], []
-    if evaluate_set(x, terms).isdisjoint(evaluate_set(y, terms)):
+    if set(evaluate_terms(x, terms)).isdisjoint(evaluate_terms(y, terms)):
         try:
             copy, xi = replaced(x)
         except InvalidRenamingError:
@@ -317,7 +319,7 @@ def state_route(x, y, terms, universe_size):
         else:
             return "case1", [xi], [copy]
     carrier = set(x.nonlogical_elements())
-    values = evaluate_set(y, terms).difference(LOGICAL_IDS)
+    values = set(evaluate_terms(y, terms)).difference(LOGICAL_IDS)
     moved = sorted(carrier & values)
     room = [e for e in range(3, universe_size) if e not in values | carrier]
     if len(room) < len(moved):

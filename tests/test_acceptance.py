@@ -15,14 +15,12 @@ from asmkit import (
     check_old_be,
     check_sequential_time,
     closure,
-    generate_monotonicity_cases,
-    generate_similar_pairs,
     run_scenario_example,
     run_scenario_remark,
     update_set,
     verify_equivalence,
-    witness_monotonicity,
 )
+from cases import generate_monotonicity_cases, generate_similar_pairs, witness_monotonicity
 
 
 @contextmanager

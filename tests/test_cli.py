@@ -238,19 +238,22 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
-    def test_universe_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("ASMKIT_UNIVERSE", "6")
-        code = main(["check", "old-be", "--witness", "T0", SPEC])
-        assert code == 2
-        assert "inconclusive" in capsys.readouterr().err
-        monkeypatch.setenv("ASMKIT_UNIVERSE", "7")
-        assert main(["check", "old-be", "--witness", "T0", SPEC]) == 1
+    def test_no_environment_variable_sets_the_universe(self, capsys, monkeypatch):
+        # ``--universe`` is the one way to set it: with ASMKIT_UNIVERSE=3 a
+        # spec check, a suite and a scenario give the same codes and bytes
+        commands = (
+            ["check", "old-be", SPEC, "--witness", "T0"],
+            ["check", "equivalence", "--suite", "instances=1"],
+            ["scenario", "example"],
+        )
 
-    def test_universe_env_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("ASMKIT_UNIVERSE", "abc")
-        assert main(["check", "old-be", SPEC, "--witness", "T1"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: ASMKIT_UNIVERSE must be an integer, not 'abc'"]
+        def outcomes():
+            return [(main(argv), *capsys.readouterr()) for argv in commands]
+
+        monkeypatch.delenv("ASMKIT_UNIVERSE", raising=False)
+        unset = outcomes()
+        monkeypatch.setenv("ASMKIT_UNIVERSE", "3")
+        assert outcomes() == unset
 
     def test_suite_option_not_an_integer(self, capsys):
         assert main(["check", "equivalence", "--suite", "seed=x"]) == 2

@@ -13,7 +13,6 @@ from asmkit import (
     HeadroomError,
     NotSimilarError,
     Renaming,
-    SimilarityFunction,
     State,
     Symbol,
     TRUE_TERM,
@@ -30,15 +29,13 @@ from asmkit import (
     coincides_over,
     construct_case1_state,
     construct_disjoint_copy,
-    evaluate_set,
+    evaluate_terms,
     flip_algorithm,
     generate_algorithm_suite,
-    generate_similar_pairs,
     ground_terms_up_to,
     is_subterm_closed,
     lift_update,
     similarity_function,
-    similarity_of_vectors,
     sorted_terms,
     subterm_closure,
     t_similar,
@@ -47,7 +44,9 @@ from asmkit import (
 from asmkit import harness
 from asmkit.kernel import LOGICAL_IDS, rename_tables, renaming_map
 from asmkit.postulates import ClosureIndex, Copy
+from asmkit.similarity import similarity_map
 from asmkit.transition import lift_encoded
+from cases import generate_similar_pairs
 import reference
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
@@ -130,8 +129,7 @@ class TestDisjointCopy:
         x, y, witness, _ = remark
         copy, eta = construct_disjoint_copy(x, y, witness, 9)
         assert [(k, v) for k, v in eta.items() if k != v] == [(3, 6), (5, 7)]
-        values = evaluate_set(copy, witness)
-        assert values.isdisjoint(evaluate_set(y, witness))
+        assert set(evaluate_terms(copy, witness)).isdisjoint(evaluate_terms(y, witness))
 
     def test_generated_pairs_fit_at_twice_the_carrier(self):
         # the fit lemma: at u = 2n + 3, n the larger nonlogical carrier, the
@@ -140,7 +138,8 @@ class TestDisjointCopy:
         for x, y, terms in generate_similar_pairs(GeneratorConfig(), 200):
             n = max(len(x.nonlogical_elements()), len(y.nonlogical_elements()))
             copy, eta = construct_disjoint_copy(x, y, terms, 2 * n + 3)
-            assert evaluate_set(copy, terms).isdisjoint(evaluate_set(y, terms).difference(LOGICAL_IDS))
+            y_values = set(evaluate_terms(y, terms)).difference(LOGICAL_IDS)
+            assert y_values.isdisjoint(evaluate_terms(copy, terms))
             moved += not eta.is_identity
         assert moved > 0
 
@@ -150,7 +149,7 @@ class TestDisjointCopy:
         y = _naming_state(vocabulary, {f"c{i}": 6 + i for i in range(4)})
         terms = frozenset(Term(s) for s in vocabulary.nonlogical)
         copy, _ = construct_disjoint_copy(x, y, terms, 11)
-        assert evaluate_set(copy, terms).isdisjoint(evaluate_set(y, terms))
+        assert set(evaluate_terms(copy, terms)).isdisjoint(evaluate_terms(y, terms))
 
     def test_states_of_different_vocabularies_rejected(self):
         vocabulary = _constants_vocab(1)
@@ -244,7 +243,7 @@ class TestVerifyEquivalence:
                 order = sorted_terms(terms)
                 for members in index.similarity_classes(harness.REPLAY_PAIR_LIMIT + 1):
                     for left, right in harness._sample_pairs(list(members), harness.REPLAY_PAIR_LIMIT):
-                        assert similarity_of_vectors(
+                        assert similarity_map(
                             left.vector, right.vector, order
                         ) == similarity_function(left.state, right.state, terms)
                         pairs += 1
@@ -391,10 +390,13 @@ class TestMapLevelRoute:
         routes = {}
         for x, y, name, steps, tables in pairs:
             index = x.index
-            expected = reference.state_route(x.state, y.state, index.terms, index.universe_size)
-            assert (name, [Renaming(c.step) for c in steps]) == expected[:2]
-            assert tables == [state.interpretations for state in expected[2]]
-            assert [c.vector for c in steps] == [index.program.evaluate(state) for state in expected[2]]
+            route, renamings, states = reference.state_route(x.state, y.state, index.terms, index.universe_size)
+            if route == "case2" and renamings[0].is_identity:
+                # eta moves nothing, so eta(x) is x: the replay builds no copy for it
+                renamings, states = renamings[1:], states[1:]
+            assert (name, [Renaming(c.step) for c in steps]) == (route, renamings)
+            assert tables == [state.interpretations for state in states]
+            assert [c.vector for c in steps] == [index.program.evaluate(state) for state in states]
             routes[name] = routes.get(name, 0) + 1
         return routes
 
@@ -469,15 +471,14 @@ class TestMapLevelRoute:
 
 class TestReportOnlyObjects:
     """The checks and the replay compute on element maps and encoded
-    updates; ``Update``, ``Renaming``, ``SimilarityFunction`` and ``State``
-    are built only for what a report names."""
+    updates; ``Update``, ``Renaming`` and ``State`` are built only for what
+    a report names."""
 
     @staticmethod
     def _spy_builds(monkeypatch):
         """The class names of the report-only objects built from now on."""
         built = []
-        for cls, name in ((Update, "__post_init__"), (Renaming, "__init__"), (SimilarityFunction, "__init__"),
-                          (State, "__init__")):
+        for cls, name in ((Update, "__post_init__"), (Renaming, "__init__"), (State, "__init__")):
             def spy(self, *args, _made=getattr(cls, name), **kwargs):
                 built.append(type(self).__name__)
                 return _made(self, *args, **kwargs)
@@ -487,7 +488,7 @@ class TestReportOnlyObjects:
     def test_warm_double_pass_checks_build_none(self, monkeypatch, default_suite, default_config):
         # Every double-pass check of the default suite at u=11, run again once
         # its algorithm's canonical facts are kept: no report is made, so
-        # none of the four may be constructed.
+        # none of the three may be constructed.
         universe = default_config.universe_size
         double = []
         for instance in default_suite:
@@ -554,6 +555,15 @@ class TestReplayConstructions:
         monkeypatch.setattr(
             harness, "similarity_map", lambda *args: similarities.append(args) or similarity_map(*args)
         )
+        detached = []  # each routed pair's detached copy, None where eta moves nothing
+        detach = harness._detached_copy
+
+        def spy_detach(*args):
+            key, copy = detach(*args)
+            detached.append(copy)
+            return key, copy
+
+        monkeypatch.setattr(harness, "_detached_copy", spy_detach)
         builds = uses = chains = 0
         for instance in default_suite:
             for terms in instance.witnesses:
@@ -565,9 +575,25 @@ class TestReplayConstructions:
                 assert sorted(map(id, renamed)) == sorted({id(c.composed) for c in used})
                 builds += len(renamed)
                 uses += len(used)
-        # 8,552 sampled pairs and 4,297 routed ones would compute 12,849
-        # similarity functions without the memo
-        assert (builds, uses, chains, len(similarities)) == (1311, 2 * 4297, 5402, 2314)
+        # 8,552 sampled pairs and the 1,203 routed ones with a detached copy
+        # would compute 9,755 similarity functions without the memo; where
+        # eta moves nothing, sigma' is the pair's own sigma
+        moving = [copy for copy in detached if copy is not None]
+        assert (len(detached), len(moving)) == (4297, 1203)
+        assert (builds, uses, chains, len(similarities)) == (1113, 4297 + 1203, 5402, 1765)
+        # no copy is built for a detachment that moves nothing
+        assert [copy for copy in moving if all(k == v for k, v in copy.step.items())] == []
+
+    def test_two_constant_replay_builds_only_what_it_uses(self, monkeypatch):
+        # Without logical terms eta moves nothing for every case-1 pair and
+        # for some case-2 pairs; x stands for eta(x) there, and no copy is
+        # built for it.
+        renamed, used = _spied_builds(monkeypatch)
+        moving, vocabulary = _moving_algorithm()
+        report = verify_equivalence(moving, frozenset(Term(s) for s in vocabulary.nonlogical), 7)
+        assert (report.stats["case1"], report.stats["case2"]) == (2, 9)
+        assert sorted(map(id, renamed)) == sorted({id(c.composed) for c in used})
+        assert len(renamed) == 16
 
     def test_no_copy_outlives_its_replay(self, monkeypatch, default_suite, default_config):
         renamed, _ = _spied_builds(monkeypatch)

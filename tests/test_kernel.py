@@ -26,7 +26,6 @@ from asmkit import (
     VocabularyMismatchError,
     apply_renaming,
     coincides_over,
-    evaluate_set,
     evaluate_term,
     evaluate_terms,
     is_subterm_closed,
@@ -179,9 +178,9 @@ class TestEvaluation:
 
     def test_evaluate_set_images(self, remark):
         x, y, witness, labels = remark
-        assert {labels[v] for v in evaluate_set(x, witness)} == {"1", "2"}
-        assert {labels[v] for v in evaluate_set(y, witness)} == {"1", "3"}
-        assert evaluate_set(x, ()) == frozenset()
+        assert {labels[v] for v in evaluate_terms(x, witness)} == {"1", "2"}
+        assert {labels[v] for v in evaluate_terms(y, witness)} == {"1", "3"}
+        assert evaluate_terms(x, ()) == []
 
     def test_generated_terms_are_not_confused(self, simple_vocab):
         # Terms made on the fly and dropped at once must not share a memo entry.

@@ -36,7 +36,6 @@ from asmkit import (
     VocabularyMismatchError,
     apply_renaming,
     apply_updates,
-    canonical_delta,
     check_abstract_state,
     check_new_be,
     check_old_be,
@@ -45,7 +44,6 @@ from asmkit import (
     coincides_over,
     evaluate_terms,
     generate_algorithm_suite,
-    is_accessible_update,
     isomorphisms_between,
     lift_update,
     lift_update_set,
@@ -58,12 +56,12 @@ from asmkit import (
     table_diff,
     update_set,
     verify_equivalence,
-    witness_monotonicity,
 )
 from asmkit.harness import REPLAY_PAIR_LIMIT
 from asmkit.kernel import TermProgram, renaming_map
 from asmkit.symmetry import automorphisms
 from asmkit.transition import encoded_rule_deltas, lift_encoded_set, rule_updates
+from cases import witness_monotonicity
 from conftest import PAPER_EXAMPLE_SPEC, RING6_SPEC, mk, random_state, random_term
 import reference
 
@@ -855,7 +853,8 @@ class TestNewBE:
         # witness re-checks through the primitives
         state = report.witness["state"]
         assert report.witness["update"] in update_set(flip, state)
-        assert not is_accessible_update(state, witness_terms, report.witness["update"])
+        update = report.witness["update"]
+        assert not {*update.args, update.value} <= set(evaluate_terms(state, witness_terms))
 
     def test_constant_algorithm_passes(self, simple_vocab):
         state = State(simple_vocab, {0, 1, 2, 3})
@@ -912,8 +911,8 @@ class TestNewBE:
     def test_isomorphic_state_without_copies_is_ignored(self, swap, universe):
         algorithm, terms = _shadowed(swap)
         first, second = (1, 0) if swap else (0, 1)
-        moved = lift_update_set(Renaming({3: 4, 4: 3}), canonical_delta(algorithm, first))
-        assert canonical_delta(algorithm, second) != moved
+        moved = lift_update_set(Renaming({3: 4, 4: 3}), reference.canonical_updates(algorithm, first))
+        assert reference.canonical_updates(algorithm, second) != moved
         assert not check_abstract_state(algorithm, universe).passed
         report = check_new_be(algorithm, terms, universe)
         assert report.passed

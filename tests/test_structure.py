@@ -11,6 +11,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "asmkit"
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 # The isomorphism search, and its ``Renaming`` view that the package exports.
 SEARCH = {"isomorphism_maps", "isomorphisms_between"}
@@ -55,7 +56,7 @@ def test_no_private_name_crosses_modules(module):
 
 def test_generate_reads_no_checker():
     sources = {source for source, _ in _imports("generate") if _internal(source)}
-    assert sources <= {"asmkit.kernel", "asmkit.similarity", "asmkit.symmetry", "asmkit.transition"}
+    assert sources <= {"asmkit.kernel", "asmkit.symmetry", "asmkit.transition"}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -81,20 +82,76 @@ def test_harness_takes_only_the_suite_from_generate():
 
 
 def test_only_the_map_classes_read_their_element_maps():
-    # ``kernel`` and ``similarity`` define ``InjectiveMap`` and its views;
-    # every other module computes on raw element maps and never reads a
-    # view's ``_map``.
+    # ``kernel`` defines ``Renaming``, the one map class; every other module
+    # computes on raw element maps and never reads a ``Renaming``'s ``_map``.
     readers = {
         module
         for module in MODULES
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr == "_map"
     }
-    assert readers <= {"kernel", "similarity"}
+    assert readers <= {"kernel"}
 
 
-def test_harness_does_not_import_the_similarity_view():
-    assert [names for _, names in _imports("harness") if "SimilarityFunction" in names] == []
+def _defined(statement: ast.stmt) -> set[str]:
+    """The public names a top-level statement defines: a function, a class
+    or a constant."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {statement.name}
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = {target.id for target in targets if isinstance(target, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names if not name.startswith("_")}
+
+
+def _read(node: ast.AST) -> set[str]:
+    """The names read under ``node``: identifiers loaded, attributes and imports."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def _named_in_bench() -> set[str]:
+    """The names ``bench/`` reads, and the function names ``spans.TRACED``
+    looks up by string."""
+    named = set()
+    for path in BENCH.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named |= _read(tree)
+        for statement in tree.body:
+            if isinstance(statement, ast.Assign) and "TRACED" in _defined(statement):
+                named |= {c.value for c in ast.walk(statement.value) if isinstance(c, ast.Constant)}
+    return named
+
+
+def test_every_public_name_is_reached():
+    # A public top-level name of a module is read by another top-level
+    # statement of the package, or named by the benchmark; ``__init__``'s
+    # re-export alone does not count, so what only the tests run lives in
+    # ``tests/``.
+    statements = [
+        (module, statement)
+        for module in MODULES
+        if module != "__init__"
+        for statement in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body
+    ]
+    reads = [_read(statement) for _, statement in statements]
+    named = _named_in_bench()
+    unreached = [
+        f"{module}.{name}"
+        for k, (module, statement) in enumerate(statements)
+        for name in sorted(_defined(statement))
+        if name not in named and not any(name in read for j, read in enumerate(reads) if j != k)
+    ]
+    assert unreached == []
 
 
 def test_reference_reads_no_checker():
