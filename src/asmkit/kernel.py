@@ -38,7 +38,7 @@ LOGICAL_LABELS = {TRUE: "TRUE", FALSE: "FALSE", UNDEF: "UNDEF"}
 KIND_LOGICAL = "logical"
 KIND_NONLOGICAL = "nonlogical"
 
-DEFAULT_MAX_ARITY = 3
+MAX_ARITY = 3
 
 
 class lazy_property:
@@ -121,31 +121,26 @@ LOGICAL_SYMBOLS = (
 class Vocabulary:
     """A finite set of function symbols; the logical symbols are always present."""
 
-    __slots__ = ("_by_name", "_symbols", "_max_arity")
+    __slots__ = ("_by_name", "_symbols")
 
-    def __init__(self, nonlogical: Iterable[Symbol] = (), max_arity: int = DEFAULT_MAX_ARITY) -> None:
+    def __init__(self, nonlogical: Iterable[Symbol] = ()) -> None:
         by_name = {sym.name: sym for sym in LOGICAL_SYMBOLS}
         for sym in nonlogical:
             if sym.kind != KIND_NONLOGICAL:
                 raise ValidationError(f"symbol {sym.name} must be declared nonlogical")
-            if sym.arity > max_arity:
+            if sym.arity > MAX_ARITY:
                 raise ValidationError(
-                    f"arity {sym.arity} of {sym.name} exceeds the limit {max_arity}"
+                    f"arity {sym.arity} of {sym.name} exceeds the limit {MAX_ARITY}"
                 )
             if sym.name in by_name:
                 raise ValidationError(f"duplicate or reserved symbol name {sym.name!r}")
             by_name[sym.name] = sym
         self._by_name = by_name
         self._symbols = frozenset(by_name.values())
-        self._max_arity = max_arity
 
     @property
     def symbols(self) -> frozenset[Symbol]:
         return self._symbols
-
-    @property
-    def max_arity(self) -> int:
-        return self._max_arity
 
     @property
     def nonlogical(self) -> tuple[Symbol, ...]:
@@ -547,19 +542,8 @@ class Renaming:
         except KeyError:
             raise DomainError(f"element {element} outside renaming domain") from None
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._map.items())
-
-    def inverse(self) -> Renaming:
-        return Renaming({v: k for k, v in self._map.items()})
-
-    @property
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self._map.items())
 
     def __eq__(self, other: object) -> bool:
         return type(other) is Renaming and self._map == other._map

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +36,12 @@ from asmkit import (
     ground_terms_up_to,
     is_subterm_closed,
     lift_update,
+    parse_spec,
     similarity_function,
     sorted_terms,
     subterm_closure,
     t_similar,
+    unparse_spec,
     verify_equivalence,
 )
 from asmkit import harness
@@ -47,6 +50,7 @@ from asmkit.postulates import ClosureIndex, Copy
 from asmkit.similarity import similarity_map
 from asmkit.transition import lift_encoded
 from cases import generate_similar_pairs
+from conftest import DIRECT_ROUTE_SPEC
 import reference
 
 LOGICAL_TERMS = frozenset({TRUE_TERM, FALSE_TERM, UNDEF_TERM})
@@ -121,7 +125,7 @@ class TestDisjointCopy:
         y = _naming_state(vocabulary, {"c0": 5})
         copy, eta = construct_disjoint_copy(x, y, frozenset({Term(vocabulary.symbol("c0"))}), 9)
         assert copy == x
-        assert eta.is_identity
+        assert _is_identity(eta)
 
     def test_remark_pair_moves_only_shared_elements(self, remark):
         # x's elements 3 and 5 are witness values of y, and move to the least
@@ -140,7 +144,7 @@ class TestDisjointCopy:
             copy, eta = construct_disjoint_copy(x, y, terms, 2 * n + 3)
             y_values = set(evaluate_terms(y, terms)).difference(LOGICAL_IDS)
             assert y_values.isdisjoint(evaluate_terms(copy, terms))
-            moved += not eta.is_identity
+            moved += not _is_identity(eta)
         assert moved > 0
 
     def test_partial_overlap_fits_in_headroom(self):
@@ -248,6 +252,11 @@ class TestVerifyEquivalence:
                         ) == similarity_function(left.state, right.state, terms)
                         pairs += 1
         assert pairs > 0
+
+
+def _is_identity(mapping) -> bool:
+    """Whether a ``Renaming`` or an element map moves nothing."""
+    return all(k == v for k, v in mapping.items())
 
 
 def _moving_algorithm() -> tuple[Algorithm, Vocabulary]:
@@ -365,24 +374,24 @@ class TestMapLevelRoute:
 
     @pytest.fixture
     def routed(self, monkeypatch):
-        """Records, for every pair the replay routes, the pair, the route's
-        name, the copies along it, whether built for this pair or earlier in
-        the replay, and the tables each of those copies was evaluated on when
-        it was built."""
+        """Records, for every pair the replay routes, memo hit or miss, the
+        pair, the route's name, the copies along it, whether built for this
+        pair or earlier in the replay, and the tables each of those copies
+        was evaluated on when it was built."""
         pairs, renamed = [], {}
-        route = harness._pair_route
+        arrive = harness._arrive
 
-        def spy_route(constructions, universe_size, x, y, sigma):
-            name, steps = route(constructions, universe_size, x, y, sigma)
-            pairs.append((x, y, name, steps, [renamed[id(c.composed)][1] for c in steps]))
-            return name, steps
+        def spy_arrive(pair, y):
+            name, steps = pair.route
+            pairs.append((pair.x, y, name, steps, [renamed[id(c.composed)][1] for c in steps]))
+            arrive(pair, y)
 
         def spy_rename(tables, mapping):
             # the map is held with its tables, so its id names it for the whole test
             renamed[id(mapping)] = (mapping, rename_tables(tables, mapping))
             return renamed[id(mapping)][1]
 
-        monkeypatch.setattr(harness, "_pair_route", spy_route)
+        monkeypatch.setattr(harness, "_arrive", spy_arrive)
         monkeypatch.setattr(harness, "rename_tables", spy_rename)
         return pairs
 
@@ -391,9 +400,12 @@ class TestMapLevelRoute:
         for x, y, name, steps, tables in pairs:
             index = x.index
             route, renamings, states = reference.state_route(x.state, y.state, index.terms, index.universe_size)
-            if route == "case2" and renamings[0].is_identity:
+            if route == "case2" and _is_identity(renamings[0]):
                 # eta moves nothing, so eta(x) is x: the replay builds no copy for it
                 renamings, states = renamings[1:], states[1:]
+            if renamings and _is_identity(renamings[-1]):
+                # nor for xi when it moves nothing, as then eta does not either
+                renamings, states = renamings[:-1], states[:-1]
             assert (name, [Renaming(c.step) for c in steps]) == (route, renamings)
             assert tables == [state.interpretations for state in states]
             assert [c.vector for c in steps] == [index.program.evaluate(state) for state in states]
@@ -433,6 +445,27 @@ class TestMapLevelRoute:
             pair for pair in routed if pair[2] == "case2" and set(pair[0].vector).isdisjoint(pair[1].vector)
         ]
         assert (routes, len(disjoint_case2)) == ({"case1": 6, "case2": 5}, 3)
+
+    def test_direct_route_spec_routes_match_the_state_constructions(self, routed):
+        # Owner A has c0 = TRUE and owner B an element b for c0; both step
+        # to set d to c0's value.  Their copies share one pattern over the
+        # witness {c0, d}, and the similarity function between a copy of A
+        # and one of B moves TRUE, so every routed pair takes the direct
+        # route.  The document is in the canonical form ``fmt`` prints.
+        text = DIRECT_ROUTE_SPEC.read_text(encoding="utf-8")
+        doc = parse_spec(text)
+        assert unparse_spec(doc) == text
+        report = verify_equivalence(doc.algorithm(), doc.witnesses["W"], 7)
+        assert report.notes == (
+            "old-be=pass",
+            "new-be=pass",
+            "replayed-chains=4",
+            "case1=0",
+            "case2=0",
+            "direct=4",
+            "coincident-pairs=0",
+        )
+        assert self._compare(routed) == {"direct": 4}
 
     def test_reversed_pairs_route_from_their_own_copies(
         self, routed, monkeypatch, default_suite, default_config
@@ -517,22 +550,27 @@ class TestReportOnlyObjects:
 
 def _spied_builds(monkeypatch):
     """The maps ``harness`` renames canonical tables by, one per copy it
-    builds, and the copies along every routed pair's route, in call order."""
+    builds, and the copies along the route of every routed pair, memo hit
+    or miss, one tuple per pair, in call order."""
     renamed, used = [], []
-    route = harness._pair_route
+    arrive = harness._arrive
 
-    def spy_route(*args):
-        name, steps = route(*args)
-        used.extend(steps)
-        return name, steps
+    def spy_arrive(pair, y):
+        used.append(pair.route[1])
+        arrive(pair, y)
 
     def spy_rename(tables, mapping):
         renamed.append(mapping)
         return rename_tables(tables, mapping)
 
-    monkeypatch.setattr(harness, "_pair_route", spy_route)
+    monkeypatch.setattr(harness, "_arrive", spy_arrive)
     monkeypatch.setattr(harness, "rename_tables", spy_rename)
     return renamed, used
+
+
+def _used_maps(used):
+    """The ids of the composed maps of the copies along the routes ``used``."""
+    return {id(c.composed) for steps in used for c in steps}
 
 
 def _with_updates(copy, updates):
@@ -544,8 +582,9 @@ def _with_updates(copy, updates):
 
 
 class TestReplayConstructions:
-    """Each constructed copy is built once per replay, by the pair that first
-    needs it; every later pair reuses it and still compares it with its own
+    """Each route is found, and its copies built, once per replay and memo
+    key (x, y's witness values), by the pair that first needs it; every
+    later pair with that key reuses it and still compares it with its own
     target."""
 
     def test_default_suite_builds_each_copy_once(self, monkeypatch, default_suite, default_config):
@@ -555,16 +594,7 @@ class TestReplayConstructions:
         monkeypatch.setattr(
             harness, "similarity_map", lambda *args: similarities.append(args) or similarity_map(*args)
         )
-        detached = []  # each routed pair's detached copy, None where eta moves nothing
-        detach = harness._detached_copy
-
-        def spy_detach(*args):
-            key, copy = detach(*args)
-            detached.append(copy)
-            return key, copy
-
-        monkeypatch.setattr(harness, "_detached_copy", spy_detach)
-        builds = uses = chains = 0
+        builds, lengths, chains = 0, Counter(), 0
         for instance in default_suite:
             for terms in instance.witnesses:
                 renamed.clear()
@@ -572,17 +602,17 @@ class TestReplayConstructions:
                 report = verify_equivalence(instance.algorithm, terms, default_config.universe_size)
                 chains += report.stats.get("replayed-chains", 0)
                 # every copy a route used was built exactly once, and nothing else was
-                assert sorted(map(id, renamed)) == sorted({id(c.composed) for c in used})
+                assert sorted(map(id, renamed)) == sorted(_used_maps(used))
                 builds += len(renamed)
-                uses += len(used)
-        # 8,552 sampled pairs and the 1,203 routed ones with a detached copy
-        # would compute 9,755 similarity functions without the memo; where
-        # eta moves nothing, sigma' is the pair's own sigma
-        moving = [copy for copy in detached if copy is not None]
-        assert (len(detached), len(moving)) == (4297, 1203)
-        assert (builds, uses, chains, len(similarities)) == (1113, 4297 + 1203, 5402, 1765)
-        # no copy is built for a detachment that moves nothing
-        assert [copy for copy in moving if all(k == v for k, v in copy.step.items())] == []
+                lengths.update(map(len, used))
+                # no copy is built for an eta or a xi that moves nothing
+                assert [c for steps in used for c in steps if _is_identity(c.step)] == []
+        # Of the 4,297 routed pairs, 1,203 route through a detached copy and
+        # 2,409 have an identity xi, so no copy.  The 1,765 similarity
+        # functions are one per memo entry (1,415) and one sigma' per route
+        # found with a detached copy (350).
+        assert lengths == {2: 1203, 1: 685, 0: 2409}
+        assert (builds, chains, len(similarities)) == (1133, 5402, 1765)
 
     def test_two_constant_replay_builds_only_what_it_uses(self, monkeypatch):
         # Without logical terms eta moves nothing for every case-1 pair and
@@ -592,8 +622,8 @@ class TestReplayConstructions:
         moving, vocabulary = _moving_algorithm()
         report = verify_equivalence(moving, frozenset(Term(s) for s in vocabulary.nonlogical), 7)
         assert (report.stats["case1"], report.stats["case2"]) == (2, 9)
-        assert sorted(map(id, renamed)) == sorted({id(c.composed) for c in used})
-        assert len(renamed) == 16
+        assert sorted(map(id, renamed)) == sorted(_used_maps(used))
+        assert len(renamed) == 20
 
     def test_no_copy_outlives_its_replay(self, monkeypatch, default_suite, default_config):
         renamed, _ = _spied_builds(monkeypatch)

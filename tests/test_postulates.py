@@ -482,8 +482,8 @@ class TestAbstractState:
                 for r in reference.renamings(state.base, universe):
                     index, rho = locate(algorithm, apply_renaming(state, r))
                     assert index == j
-                    back = r.inverse()
-                    reached.add(Renaming({e: back[rho[e]] for e in rho.domain}))
+                    back = {v: k for k, v in r.items()}
+                    reached.add(Renaming({e: back[v] for e, v in rho.items()}))
                 assert reached == set(isomorphisms_between(states[j], state))
                 checked += j != i or len(reached) > 1
         assert checked > 10

@@ -148,8 +148,6 @@ class TestSimilarityFunction:
         sigma = dict(renaming.items())
         assert sorted(sigma.items()) == renaming.items()
         assert sigma != renaming and renaming != sigma
-        assert type(renaming.inverse()) is Renaming
-        assert renaming.inverse() == Renaming({3: 3, 5: 4})
 
     def test_from_vectors_needs_one_pattern(self, remark):
         _, _, witness, _ = remark

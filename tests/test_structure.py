@@ -154,6 +154,35 @@ def test_every_public_name_is_reached():
     assert unreached == []
 
 
+def _attributes_read(directory: Path) -> set[str]:
+    """The attribute names read anywhere in the directory's modules."""
+    return {
+        node.attr
+        for path in directory.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_public_method_is_reached():
+    # A public method or property of a public class of the package is read
+    # as an attribute somewhere in the package or the benchmark, as a
+    # public name must be reached; what only the tests call lives in
+    # ``tests/``.
+    read = _attributes_read(PACKAGE) | _attributes_read(BENCH)
+    unreached = [
+        f"{module}.{cls.name}.{method.name}"
+        for module in MODULES
+        for cls in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not method.name.startswith("_")
+        and method.name not in read
+    ]
+    assert unreached == []
+
+
 def test_reference_reads_no_checker():
     # The oracles read the kernel, the similarity primitives and the step,
     # never a checker's reduction, and not the package root that exports one.

@@ -18,7 +18,7 @@ _VOCABULARY = Vocabulary((Symbol("c", 0), Symbol("g", 1), Symbol("r", 2)))
 
 
 def _fixes(renaming, fixing):
-    return all(f in renaming.domain and renaming[f] == f for f in fixing)
+    return all(dict(renaming.items()).get(f) == f for f in fixing)
 
 
 @st.composite
